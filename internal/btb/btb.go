@@ -86,10 +86,13 @@ func NewInArena(sets, ways int, instrBytes uint64, p cache.Policy, ar *cache.Are
 	if err := b.Init(sets, ways, instrBytes, p, ar); err != nil {
 		return nil, err
 	}
+	b.TrackEfficiency()
 	return b, nil
 }
 
 // Init initializes b in place, carving hot arrays from ar when non-nil.
+// Efficiency tracking starts off, as for cache.Cache.Init; New and
+// NewInArena turn it on.
 func (b *BTB) Init(sets, ways int, instrBytes uint64, p cache.Policy, ar *cache.Arena) error {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		return fmt.Errorf("btb: sets %d must be a positive power of two", sets)
@@ -115,7 +118,6 @@ func (b *BTB) Init(sets, ways int, instrBytes uint64, p cache.Policy, ar *cache.
 		pcs:        cache.ArenaWords(ar, sets*ways),
 		targets:    cache.ArenaWords(ar, sets*ways),
 		valid:      cache.ArenaWords(ar, sets),
-		eff:        make([]effTimes, sets*ways),
 		policy:     p,
 	}
 	return nil
@@ -139,17 +141,14 @@ func (b *BTB) SetWarmup(on bool) { b.warmup = on }
 // Stats returns a copy of the accumulated statistics.
 func (b *BTB) Stats() Stats { return b.stats }
 
-// SetEffTracking enables or disables per-entry efficiency bookkeeping.
-// It is on by default; callers that never read Efficiency (the fused
-// fan-out lanes) disable it to drop one cold-array write per access.
-// Disabling discards any accumulated times; Efficiency then reports
-// zeros. Replacement decisions and statistics are unaffected.
-func (b *BTB) SetEffTracking(on bool) {
-	switch {
-	case on && b.eff == nil:
+// TrackEfficiency turns on per-entry efficiency bookkeeping, one
+// cold-array write per access. New and NewInArena turn it on; a BTB set
+// up with Init starts without it, so only callers that read Efficiency
+// pay for the array. Replacement decisions and statistics are
+// unaffected.
+func (b *BTB) TrackEfficiency() {
+	if b.eff == nil {
 		b.eff = make([]effTimes, b.sets*b.ways)
-	case !on:
-		b.eff = nil
 	}
 }
 
@@ -280,8 +279,8 @@ func installWith[P cache.Policy](b *BTB, p P, a cache.Access, way int, pc, targe
 }
 
 // Efficiency returns the per-entry live-time fraction matrix (sets x
-// ways), used for the Fig. 5 heat map. All zeros when tracking is
-// disabled (SetEffTracking).
+// ways), used for the Fig. 5 heat map. All zeros when tracking is off
+// (see TrackEfficiency).
 func (b *BTB) Efficiency() [][]float64 {
 	out := make([][]float64, b.sets)
 	if b.eff == nil {
@@ -314,20 +313,19 @@ func (b *BTB) Efficiency() [][]float64 {
 	return out
 }
 
-// Reset clears contents, statistics, and policy state.
+// Reset returns the BTB to the state Init leaves it in — contents,
+// statistics, clocks, warm-up mode and policy state cleared, geometry,
+// policy binding and efficiency tracking kept — without allocating.
+//
+//ghrp:hotpath
 func (b *BTB) Reset() {
-	for i := range b.pcs {
-		b.pcs[i] = 0
-		b.targets[i] = 0
-	}
-	for i := range b.valid {
-		b.valid[i] = 0
-	}
-	for i := range b.eff {
-		b.eff[i] = effTimes{}
-	}
+	clear(b.pcs)
+	clear(b.targets)
+	clear(b.valid)
+	clear(b.eff)
 	b.stats = Stats{}
 	b.now = 0
+	b.birth = 0
 	b.born = false
 	b.warmup = false
 	b.policy.Reset()

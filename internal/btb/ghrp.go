@@ -140,13 +140,11 @@ func (p *GHRPPolicy) OnEvict(a cache.Access, way int, evicted uint64) {}
 
 // Reset implements cache.Policy. The shared I-cache policy is reset by
 // its own cache; only BTB-side state clears here.
+//
+//ghrp:hotpath
 func (p *GHRPPolicy) Reset() {
-	for i := range p.pred {
-		p.pred[i] = false
-	}
-	for i := range p.last {
-		p.last[i] = 0
-	}
+	clear(p.pred)
+	clear(p.last)
 	p.now = 0
 	p.deadEvictions = 0
 	p.lruEvictions = 0

@@ -143,11 +143,15 @@ func NewInArena(sets, ways int, p Policy, ar *Arena) (*Cache, error) {
 	if err := c.Init(sets, ways, p, ar); err != nil {
 		return nil, err
 	}
+	c.TrackEfficiency()
 	return c, nil
 }
 
 // Init initializes c in place (so callers can lay cache headers out
 // contiguously themselves), carving hot arrays from ar when non-nil.
+// Efficiency tracking starts off (see TrackEfficiency): New and
+// NewInArena turn it on, while the fan-out's policy lanes, whose results
+// never read Efficiency, leave it off.
 func (c *Cache) Init(sets, ways int, p Policy, ar *Arena) error {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: sets %d must be a positive power of two", sets)
@@ -164,7 +168,6 @@ func (c *Cache) Init(sets, ways int, p Policy, ar *Arena) error {
 		ways:   ways,
 		tags:   ar.take(sets * ways),
 		valid:  ar.take(sets),
-		eff:    make([]effTimes, sets*ways),
 		policy: p,
 	}
 	return nil
@@ -182,17 +185,14 @@ func (c *Cache) Policy() Policy { return c.policy }
 // SetWarmup toggles warm-up mode: state changes but statistics freeze.
 func (c *Cache) SetWarmup(on bool) { c.warmup = on }
 
-// SetEffTracking enables or disables per-frame efficiency bookkeeping.
-// It is on by default; callers that never read Efficiency (the fused
-// fan-out lanes) disable it to drop one cold-array write per access.
-// Disabling discards any accumulated times; Efficiency then reports
-// zeros. Replacement decisions and statistics are unaffected.
-func (c *Cache) SetEffTracking(on bool) {
-	switch {
-	case on && c.eff == nil:
+// TrackEfficiency turns on per-frame efficiency bookkeeping, one
+// cold-array write per access. New and NewInArena turn it on; a cache
+// set up with Init starts without it, so only callers that read
+// Efficiency pay for the array. Replacement decisions and statistics are
+// unaffected.
+func (c *Cache) TrackEfficiency() {
+	if c.eff == nil {
 		c.eff = make([]effTimes, c.sets*c.ways)
-	case !on:
-		c.eff = nil
 	}
 }
 
@@ -329,7 +329,7 @@ func installWith[P Policy](c *Cache, p P, a Access, way int) {
 // (set, way), the fraction of elapsed time the frame held a live block.
 // A block is live from insertion until its final access before eviction.
 // Frames never filled have efficiency 0, as does everything when
-// tracking is disabled (SetEffTracking).
+// tracking is off (see TrackEfficiency).
 func (c *Cache) Efficiency() [][]float64 {
 	out := make([][]float64, c.sets)
 	if c.eff == nil {
@@ -378,19 +378,18 @@ func (c *Cache) MeanEfficiency() float64 {
 	return sum / float64(n)
 }
 
-// Reset clears cache contents, statistics, and policy state.
+// Reset returns the cache to the state Init leaves it in — contents,
+// statistics, clocks, warm-up mode and policy state cleared, geometry,
+// policy binding and efficiency tracking kept — without allocating.
+//
+//ghrp:hotpath
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-	}
-	for i := range c.valid {
-		c.valid[i] = 0
-	}
-	for i := range c.eff {
-		c.eff[i] = effTimes{}
-	}
+	clear(c.tags)
+	clear(c.valid)
+	clear(c.eff)
 	c.stats = Stats{}
 	c.now = 0
+	c.birth = 0
 	c.born = false
 	c.warmup = false
 	c.policy.Reset()

@@ -68,6 +68,8 @@ func (h *History) Current() uint16 { return h.spec }
 func (h *History) Retired() uint16 { return h.retired }
 
 // Reset clears both history registers.
+//
+//ghrp:hotpath
 func (h *History) Reset() { h.spec, h.retired = 0, 0 }
 
 // Signature combines the current speculative history with the accessed

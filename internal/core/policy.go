@@ -231,14 +231,14 @@ func (p *ICachePolicy) OnInsert(a cache.Access, way int) {
 	p.hist.Update(a.PC)
 }
 
-// Reset implements cache.Policy.
+// Reset implements cache.Policy: metadata, recency, the shared
+// predictor tables and the path history all return to their
+// construction state.
+//
+//ghrp:hotpath
 func (p *ICachePolicy) Reset() {
-	for i := range p.meta {
-		p.meta[i] = blockMeta{}
-	}
-	for i := range p.last {
-		p.last[i] = 0
-	}
+	clear(p.meta)
+	clear(p.last)
 	p.now = 0
 	p.pred.Reset()
 	p.hist.Reset()

@@ -188,10 +188,10 @@ func (p *Predictor) Stats() PredictorStats {
 }
 
 // Reset clears tables and statistics.
+//
+//ghrp:hotpath
 func (p *Predictor) Reset() {
-	for i := range p.tables {
-		p.tables[i] = 0
-	}
+	clear(p.tables)
 	p.deadPredictions = 0
 	p.livePredictions = 0
 	p.deadTrainings = 0

@@ -100,8 +100,10 @@ type front struct {
 	dec      stepDecisions     // scratch: current record's decisions
 }
 
-func newFront(cfg Config, warmupLimit uint64) (*front, error) {
-	f := &front{cfg: cfg, warmupLimit: warmupLimit}
+// newFront allocates the front's predictors and fetcher. Its warm-up
+// state is set by reset, which every construction path calls next.
+func newFront(cfg Config) (*front, error) {
+	f := &front{cfg: cfg}
 	f.blockShift = shiftOf(uint64(cfg.ICache.BlockBytes))
 	f.instrShift = shiftOf(cfg.InstrBytes)
 	var err error
@@ -118,10 +120,27 @@ func newFront(cfg Config, warmupLimit uint64) (*front, error) {
 	if err != nil {
 		return nil, err
 	}
-	if warmupLimit > 0 {
-		f.warm = true
-	}
 	return f, nil
+}
+
+// reset puts the front in the state a simulation starts from: predictor
+// tables, histories, RAS and fetcher cleared, counters and the fetch
+// buffer zeroed, and warm-up armed when warmupLimit is positive. Every
+// table keeps its storage.
+//
+//ghrp:hotpath
+func (f *front) reset(warmupLimit uint64) {
+	f.bpred.Reset()
+	f.ras.Reset()
+	f.ind.Reset()
+	f.fetcher.Reset()
+	f.warmupLimit = warmupLimit
+	f.warm = warmupLimit > 0
+	f.instrs, f.counted, f.records = 0, 0, 0
+	f.lastBlock, f.haveLast = 0, false
+	f.spans = f.spans[:0]
+	f.accesses = f.accesses[:0]
+	f.dec = stepDecisions{}
 }
 
 // decide advances the front by one branch record and fills d with the
@@ -273,20 +292,20 @@ func laneHotWords(cfg Config) int {
 		btb.HotWords(cfg.BTB.Sets(), cfg.BTB.Ways)
 }
 
-// newLanes builds one initialized lane per kind, all carving hot state
-// from a single shared arena.
-func newLanes(cfg Config, kinds []PolicyKind, warm bool) ([]lane, error) {
+// newLanes builds one lane per kind, all carving hot state from a
+// single shared arena. Their warm-up state is set by reset.
+func newLanes(cfg Config, kinds []PolicyKind) ([]lane, error) {
 	ar := cache.NewArena(len(kinds) * laneHotWords(cfg))
 	lanes := make([]lane, len(kinds))
 	for i, kind := range kinds {
-		if err := lanes[i].init(cfg, kind, warm, ar); err != nil {
+		if err := lanes[i].init(cfg, kind, ar); err != nil {
 			return nil, err
 		}
 	}
 	return lanes, nil
 }
 
-func (l *lane) init(cfg Config, kind PolicyKind, warm bool, ar *cache.Arena) error {
+func (l *lane) init(cfg Config, kind PolicyKind, ar *cache.Arena) error {
 	if kind >= numPolicies {
 		return fmt.Errorf("frontend: invalid policy kind %d", kind)
 	}
@@ -311,12 +330,54 @@ func (l *lane) init(cfg Config, kind PolicyKind, warm bool, ar *cache.Arena) err
 	if cfg.NextLinePrefetch {
 		l.pref = newPrefetchFilter()
 	}
-	if warm {
-		l.icache.SetWarmup(true)
-		l.ibtb.SetWarmup(true)
-	}
 	l.bindStep(icPolicy, btbPolicy)
 	return nil
+}
+
+// reset puts the lane in the state a simulation starts from: cache and
+// BTB contents, clocks and statistics cleared (their arena words
+// included), every policy table and seed restored, the prefetch filter
+// emptied, and both structures in warm-up mode when warm is set.
+//
+//ghrp:hotpath
+func (l *lane) reset(warm bool) {
+	l.icache.Reset()
+	l.ibtb.Reset()
+	if l.pref != nil {
+		l.pref.reset()
+	}
+	l.prefStats = PrefetchStats{}
+	l.icache.SetWarmup(warm)
+	l.ibtb.SetWarmup(warm)
+}
+
+// newSim allocates a front and one lane per kind: the single
+// construction path of Engine and FanOut. Callers bring the result to
+// its start state with resetSim.
+func newSim(cfg Config, kinds []PolicyKind) (*front, []lane, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	f, err := newFront(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	lanes, err := newLanes(cfg, kinds)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, lanes, nil
+}
+
+// resetSim puts a front and its lanes in the start state of a
+// simulation with the given warm-up limit, without allocating.
+//
+//ghrp:hotpath
+func resetSim(f *front, lanes []lane, warmupLimit uint64) {
+	f.reset(warmupLimit)
+	for i := range lanes {
+		lanes[i].reset(f.warm)
+	}
 }
 
 func (l *lane) makeICachePolicy(cfg Config) (cache.Policy, error) {
@@ -457,17 +518,15 @@ type Engine struct {
 // is the number of leading instructions excluded from statistics; use
 // WarmupFor to derive it from a trace length per the paper's rule.
 func NewEngine(cfg Config, kind PolicyKind, warmupLimit uint64) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	f, err := newFront(cfg, warmupLimit)
+	f, lanes, err := newSim(cfg, []PolicyKind{kind})
 	if err != nil {
 		return nil, err
 	}
-	lanes, err := newLanes(cfg, []PolicyKind{kind}, f.warm)
-	if err != nil {
-		return nil, err
-	}
+	// Engine is the one simulator whose callers read efficiency matrices
+	// (the Fig. 1 and Fig. 5 heat maps), so only its lane pays for them.
+	lanes[0].icache.TrackEfficiency()
+	lanes[0].ibtb.TrackEfficiency()
+	resetSim(f, lanes, warmupLimit)
 	return &Engine{front: f, lanes: lanes}, nil
 }
 

@@ -18,10 +18,11 @@ import (
 // bit-identical for any worker count; TestFanOutParallelMatchesSerial
 // pins that.
 //
-// Memory is bounded by a free list of poolChunks chunks: the producer
-// blocks once all are in flight, and the last worker to finish a chunk
-// returns it. Lane subsets are contiguous stripes, so a worker's lanes
-// are adjacent in the lane slab.
+// Memory is bounded by a free list of poolChunks chunks, owned by the
+// FanOut and reused across calls: the producer blocks once all are in
+// flight, and the last worker to finish a chunk returns it. Lane subsets
+// are contiguous stripes, so a worker's lanes are adjacent in the lane
+// slab.
 
 // poolChunks bounds the chunks in flight between producer and workers.
 // Two keeps the producer a full chunk ahead of the slowest worker; a
@@ -42,8 +43,8 @@ func (fo *FanOut) StreamProgramParallel(prog *workload.Program, seed, target uin
 	}
 
 	free := make(chan *decChunk, poolChunks)
-	for i := 0; i < poolChunks; i++ {
-		free <- newDecChunk()
+	for _, ch := range fo.chunkPool(poolChunks) {
+		free <- ch
 	}
 	// Per-worker queues sized to the pool, so publishing never blocks on
 	// a queue: at most poolChunks chunks exist.
@@ -73,6 +74,22 @@ func (fo *FanOut) StreamProgramParallel(prog *workload.Program, seed, target uin
 		}(fo.lanes[lo:hi], queues[w])
 		lo = hi
 	}
+
+	// drain closes the queues and waits for the workers. It also runs if
+	// the producer panics (in a progress callback, say), so no worker
+	// outlives the call or touches the lanes afterwards.
+	drained := false
+	drain := func() {
+		if drained {
+			return
+		}
+		drained = true
+		for _, q := range queues {
+			close(q)
+		}
+		wg.Wait()
+	}
+	defer drain()
 
 	publish := func(ch *decChunk) {
 		ch.refs.Store(int32(workers))
@@ -107,10 +124,7 @@ func (fo *FanOut) StreamProgramParallel(prog *workload.Program, seed, target uin
 	if err == nil && !ch.empty() {
 		publish(ch)
 	}
-	for _, q := range queues {
-		close(q)
-	}
-	wg.Wait()
+	drain()
 	if err != nil {
 		return nil, err
 	}

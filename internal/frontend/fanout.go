@@ -18,40 +18,57 @@ import (
 // Engine, and lanes never observe each other; the fused replay is
 // therefore bit-identical to N independent per-policy replays of the
 // same stream. TestFanOutMatchesPerPolicy pins this contract.
+//
+// A FanOut is reusable: Reset returns it to its freshly built state, so
+// a long-lived caller (one per sim worker goroutine) replays workload
+// after workload without reallocating lanes, tables or decision chunks.
+// It is not safe for concurrent use.
 type FanOut struct {
 	front *front
 	lanes []lane
+	// chunks are the decision chunks replays fill: the serial path uses
+	// the first, the checkpoint-parallel path up to poolChunks. They are
+	// allocated on first use and kept for the FanOut's lifetime.
+	chunks []*decChunk
 }
 
 // NewFanOut builds a fused simulator driving one lane per element of
 // kinds (duplicates allowed — each gets an independent lane). The
 // warm-up limit applies to all lanes, exactly as it would to N separate
-// engines built with the same limit.
+// engines built with the same limit. Lanes track no efficiency
+// matrices: fan-out results never expose them.
 func NewFanOut(cfg Config, kinds []PolicyKind, warmupLimit uint64) (*FanOut, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if len(kinds) == 0 {
 		return nil, fmt.Errorf("frontend: fan-out needs at least one policy")
 	}
-	f, err := newFront(cfg, warmupLimit)
+	f, lanes, err := newSim(cfg, kinds)
 	if err != nil {
 		return nil, err
 	}
-	lanes, err := newLanes(cfg, kinds, f.warm)
-	if err != nil {
-		return nil, err
+	fo := &FanOut{front: f, lanes: lanes}
+	fo.Reset(warmupLimit)
+	return fo, nil
+}
+
+// Reset puts the fan-out back into exactly the state NewFanOut builds
+// for warmupLimit — the front's predictors, RAS, fetcher and counters,
+// and every lane's cache, BTB, policy tables, seeds, history and
+// prefetch filter — in place and without allocating. The configuration
+// and lane roster stay those given to NewFanOut.
+// TestFanOutResetMatchesFresh pins the equivalence.
+//
+//ghrp:hotpath
+func (fo *FanOut) Reset(warmupLimit uint64) {
+	resetSim(fo.front, fo.lanes, warmupLimit)
+}
+
+// chunkPool returns the fan-out's first n decision chunks, allocating
+// any that do not exist yet.
+func (fo *FanOut) chunkPool(n int) []*decChunk {
+	for len(fo.chunks) < n {
+		fo.chunks = append(fo.chunks, newDecChunk())
 	}
-	// Fan-out results never expose efficiency matrices (only Engine's
-	// heat-map path reads them), so the per-access efficiency writes —
-	// one random cold-line touch per lane per access — are dead work
-	// here. Replacement decisions and Results are unaffected, so the
-	// bit-identity contract with standalone engines holds.
-	for i := range lanes {
-		lanes[i].icache.SetEffTracking(false)
-		lanes[i].ibtb.SetEffTracking(false)
-	}
-	return &FanOut{front: f, lanes: lanes}, nil
+	return fo.chunks[:n]
 }
 
 // Process consumes one branch record, advancing every lane.
@@ -88,7 +105,8 @@ func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, opt
 	if every == 0 {
 		every = DefaultProgressEvery
 	}
-	ch := newDecChunk()
+	ch := fo.chunkPool(1)[0]
+	ch.reset() // an aborted earlier stream may have left records behind
 	var n uint64
 	_, err := workload.Emit(prog, seed, target, func(r trace.Record) error {
 		fo.front.decide(r, &fo.front.dec)

@@ -9,6 +9,8 @@ type prefetchSet interface {
 	add(block uint64)
 	// take reports whether block was recorded and removes it if so.
 	take(block uint64) bool
+	// reset forgets every recorded block.
+	reset()
 }
 
 // prefetchFilterSlots sizes the direct-mapped filter. The next-line
@@ -37,6 +39,9 @@ func newPrefetchFilter() *prefetchFilter { return &prefetchFilter{} }
 func (p *prefetchFilter) add(block uint64) {
 	p.slots[block%prefetchFilterSlots] = block + 1
 }
+
+//ghrp:hotpath
+func (p *prefetchFilter) reset() { clear(p.slots[:]) }
 
 //ghrp:hotpath
 func (p *prefetchFilter) take(block uint64) bool {

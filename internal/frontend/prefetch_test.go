@@ -25,6 +25,8 @@ func (p *mapPrefetchSet) add(block uint64) {
 	p.m[block] = struct{}{}
 }
 
+func (p *mapPrefetchSet) reset() { clear(p.m) }
+
 func (p *mapPrefetchSet) take(block uint64) bool {
 	if _, ok := p.m[block]; ok {
 		delete(p.m, block)

@@ -75,8 +75,12 @@ func (r *RAS) Stats() RASStats { return r.stats }
 // ResetStats clears statistics while keeping the stack contents.
 func (r *RAS) ResetStats() { r.stats = RASStats{} }
 
-// Reset clears everything.
+// Reset clears everything, stack slots included, returning the stack to
+// the state NewRAS builds.
+//
+//ghrp:hotpath
 func (r *RAS) Reset() {
+	clear(r.entries)
 	r.top, r.depth = 0, 0
 	r.stats = RASStats{}
 }

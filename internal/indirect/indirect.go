@@ -215,15 +215,14 @@ func (p *Predictor) Stats() Stats { return p.stats }
 // ResetStats clears statistics while keeping learned state.
 func (p *Predictor) ResetStats() { p.stats = Stats{} }
 
-// Reset clears everything.
+// Reset clears everything, returning the predictor to the state New
+// builds.
+//
+//ghrp:hotpath
 func (p *Predictor) Reset() {
-	for i := range p.base {
-		p.base[i] = baseEntry{}
-	}
+	clear(p.base)
 	for t := range p.tagged {
-		for i := range p.tagged[t] {
-			p.tagged[t][i] = taggedEntry{}
-		}
+		clear(p.tagged[t])
 	}
 	p.ghist = 0
 	p.stats = Stats{}

@@ -236,11 +236,12 @@ func (p *Predictor) Stats() Stats { return p.stats }
 // the learned weights.
 func (p *Predictor) ResetStats() { p.stats = Stats{} }
 
-// Reset clears weights, histories and statistics.
+// Reset clears weights, histories and statistics, returning the
+// predictor to the state New builds.
+//
+//ghrp:hotpath
 func (p *Predictor) Reset() {
-	for i := range p.weights {
-		p.weights[i] = 0
-	}
+	clear(p.weights)
 	p.ghr, p.path = 0, 0
 	p.stats = Stats{}
 }

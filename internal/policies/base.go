@@ -57,10 +57,9 @@ func (r *recency) stackPos(set, way int) int {
 	return pos
 }
 
+//ghrp:hotpath
 func (r *recency) reset() {
-	for i := range r.last {
-		r.last[i] = 0
-	}
+	clear(r.last)
 	r.now = 0
 }
 

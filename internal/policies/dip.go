@@ -152,6 +152,8 @@ func (p *DIP) oldestIn(set int) uint64 {
 func (p *DIP) OnEvict(a cache.Access, way int, evicted uint64) {}
 
 // Reset implements cache.Policy.
+//
+//ghrp:hotpath
 func (p *DIP) Reset() {
 	p.rec.reset()
 	p.psel = p.pselMax / 2

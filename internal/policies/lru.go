@@ -31,6 +31,8 @@ func (p *LRU) OnInsert(a cache.Access, way int) { p.rec.touch(a.Set, way) }
 func (p *LRU) OnEvict(a cache.Access, way int, evicted uint64) {}
 
 // Reset implements cache.Policy.
+//
+//ghrp:hotpath
 func (p *LRU) Reset() { p.rec.reset() }
 
 // FIFO is first-in, first-out replacement, one of the early policies
@@ -80,10 +82,10 @@ func (p *FIFO) OnInsert(a cache.Access, way int) {
 func (p *FIFO) OnEvict(a cache.Access, way int, evicted uint64) {}
 
 // Reset implements cache.Policy.
+//
+//ghrp:hotpath
 func (p *FIFO) Reset() {
-	for i := range p.inserted {
-		p.inserted[i] = 0
-	}
+	clear(p.inserted)
 	p.now = 0
 }
 
@@ -116,5 +118,7 @@ func (p *Random) OnInsert(a cache.Access, way int) {}
 // OnEvict implements cache.Policy.
 func (p *Random) OnEvict(a cache.Access, way int, evicted uint64) {}
 
-// Reset implements cache.Policy.
+// Reset implements cache.Policy: the generator restarts from its seed.
+//
+//ghrp:hotpath
 func (p *Random) Reset() { p.rng = newXorshift(p.sed) }

@@ -222,19 +222,15 @@ func (p *SDBP) OnInsert(a cache.Access, way int) {
 func (p *SDBP) OnEvict(a cache.Access, way int, evicted uint64) {}
 
 // Reset implements cache.Policy.
+//
+//ghrp:hotpath
 func (p *SDBP) Reset() {
 	p.rec.reset()
 	p.smpRec.reset()
-	for i := range p.pred {
-		p.pred[i] = false
-	}
-	for i := range p.smp {
-		p.smp[i] = samplerEntry{}
-	}
+	clear(p.pred)
+	clear(p.smp)
 	for t := range p.tables {
-		for i := range p.tables[t] {
-			p.tables[t][i] = 0
-		}
+		clear(p.tables[t])
 	}
 }
 

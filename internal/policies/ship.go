@@ -156,16 +156,14 @@ func (p *SHiP) OnEvict(a cache.Access, way int, evicted uint64) {
 }
 
 // Reset implements cache.Policy.
+//
+//ghrp:hotpath
 func (p *SHiP) Reset() {
 	for i := range p.rrpv {
 		p.rrpv[i] = p.max
 	}
-	for i := range p.meta {
-		p.meta[i] = shipMeta{}
-	}
-	for i := range p.shct {
-		p.shct[i] = 0
-	}
+	clear(p.meta)
+	clear(p.shct)
 }
 
 // SHCTCounter exposes a signature's counter for tests and diagnostics.

@@ -75,6 +75,8 @@ func (p *SRRIP) OnInsert(a cache.Access, way int) {
 func (p *SRRIP) OnEvict(a cache.Access, way int, evicted uint64) {}
 
 // Reset implements cache.Policy.
+//
+//ghrp:hotpath
 func (p *SRRIP) Reset() {
 	for i := range p.rrpv {
 		p.rrpv[i] = p.max

@@ -507,3 +507,107 @@ func TestFaultPanicMultiPolicyKeepGoing(t *testing.T) {
 		t.Errorf("Completed kept %d workloads, want 2", len(done.Specs))
 	}
 }
+
+// midReplayFault arms rule op at a progress tick inside workload 1's
+// fused replay (Parallelism 1, ProgressEvery 64), so the fault stops a
+// worker's fan-out mid-stream after it has already served workload 0.
+// ref is the run's serial reference.
+func midReplayFault(ref [][]frontend.Result, opts Options, act faultinject.Action) *faultinject.Injector {
+	return faultinject.New(faultinject.Rule{Op: faultinject.OpProgress,
+		Nth: ref[0][0].Records/opts.ProgressEvery + 3, Action: act})
+}
+
+// mixedRosterOptions is faultOptions with a two-policy roster and
+// frequent progress ticks.
+func mixedRosterOptions(n int) Options {
+	opts := faultOptions(n)
+	opts.Policies = []frontend.PolicyKind{frontend.PolicyLRU, frontend.PolicyGHRP}
+	opts.ProgressEvery = 64
+	return opts
+}
+
+// A panic in the middle of a replay fails only that workload; the
+// worker drops its half-replayed fan-out, and every later workload it
+// runs stays bit-identical to the serial reference.
+func TestFaultMidReplayPanicKeepGoing(t *testing.T) {
+	ref := serialReference(t, mixedRosterOptions(4))
+	opts := mixedRosterOptions(4)
+	opts.KeepGoing = true
+	opts.Faults = midReplayFault(ref, opts, faultinject.Panic)
+	m, err := Run(opts)
+	if err != nil {
+		t.Fatalf("keep-going run aborted: %v", err)
+	}
+	for wi, r := range m.Raw {
+		if wantErr := wi == 1; (r.Err != nil) != wantErr {
+			t.Fatalf("workload %d: Err = %v, want failed=%v", wi, r.Err, wantErr)
+		}
+		if wi == 1 {
+			continue
+		}
+		for pi := range m.Policies {
+			if r.Results[pi] != ref[wi][pi] {
+				t.Errorf("workload %d cell %d: diverged from serial reference after a mid-replay panic", wi, pi)
+			}
+		}
+	}
+}
+
+// A transient fault in the middle of a replay is retried on a rebuilt
+// fan-out and ends bit-identical to the serial reference.
+func TestFaultMidReplayTransientRetries(t *testing.T) {
+	ref := serialReference(t, mixedRosterOptions(3))
+	opts := mixedRosterOptions(3)
+	opts.Faults = midReplayFault(ref, opts, faultinject.Transient)
+	m, err := Run(opts)
+	if err != nil {
+		t.Fatalf("mid-replay transient fault not retried: %v", err)
+	}
+	if m.Stats.Retries != 1 {
+		t.Errorf("stats retries %d, want 1", m.Stats.Retries)
+	}
+	requireMatchesReference(t, m, ref)
+}
+
+// A worker keeps its fan-out across successful tasks with the same
+// roster, rebuilds it for a different roster, and drops it after any
+// failed attempt.
+func TestSimWorkerFanOutLifecycle(t *testing.T) {
+	opts, err := mixedRosterOptions(2).prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var sw simWorker
+	r := newRunState(opts, func(obs.Event) {})
+	if err := r.runTaskSafe(ctx, task{0}, &sw); err != nil {
+		t.Fatal(err)
+	}
+	kept := sw.fo
+	if kept == nil {
+		t.Fatal("successful task left the worker without a fan-out")
+	}
+	if err := r.runTaskSafe(ctx, task{1}, &sw); err != nil {
+		t.Fatal(err)
+	}
+	if sw.fo != kept {
+		t.Error("same roster rebuilt the fan-out instead of resetting it")
+	}
+	if fo, err := sw.fanOut(opts.Config, opts.Policies[:1], 0); err != nil || fo == kept {
+		t.Errorf("different roster reused the fan-out (err %v)", err)
+	}
+
+	for _, act := range []faultinject.Action{faultinject.Panic, faultinject.Transient} {
+		opts.Faults = faultinject.New(faultinject.Rule{Op: faultinject.OpProgress, Nth: 3, Action: act})
+		r := newRunState(opts, func(obs.Event) {})
+		if _, err := sw.fanOut(opts.Config, opts.Policies, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.runTaskSafe(ctx, task{0}, &sw); err == nil {
+			t.Fatalf("%v: injected fault did not fail the attempt", act)
+		}
+		if sw.fo != nil {
+			t.Errorf("%v: failed attempt kept its fan-out", act)
+		}
+	}
+}

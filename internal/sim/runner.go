@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,13 +55,13 @@ type Options struct {
 	Scale float64
 	// Parallelism bounds concurrent simulation tasks. Each workload is
 	// one task: its program is executed once and the record stream drives
-	// every uncached policy lane in lockstep (frontend.SimulateFanOut),
-	// so adding policies costs policy work, not extra executor passes.
-	// When the suite has fewer workloads than Parallelism, the surplus is
-	// spent inside each task: lane replay splits across
-	// Parallelism/tasks goroutines (frontend.SimulateFanOutSplit), so a
-	// few long workloads still use the whole machine. Results are
-	// bit-identical at any setting. Defaults to GOMAXPROCS.
+	// every uncached policy lane in lockstep (frontend.FanOut), so adding
+	// policies costs policy work, not extra executor passes. When the
+	// suite has fewer workloads than Parallelism, the surplus is spent
+	// inside each task: lane replay splits across Parallelism/tasks
+	// goroutines (FanOut.StreamProgramParallel), so a few long workloads
+	// still use the whole machine. Results are bit-identical at any
+	// setting. Defaults to GOMAXPROCS.
 	Parallelism int
 	// ExecSeed seeds workload execution (fixed across policies so every
 	// policy replays the identical trace). The zero value means "unset"
@@ -288,15 +289,46 @@ type runState struct {
 	observe obs.Observer
 	// laneWorkers is the per-task lane-replay width: the parallelism
 	// left over after one worker per workload has been provisioned.
-	// Above one, fused replays run through SimulateFanOutSplit.
+	// Above one, fused replays run through StreamProgramParallel.
 	laneWorkers int
 }
+
+// simWorker is one worker goroutine's reusable simulator: the fan-out it
+// built for the roster of policies it last fused. Consecutive tasks with
+// the same roster reset it in place instead of reallocating lanes,
+// tables and decision chunks; a different roster (a partial result-cache
+// hit) rebuilds it, and a failed attempt drops it, so no state from an
+// aborted replay can reach the next task.
+type simWorker struct {
+	fo    *frontend.FanOut
+	kinds []frontend.PolicyKind
+}
+
+// fanOut returns a fan-out in its freshly built state for kinds and the
+// warm-up limit, reusing the worker's previous one when the roster
+// matches.
+func (sw *simWorker) fanOut(cfg frontend.Config, kinds []frontend.PolicyKind, warmupLimit uint64) (*frontend.FanOut, error) {
+	if sw.fo != nil && slices.Equal(sw.kinds, kinds) {
+		sw.fo.Reset(warmupLimit)
+		return sw.fo, nil
+	}
+	sw.drop()
+	fo, err := frontend.NewFanOut(cfg, kinds, warmupLimit)
+	if err != nil {
+		return nil, err
+	}
+	sw.fo, sw.kinds = fo, kinds
+	return fo, nil
+}
+
+// drop discards the worker's fan-out; the next task builds a new one.
+func (sw *simWorker) drop() { sw.fo, sw.kinds = nil, nil }
 
 // RunContext simulates every workload under every policy. The schedule
 // is a queue of workload tasks drained by Options.Parallelism workers.
 // Each task executes its workload's program exactly once and feeds the
 // record stream to every policy the result cache could not answer in
-// lockstep (frontend.SimulateFanOut), so executor interpretation costs
+// lockstep (frontend.FanOut), so executor interpretation costs
 // 1× per workload instead of once per policy plus the counting
 // pre-pass — and the pre-pass itself is memoized in the result cache.
 // Cache hits stay per-cell: a cell served from disk is reported via
@@ -321,39 +353,9 @@ func RunContext(ctx context.Context, opts Options) (*Measurements, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, np := opts.Source.Len(), len(opts.Policies)
-	out := &Measurements{
-		Options: opts,
-		// One Spec per workload is the runner's only per-suite
-		// materialization: it is the output index of the vectors below.
-		// Programs stay lazy — synthesized inside each task, released
-		// when it retires.
-		Specs:      workload.Materialize(opts.Source),
-		Policies:   opts.Policies,
-		ICacheMPKI: map[frontend.PolicyKind][]float64{},
-		BTBMPKI:    map[frontend.PolicyKind][]float64{},
-		BranchMPKI: make([]float64, n),
-		Raw:        make([]WorkloadResult, n),
-	}
-	for _, k := range opts.Policies {
-		out.ICacheMPKI[k] = make([]float64, n)
-		out.BTBMPKI[k] = make([]float64, n)
-	}
-
 	collector := obs.NewCollector()
-	r := &runState{
-		opts:    opts,
-		out:     out,
-		states:  make([]wlState, n),
-		errs:    make([]error, n),
-		observe: obs.Multi(collector.Observe, opts.Observer),
-	}
-	for wi := range r.states {
-		// Result slots are preallocated so tasks write disjoint elements
-		// without a lock.
-		out.Raw[wi] = WorkloadResult{Spec: out.Specs[wi],
-			Results: make([]frontend.Result, np), Completed: make([]bool, np)}
-	}
+	r := newRunState(opts, obs.Multi(collector.Observe, opts.Observer))
+	out, n, np := r.out, len(r.states), len(opts.Policies)
 	var quarantined0 int64
 	if opts.Cache != nil {
 		quarantined0 = opts.Cache.Quarantined()
@@ -382,10 +384,11 @@ func RunContext(ctx context.Context, opts Options) (*Measurements, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var sw simWorker
 			for t := range tasks {
 				err := ctx.Err()
 				if err == nil {
-					err = r.runTaskRetrying(ctx, t)
+					err = r.runTaskRetrying(ctx, t, &sw)
 				}
 				r.finishTask(ctx, t.wi, err)
 			}
@@ -423,6 +426,45 @@ func RunContext(ctx context.Context, opts Options) (*Measurements, error) {
 		// Stats.Failed) and dropped by Completed().
 		return out, nil
 	}
+}
+
+// newRunState lays out one run of prepared opts: the Measurements with
+// every result slot preallocated, and idle per-workload state. observe
+// receives every event the run emits.
+func newRunState(opts Options, observe obs.Observer) *runState {
+	n, np := opts.Source.Len(), len(opts.Policies)
+	out := &Measurements{
+		Options: opts,
+		// One Spec per workload is the runner's only per-suite
+		// materialization: it is the output index of the vectors below.
+		// Programs stay lazy — synthesized inside each task, released
+		// when it retires.
+		Specs:      workload.Materialize(opts.Source),
+		Policies:   opts.Policies,
+		ICacheMPKI: map[frontend.PolicyKind][]float64{},
+		BTBMPKI:    map[frontend.PolicyKind][]float64{},
+		BranchMPKI: make([]float64, n),
+		Raw:        make([]WorkloadResult, n),
+	}
+	for _, k := range opts.Policies {
+		out.ICacheMPKI[k] = make([]float64, n)
+		out.BTBMPKI[k] = make([]float64, n)
+	}
+
+	r := &runState{
+		opts:    opts,
+		out:     out,
+		states:  make([]wlState, n),
+		errs:    make([]error, n),
+		observe: observe,
+	}
+	for wi := range r.states {
+		// Result slots are preallocated so tasks write disjoint elements
+		// without a lock.
+		out.Raw[wi] = WorkloadResult{Spec: out.Specs[wi],
+			Results: make([]frontend.Result, np), Completed: make([]bool, np)}
+	}
+	return r
 }
 
 // taskWatch scopes one task attempt's context: an absolute deadline
@@ -515,14 +557,14 @@ func (w *taskWatch) fault(err error) error {
 // obs.TaskRetry event; a cancelled run context stops the loop. Cells
 // completed by an earlier attempt (recorded before a transient cache
 // failure, say) are skipped by the retry, which fuses the remainder.
-func (r *runState) runTaskRetrying(ctx context.Context, t task) error {
+func (r *runState) runTaskRetrying(ctx context.Context, t task, sw *simWorker) error {
 	opts := r.opts
 	maxRetries := opts.MaxRetries
 	if maxRetries < 0 {
 		maxRetries = 0
 	}
 	for attempt := 0; ; attempt++ {
-		err := r.runTaskSafe(ctx, t)
+		err := r.runTaskSafe(ctx, t, sw)
 		if err == nil || !IsRetryable(err) || attempt >= maxRetries || ctx.Err() != nil {
 			return err
 		}
@@ -545,21 +587,27 @@ func (r *runState) runTaskRetrying(ctx context.Context, t task) error {
 
 // runTaskSafe contains one task attempt's panics: a panicking replay
 // (or injected panic) becomes a PanicError carrying the goroutine
-// stack, failing that workload while the rest of the queue drains.
-func (r *runState) runTaskSafe(ctx context.Context, t task) (err error) {
+// stack, failing that workload while the rest of the queue drains. Any
+// failed attempt — error, timeout or panic — drops the worker's
+// fan-out, which may have stopped mid-replay.
+func (r *runState) runTaskSafe(ctx context.Context, t task, sw *simWorker) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &PanicError{Value: p, Stack: debug.Stack()}
 		}
+		if err != nil {
+			sw.drop()
+		}
 	}()
-	return r.runTask(ctx, t)
+	return r.runTask(ctx, t, sw)
 }
 
 // runTask executes one workload task: per-cell result-cache lookups,
 // prep (program generation + memoized counting pre-pass), one fused
 // replay of every cell the cache could not answer, and per-cell cache
 // fills. Cells completed by an earlier attempt of this task are skipped.
-func (r *runState) runTask(ctx context.Context, t task) error {
+// The replay runs on the worker's reusable fan-out.
+func (r *runState) runTask(ctx context.Context, t task, sw *simWorker) error {
 	opts := r.opts
 	st := &r.states[t.wi]
 	spec := r.out.Specs[t.wi]
@@ -685,12 +733,15 @@ func (r *runState) runTask(ctx context.Context, t task) error {
 			return nil
 		},
 	}
+	fo, err := sw.fanOut(opts.Config, kinds, st.warm)
+	if err != nil {
+		return err
+	}
 	var results []frontend.Result
-	var err error
 	if r.laneWorkers > 1 && len(missing) > 1 {
-		results, err = frontend.SimulateFanOutSplit(opts.Config, kinds, st.prog, opts.ExecSeed, target, st.warm, r.laneWorkers, so)
+		results, err = fo.StreamProgramParallel(st.prog, opts.ExecSeed, target, r.laneWorkers, so)
 	} else {
-		results, err = frontend.SimulateFanOut(opts.Config, kinds, st.prog, opts.ExecSeed, target, st.warm, so)
+		results, err = fo.StreamProgram(st.prog, opts.ExecSeed, target, so)
 	}
 	if err != nil {
 		return w.fault(err)

@@ -145,6 +145,44 @@ func TestSchedulerWarmCacheBitIdentical(t *testing.T) {
 	requireMatchesReference(t, cold, serialReference(t, tinyOptions()))
 }
 
+// Cells the result cache answers leave each task its own roster to
+// fuse, so a worker's consecutive tasks alternate between resetting its
+// fan-out and rebuilding it. Results must stay bit-identical to the
+// serial reference either way.
+func TestSchedulerPartialCacheHitsBitIdentical(t *testing.T) {
+	specs := workload.SuiteN(6)
+	const scale = 0.03
+	ref := serialReference(t, Options{Workloads: specs, Scale: scale})
+	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
+		cache, err := resultcache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Prefill LRU and GHRP for workloads 0 and 1, and SRRIP for 3:
+		// tasks then fuse rosters of 3, 3, 5, 4, 5 and 5 lanes, so one
+		// worker both reuses and rebuilds.
+		prefill := []Options{
+			{Workloads: specs[:2], Scale: scale, Cache: cache,
+				Policies: []frontend.PolicyKind{frontend.PolicyLRU, frontend.PolicyGHRP}},
+			{Workloads: specs[3:4], Scale: scale, Cache: cache,
+				Policies: []frontend.PolicyKind{frontend.PolicySRRIP}},
+		}
+		for _, p := range prefill {
+			if _, err := Run(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := Run(Options{Workloads: specs, Scale: scale, Cache: cache, Parallelism: par})
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		if m.Stats.CacheHits != 5 {
+			t.Errorf("parallelism %d: %d cache hits, want 5", par, m.Stats.CacheHits)
+		}
+		requireMatchesReference(t, m, ref)
+	}
+}
+
 // Cache entries must be shared across entry points: a sweep over
 // configurations including the default one reuses the main run's cells,
 // and a repeated sweep is fully cached.

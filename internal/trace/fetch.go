@@ -140,6 +140,8 @@ func (f *Fetcher) Resyncs() uint64 { return f.resyncs }
 func (f *Fetcher) PC() uint64 { return f.pc }
 
 // Reset returns the fetcher to its initial state.
+//
+//ghrp:hotpath
 func (f *Fetcher) Reset() {
 	f.pc = 0
 	f.started = false

@@ -3,6 +3,7 @@ package workload
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"ghrpsim/internal/trace"
 )
@@ -34,7 +35,7 @@ type Executor struct {
 	burstMax int
 	taskCap  uint64
 	tripLeft []int // per global block: remaining taken iterations
-	blockOff []int // function index -> global block offset
+	blockOff []int // function index -> global block offset (shared, read-only)
 	stack    []retAddr
 	err      error
 }
@@ -45,10 +46,16 @@ type retAddr struct {
 }
 
 // NewExecutor prepares an executor that will emit records through emit.
-// The emit callback may return an error to abort execution early.
+// The emit callback may return an error to abort execution early. A
+// generated program's validated layout is reused; any other program is
+// validated first.
 func NewExecutor(p *Program, seed uint64, emit func(trace.Record) error) (*Executor, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
+	lay := p.layout
+	if lay == nil {
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
+		lay = newBlockLayout(p)
 	}
 	x := &Executor{prog: p, rng: newRNG(seed), emit: emit, burstMin: p.BurstMin, burstMax: p.BurstMax}
 	if x.burstMin < 1 {
@@ -58,19 +65,8 @@ func NewExecutor(p *Program, seed uint64, emit func(trace.Record) error) (*Execu
 		x.burstMax = x.burstMin
 	}
 	x.taskCap = defaultTaskCap
-	x.blockOff = make([]int, len(p.Funcs)+1)
-	for fi := range p.Funcs {
-		x.blockOff[fi+1] = x.blockOff[fi] + len(p.Funcs[fi].Blocks)
-	}
-	x.tripLeft = make([]int, x.blockOff[len(p.Funcs)])
-	for fi := range p.Funcs {
-		for bi := range p.Funcs[fi].Blocks {
-			b := &p.Funcs[fi].Blocks[bi]
-			if b.TripCount > 0 {
-				x.tripLeft[x.blockOff[fi]+bi] = b.TripCount
-			}
-		}
-	}
+	x.blockOff = lay.blockOff
+	x.tripLeft = slices.Clone(lay.trips)
 	return x, nil
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"ghrpsim/internal/trace"
@@ -102,10 +103,41 @@ func TestProgramValidateRejections(t *testing.T) {
 			if err := p.Validate(); err == nil {
 				t.Error("invalid program validated")
 			}
+			if _, err := NewExecutor(p, 1, nil); err == nil {
+				t.Error("executor accepted an invalid hand-built program")
+			}
 		})
 	}
 	if err := base().Validate(); err != nil {
 		t.Fatalf("base program invalid: %v", err)
+	}
+}
+
+// A generated program's executors reuse the layout Generate validated;
+// they must emit exactly the stream an executor that validates and lays
+// the program out itself emits.
+func TestGeneratedLayoutMatchesValidated(t *testing.T) {
+	prog, err := Generate(tinyProfile(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.layout == nil {
+		t.Fatal("Generate kept no layout")
+	}
+	hand := *prog
+	hand.layout = nil
+	emit := func(p *Program) []trace.Record {
+		var recs []trace.Record
+		if _, err := Emit(p, 7, 50_000, func(r trace.Record) error {
+			recs = append(recs, r)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	if !slices.Equal(emit(prog), emit(&hand)) {
+		t.Error("executor on the generated layout diverges from a validated one")
 	}
 }
 

@@ -165,6 +165,7 @@ func Generate(p Profile) (*Program, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("workload: generated program invalid: %w", err)
 	}
+	prog.layout = newBlockLayout(prog)
 	return prog, nil
 }
 

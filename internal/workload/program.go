@@ -82,6 +82,11 @@ type Phase struct {
 
 // Program is a synthesized program: functions, an initialization
 // function run once, and a phase schedule driven by the dispatcher loop.
+//
+// A program built by Generate carries the block layout it was validated
+// with, and every Executor of it reuses that layout instead of
+// validating again; such a program must not be modified afterwards.
+// Programs built by hand are validated by each NewExecutor.
 type Program struct {
 	Name     string
 	Category trace.Category
@@ -97,6 +102,35 @@ type Program struct {
 	// BurstMin/BurstMax bound how many consecutive times the dispatcher
 	// repeats one sampled function (see Profile). Values below 1 mean 1.
 	BurstMin, BurstMax int
+
+	// layout is set by Generate once the program validated; nil for
+	// programs built by hand.
+	layout *blockLayout
+}
+
+// blockLayout is a validated program's per-block bookkeeping, shared
+// read-only by its executors: the global index of each function's first
+// block, and each block's initial loop trip count.
+type blockLayout struct {
+	blockOff []int // function index -> global block offset (len Funcs+1)
+	trips    []int // global block index -> initial remaining taken iterations
+}
+
+// newBlockLayout derives the layout of a program that passed Validate.
+func newBlockLayout(p *Program) *blockLayout {
+	l := &blockLayout{blockOff: make([]int, len(p.Funcs)+1)}
+	for fi := range p.Funcs {
+		l.blockOff[fi+1] = l.blockOff[fi] + len(p.Funcs[fi].Blocks)
+	}
+	l.trips = make([]int, l.blockOff[len(p.Funcs)])
+	for fi := range p.Funcs {
+		for bi := range p.Funcs[fi].Blocks {
+			if tc := p.Funcs[fi].Blocks[bi].TripCount; tc > 0 {
+				l.trips[l.blockOff[fi]+bi] = tc
+			}
+		}
+	}
+	return l
 }
 
 // Validate checks structural invariants of the program.
