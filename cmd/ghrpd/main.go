@@ -91,6 +91,12 @@ func main() {
 		},
 	})
 
+	// Catch SIGTERM before listening: a spawning coordinator may stop the
+	// daemon as soon as it reads the announce line, and the signal's
+	// default action would kill it instead of draining it.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		logger.Fatal(err)
@@ -106,6 +112,7 @@ func main() {
 	}
 
 	if *smoke {
+		stop() // the self-check keeps the default signal actions
 		err := runSmoke(logger, "http://"+ln.Addr().String(), srv, httpSrv, *drain)
 		if err != nil {
 			logger.Fatalf("smoke: %v", err)
@@ -114,8 +121,6 @@ func main() {
 		return
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		logger.Fatal(err)

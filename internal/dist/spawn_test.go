@@ -72,6 +72,21 @@ func TestSpawnAnnounceAndStop(t *testing.T) {
 	}
 }
 
+// TestSpawnImmediateStop stops daemons the moment they announce. The
+// SIGTERM then lands as early as a coordinator can send it, and the
+// daemon must still drain and exit cleanly, not die of the signal.
+func TestSpawnImmediateStop(t *testing.T) {
+	for i := 0; i < 8; i++ {
+		p := spawnWorker(t)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err := p.Stop(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("spawn %d: Stop: %v", i, err)
+		}
+	}
+}
+
 // TestCoordinatorSurvivesWorkerKill is the crash test the package
 // exists for: two real spawned daemons, one SIGKILLed the moment its
 // first shard dispatch is announced — before the submission can land —

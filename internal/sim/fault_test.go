@@ -569,6 +569,62 @@ func TestFaultMidReplayTransientRetries(t *testing.T) {
 	requireMatchesReference(t, m, ref)
 }
 
+// A transient fault in a replay, after the program was generated into
+// the worker's Generator, is retried on the kept program: the retry
+// must not regenerate it, and the run stays bit-identical to the serial
+// reference over a grid whose program sizes alternate small and large.
+func TestFaultTransientAfterGenerationReusesProgram(t *testing.T) {
+	opts := mixedRosterOptions(0)
+	opts.Workloads, opts.Source = nil, mixedFootprintGrid(4)
+	opts.Scale = 0.01
+	ref := serialReference(t, opts)
+	opts.Faults = midReplayFault(ref, opts, faultinject.Transient)
+	m, err := Run(opts)
+	if err != nil {
+		t.Fatalf("transient fault after generation not retried: %v", err)
+	}
+	if m.Stats.Retries != 1 {
+		t.Errorf("stats retries %d, want 1", m.Stats.Retries)
+	}
+	requireMatchesReference(t, m, ref)
+
+	// The same failure one attempt at a time: workload 0 fills the
+	// Generator, workload 1's first attempt fails mid-replay and keeps
+	// its program, and the retry replays that program in place.
+	prepared, err := opts.prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared.Faults = midReplayFault(ref, opts, faultinject.Transient)
+	r := newRunState(prepared, func(obs.Event) {})
+	var sw simWorker
+	ctx := context.Background()
+	if err := r.runTaskSafe(ctx, task{0}, &sw); err != nil {
+		t.Fatal(err)
+	}
+	r.finishTask(ctx, 0, nil)
+	if err := r.runTaskSafe(ctx, task{1}, &sw); err == nil {
+		t.Fatal("injected fault did not fail the attempt")
+	}
+	kept := r.states[1].prog
+	if kept == nil {
+		t.Fatal("failed attempt dropped its generated program")
+	}
+	// Replay ignores the name; regenerating would restore it.
+	kept.Name = "kept"
+	if err := r.runTaskSafe(ctx, task{1}, &sw); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if r.states[1].prog != kept || kept.Name != "kept" {
+		t.Error("retry regenerated the program instead of replaying the kept one")
+	}
+	for pi := range prepared.Policies {
+		if got := r.out.Raw[1].Results[pi]; got != ref[1][pi] {
+			t.Errorf("cell %d: retried replay diverged from serial reference", pi)
+		}
+	}
+}
+
 // A worker keeps its fan-out across successful tasks with the same
 // roster, rebuilds it for a different roster, and drops it after any
 // failed attempt.

@@ -302,6 +302,11 @@ type runState struct {
 type simWorker struct {
 	fo    *frontend.FanOut
 	kinds []frontend.PolicyKind
+	// gen generates every program the worker runs into storage reused
+	// across workloads. A workload's attempts all run on this worker and
+	// finishTask releases its program before the next task starts, so a
+	// program is never overwritten while it is in use.
+	gen workload.Generator
 }
 
 // fanOut returns a fan-out in its freshly built state for kinds and the
@@ -669,9 +674,11 @@ func (r *runState) runTask(ctx context.Context, t task, sw *simWorker) error {
 	// depends only on the fetch geometry, so one entry serves every
 	// policy and sweep variant); prep state is kept only once the whole
 	// stage — count store included — succeeded, so a transient failure
-	// here retries side-effect free.
+	// here retries side-effect free. The program lives in the worker's
+	// generator; a retry after prep replays the kept st.prog and never
+	// regenerates over it.
 	if st.prog == nil {
-		prog, err := spec.Generate()
+		prog, err := sw.gen.Generate(spec.Profile)
 		if err != nil {
 			return err
 		}

@@ -22,8 +22,9 @@ func serialReference(t *testing.T, opts Options) [][]frontend.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([][]frontend.Result, len(opts.Workloads))
-	for wi, spec := range opts.Workloads {
+	specs := workload.Materialize(opts.Source)
+	out := make([][]frontend.Result, len(specs))
+	for wi, spec := range specs {
 		prog, err := spec.Generate()
 		if err != nil {
 			t.Fatal(err)
@@ -71,6 +72,30 @@ func TestSchedulerMatchesSerialReference(t *testing.T) {
 	ref := serialReference(t, tinyOptions())
 	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
 		opts := tinyOptions()
+		opts.Parallelism = par
+		m, err := Run(opts)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		requireMatchesReference(t, m, ref)
+	}
+}
+
+// mixedFootprintGrid alternates the smallest and largest programs of
+// the default footprint sweep (0.25x and 4x), so a worker generates
+// programs of very different sizes back to back into one Generator.
+func mixedFootprintGrid(n int) workload.SuiteGen {
+	return workload.SuiteGen{N: n, FootprintSteps: 2}
+}
+
+// Workers generate every program into storage reused across workloads;
+// over a grid whose program sizes swing by an order of magnitude from
+// one workload to the next, results must stay bit-identical to the
+// serial reference.
+func TestSchedulerMixedFootprintBitIdentical(t *testing.T) {
+	opts := Options{Source: mixedFootprintGrid(10), Scale: 0.01}
+	ref := serialReference(t, opts)
+	for _, par := range []int{1, 2} {
 		opts.Parallelism = par
 		m, err := Run(opts)
 		if err != nil {

@@ -27,15 +27,16 @@ const defaultTaskCap = 25_000
 // branch. Execution is deterministic for a given (program, seed).
 type Executor struct {
 	prog     *Program
-	rng      *rng
+	rng      rng
 	emit     func(trace.Record) error
 	instrs   uint64
 	target   uint64
 	burstMin int
 	burstMax int
 	taskCap  uint64
-	tripLeft []int // per global block: remaining taken iterations
-	blockOff []int // function index -> global block offset (shared, read-only)
+	tripLeft []int   // per counted loop: remaining taken iterations
+	blockOff []int   // function index -> global block offset (shared, read-only)
+	loopSlot []int32 // global block index -> counted-loop slot (shared, read-only)
 	stack    []retAddr
 	err      error
 }
@@ -55,9 +56,10 @@ func NewExecutor(p *Program, seed uint64, emit func(trace.Record) error) (*Execu
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
-		lay = newBlockLayout(p)
+		lay = new(blockLayout)
+		lay.build(p)
 	}
-	x := &Executor{prog: p, rng: newRNG(seed), emit: emit, burstMin: p.BurstMin, burstMax: p.BurstMax}
+	x := &Executor{prog: p, rng: *newRNG(seed), emit: emit, burstMin: p.BurstMin, burstMax: p.BurstMax}
 	if x.burstMin < 1 {
 		x.burstMin = 1
 	}
@@ -66,6 +68,7 @@ func NewExecutor(p *Program, seed uint64, emit func(trace.Record) error) (*Execu
 	}
 	x.taskCap = defaultTaskCap
 	x.blockOff = lay.blockOff
+	x.loopSlot = lay.loopSlot
 	x.tripLeft = slices.Clone(lay.trips)
 	return x, nil
 }
@@ -231,12 +234,12 @@ func (x *Executor) exec(fn int, retTo uint64) bool {
 // their trip counter; probabilistic branches sample their bias.
 func (x *Executor) condTaken(fn, blk int, b *Block) bool {
 	if b.TripCount > 0 {
-		gi := x.blockOff[fn] + blk
-		if x.tripLeft[gi] > 0 {
-			x.tripLeft[gi]--
+		s := x.loopSlot[x.blockOff[fn]+blk]
+		if x.tripLeft[s] > 0 {
+			x.tripLeft[s]--
 			return true
 		}
-		x.tripLeft[gi] = b.TripCount
+		x.tripLeft[s] = b.TripCount
 		return false
 	}
 	return x.rng.float() < b.Bias

@@ -47,7 +47,6 @@ func TestProgramValidateRejections(t *testing.T) {
 			InitFunc:     -1,
 			DispatchAddr: codeBase,
 			Funcs: []Function{{
-				Name: "f",
 				Blocks: []Block{
 					{Addr: 0x1000, Instrs: 4, Term: TermFall},
 					{Addr: 0x1010, Instrs: 4, Term: TermReturn},
@@ -181,7 +180,7 @@ func TestTaskCapBoundsTasks(t *testing.T) {
 func TestUtilityForSingleFunction(t *testing.T) {
 	p := Profile{Funcs: 1, UtilityFrac: 0.15}
 	r := newRNG(1)
-	if got := utilityFor(p, r); got != 0 {
+	if got := utilityFor(&p, r); got != 0 {
 		t.Errorf("utilityFor = %d, want 0", got)
 	}
 }

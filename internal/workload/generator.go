@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ghrpsim/internal/trace"
 )
@@ -95,8 +96,36 @@ const (
 	funcAlign     = uint64(64)
 )
 
-// Generate synthesizes the program for a profile deterministically.
+// Generate synthesizes the program for a profile deterministically. It
+// is a one-shot Generator: the program owns its storage outright.
 func Generate(p Profile) (*Program, error) {
+	var g Generator
+	return g.Generate(p)
+}
+
+// Generator synthesizes programs into storage it owns and reuses:
+// blocks, callee lists, functions, phases and the block layout. A
+// program it returns is valid until the next Generate call on the same
+// Generator, which overwrites it; a long-lived Generator therefore
+// generates a stream of programs with next to no allocation. The zero
+// value is ready to use. A Generator is not safe for concurrent use.
+type Generator struct {
+	prog    Program
+	blocks  arena[Block]
+	callees arena[int]
+	funcs   []Function
+	phases  []Phase
+	phFuncs []int     // every phase's working set, back to back
+	phWts   []float64 // every phase's weights, back to back
+	zipf    []float64 // 1/(rank+1)^ZipfTheta by rank
+	seen    []bool    // function index -> already in the phase being built
+	layout  blockLayout
+}
+
+// Generate synthesizes the program for a profile into the Generator's
+// storage. The result equals what the package-level Generate returns
+// for p.
+func (g *Generator) Generate(p Profile) (*Program, error) {
 	if p.ScanLenMul == 0 {
 		p.ScanLenMul = 3
 	}
@@ -119,7 +148,10 @@ func Generate(p Profile) (*Program, error) {
 		return nil, err
 	}
 	r := newRNG(p.Seed)
-	prog := &Program{
+	blocks, callees := p.expectedSizes()
+	g.blocks.reset(blocks)
+	g.callees.reset(callees)
+	g.prog = Program{
 		Name:             p.Name,
 		Category:         p.Category,
 		InitFunc:         -1,
@@ -128,6 +160,7 @@ func Generate(p Profile) (*Program, error) {
 		BurstMin:         p.BurstMin,
 		BurstMax:         p.BurstMax,
 	}
+	prog := &g.prog
 
 	addr := codeBase + dispatchBytes
 	nTotal := p.Funcs
@@ -138,46 +171,113 @@ func Generate(p Profile) (*Program, error) {
 	// scan functions, then regular functions. Call sites target
 	// utilities and regular functions only; scans are reached through
 	// the dispatcher as whole tasks.
-	prog.Funcs = make([]Function, 0, nTotal)
+	g.funcs = resize(g.funcs, nTotal)
 	nUtil, nScan := p.segments()
 	for fi := 0; fi < p.Funcs; fi++ {
-		var f Function
-		var next uint64
 		switch {
 		case fi < nUtil:
-			f, next = genUtilityFunction(p, r, fi, addr)
+			g.funcs[fi], addr = g.genUtilityFunction(&p, r, addr)
 		case fi < nUtil+nScan:
-			f, next = genScanFunction(p, r, fi, addr)
+			g.funcs[fi], addr = g.genScanFunction(&p, r, addr)
 		default:
-			f, next = genFunction(p, r, fi, addr)
+			g.funcs[fi], addr = g.genFunction(&p, r, fi, addr)
 		}
-		prog.Funcs = append(prog.Funcs, f)
-		addr = next
 	}
 	if p.InitBlocks > 0 {
-		f, next := genInitFunction(p, r, addr)
-		prog.InitFunc = len(prog.Funcs)
-		prog.Funcs = append(prog.Funcs, f)
-		addr = next
+		prog.InitFunc = p.Funcs
+		g.funcs[p.Funcs] = g.genInitFunction(&p, r, addr)
 	}
+	prog.Funcs = g.funcs
 
-	prog.Phases = genPhases(p, r, prog.Funcs)
+	prog.Phases = g.genPhases(&p, r)
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("workload: generated program invalid: %w", err)
 	}
-	prog.layout = newBlockLayout(prog)
+	g.layout.build(prog)
+	prog.layout = &g.layout
 	return prog, nil
+}
+
+// expectedSizes estimates how many blocks and indirect-callee entries
+// the profile's program holds, from the means of its draws. Arena chunks
+// are sized by it, so a one-shot Generate allocates about what the
+// program needs.
+func (p Profile) expectedSizes() (blocks, callees int) {
+	nUtil, nScan := p.segments()
+	nReg := p.Funcs - nUtil - nScan
+	meanMain := float64(p.BlocksMin+p.BlocksMax) / 2
+	regBlocks := float64(nReg) * meanMain
+	blocks = nUtil*9/2 + int(float64(nScan)*meanMain)*p.ScanLenMul +
+		int(regBlocks*(1+p.ColdFrac)) + max(p.InitBlocks, 2)
+	// 4.5 callees on average per indirect call site on the main chain.
+	callees = int(regBlocks * p.CallFrac * p.IndirectFrac * 9 / 2)
+	return blocks, callees
+}
+
+// arena hands out runs of T from chunks it keeps across resets.
+// A run never moves once handed out: when no chunk has room, a new chunk
+// is added rather than an old one grown, so earlier runs stay valid.
+// Kept chunks serve later programs first fit, so a stream of programs
+// allocates only when one outgrows the capacity already held.
+type arena[T any] struct {
+	chunks [][]T
+	used   []int // per chunk: elements handed out since the last reset
+	want   int   // expected elements of the current program
+	total  int   // elements handed out since the last reset
+}
+
+// maxChunks bounds an arena's chunk list, and so each first-fit scan.
+const maxChunks = 8
+
+// reset reclaims every run for a program expected to need want
+// elements. An arena split into more than maxChunks chunks is merged
+// into one.
+func (a *arena[T]) reset(want int) {
+	if len(a.chunks) > maxChunks {
+		size := 0
+		for _, c := range a.chunks {
+			size += len(c)
+		}
+		a.chunks = append(a.chunks[:0], make([]T, size))
+		a.used = a.used[:1]
+	}
+	clear(a.used)
+	a.want, a.total = want, 0
+}
+
+// alloc returns a run of n elements: first fit over the chunks, else a
+// new chunk sized for the rest of the expected program. A reused run
+// still holds an earlier program's elements; callers overwrite every
+// element.
+func (a *arena[T]) alloc(n int) []T {
+	a.total += n
+	for ci, c := range a.chunks {
+		if u := a.used[ci]; len(c)-u >= n {
+			a.used[ci] = u + n
+			return c[u : u+n : u+n]
+		}
+	}
+	size := max(n, a.want-a.total+n, a.want/16)
+	a.chunks = append(a.chunks, make([]T, size))
+	a.used = append(a.used, n)
+	return a.chunks[len(a.chunks)-1][:n:n]
+}
+
+// resize returns s with length n, reallocating only when its capacity
+// is short, with append's geometric headroom. The contents are
+// unspecified: callers overwrite them.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // genFunction builds one function starting at addr and returns it with
 // the next free (aligned) address.
-func genFunction(p Profile, r *rng, fi int, addr uint64) (Function, uint64) {
+func (g *Generator) genFunction(p *Profile, r *rng, fi int, addr uint64) (Function, uint64) {
 	nMain := r.rangeInt(p.BlocksMin, p.BlocksMax)
 	nCold := int(float64(nMain) * p.ColdFrac)
-	blocks := make([]Block, nMain+nCold)
+	blocks := g.blocks.alloc(nMain + nCold)
 	for bi := range blocks {
-		blocks[bi].Instrs = r.rangeInt(p.InstrsMin, p.InstrsMax)
-		blocks[bi].Term = TermFall
+		blocks[bi] = Block{Instrs: r.rangeInt(p.InstrsMin, p.InstrsMax), Term: TermFall}
 	}
 	// The last main block returns; cold blocks come after it.
 	blocks[nMain-1].Term = TermReturn
@@ -251,7 +351,7 @@ func genFunction(p Profile, r *rng, fi int, addr uint64) (Function, uint64) {
 		case x < p.CallFrac:
 			if r.float() < p.IndirectFrac {
 				n := 2 + r.intn(6)
-				callees := make([]int, n)
+				callees := g.callees.alloc(n)
 				for i := range callees {
 					callees[i] = calleeFor(p, r, fi)
 				}
@@ -292,7 +392,7 @@ func genFunction(p Profile, r *rng, fi int, addr uint64) (Function, uint64) {
 		addr += uint64(blocks[bi].Instrs) * InstrBytes
 	}
 	addr = (addr + funcAlign - 1) &^ (funcAlign - 1)
-	return Function{Name: fmt.Sprintf("f%04d", fi), Blocks: blocks}, addr
+	return Function{Blocks: blocks}, addr
 }
 
 // segments returns the sizes of the utility and scan segments of the
@@ -307,7 +407,7 @@ func (p Profile) segments() (nUtil, nScan int) {
 }
 
 // utilityFor picks a leaf utility function as a callee.
-func utilityFor(p Profile, r *rng) int {
+func utilityFor(p *Profile, r *rng) int {
 	nUtil, _ := p.segments()
 	if nUtil < 1 {
 		return 0
@@ -319,12 +419,11 @@ func utilityFor(p Profile, r *rng) int {
 // calls, an optional tight loop. Utilities are entered from many caller
 // contexts; their reuse fate depends on who called them, which is what
 // path-history prediction can see and PC-only prediction cannot.
-func genUtilityFunction(p Profile, r *rng, fi int, addr uint64) (Function, uint64) {
+func (g *Generator) genUtilityFunction(p *Profile, r *rng, addr uint64) (Function, uint64) {
 	n := r.rangeInt(3, 6)
-	blocks := make([]Block, n)
+	blocks := g.blocks.alloc(n)
 	for bi := range blocks {
-		blocks[bi].Instrs = r.rangeInt(p.InstrsMin, p.InstrsMax)
-		blocks[bi].Term = TermFall
+		blocks[bi] = Block{Instrs: r.rangeInt(p.InstrsMin, p.InstrsMax), Term: TermFall}
 	}
 	blocks[n-1].Term = TermReturn
 	if r.float() < 0.4 && n >= 3 {
@@ -337,13 +436,13 @@ func genUtilityFunction(p Profile, r *rng, fi int, addr uint64) (Function, uint6
 		addr += uint64(blocks[bi].Instrs) * InstrBytes
 	}
 	addr = (addr + funcAlign - 1) &^ (funcAlign - 1)
-	return Function{Name: fmt.Sprintf("util%04d", fi), Blocks: blocks}, addr
+	return Function{Blocks: blocks}, addr
 }
 
 // calleeFor picks a callee: often a leaf utility, otherwise a nearby
 // regular function (spatial locality), occasionally any regular
 // function. Scans are never callees.
-func calleeFor(p Profile, r *rng, fi int) int {
+func calleeFor(p *Profile, r *rng, fi int) int {
 	if r.float() < 0.5 {
 		return utilityFor(p, r)
 	}
@@ -382,12 +481,11 @@ func calleeFor(p Profile, r *rng, fi int) int {
 // be re-entered along that path soon, while the same utility entered
 // from a hot caller is about to be reused — the caller-context pattern
 // that distinguishes path-history prediction from PC-only prediction.
-func genScanFunction(p Profile, r *rng, fi int, addr uint64) (Function, uint64) {
+func (g *Generator) genScanFunction(p *Profile, r *rng, addr uint64) (Function, uint64) {
 	n := r.rangeInt(p.BlocksMin, p.BlocksMax) * p.ScanLenMul
-	blocks := make([]Block, n)
+	blocks := g.blocks.alloc(n)
 	for bi := range blocks {
-		blocks[bi].Instrs = r.rangeInt(p.InstrsMin, p.InstrsMax)
-		blocks[bi].Term = TermFall
+		blocks[bi] = Block{Instrs: r.rangeInt(p.InstrsMin, p.InstrsMax), Term: TermFall}
 		if bi >= n-1 {
 			continue
 		}
@@ -422,41 +520,55 @@ func genScanFunction(p Profile, r *rng, fi int, addr uint64) (Function, uint64) 
 		addr += uint64(blocks[bi].Instrs) * InstrBytes
 	}
 	addr = (addr + funcAlign - 1) &^ (funcAlign - 1)
-	return Function{Name: fmt.Sprintf("scan%04d", fi), Blocks: blocks, Scan: true}, addr
+	return Function{Blocks: blocks, Scan: true}, addr
 }
 
-// genInitFunction builds the straight-line one-shot init function.
-func genInitFunction(p Profile, r *rng, addr uint64) (Function, uint64) {
+// genInitFunction builds the straight-line one-shot init function at
+// addr, the last function of the program.
+func (g *Generator) genInitFunction(p *Profile, r *rng, addr uint64) Function {
 	n := p.InitBlocks
 	if n < 2 {
 		n = 2
 	}
-	blocks := make([]Block, n)
+	blocks := g.blocks.alloc(n)
 	for bi := range blocks {
-		blocks[bi].Instrs = r.rangeInt(p.InstrsMin, p.InstrsMax)
-		blocks[bi].Term = TermFall
-		blocks[bi].Addr = addr
+		blocks[bi] = Block{Addr: addr, Instrs: r.rangeInt(p.InstrsMin, p.InstrsMax), Term: TermFall}
 		addr += uint64(blocks[bi].Instrs) * InstrBytes
 	}
 	blocks[n-1].Term = TermReturn
-	addr = (addr + funcAlign - 1) &^ (funcAlign - 1)
-	return Function{Name: "init", Blocks: blocks}, addr
+	return Function{Blocks: blocks}
 }
 
 // genPhases builds the phase schedule: each phase works over a distinct
 // (but overlapping) weighted subset of the functions, with Zipf-like
 // weights so every phase has hot and lukewarm functions.
-func genPhases(p Profile, r *rng, funcs []Function) []Phase {
-	phases := make([]Phase, p.Phases)
+func (g *Generator) genPhases(p *Profile, r *rng) []Phase {
 	k := p.PhaseFuncs
 	if k > p.Funcs {
 		k = p.Funcs
 	}
 	nUtil, nScan := p.segments()
+	// Every phase holds all scans and then fills up to k functions, so
+	// max(k, nScan) bounds its working set.
+	width := max(k, nScan)
+	phases := resize(g.phases, p.Phases)
+	g.phases = phases
+	g.phFuncs = resize(g.phFuncs, p.Phases*width)
+	g.phWts = resize(g.phWts, p.Phases*width)
+	// A flattened Zipf keeps hot functions without letting the head
+	// monopolize execution: the tail must recur often enough to create
+	// real capacity pressure.
+	g.zipf = resize(g.zipf, width)
+	for i := range g.zipf {
+		g.zipf[i] = 1.0 / math.Pow(float64(i+1), p.ZipfTheta)
+	}
+	seen := resize(g.seen, p.Funcs)
+	g.seen = seen
+	clear(seen)
 	var prev []int
 	for pi := range phases {
-		fset := make([]int, 0, k+nScan)
-		seen := make(map[int]bool, k)
+		lo, hi := pi*width, (pi+1)*width
+		fset := g.phFuncs[lo:lo:hi]
 		// Scans are global services (GC passes, log flushes): every
 		// phase can reach them.
 		for si := nUtil; si < nUtil+nScan; si++ {
@@ -480,19 +592,18 @@ func genPhases(p Profile, r *rng, funcs []Function) []Phase {
 				seen[f] = true
 			}
 		}
-		weights := make([]float64, len(fset))
-		for i := range weights {
-			// A flattened Zipf keeps hot functions without letting the
-			// head monopolize execution: the tail must recur often
-			// enough to create real capacity pressure.
-			weights[i] = 1.0 / math.Pow(float64(i+1), p.ZipfTheta)
+		weights := g.phWts[lo : lo+len(fset) : hi]
+		for i, f := range fset {
 			// Scans are flush events (GC passes, log flushes, table
 			// walks): large but infrequent. Their weight is absolute —
 			// independent of popularity rank — so the flush frequency is
 			// controlled by ScanWeight alone.
-			if funcs[fset[i]].Scan {
+			if g.funcs[f].Scan {
 				weights[i] = p.ScanWeight
+			} else {
+				weights[i] = g.zipf[i]
 			}
+			seen[f] = false
 		}
 		phases[pi] = Phase{Funcs: fset, Weights: weights}
 		prev = fset

@@ -62,7 +62,6 @@ func (b *Block) LastPC() uint64 {
 // Function is a contiguous sequence of blocks; entry is block 0 and
 // execution leaves through a TermReturn block.
 type Function struct {
-	Name   string
 	Blocks []Block
 	// Scan marks a straight-line scan function: the dispatcher never
 	// bursts scans (a log pass or table walk does not immediately
@@ -83,10 +82,14 @@ type Phase struct {
 // Program is a synthesized program: functions, an initialization
 // function run once, and a phase schedule driven by the dispatcher loop.
 //
-// A program built by Generate carries the block layout it was validated
-// with, and every Executor of it reuses that layout instead of
-// validating again; such a program must not be modified afterwards.
-// Programs built by hand are validated by each NewExecutor.
+// A generated program carries the block layout it was validated with,
+// and every Executor of it reuses that layout instead of validating
+// again; such a program must not be modified afterwards. Programs built
+// by hand are validated by each NewExecutor. A program from
+// Generator.Generate lives in the Generator's storage: it and its
+// executors stay valid only until the next Generate call on that
+// Generator. The package-level Generate returns a program that stays
+// valid for good.
 type Program struct {
 	Name     string
 	Category trace.Category
@@ -110,27 +113,34 @@ type Program struct {
 
 // blockLayout is a validated program's per-block bookkeeping, shared
 // read-only by its executors: the global index of each function's first
-// block, and each block's initial loop trip count.
+// block, each block's counted-loop slot, and each counted loop's initial
+// trip count. Executors copy only the per-loop counts.
 type blockLayout struct {
-	blockOff []int // function index -> global block offset (len Funcs+1)
-	trips    []int // global block index -> initial remaining taken iterations
+	blockOff []int   // function index -> global block offset (len Funcs+1)
+	loopSlot []int32 // global block index -> counted-loop slot, or -1
+	trips    []int   // counted-loop slot -> initial remaining taken iterations
 }
 
-// newBlockLayout derives the layout of a program that passed Validate.
-func newBlockLayout(p *Program) *blockLayout {
-	l := &blockLayout{blockOff: make([]int, len(p.Funcs)+1)}
+// build lays out a program that passed Validate, reusing l's storage.
+func (l *blockLayout) build(p *Program) {
+	l.blockOff = resize(l.blockOff, len(p.Funcs)+1)
+	l.blockOff[0] = 0
 	for fi := range p.Funcs {
 		l.blockOff[fi+1] = l.blockOff[fi] + len(p.Funcs[fi].Blocks)
 	}
-	l.trips = make([]int, l.blockOff[len(p.Funcs)])
+	l.loopSlot = resize(l.loopSlot, l.blockOff[len(p.Funcs)])
+	l.trips = l.trips[:0]
 	for fi := range p.Funcs {
-		for bi := range p.Funcs[fi].Blocks {
-			if tc := p.Funcs[fi].Blocks[bi].TripCount; tc > 0 {
-				l.trips[l.blockOff[fi]+bi] = tc
+		blocks := p.Funcs[fi].Blocks
+		for bi := range blocks {
+			slot := int32(-1)
+			if tc := blocks[bi].TripCount; tc > 0 {
+				slot = int32(len(l.trips))
+				l.trips = append(l.trips, tc)
 			}
+			l.loopSlot[l.blockOff[fi]+bi] = slot
 		}
 	}
-	return l
 }
 
 // Validate checks structural invariants of the program.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -216,47 +217,121 @@ func TestExecutorZeroTarget(t *testing.T) {
 	}
 }
 
-func TestCountedLoopTripCount(t *testing.T) {
-	// A single function with one counted loop: the back branch must be
-	// taken exactly TripCount times per loop entry.
-	prog := &Program{
-		Name:         "loop",
-		Category:     trace.ShortMobile,
-		InitFunc:     -1,
-		DispatchAddr: codeBase,
-		Funcs: []Function{{
-			Name: "f",
-			Blocks: []Block{
-				{Addr: 0x401000, Instrs: 4, Term: TermFall},
-				{Addr: 0x401010, Instrs: 4, Term: TermCond, Target: 1, TripCount: 5},
-				{Addr: 0x401020, Instrs: 4, Term: TermReturn},
-			},
-		}},
-		Phases: []Phase{{Funcs: []int{0}, Weights: []float64{1}}},
-	}
-	if err := prog.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	taken, notTaken := 0, 0
-	_, err := Emit(prog, 1, 2000, func(r trace.Record) error {
-		if r.Type == trace.CondDirect {
-			if r.Taken {
-				taken++
-			} else {
-				notTaken++
-			}
+// loopProgram lays out hand-built functions back to back (four
+// instructions per block) behind a dispatcher whose single phase calls
+// entries with equal weight.
+func loopProgram(funcs [][]Block, entries ...int) *Program {
+	p := &Program{Name: "loop", Category: trace.ShortMobile, InitFunc: -1, DispatchAddr: codeBase}
+	addr := codeBase + dispatchBytes
+	for _, blocks := range funcs {
+		for bi := range blocks {
+			blocks[bi].Addr = addr
+			blocks[bi].Instrs = 4
+			addr += 4 * InstrBytes
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		p.Funcs = append(p.Funcs, Function{Blocks: blocks})
 	}
-	if notTaken == 0 {
-		t.Fatal("loop never exited")
+	weights := make([]float64, len(entries))
+	for i := range weights {
+		weights[i] = 1
 	}
-	ratio := float64(taken) / float64(notTaken)
-	if ratio < 4.9 || ratio > 5.1 {
-		t.Errorf("taken/not-taken ratio %.2f, want 5.0", ratio)
+	p.Phases = []Phase{{Funcs: entries, Weights: weights}}
+	return p
+}
+
+// Every counted loop's back branch is taken exactly TripCount times per
+// exit, whether the executor lays the program out itself (hand-built,
+// no layout) or reuses a layout built ahead of it as Generate does. The
+// counter belongs to the loop, not to the call path that reached it.
+func TestCountedLoopTripCount(t *testing.T) {
+	cases := []struct {
+		name string
+		prog *Program
+	}{
+		{"one loop", loopProgram([][]Block{{
+			{Term: TermFall},
+			{Term: TermCond, Target: 1, TripCount: 5},
+			{Term: TermReturn},
+		}}, 0)},
+		{"two loops in one function", loopProgram([][]Block{{
+			{Term: TermFall},
+			{Term: TermCond, Target: 1, TripCount: 3},
+			{Term: TermFall},
+			{Term: TermCond, Target: 2, TripCount: 7},
+			{Term: TermReturn},
+		}}, 0)},
+		{"utility loop from several callers", loopProgram([][]Block{
+			{ // the utility
+				{Term: TermFall},
+				{Term: TermCond, Target: 0, TripCount: 4},
+				{Term: TermReturn},
+			},
+			{{Term: TermCall, Callee: 0}, {Term: TermReturn}},
+			{{Term: TermFall}, {Term: TermCall, Callee: 0}, {Term: TermCall, Callee: 0}, {Term: TermReturn}},
+			{{Term: TermCond, Target: 0, TripCount: 2}, {Term: TermCall, Callee: 0}, {Term: TermReturn}},
+		}, 1, 2, 3)},
+	}
+	type counts struct{ taken, notTaken int }
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.prog.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			laidOut := *tc.prog
+			laidOut.layout = new(blockLayout)
+			laidOut.layout.build(&laidOut)
+			var streams [2][]trace.Record
+			for mode, p := range []*Program{tc.prog, &laidOut} {
+				_, err := Emit(p, 1, 20_000, func(r trace.Record) error {
+					streams[mode] = append(streams[mode], r)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !slices.Equal(streams[0], streams[1]) {
+				t.Fatal("executor on a prebuilt layout diverges from one that lays the program out itself")
+			}
+			byPC := map[uint64]*counts{}
+			for _, r := range streams[0] {
+				if r.Type != trace.CondDirect {
+					continue
+				}
+				c := byPC[r.PC]
+				if c == nil {
+					c = &counts{}
+					byPC[r.PC] = c
+				}
+				if r.Taken {
+					c.taken++
+				} else {
+					c.notTaken++
+				}
+			}
+			loops := 0
+			for _, f := range tc.prog.Funcs {
+				for _, b := range f.Blocks {
+					if b.TripCount == 0 {
+						continue
+					}
+					loops++
+					c := byPC[b.LastPC()]
+					if c == nil || c.notTaken == 0 {
+						t.Fatalf("loop at %#x never exited", b.LastPC())
+					}
+					// Taken TripCount times per exit, plus at most one
+					// unfinished pass when the budget ran out.
+					if extra := c.taken - b.TripCount*c.notTaken; extra < 0 || extra > b.TripCount {
+						t.Errorf("loop at %#x: taken %d, not taken %d, want %d taken per exit",
+							b.LastPC(), c.taken, c.notTaken, b.TripCount)
+					}
+				}
+			}
+			if got := len(laidOut.layout.trips); got != loops {
+				t.Errorf("layout holds %d loop counters, want %d", got, loops)
+			}
+		})
 	}
 }
 
