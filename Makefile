@@ -5,7 +5,7 @@ GO ?= go
 # session: make fuzz-smoke FUZZTIME=5m
 FUZZTIME ?= 3s
 
-.PHONY: build vet lint lint-baseline test race-smoke fault-smoke fuzz-smoke golden-update bench bench-dist bench-smoke daemon-smoke dist-smoke dist-scale-smoke ci
+.PHONY: build vet lint lint-baseline test examples-smoke race-smoke fault-smoke fuzz-smoke golden-update bench bench-dist bench-smoke daemon-smoke dist-smoke dist-scale-smoke ci
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,15 @@ lint-baseline:
 
 test:
 	$(GO) test ./...
+
+# examples-smoke runs the public-API examples and diffs what each prints
+# against the expected.txt beside it, pinning that the examples — the
+# root ghrpsim facade's documentation in code — keep printing the same
+# numbers.
+examples-smoke:
+	@for ex in quickstart mobileapp heatmap; do \
+		$(GO) run ./examples/$$ex | diff -u examples/$$ex/expected.txt - || exit 1; \
+	done
 
 # race-smoke runs the packages with concurrency-sensitive code — the
 # suite scheduler, the observers, the fan-out engine, the result cache,
@@ -124,4 +133,4 @@ dist-scale-smoke:
 	$(GO) build -o bin/ghrpd ./cmd/ghrpd
 	$(GO) run ./cmd/ghrpdist -scale-smoke -worker-cmd ./bin/ghrpd
 
-ci: build vet lint test race-smoke fuzz-smoke bench-smoke daemon-smoke dist-smoke dist-scale-smoke
+ci: build vet lint test examples-smoke race-smoke fuzz-smoke bench-smoke daemon-smoke dist-smoke dist-scale-smoke

@@ -16,17 +16,17 @@ func TestFacadeSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := GenerateRecords(prog, 1, 30_000)
+	cfg := DefaultConfig()
+	total, _, err := CountProgram(cfg, prog, 1, 30_000, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	for _, kind := range PaperPolicies() {
-		res, err := SimulateRecords(cfg, kind, recs)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if res.CountedInstrs == 0 {
+	results, err := SimulateFanOut(cfg, PaperPolicies(), prog, 1, 30_000, cfg.WarmupFor(total), StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, kind := range PaperPolicies() {
+		if res := results[i]; res.CountedInstrs == 0 {
 			t.Errorf("%v: zero counted instructions", kind)
 		}
 	}
@@ -88,11 +88,11 @@ func TestFacadeRunContext(t *testing.T) {
 }
 
 func TestFacadeEngineAccess(t *testing.T) {
-	e, err := NewEngine(DefaultConfig(), PolicyGHRP, 0)
+	fo, err := NewFanOut(DefaultConfig(), []PolicyKind{PolicyGHRP}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.GHRP() == nil {
+	if fo.GHRP(0) == nil {
 		t.Fatal("GHRP internals not exposed")
 	}
 	st := GHRPConfig{}.StorageFor(1024)
@@ -118,7 +118,7 @@ func TestFacadeProgramGeneration(t *testing.T) {
 	}
 }
 
-// Example demonstrates the one-call comparison of LRU and GHRP that the
+// Example demonstrates the one-pass comparison of LRU and GHRP that the
 // README shows.
 func Example() {
 	spec := SuiteN(8)[4]
@@ -126,13 +126,16 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	recs, err := GenerateRecords(prog, 1, 20_000)
+	cfg := DefaultConfig()
+	total, _, err := CountProgram(cfg, prog, 1, 20_000, StreamOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	lru, _ := SimulateRecords(cfg, PolicyLRU, recs)
-	ghrp, _ := SimulateRecords(cfg, PolicyGHRP, recs)
-	fmt.Println(lru.Policy, ghrp.Policy)
+	kinds := []PolicyKind{PolicyLRU, PolicyGHRP}
+	res, err := SimulateFanOut(cfg, kinds, prog, 1, 20_000, cfg.WarmupFor(total), StreamOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(res[0].Policy, res[1].Policy)
 	// Output: LRU GHRP
 }

@@ -312,12 +312,14 @@ func benchEngine(b *testing.B, kind frontend.PolicyKind) {
 	b.ResetTimer()
 	var instrs uint64
 	for i := 0; i < b.N; i++ {
-		e, err := frontend.NewEngine(frontend.DefaultConfig(), kind, frontend.DefaultConfig().WarmupFor(total))
+		fo, err := frontend.NewFanOut(frontend.DefaultConfig(), []frontend.PolicyKind{kind}, frontend.DefaultConfig().WarmupFor(total))
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := e.Run(recs)
-		instrs = res.TotalInstructions
+		for _, r := range recs {
+			fo.Process(r)
+		}
+		instrs = fo.Results()[0].TotalInstructions
 	}
 	b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }

@@ -251,6 +251,8 @@ func runCell(o options) (report, error) {
 	}
 	counting.finish(countRecords)
 
+	// The baseline runs N one-lane fan-outs per workload, executing the
+	// program once per policy.
 	baseline, baseRes, err := timed(workers, len(specs), o.Repeat, func(wi int) ([]frontend.Result, error) {
 		results := make([]frontend.Result, len(kinds))
 		for pi, kind := range kinds {
@@ -274,10 +276,11 @@ func runCell(o options) (report, error) {
 		splitEach = workers / len(specs)
 	}
 	fused, fusedRes, err := timed(workers, len(specs), o.Repeat, func(wi int) ([]frontend.Result, error) {
-		if splitEach > 1 {
-			return frontend.SimulateFanOutSplit(cfg, kinds, progs[wi], 1, targets[wi], warms[wi], splitEach, frontend.StreamOptions{})
+		fo, err := frontend.NewFanOut(cfg, kinds, warms[wi])
+		if err != nil {
+			return nil, err
 		}
-		return frontend.SimulateFanOut(cfg, kinds, progs[wi], 1, targets[wi], warms[wi], frontend.StreamOptions{})
+		return fo.StreamProgram(progs[wi], 1, targets[wi], splitEach, frontend.StreamOptions{})
 	})
 	if err != nil {
 		return report{}, err

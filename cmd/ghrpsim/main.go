@@ -2,7 +2,7 @@
 // the front end under one replacement policy and prints its statistics.
 //
 // Suite workloads are replayed by streaming the deterministic record
-// stream straight into the engine (no record buffer); -analyze and
+// stream straight into the simulator (no record buffer); -analyze and
 // -trace buffer records because their offline analyses need the whole
 // stream. SIGINT/SIGTERM cancels a streaming replay promptly.
 //
@@ -22,8 +22,8 @@
 // -cache-dir attaches the on-disk result cache shared with
 // cmd/experiments: a repeated invocation of the same (workload, policy,
 // config, instrs) cell prints the stored statistics without simulating.
-// Engine-state outputs (-heatmap, -pgm, -analyze) and -trace input
-// always simulate, since the cache stores results, not engine state.
+// Simulator-state outputs (-heatmap, -pgm, -analyze) and -trace input
+// always simulate, since the cache stores results, not simulator state.
 package main
 
 import (
@@ -95,10 +95,11 @@ func main() {
 	}
 
 	// The offline analyses (-trace input, -analyze) need the whole
-	// record stream in memory; plain workload replay streams it.
+	// record stream in memory; plain workload replay streams it. fo is
+	// the one-lane simulator, nil when the result cache answered.
 	var recs []trace.Record
 	var name string
-	var e *frontend.Engine
+	var fo *frontend.FanOut
 	var res frontend.Result
 	switch {
 	case *traceFile != "":
@@ -110,7 +111,7 @@ func main() {
 		recs, err = r.ReadAll()
 		fail(err)
 		name = r.Header().Name
-		e, res = runRecords(cfg, kind, recs)
+		fo, res = runRecords(cfg, kind, recs)
 
 	default:
 		spec, err := workload.Find(*wlName)
@@ -125,11 +126,11 @@ func main() {
 			fail(err)
 			recs, err = frontend.GenerateRecords(prog, 1, target)
 			fail(err)
-			e, res = runRecords(cfg, kind, recs)
+			fo, res = runRecords(cfg, kind, recs)
 			break
 		}
 		// The result cache can answer the plain statistics run; outputs
-		// that need live engine state (-heatmap, -pgm) still simulate.
+		// that need live simulator state (-heatmap, -pgm) still simulate.
 		var cache *resultcache.Cache
 		var cacheKey resultcache.Key
 		if *cacheDir != "" && !*heatmap && *pgm == "" {
@@ -162,9 +163,8 @@ func main() {
 			Progress: func(records, instructions uint64) error { return tctx.Err() },
 		})
 		fail(causeOf(tctx, err))
-		e, err = frontend.NewEngine(cfg, kind, cfg.WarmupFor(total))
-		fail(err)
-		res, err = e.StreamProgram(prog, 1, target, frontend.StreamOptions{
+		fo = newFanOut(cfg, kind, total)
+		results, err := fo.StreamProgram(prog, 1, target, 1, frontend.StreamOptions{
 			Progress: func(records, instructions uint64) error {
 				if err := tctx.Err(); err != nil {
 					return err
@@ -177,6 +177,7 @@ func main() {
 			},
 		})
 		fail(causeOf(tctx, err))
+		res = results[0]
 		if observe != nil {
 			observe(obs.Event{Kind: obs.PolicyDone, Workload: name, Policy: kind.String(),
 				Records: res.Records, Instructions: res.TotalInstructions, Elapsed: time.Since(start),
@@ -200,7 +201,8 @@ func main() {
 		res.BTB.Accesses, res.BTB.Hits, res.BTB.Misses, res.BTBMPKI())
 	fmt.Printf("branch dir      %.2f%% accuracy, %.3f MPKI\n",
 		res.Branch.Accuracy()*100, res.BranchMPKI())
-	if g := e.GHRP(); g != nil { // e is nil only on a cache hit, handled by GHRP's nil receiver
+	if fo != nil && fo.GHRP(0) != nil {
+		g := fo.GHRP(0)
 		dead, lru := g.EvictionBreakdown()
 		ps := g.Predictor().Stats()
 		fmt.Printf("GHRP            %d dead-predicted evictions, %d LRU evictions\n", dead, lru)
@@ -208,11 +210,11 @@ func main() {
 			ps.DeadTrainings, ps.LiveTrainings, ps.DeadPredictions, ps.LivePredictions)
 	}
 	if *heatmap {
-		fmt.Printf("\nI-cache efficiency heat map (mean %.3f):\n", e.ICache().MeanEfficiency())
-		fmt.Print(stats.Heatmap(e.ICache().Efficiency(), 32, 2))
+		fmt.Printf("\nI-cache efficiency heat map (mean %.3f):\n", fo.ICache(0).MeanEfficiency())
+		fmt.Print(stats.Heatmap(fo.ICache(0).Efficiency(), 32, 2))
 	}
 	if *analyze {
-		blocks, _, err := frontend.BlockStream(recs, cfg)
+		blocks, _, err := frontend.BlockStream(recs, cfg, 0)
 		fail(err)
 		prof, err := analysis.ComputeReuse(blocks, cfg.ICache.Sets(), 2*cfg.ICache.Ways)
 		fail(err)
@@ -226,20 +228,32 @@ func main() {
 	if *pgm != "" {
 		f, err := os.Create(*pgm)
 		fail(err)
-		fail(stats.WritePGM(f, e.ICache().Efficiency(), 8))
+		fail(stats.WritePGM(f, fo.ICache(0).Efficiency(), 8))
 		fail(f.Close())
 		fmt.Printf("wrote %s\n", *pgm)
 	}
 }
 
+// newFanOut builds the one-lane simulator for kind with the warm-up
+// window a stream of total instructions implies, tracking efficiency
+// for -heatmap and -pgm.
+func newFanOut(cfg frontend.Config, kind frontend.PolicyKind, total uint64) *frontend.FanOut {
+	fo, err := frontend.NewFanOut(cfg, []frontend.PolicyKind{kind}, cfg.WarmupFor(total))
+	fail(err)
+	fo.TrackEfficiency()
+	return fo
+}
+
 // runRecords replays a buffered record slice, deriving the warm-up
 // window from the records.
-func runRecords(cfg frontend.Config, kind frontend.PolicyKind, recs []trace.Record) (*frontend.Engine, frontend.Result) {
+func runRecords(cfg frontend.Config, kind frontend.PolicyKind, recs []trace.Record) (*frontend.FanOut, frontend.Result) {
 	total, err := frontend.CountInstructions(recs, cfg.InstrBytes, uint64(cfg.ICache.BlockBytes))
 	fail(err)
-	e, err := frontend.NewEngine(cfg, kind, cfg.WarmupFor(total))
-	fail(err)
-	return e, e.Run(recs)
+	fo := newFanOut(cfg, kind, total)
+	for _, r := range recs {
+		fo.Process(r)
+	}
+	return fo, fo.Results()[0]
 }
 
 // causeOf maps a context-abort error to that context's cause, so an

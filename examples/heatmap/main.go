@@ -22,25 +22,26 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	recs, err := ghrpsim.GenerateRecords(prog, 1, spec.DefaultInstructions)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	// The paper's Fig. 1 uses a 16KB 8-way I-cache so the map is legible.
 	cfg := ghrpsim.DefaultConfig()
 	cfg.ICache = ghrpsim.ICacheConfig{SizeBytes: 16 * 1024, BlockBytes: 64, Ways: 8}
 
+	// One pass replays the workload under every policy, with no warm-up
+	// window and the efficiency matrices turned on.
+	kinds := ghrpsim.PaperPolicies()
+	fo, err := ghrpsim.NewFanOut(cfg, kinds, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fo.TrackEfficiency()
+	if _, err := fo.StreamProgram(prog, 1, spec.DefaultInstructions, 1, ghrpsim.StreamOptions{}); err != nil {
+		log.Fatal(err)
+	}
+
 	fmt.Printf("I-cache efficiency heat maps for %s (16KB 8-way; lighter = longer live time)\n\n", spec.Name)
-	for _, kind := range ghrpsim.PaperPolicies() {
-		e, err := ghrpsim.NewEngine(cfg, kind, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, r := range recs {
-			e.Process(r)
-		}
-		eff := e.ICache().Efficiency()
+	for i, kind := range kinds {
+		eff := fo.ICache(i).Efficiency()
 		fmt.Printf("--- %s (mean efficiency %.3f)\n", kind, stats.MeanEfficiency(eff))
 		fmt.Println(stats.Heatmap(eff, 16, 2))
 	}

@@ -49,7 +49,11 @@ func main() {
 	fmt.Printf("mobile workload: %d KB code, %d static branches\n\n",
 		prog.CodeBytes()/1024, prog.StaticBranches())
 
-	recs, err := ghrpsim.GenerateRecords(prog, 7, 1_500_000)
+	// Count the stream once: every cache size below shares the 64B
+	// block, so they all derive the same warm-up window from it.
+	const seed, target = 7, 1_500_000
+	base := ghrpsim.DefaultConfig()
+	total, _, err := ghrpsim.CountProgram(base, prog, seed, target, ghrpsim.StreamOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,14 +64,14 @@ func main() {
 	}
 	fmt.Println()
 	for _, kb := range []int{8, 16, 32, 64} {
-		cfg := ghrpsim.DefaultConfig()
+		cfg := base
 		cfg.ICache = ghrpsim.ICacheConfig{SizeBytes: kb * 1024, BlockBytes: 64, Ways: 8}
 		fmt.Printf("%3dKB 8-way   ", kb)
-		for _, k := range ghrpsim.PaperPolicies() {
-			res, err := ghrpsim.SimulateRecords(cfg, k, recs)
-			if err != nil {
-				log.Fatal(err)
-			}
+		results, err := ghrpsim.SimulateFanOut(cfg, ghrpsim.PaperPolicies(), prog, seed, target, cfg.WarmupFor(total), ghrpsim.StreamOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, res := range results {
 			fmt.Printf(" %8.3f", res.ICacheMPKI())
 		}
 		fmt.Println()

@@ -24,23 +24,25 @@ func main() {
 	fmt.Printf("workload %s (%s): %d functions, %d KB of code\n",
 		spec.Name, spec.Category, len(prog.Funcs), prog.CodeBytes()/1024)
 
-	// Generate the branch trace once so both policies replay identical
-	// streams, exactly as the experiment harness does.
-	recs, err := ghrpsim.GenerateRecords(prog, 1, spec.DefaultInstructions)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// The paper's primary configuration: 64KB 8-way I-cache with 64B
 	// blocks, 4096-entry 4-way BTB, warm-up on the first half.
 	cfg := ghrpsim.DefaultConfig()
 
-	for _, kind := range []ghrpsim.PolicyKind{ghrpsim.PolicyLRU, ghrpsim.PolicyGHRP} {
-		res, err := ghrpsim.SimulateRecords(cfg, kind, recs)
-		if err != nil {
-			log.Fatal(err)
-		}
+	// Count the branch trace's instructions first: the total sets the
+	// warm-up window. Then one pass replays the identical stream under
+	// both policies in lockstep, exactly as the experiment harness does.
+	target := spec.DefaultInstructions
+	total, _, err := ghrpsim.CountProgram(cfg, prog, 1, target, ghrpsim.StreamOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	kinds := []ghrpsim.PolicyKind{ghrpsim.PolicyLRU, ghrpsim.PolicyGHRP}
+	results, err := ghrpsim.SimulateFanOut(cfg, kinds, prog, 1, target, cfg.WarmupFor(total), ghrpsim.StreamOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, res := range results {
 		fmt.Printf("%-6s I-cache %.3f MPKI (%d misses)   BTB %.3f MPKI (%d misses)\n",
-			kind, res.ICacheMPKI(), res.ICache.Misses, res.BTBMPKI(), res.BTB.Misses)
+			res.Policy, res.ICacheMPKI(), res.ICache.Misses, res.BTBMPKI(), res.BTB.Misses)
 	}
 }

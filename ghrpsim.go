@@ -8,14 +8,20 @@
 // harness that regenerates every table and figure of the paper's
 // evaluation.
 //
-// Quick start:
+// Quick start — count the stream once to derive the warm-up window,
+// then replay it under both policies in one pass:
 //
 //	spec := ghrpsim.SuiteN(8)[0]
 //	prog, _ := spec.Generate()
 //	cfg := ghrpsim.DefaultConfig()
-//	lru, _ := ghrpsim.SimulateProgram(cfg, ghrpsim.PolicyLRU, prog, 1, 500_000)
-//	ghrp, _ := ghrpsim.SimulateProgram(cfg, ghrpsim.PolicyGHRP, prog, 1, 500_000)
-//	fmt.Printf("LRU %.3f vs GHRP %.3f I-cache MPKI\n", lru.ICacheMPKI(), ghrp.ICacheMPKI())
+//	total, _, _ := ghrpsim.CountProgram(cfg, prog, 1, 500_000, ghrpsim.StreamOptions{})
+//	kinds := []ghrpsim.PolicyKind{ghrpsim.PolicyLRU, ghrpsim.PolicyGHRP}
+//	res, _ := ghrpsim.SimulateFanOut(cfg, kinds, prog, 1, 500_000, cfg.WarmupFor(total), ghrpsim.StreamOptions{})
+//	fmt.Printf("LRU %.3f vs GHRP %.3f I-cache MPKI\n", res[0].ICacheMPKI(), res[1].ICacheMPKI())
+//
+// NewFanOut gives record-level control (Process, Flush) and access to
+// the simulated structures, such as the efficiency matrices behind the
+// paper's heat maps.
 //
 // The package re-exports the library's composable pieces as type
 // aliases, so external users can reach everything through this import
@@ -53,8 +59,9 @@ type BTBConfig = frontend.BTBConfig
 // BranchMPKI.
 type Result = frontend.Result
 
-// Engine is the trace-driven front-end simulator.
-type Engine = frontend.Engine
+// FanOut is the trace-driven front-end simulator: one record stream
+// replayed under one or more policies in lockstep.
+type FanOut = frontend.FanOut
 
 // PolicyKind names a replacement policy.
 type PolicyKind = frontend.PolicyKind
@@ -81,21 +88,11 @@ func ParsePolicy(name string) (PolicyKind, error) { return frontend.ParsePolicy(
 // reporting order.
 func PaperPolicies() []PolicyKind { return frontend.PaperPolicies() }
 
-// NewEngine builds a simulator for one policy; warmupLimit instructions
-// are excluded from statistics.
-func NewEngine(cfg Config, kind PolicyKind, warmupLimit uint64) (*Engine, error) {
-	return frontend.NewEngine(cfg, kind, warmupLimit)
-}
-
-// SimulateRecords replays a branch-record stream under one policy.
-func SimulateRecords(cfg Config, kind PolicyKind, recs []Record) (Result, error) {
-	return frontend.SimulateRecords(cfg, kind, recs)
-}
-
-// SimulateProgram executes a synthetic program for target instructions
-// under one policy.
-func SimulateProgram(cfg Config, kind PolicyKind, prog *Program, seed, target uint64) (Result, error) {
-	return frontend.SimulateProgram(cfg, kind, prog, seed, target)
+// NewFanOut builds a simulator with one lane per policy in kinds;
+// warmupLimit instructions are excluded from statistics (see
+// Config.WarmupFor).
+func NewFanOut(cfg Config, kinds []PolicyKind, warmupLimit uint64) (*FanOut, error) {
+	return frontend.NewFanOut(cfg, kinds, warmupLimit)
 }
 
 // StreamOptions tunes a streaming replay: an optional progress callback
@@ -103,16 +100,10 @@ func SimulateProgram(cfg Config, kind PolicyKind, prog *Program, seed, target ui
 // cancellation) by returning an error.
 type StreamOptions = frontend.StreamOptions
 
-// SimulateProgramStream streams a program through an engine with an
-// explicit warm-up limit and optional progress callbacks; pair with
-// CountProgram to match the buffered SimulateRecords path bit for bit.
-func SimulateProgramStream(cfg Config, kind PolicyKind, prog *Program, seed, target, warmupLimit uint64, opts StreamOptions) (Result, error) {
-	return frontend.SimulateProgramStream(cfg, kind, prog, seed, target, warmupLimit, opts)
-}
-
 // SimulateFanOut executes a program once and replays it under every
-// given policy in lockstep; each Result is bit-identical to the
-// corresponding SimulateProgramStream call, at one execution's cost.
+// given policy in lockstep; each Result is bit-identical to a one-lane
+// replay of its policy, at one execution's cost. Pair it with
+// CountProgram to derive the warm-up limit from the stream.
 func SimulateFanOut(cfg Config, kinds []PolicyKind, prog *Program, seed, target, warmupLimit uint64, opts StreamOptions) ([]Result, error) {
 	return frontend.SimulateFanOut(cfg, kinds, prog, seed, target, warmupLimit, opts)
 }

@@ -1079,14 +1079,19 @@ func (c *Coordinator) hedgeScan(rctx context.Context) {
 }
 
 // Reference runs the identical suite as one single-process execution
-// and folds it through the same merge path — the oracle the fault
-// tests (and -verify) compare a distributed run against, byte for
-// byte.
+// and folds it through the same streaming merger as a distributed run —
+// the oracle the fault tests (and -verify) compare a distributed run
+// against, byte for byte.
 func (c *Coordinator) Reference(ctx context.Context) (*Merged, error) {
 	full := &shard{idx: 0, lo: 0, hi: len(c.names), names: c.names}
 	doc, err := c.simShard(ctx, full, false)
 	if err != nil {
 		return nil, err
 	}
-	return c.mergeDocs([]*serve.ResultDoc{doc})
+	m := newMerger(c.names, c.policies)
+	if err := m.complete(full, doc); err != nil {
+		return nil, err
+	}
+	out, _, _, err := m.result(1)
+	return out, err
 }

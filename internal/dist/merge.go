@@ -89,79 +89,6 @@ func (m *Merged) IdentityJSON() ([]byte, error) {
 	}, "", "\t")
 }
 
-// mergeDocs folds shard result documents into the suite-global merged
-// result. Docs may cover any partition of the suite (the single
-// full-suite document of Reference included); every workload must be
-// covered exactly once and every document must carry exactly the
-// coordinator's policy set, in order.
-func (c *Coordinator) mergeDocs(docs []*serve.ResultDoc) (*Merged, error) {
-	index := make(map[string]int, len(c.names))
-	for i, name := range c.names {
-		index[name] = i
-	}
-	m := &Merged{
-		Workloads:  c.names,
-		Policies:   c.policies,
-		ICacheMPKI: make(map[string][]float64, len(c.policies)),
-		BTBMPKI:    make(map[string][]float64, len(c.policies)),
-		BranchMPKI: make([]float64, len(c.names)),
-	}
-	for _, p := range c.policies {
-		m.ICacheMPKI[p] = make([]float64, len(c.names))
-		m.BTBMPKI[p] = make([]float64, len(c.names))
-	}
-	covered := make([]bool, len(c.names))
-
-	for d, doc := range docs {
-		if doc == nil {
-			return nil, fmt.Errorf("dist: merge: shard document %d is missing", d)
-		}
-		if len(doc.Policies) != len(c.policies) {
-			return nil, fmt.Errorf("dist: merge: document %d has %d policies, want %d", d, len(doc.Policies), len(c.policies))
-		}
-		for i, p := range doc.Policies {
-			if p != c.policies[i] {
-				return nil, fmt.Errorf("dist: merge: document %d policy %d is %q, want %q", d, i, p, c.policies[i])
-			}
-		}
-		if len(doc.BranchMPKI) != len(doc.Workloads) {
-			return nil, fmt.Errorf("dist: merge: document %d has %d branch values over %d workloads", d, len(doc.BranchMPKI), len(doc.Workloads))
-		}
-		for j, name := range doc.Workloads {
-			gi, ok := index[name]
-			if !ok {
-				return nil, fmt.Errorf("dist: merge: document %d covers unknown workload %q", d, name)
-			}
-			if covered[gi] {
-				return nil, fmt.Errorf("dist: merge: workload %q covered twice", name)
-			}
-			covered[gi] = true
-			m.BranchMPKI[gi] = doc.BranchMPKI[j]
-			for _, p := range c.policies {
-				iv, bv := doc.ICacheMPKI[p], doc.BTBMPKI[p]
-				if j >= len(iv) || j >= len(bv) {
-					return nil, fmt.Errorf("dist: merge: document %d policy %q vectors are short", d, p)
-				}
-				m.ICacheMPKI[p][gi] = iv[j]
-				m.BTBMPKI[p][gi] = bv[j]
-			}
-		}
-		m.Failed = append(m.Failed, doc.Failed...)
-	}
-	for gi, ok := range covered {
-		if !ok {
-			return nil, fmt.Errorf("dist: merge: workload %q is uncovered", c.names[gi])
-		}
-	}
-	// Shard documents arrive in shard order, but hedging and the local
-	// lane make no ordering promises — normalize Failed to the global
-	// workload order a single-process run reports.
-	sort.SliceStable(m.Failed, func(i, j int) bool {
-		return index[m.Failed[i].Workload] < index[m.Failed[j].Workload]
-	})
-	return m, nil
-}
-
 // merger folds shard documents into the suite-global result as they
 // complete, instead of buffering every document until the run ends.
 // Shards complete in arbitrary order (hedging, retries, the local
@@ -173,10 +100,11 @@ func (c *Coordinator) mergeDocs(docs []*serve.ResultDoc) (*Merged, error) {
 // O(suite), however large the generated suite grows.
 //
 // The in-order fold visits documents in ascending shard order and
-// shards are contiguous ascending ranges, so the fold is exactly the
-// buffered mergeDocs fold reordered by a no-op permutation: the merged
-// result is bit-identical to mergeDocs over the same documents (the
-// property tests replay ragged completion orders against that oracle).
+// shards are contiguous ascending ranges, so the fold equals a buffered
+// fold of every document at once: the property tests replay ragged
+// completion orders against such an oracle. Coordinator.Reference
+// folds its single full-suite document through the same merger, so
+// every merged result comes from this one implementation.
 type merger struct {
 	names    []string
 	policies []string
@@ -290,9 +218,8 @@ func (m *merger) drainLocked() {
 
 // foldLocked accumulates one document into the suite-global vectors.
 // Workloads are matched positionally — document slot j is global index
-// s.lo+j — and every name is verified against the suite, which is
-// strictly stronger than mergeDocs's by-name lookup and needs no
-// O(suite) index map.
+// s.lo+j — and every name is verified against the suite, which needs
+// no O(suite) index map.
 func (m *merger) foldLocked(s *shard, doc *serve.ResultDoc) error {
 	n := s.hi - s.lo
 	if doc == nil {
@@ -359,7 +286,7 @@ func (m *merger) result(shards int) (out *Merged, cacheHits, parkedPeak int, err
 	}
 	// Documents fold in ascending shard order and shards are ascending
 	// contiguous ranges, so failedAt is already sorted; the stable sort
-	// is a defensive identity pass mirroring mergeDocs.
+	// is a defensive identity pass.
 	ord := make([]int, len(m.out.Failed))
 	for i := range ord {
 		ord[i] = i

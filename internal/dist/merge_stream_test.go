@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"ghrpsim/internal/serve"
@@ -218,4 +219,77 @@ func TestStreamingMergeRejectsMalformedDocs(t *testing.T) {
 			t.Errorf("%s: complete accepted a malformed document", name)
 		}
 	}
+}
+
+// mergeDocs is the property tests' buffered oracle: it folds every
+// shard result document at once into the suite-global merged result,
+// looking workloads up by name. Docs may cover any partition of the
+// suite; every workload must be covered exactly once and every
+// document must carry exactly the coordinator's policy set, in order.
+func (c *Coordinator) mergeDocs(docs []*serve.ResultDoc) (*Merged, error) {
+	index := make(map[string]int, len(c.names))
+	for i, name := range c.names {
+		index[name] = i
+	}
+	m := &Merged{
+		Workloads:  c.names,
+		Policies:   c.policies,
+		ICacheMPKI: make(map[string][]float64, len(c.policies)),
+		BTBMPKI:    make(map[string][]float64, len(c.policies)),
+		BranchMPKI: make([]float64, len(c.names)),
+	}
+	for _, p := range c.policies {
+		m.ICacheMPKI[p] = make([]float64, len(c.names))
+		m.BTBMPKI[p] = make([]float64, len(c.names))
+	}
+	covered := make([]bool, len(c.names))
+
+	for d, doc := range docs {
+		if doc == nil {
+			return nil, fmt.Errorf("dist: merge: shard document %d is missing", d)
+		}
+		if len(doc.Policies) != len(c.policies) {
+			return nil, fmt.Errorf("dist: merge: document %d has %d policies, want %d", d, len(doc.Policies), len(c.policies))
+		}
+		for i, p := range doc.Policies {
+			if p != c.policies[i] {
+				return nil, fmt.Errorf("dist: merge: document %d policy %d is %q, want %q", d, i, p, c.policies[i])
+			}
+		}
+		if len(doc.BranchMPKI) != len(doc.Workloads) {
+			return nil, fmt.Errorf("dist: merge: document %d has %d branch values over %d workloads", d, len(doc.BranchMPKI), len(doc.Workloads))
+		}
+		for j, name := range doc.Workloads {
+			gi, ok := index[name]
+			if !ok {
+				return nil, fmt.Errorf("dist: merge: document %d covers unknown workload %q", d, name)
+			}
+			if covered[gi] {
+				return nil, fmt.Errorf("dist: merge: workload %q covered twice", name)
+			}
+			covered[gi] = true
+			m.BranchMPKI[gi] = doc.BranchMPKI[j]
+			for _, p := range c.policies {
+				iv, bv := doc.ICacheMPKI[p], doc.BTBMPKI[p]
+				if j >= len(iv) || j >= len(bv) {
+					return nil, fmt.Errorf("dist: merge: document %d policy %q vectors are short", d, p)
+				}
+				m.ICacheMPKI[p][gi] = iv[j]
+				m.BTBMPKI[p][gi] = bv[j]
+			}
+		}
+		m.Failed = append(m.Failed, doc.Failed...)
+	}
+	for gi, ok := range covered {
+		if !ok {
+			return nil, fmt.Errorf("dist: merge: workload %q is uncovered", c.names[gi])
+		}
+	}
+	// Shard documents arrive in shard order, but hedging and the local
+	// lane make no ordering promises — normalize Failed to the global
+	// workload order a single-process run reports.
+	sort.SliceStable(m.Failed, func(i, j int) bool {
+		return index[m.Failed[i].Workload] < index[m.Failed[j].Workload]
+	})
+	return m, nil
 }

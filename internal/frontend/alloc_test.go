@@ -47,17 +47,14 @@ func steadyStateAllocs(t *testing.T, recs []trace.Record, process func(trace.Rec
 }
 
 // The hot replay loop must not allocate: after warm-up, Process is
-// zero-alloc per record for a single engine. This pins the perf work
+// zero-alloc per record for a one-lane fan-out. This pins the perf work
 // the fused replay depends on — the direct-mapped prefetch filter (no
 // map inserts) and the span-based fetch walk (no per-record closures).
 func TestEngineProcessZeroAllocs(t *testing.T) {
 	recs := allocTestRecords(t)
 	for _, kind := range []PolicyKind{PolicyLRU, PolicyGHRP} {
-		e, err := NewEngine(allocTestConfig(), kind, 10_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if avg := steadyStateAllocs(t, recs, func(r trace.Record) { e.Process(r) }); avg != 0 {
+		fo := soloFanOut(t, allocTestConfig(), kind, 10_000)
+		if avg := steadyStateAllocs(t, recs, func(r trace.Record) { fo.Process(r) }); avg != 0 {
 			t.Errorf("%v: Process allocates %.3f objects/record in steady state, want 0", kind, avg)
 		}
 	}
@@ -84,19 +81,16 @@ func TestStreamingAllocsBounded(t *testing.T) {
 	prog := fanOutProgram(t)
 	cfg := allocTestConfig()
 	run := func(target uint64) (allocs uint64, records uint64) {
-		e, err := NewEngine(cfg, PolicyGHRP, 10_000)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fo := soloFanOut(t, cfg, PolicyGHRP, 10_000)
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		res, err := e.StreamProgram(prog, 1, target, StreamOptions{})
+		res, err := fo.StreamProgram(prog, 1, target, 1, StreamOptions{})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return after.Mallocs - before.Mallocs, res.Records
+		return after.Mallocs - before.Mallocs, res[0].Records
 	}
 	a1, r1 := run(100_000)
 	a2, r2 := run(200_000)

@@ -3,54 +3,33 @@ package frontend
 import "ghrpsim/internal/trace"
 
 // BlockStream reconstructs the exact I-cache block access sequence the
-// engine would issue for a record stream — including fetch-buffer
+// simulator would issue for a record stream — including fetch-buffer
 // coalescing — so offline analyses (Belady's OPT, reuse-distance
 // profiles) see the same accesses as the online policies. It also
-// returns the total instruction count.
-func BlockStream(recs []trace.Record, cfg Config) ([]uint64, uint64, error) {
+// returns the OPT skip index: the number of block accesses issued
+// within the first warmupInstrs instructions, matching the simulator's
+// warm-up rule (0 for no warm-up).
+func BlockStream(recs []trace.Record, cfg Config, warmupInstrs uint64) (blocks []uint64, skip int, err error) {
 	f, err := trace.NewFetcher(cfg.InstrBytes, uint64(cfg.ICache.BlockBytes))
 	if err != nil {
 		return nil, 0, err
 	}
-	out := make([]uint64, 0, len(recs)*2)
+	blocks = make([]uint64, 0, len(recs)*2)
 	var total uint64
 	var lastBlock uint64
 	haveLast := false
 	for _, r := range recs {
+		warm := total < warmupInstrs
 		total += f.Next(r, func(block uint64, _ int) {
 			if haveLast && block == lastBlock {
 				return
 			}
 			lastBlock, haveLast = block, true
-			out = append(out, block)
+			blocks = append(blocks, block)
 		})
-	}
-	return out, total, nil
-}
-
-// AccessIndexAt returns the number of block accesses issued within the
-// first warmupInstrs instructions of the stream — the OPT skip count
-// matching the engine's warm-up rule.
-func AccessIndexAt(recs []trace.Record, cfg Config, warmupInstrs uint64) (int, error) {
-	f, err := trace.NewFetcher(cfg.InstrBytes, uint64(cfg.ICache.BlockBytes))
-	if err != nil {
-		return 0, err
-	}
-	var total uint64
-	accesses := 0
-	var lastBlock uint64
-	haveLast := false
-	for _, r := range recs {
-		if total >= warmupInstrs {
-			break
+		if warm {
+			skip = len(blocks)
 		}
-		total += f.Next(r, func(block uint64, _ int) {
-			if haveLast && block == lastBlock {
-				return
-			}
-			lastBlock, haveLast = block, true
-			accesses++
-		})
 	}
-	return accesses, nil
+	return blocks, skip, nil
 }

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"slices"
 	"testing"
 
 	"ghrpsim/internal/cache"
@@ -10,20 +11,20 @@ import (
 func TestBlockStreamMatchesEngineAccesses(t *testing.T) {
 	recs := testRecords(t, 40_000)
 	cfg := DefaultConfig()
-	blocks, total, err := BlockStream(recs, cfg)
+	blocks, _, err := BlockStream(recs, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(blocks) == 0 {
 		t.Fatal("empty block stream")
 	}
-	// The engine with no warm-up must report exactly as many I-cache
-	// accesses as the stream has blocks (same coalescing rule).
-	e, err := NewEngine(cfg, PolicyLRU, 0)
+	total, err := CountInstructions(recs, cfg.InstrBytes, uint64(cfg.ICache.BlockBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.Run(recs)
+	// The simulator with no warm-up must report exactly as many I-cache
+	// accesses as the stream has blocks (same coalescing rule).
+	res := replayRecords(t, cfg, PolicyLRU, 0, recs)
 	if res.ICache.Accesses != uint64(len(blocks)) {
 		t.Errorf("engine accesses %d != stream length %d", res.ICache.Accesses, len(blocks))
 	}
@@ -43,15 +44,11 @@ func TestBlockStreamLRUEquivalence(t *testing.T) {
 	// exactly the engine's LRU miss count (no warm-up).
 	recs := testRecords(t, 30_000)
 	cfg := DefaultConfig()
-	blocks, _, err := BlockStream(recs, cfg)
+	blocks, _, err := BlockStream(recs, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(cfg, PolicyLRU, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := e.Run(recs)
+	res := replayRecords(t, cfg, PolicyLRU, 0, recs)
 
 	lru := newBareLRU()
 	c, err := cache.New(cfg.ICache.Sets(), cfg.ICache.Ways, lru)
@@ -66,38 +63,47 @@ func TestBlockStreamLRUEquivalence(t *testing.T) {
 	}
 }
 
-func TestAccessIndexAt(t *testing.T) {
+// BlockStream's skip index is the OPT warm-up boundary: the block list
+// does not depend on the warm-up, and the accesses past the skip index
+// are exactly the ones the simulator counts under the same warm-up.
+func TestBlockStreamSkipIndex(t *testing.T) {
 	recs := testRecords(t, 30_000)
 	cfg := DefaultConfig()
-	blocks, total, err := BlockStream(recs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	half, err := AccessIndexAt(recs, cfg, total/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if half <= 0 || half >= len(blocks) {
-		t.Errorf("half index %d of %d", half, len(blocks))
-	}
-	zero, err := AccessIndexAt(recs, cfg, 0)
+	blocks, zero, err := BlockStream(recs, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if zero != 0 {
 		t.Errorf("zero warm-up index = %d", zero)
 	}
-	if _, err := AccessIndexAt(recs, Config{InstrBytes: 0, ICache: cfg.ICache}, 1); err == nil {
+	total, err := CountInstructions(recs, cfg.InstrBytes, uint64(cfg.ICache.BlockBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmed, half, err := BlockStream(recs, cfg, total/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if half <= 0 || half >= len(blocks) {
+		t.Errorf("half index %d of %d", half, len(blocks))
+	}
+	if !slices.Equal(warmed, blocks) {
+		t.Error("block list depends on the warm-up")
+	}
+	if res := replayRecords(t, cfg, PolicyLRU, total/2, recs); res.ICache.Accesses != uint64(len(blocks)-half) {
+		t.Errorf("simulator counts %d accesses after warm-up, skip index leaves %d", res.ICache.Accesses, len(blocks)-half)
+	}
+	if _, _, err := BlockStream(recs, Config{InstrBytes: 0, ICache: cfg.ICache}, 1); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
 
 func TestOPTBeatsOnlinePoliciesOnEngineStream(t *testing.T) {
 	// End-to-end: OPT on the reconstructed stream must not miss more
-	// than the engine's LRU or GHRP.
+	// than the simulator's LRU or GHRP.
 	recs := testRecords(t, 40_000)
 	cfg := DefaultConfig()
-	blocks, _, err := BlockStream(recs, cfg)
+	blocks, _, err := BlockStream(recs, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +112,7 @@ func TestOPTBeatsOnlinePoliciesOnEngineStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []PolicyKind{PolicyLRU, PolicyGHRP} {
-		e, err := NewEngine(cfg, kind, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := e.Run(recs)
+		res := replayRecords(t, cfg, kind, 0, recs)
 		if ost.Misses > res.ICache.Misses {
 			t.Errorf("OPT misses %d > %v misses %d", ost.Misses, kind, res.ICache.Misses)
 		}
@@ -151,10 +153,7 @@ func (p *bareLRU) Reset()                            { p.now = 0 }
 func TestExtendedPoliciesRun(t *testing.T) {
 	recs := testRecords(t, 20_000)
 	for _, kind := range ExtendedPolicies() {
-		res, err := SimulateRecords(smallConfig(), kind, recs)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
+		res := simulateRecords(t, smallConfig(), kind, recs)
 		if res.ICache.Accesses == 0 {
 			t.Errorf("%v: no accesses", kind)
 		}
@@ -165,15 +164,12 @@ func TestExtendedPoliciesRun(t *testing.T) {
 }
 
 func TestEngineAccessors(t *testing.T) {
-	e, err := NewEngine(DefaultConfig(), PolicyGHRP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.ICache() == nil || e.BTB() == nil || e.ReturnStack() == nil || e.IndirectPredictor() == nil {
+	fo := soloFanOut(t, DefaultConfig(), PolicyGHRP, 0)
+	if fo.ICache(0) == nil || fo.BTB(0) == nil || fo.GHRP(0) == nil || fo.front.ras == nil || fo.front.ind == nil {
 		t.Error("nil accessor")
 	}
-	if e.Instructions() != 0 {
-		t.Error("fresh engine has instructions")
+	if fo.Instructions() != 0 {
+		t.Error("fresh fan-out has instructions")
 	}
 	r := Result{CountedInstrs: 1000}
 	r.BTB.Misses = 5

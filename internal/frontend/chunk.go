@@ -7,23 +7,20 @@ import (
 	"ghrpsim/internal/cache"
 )
 
-// Chunked lane-major replay. The record-major fused step (stepRecord)
-// sweeps all N specialized lane bodies once per record, so the host CPU
-// alternates between N distinct instruction footprints tens of millions
-// of times per second — the code-size cost of specialization turns into
-// an instruction-cache thrash. The chunked path fixes the ratio:
-// front.decide runs for a block of records first, serializing each
-// record's lane-facing decisions into a decChunk, and then each lane
-// replays the whole chunk in one burst. Every specialized body now runs
-// for chunkRecords records per activation, and a lane's cache, BTB and
-// policy tables stay hot across the burst.
+// Chunked lane-major replay. Sweeping all N specialized lane bodies
+// once per record would make the host CPU alternate between N distinct
+// instruction footprints tens of millions of times per second — the
+// code-size cost of specialization turned into an instruction-cache
+// thrash. Instead, front.decide runs for a block of records first,
+// serializing each record's lane-facing decisions into a decChunk, and
+// then each lane replays the whole chunk in one burst. Every
+// specialized body runs for chunkRecords records per activation, and a
+// lane's cache, BTB and policy tables stay hot across the burst.
 //
-// A chunk is exactly a reified sequence of stepDecisions, and each
-// lane's chunk replay applies them through the same laneAccess /
-// laneInject / btb.AccessWith calls in the same per-record order as
-// applyStep, so chunked replay is bit-identical to the record-major
-// path by construction. The checkpoint-parallel path (fanlog.go) ships
-// these same chunks to worker goroutines.
+// A chunk is exactly a reified sequence of stepDecisions, and a lane
+// applies each record's decisions in a fixed order, so where a stream
+// is cut into chunks cannot change a result. The checkpoint-parallel
+// path (fanlog.go) ships these same chunks to worker goroutines.
 
 // chunkRecords is the record capacity of one chunk: large enough to
 // amortize the per-lane body switch and keep a lane's tables hot,
@@ -106,7 +103,7 @@ func (ch *decChunk) reset() {
 }
 
 // replayChunk advances one lane through every record of a chunk,
-// mirroring applyStep's per-record op order exactly: I-cache accesses,
+// applying each record's decisions in a fixed order: I-cache accesses,
 // wrong-path injection, BTB probe, warm-up flip.
 //
 //ghrp:hotpath

@@ -45,16 +45,16 @@ func (r Result) BranchMPKI() float64 { return r.Branch.MPKI(r.CountedInstrs) }
 // compares: the I-cache, the BTB, and (for GHRP) their shared predictor.
 // None of the front's components observe cache or BTB state, which is
 // what makes driving N lanes from one front bit-identical to N
-// independent engines: each lane sees exactly the access, injection and
+// one-lane replays: each lane sees exactly the access, injection and
 // warm-up sequence it would have derived on its own.
 //
 // The split is made explicit by stepDecisions: front.decide distills one
 // record into the four lane-facing operations (coalesced I-cache
 // accesses, optional wrong-path injection, optional BTB probe, optional
-// warm-up flip), and each lane applies them through a step function
-// specialized to its concrete policy types. Because both the serial and
-// the checkpoint-parallel paths replay the same stepDecisions through
-// the same apply code, they cannot diverge.
+// warm-up flip), decision chunks queue them (chunk.go), and each lane
+// replays a chunk through a body specialized to its concrete policy
+// types. Because the serial and the checkpoint-parallel paths replay
+// the same chunks through the same body, they cannot diverge.
 
 // blockAccess is one pending I-cache access of the current record's
 // fetch group: the block and the PC the access is attributed to.
@@ -144,8 +144,8 @@ func (f *front) reset(warmupLimit uint64) {
 }
 
 // decide advances the front by one branch record and fills d with the
-// lane-facing decisions. It touches no lane state; stepRecord applies d
-// to every lane afterwards.
+// lane-facing decisions. It touches no lane state; the lanes replay d
+// once it has been queued in a decision chunk.
 //
 //ghrp:hotpath
 func (f *front) decide(r trace.Record, d *stepDecisions) {
@@ -263,12 +263,11 @@ type lane struct {
 	blockShift  uint
 	wrongDepth  int
 	recoverHist bool // WrongPathInject: restore speculative history
-	// step applies one record's decisions to this lane; replay applies a
-	// whole chunk of them lane-major. Both are bound at construction to
-	// instantiations specialized to the lane's concrete policy types, so
-	// the cache and BTB access paths call the policy callbacks
-	// statically instead of through the cache.Policy interface.
-	step   func(d *stepDecisions)
+	// replay applies a whole chunk of decisions to this lane. It is
+	// bound at construction to an instantiation specialized to the
+	// lane's concrete policy types, so the cache and BTB access paths
+	// call the policy callbacks statically instead of through the
+	// cache.Policy interface.
 	replay func(ch *decChunk)
 }
 
@@ -330,7 +329,7 @@ func (l *lane) init(cfg Config, kind PolicyKind, ar *cache.Arena) error {
 	if cfg.NextLinePrefetch {
 		l.pref = newPrefetchFilter()
 	}
-	l.bindStep(icPolicy, btbPolicy)
+	l.bindReplay(icPolicy, btbPolicy)
 	return nil
 }
 
@@ -349,35 +348,6 @@ func (l *lane) reset(warm bool) {
 	l.prefStats = PrefetchStats{}
 	l.icache.SetWarmup(warm)
 	l.ibtb.SetWarmup(warm)
-}
-
-// newSim allocates a front and one lane per kind: the single
-// construction path of Engine and FanOut. Callers bring the result to
-// its start state with resetSim.
-func newSim(cfg Config, kinds []PolicyKind) (*front, []lane, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	f, err := newFront(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	lanes, err := newLanes(cfg, kinds)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, lanes, nil
-}
-
-// resetSim puts a front and its lanes in the start state of a
-// simulation with the given warm-up limit, without allocating.
-//
-//ghrp:hotpath
-func resetSim(f *front, lanes []lane, warmupLimit uint64) {
-	f.reset(warmupLimit)
-	for i := range lanes {
-		lanes[i].reset(f.warm)
-	}
 }
 
 func (l *lane) makeICachePolicy(cfg Config) (cache.Policy, error) {
@@ -437,7 +407,7 @@ func (l *lane) makeBTBPolicy(cfg Config) (cache.Policy, error) {
 // stenciling collapses all pointer type arguments into one dictionary-
 // driven instantiation. Wrapping each concrete policy pointer in its own
 // struct type forces a distinct shape per policy, so every wrapper gets
-// its own copy of applyStep/cache.AccessWith/btb.AccessWith with the
+// its own copy of replayChunk/cache.AccessWith/btb.AccessWith with the
 // policy callbacks statically bound (and inlinable). The wrappers embed
 // the pointer; the promoted methods are exactly the policy's own.
 type (
@@ -452,17 +422,16 @@ type (
 	wGHRPB  struct{ *btb.GHRPPolicy }
 )
 
-// bindLane fixes a lane's step and replay functions to the
-// instantiations for its concrete policy pair.
+// bindLane fixes a lane's replay function to the instantiation for its
+// concrete policy pair.
 func bindLane[IP, BP cache.Policy](l *lane, ip IP, bp BP) {
-	l.step = func(d *stepDecisions) { applyStep(l, ip, bp, d) }
 	l.replay = func(ch *decChunk) { replayChunk(l, ip, bp, ch) }
 }
 
-// bindStep dispatches once, at construction, from the lane's kind to the
-// specialized step function. The default arm falls back to the
+// bindReplay dispatches once, at construction, from the lane's kind to
+// the specialized replay function. The default arm falls back to the
 // interface-typed instantiation — bit-identical, just not devirtualized.
-func (l *lane) bindStep(icp, btbp cache.Policy) {
+func (l *lane) bindReplay(icp, btbp cache.Policy) {
 	switch l.kind {
 	case PolicyLRU:
 		bindLane(l, wLRU{icp.(*policies.LRU)}, wLRU{btbp.(*policies.LRU)})
@@ -485,51 +454,6 @@ func (l *lane) bindStep(icp, btbp cache.Policy) {
 	}
 }
 
-// applyStep advances one lane by one record's decisions, in the exact
-// order the historical fused step interleaved them: I-cache accesses,
-// wrong-path injection, BTB probe, warm-up flip.
-//
-//ghrp:hotpath
-func applyStep[IP, BP cache.Policy](l *lane, ip IP, bp BP, d *stepDecisions) {
-	for i := range d.accesses {
-		laneAccess(l, ip, d.accesses[i].block, d.accesses[i].pc, d.warm)
-	}
-	if d.inject {
-		laneInject(l, ip, d.wrongPC, d.warm)
-	}
-	if d.btb {
-		btb.AccessWith(&l.ibtb, bp, d.btbPC, d.btbTarget)
-	}
-	if d.flip {
-		l.icache.SetWarmup(false)
-		l.ibtb.SetWarmup(false)
-	}
-}
-
-// Engine is the trace-driven front-end simulator for one policy: a front
-// driving a single lane.
-type Engine struct {
-	front *front
-	lanes []lane // exactly one
-}
-
-// NewEngine builds a simulator for the given configuration and
-// replacement policy (applied to both the I-cache and BTB). warmupLimit
-// is the number of leading instructions excluded from statistics; use
-// WarmupFor to derive it from a trace length per the paper's rule.
-func NewEngine(cfg Config, kind PolicyKind, warmupLimit uint64) (*Engine, error) {
-	f, lanes, err := newSim(cfg, []PolicyKind{kind})
-	if err != nil {
-		return nil, err
-	}
-	// Engine is the one simulator whose callers read efficiency matrices
-	// (the Fig. 1 and Fig. 5 heat maps), so only its lane pays for them.
-	lanes[0].icache.TrackEfficiency()
-	lanes[0].ibtb.TrackEfficiency()
-	resetSim(f, lanes, warmupLimit)
-	return &Engine{front: f, lanes: lanes}, nil
-}
-
 // WarmupFor derives the warm-up instruction count for a trace of the
 // given length under cfg: half the instructions, capped (§IV-C).
 func (c Config) WarmupFor(totalInstructions uint64) uint64 {
@@ -538,55 +462,6 @@ func (c Config) WarmupFor(totalInstructions uint64) uint64 {
 		w = c.WarmupCap
 	}
 	return w
-}
-
-// ICache exposes the simulated I-cache (for efficiency heat maps).
-func (e *Engine) ICache() *cache.Cache { return &e.lanes[0].icache }
-
-// BTB exposes the simulated BTB.
-func (e *Engine) BTB() *btb.BTB { return &e.lanes[0].ibtb }
-
-// GHRP returns the GHRP I-cache policy, or nil for other policies (and
-// on a nil receiver).
-func (e *Engine) GHRP() *core.ICachePolicy {
-	if e == nil { // callers that load a cached Result have no engine
-		return nil
-	}
-	return e.lanes[0].ghrp
-}
-
-// BranchPredictor exposes the direction predictor.
-func (e *Engine) BranchPredictor() *perceptron.Predictor { return e.front.bpred }
-
-// ReturnStack exposes the return address stack.
-func (e *Engine) ReturnStack() *RAS { return e.front.ras }
-
-// IndirectPredictor exposes the indirect target predictor.
-func (e *Engine) IndirectPredictor() *indirect.Predictor { return e.front.ind }
-
-// Instructions returns total instructions processed so far.
-func (e *Engine) Instructions() uint64 { return e.front.instrs }
-
-// Process consumes one branch record: reconstruct the fetch group,
-// access the I-cache per block, predict and train the direction
-// predictor, access the BTB for taken branches, and manage speculative
-// history.
-func (e *Engine) Process(r trace.Record) {
-	stepRecord(e.front, e.lanes, r)
-}
-
-// stepRecord advances the front and every lane by one branch record. The
-// single-policy Engine and the multi-policy FanOut both funnel through
-// it, so the two paths cannot drift apart. It runs once per record and
-// must stay allocation-free (TestFanOutProcessZeroAllocs pins the dynamic count;
-// the hotalloc analyzer pins the constructs statically).
-//
-//ghrp:hotpath
-func stepRecord(f *front, lanes []lane, r trace.Record) {
-	f.decide(r, &f.dec)
-	for i := range lanes {
-		lanes[i].step(&f.dec)
-	}
 }
 
 // laneAccess performs one I-cache access and mirrors the retired GHRP
@@ -655,19 +530,6 @@ func laneInject[P cache.Policy](l *lane, p P, wrongPC uint64, warm bool) {
 	if l.ghrp != nil && l.recoverHist {
 		l.ghrp.History().Recover()
 	}
-}
-
-// Run processes a record slice and returns the result.
-func (e *Engine) Run(recs []trace.Record) Result {
-	for _, r := range recs {
-		e.Process(r)
-	}
-	return e.Result()
-}
-
-// Result snapshots the current statistics.
-func (e *Engine) Result() Result {
-	return makeResult(e.front, &e.lanes[0])
 }
 
 // makeResult assembles one lane's Result from the shared front counters

@@ -51,6 +51,39 @@ func testRecords(t *testing.T, target uint64) []trace.Record {
 	return recs
 }
 
+// soloFanOut builds a one-lane fan-out.
+func soloFanOut(t testing.TB, cfg Config, kind PolicyKind, warmupLimit uint64) *FanOut {
+	t.Helper()
+	fo, err := NewFanOut(cfg, []PolicyKind{kind}, warmupLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fo
+}
+
+// replayRecords replays a buffered record slice through a one-lane
+// fan-out with the given warm-up limit and returns the lane's result.
+func replayRecords(t testing.TB, cfg Config, kind PolicyKind, warmupLimit uint64, recs []trace.Record) Result {
+	t.Helper()
+	fo := soloFanOut(t, cfg, kind, warmupLimit)
+	for _, r := range recs {
+		fo.Process(r)
+	}
+	return fo.Results()[0]
+}
+
+// simulateRecords is the buffered reference path: it replays recs under
+// one policy with the warm-up window derived from the records
+// themselves.
+func simulateRecords(t testing.TB, cfg Config, kind PolicyKind, recs []trace.Record) Result {
+	t.Helper()
+	total, err := CountInstructions(recs, cfg.InstrBytes, uint64(cfg.ICache.BlockBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return replayRecords(t, cfg, kind, cfg.WarmupFor(total), recs)
+}
+
 // smallConfig uses a small I-cache/BTB so the test workload generates
 // real replacement pressure.
 func smallConfig() Config {
@@ -131,10 +164,7 @@ func TestWarmupFor(t *testing.T) {
 func TestEngineRunsAllPolicies(t *testing.T) {
 	recs := testRecords(t, 60_000)
 	for _, kind := range PaperPolicies() {
-		res, err := SimulateRecords(smallConfig(), kind, recs)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
+		res := simulateRecords(t, smallConfig(), kind, recs)
 		if res.Policy != kind {
 			t.Errorf("%v: result policy %v", kind, res.Policy)
 		}
@@ -161,14 +191,8 @@ func TestEngineRunsAllPolicies(t *testing.T) {
 
 func TestEngineDeterministic(t *testing.T) {
 	recs := testRecords(t, 40_000)
-	a, err := SimulateRecords(smallConfig(), PolicyGHRP, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SimulateRecords(smallConfig(), PolicyGHRP, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := simulateRecords(t, smallConfig(), PolicyGHRP, recs)
+	b := simulateRecords(t, smallConfig(), PolicyGHRP, recs)
 	if a != b {
 		t.Errorf("same input diverged:\n%+v\n%+v", a, b)
 	}
@@ -180,7 +204,8 @@ func TestSimulateProgramMatchesRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	const target = 40_000
-	streamed, err := SimulateProgram(smallConfig(), PolicyLRU, prog, 1, target)
+	cfg := smallConfig()
+	streamed, err := SimulateProgramStream(cfg, PolicyLRU, prog, 1, target, cfg.WarmupFor(target), StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,10 +215,7 @@ func TestSimulateProgramMatchesRecords(t *testing.T) {
 	}
 	// Warm-up derivation differs (target vs reconstructed count), so
 	// compare structure-level totals.
-	replayed, err := SimulateRecords(smallConfig(), PolicyLRU, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	replayed := simulateRecords(t, cfg, PolicyLRU, recs)
 	if streamed.Records != replayed.Records {
 		t.Errorf("record counts differ: %d vs %d", streamed.Records, replayed.Records)
 	}
@@ -205,15 +227,9 @@ func TestSimulateProgramMatchesRecords(t *testing.T) {
 func TestWarmupExcludedFromStats(t *testing.T) {
 	recs := testRecords(t, 40_000)
 	cfg := smallConfig()
-	warmed, err := SimulateRecords(cfg, PolicyLRU, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	warmed := simulateRecords(t, cfg, PolicyLRU, recs)
 	cfg.WarmupFraction = 0
-	cold, err := SimulateRecords(cfg, PolicyLRU, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := simulateRecords(t, cfg, PolicyLRU, recs)
 	if warmed.CountedInstrs >= cold.CountedInstrs {
 		t.Error("warm-up did not shrink the counted window")
 	}
@@ -230,14 +246,12 @@ func TestWarmupExcludedFromStats(t *testing.T) {
 func TestGHRPHistoriesStaySyncedOnRightPath(t *testing.T) {
 	recs := testRecords(t, 30_000)
 	cfg := smallConfig()
-	e, err := NewEngine(cfg, PolicyGHRP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fo := soloFanOut(t, cfg, PolicyGHRP, 0)
 	for _, r := range recs {
-		e.Process(r)
+		fo.Process(r)
 	}
-	h := e.GHRP().History()
+	fo.Flush()
+	h := fo.GHRP(0).History()
 	if h.Current() != h.Retired() {
 		t.Errorf("speculative %#x != retired %#x with no wrong-path mode", h.Current(), h.Retired())
 	}
@@ -247,18 +261,16 @@ func TestWrongPathRecovery(t *testing.T) {
 	recs := testRecords(t, 30_000)
 	cfg := smallConfig()
 	cfg.WrongPath = WrongPathInject
-	e, err := NewEngine(cfg, PolicyGHRP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fo := soloFanOut(t, cfg, PolicyGHRP, 0)
 	for _, r := range recs {
-		e.Process(r)
-		h := e.GHRP().History()
+		fo.Process(r)
+		fo.Flush()
+		h := fo.GHRP(0).History()
 		if h.Current() != h.Retired() {
 			t.Fatal("recovery mode left speculative history diverged after a record")
 		}
 	}
-	if e.BranchPredictor().Stats().Mispredictions == 0 {
+	if fo.Results()[0].Branch.Mispredictions == 0 {
 		t.Skip("no mispredictions; wrong-path path not exercised")
 	}
 }
@@ -267,20 +279,18 @@ func TestWrongPathNoRecoverDiverges(t *testing.T) {
 	recs := testRecords(t, 30_000)
 	cfg := smallConfig()
 	cfg.WrongPath = WrongPathNoRecover
-	e, err := NewEngine(cfg, PolicyGHRP, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fo := soloFanOut(t, cfg, PolicyGHRP, 0)
 	diverged := false
 	for _, r := range recs {
-		e.Process(r)
-		h := e.GHRP().History()
+		fo.Process(r)
+		fo.Flush()
+		h := fo.GHRP(0).History()
 		if h.Current() != h.Retired() {
 			diverged = true
 			break
 		}
 	}
-	if e.BranchPredictor().Stats().Mispredictions == 0 {
+	if fo.Results()[0].Branch.Mispredictions == 0 {
 		t.Skip("no mispredictions; cannot observe divergence")
 	}
 	if !diverged {
@@ -307,27 +317,21 @@ func TestCountInstructions(t *testing.T) {
 func TestEngineRejectsBadInputs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ICache.SizeBytes = -5
-	if _, err := NewEngine(cfg, PolicyLRU, 0); err == nil {
+	if _, err := NewFanOut(cfg, []PolicyKind{PolicyLRU}, 0); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := NewEngine(DefaultConfig(), numPolicies, 0); err == nil {
+	if _, err := NewFanOut(DefaultConfig(), []PolicyKind{numPolicies}, 0); err == nil {
 		t.Error("invalid policy kind accepted")
 	}
 }
 
-// TestGHRPBeatsLRUEndToEnd is the end-to-end shape check at engine
+// TestGHRPBeatsLRUEndToEnd is the end-to-end shape check at simulator
 // level: on a pressured I-cache, GHRP must produce fewer misses than
 // LRU, and Random must produce more.
 func TestGHRPBeatsLRUEndToEnd(t *testing.T) {
 	recs := testRecords(t, 300_000)
 	cfg := smallConfig()
-	run := func(kind PolicyKind) Result {
-		res, err := SimulateRecords(cfg, kind, recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
+	run := func(kind PolicyKind) Result { return simulateRecords(t, cfg, kind, recs) }
 	lru := run(PolicyLRU)
 	ghrp := run(PolicyGHRP)
 	random := run(PolicyRandom)

@@ -7,16 +7,16 @@ import (
 	"ghrpsim/internal/workload"
 )
 
-// Checkpoint-log parallel fan-out. The serial StreamProgram already
-// factors a record stream into policy-independent decision chunks
-// (chunk.go); here the same chunks become the communication log of a
-// producer/worker pipeline. One goroutine runs the workload interpreter
-// and the front — the only stateful, order-sensitive part — and
-// publishes each filled chunk to every worker. Workers own disjoint
-// lane subsets and replay chunks strictly in publication order, so each
-// lane sees exactly the serial op sequence and results stay
-// bit-identical for any worker count; TestFanOutParallelMatchesSerial
-// pins that.
+// Checkpoint-log parallel fan-out. The serial stream already factors a
+// record stream into policy-independent decision chunks (chunk.go);
+// with more than one worker, StreamProgram makes the same chunks the
+// communication log of a producer/worker pipeline. One goroutine runs
+// the workload interpreter and the front — the only stateful,
+// order-sensitive part — and publishes each filled chunk to every
+// worker. Workers own disjoint lane subsets and replay chunks strictly
+// in publication order, so each lane sees exactly the serial op
+// sequence and results stay bit-identical for any worker count;
+// TestFanOutParallelMatchesSerial pins that.
 //
 // Memory is bounded by a free list of poolChunks chunks, owned by the
 // FanOut and reused across calls: the producer blocks once all are in
@@ -30,20 +30,24 @@ import (
 // set past the point of diminishing returns.
 const poolChunks = 4
 
-// StreamProgramParallel is StreamProgram with lane replay spread over
-// up to workers goroutines. Worker counts of one or less (or a single
-// lane) fall back to the serial path. The returned results are
-// bit-identical to StreamProgram's regardless of worker count.
-func (fo *FanOut) StreamProgramParallel(prog *workload.Program, seed, target uint64, workers int, opts StreamOptions) ([]Result, error) {
-	if workers > len(fo.lanes) {
-		workers = len(fo.lanes)
+// chunkPool returns the fan-out's first n decision chunks, allocating
+// any that do not exist yet.
+func (fo *FanOut) chunkPool(n int) []*decChunk {
+	for len(fo.chunks) < n {
+		fo.chunks = append(fo.chunks, newDecChunk())
 	}
-	if workers <= 1 {
-		return fo.StreamProgram(prog, seed, target, opts)
-	}
+	return fo.chunks[:n]
+}
 
+// streamParallel is StreamProgram with lane replay spread over workers
+// (2 ≤ workers ≤ lanes) goroutines. Records Process queued beforehand
+// are replayed first, and every chunk is left empty on return, however
+// the stream ends: the next Flush must not replay a stale chunk.
+func (fo *FanOut) streamParallel(prog *workload.Program, seed, target uint64, workers int, opts StreamOptions) ([]Result, error) {
+	fo.Flush()
+	pool := fo.chunkPool(poolChunks)
 	free := make(chan *decChunk, poolChunks)
-	for _, ch := range fo.chunkPool(poolChunks) {
+	for _, ch := range pool {
 		free <- ch
 	}
 	// Per-worker queues sized to the pool, so publishing never blocks on
@@ -75,9 +79,11 @@ func (fo *FanOut) StreamProgramParallel(prog *workload.Program, seed, target uin
 		lo = hi
 	}
 
-	// drain closes the queues and waits for the workers. It also runs if
-	// the producer panics (in a progress callback, say), so no worker
-	// outlives the call or touches the lanes afterwards.
+	// drain closes the queues, waits for the workers and empties every
+	// chunk: chunks back on the free list still hold their records, and
+	// an aborted stream leaves the producer's chunk unpublished. It also
+	// runs if the producer panics (in a progress callback, say), so no
+	// worker outlives the call or touches the lanes afterwards.
 	drained := false
 	drain := func() {
 		if drained {
@@ -88,6 +94,9 @@ func (fo *FanOut) StreamProgramParallel(prog *workload.Program, seed, target uin
 			close(q)
 		}
 		wg.Wait()
+		for _, ch := range pool {
+			ch.reset()
+		}
 	}
 	defer drain()
 
@@ -98,10 +107,7 @@ func (fo *FanOut) StreamProgramParallel(prog *workload.Program, seed, target uin
 		}
 	}
 
-	every := opts.ProgressEvery
-	if every == 0 {
-		every = DefaultProgressEvery
-	}
+	every := opts.every()
 	ch := <-free
 	ch.reset()
 	var n uint64
@@ -129,16 +135,4 @@ func (fo *FanOut) StreamProgramParallel(prog *workload.Program, seed, target uin
 		return nil, err
 	}
 	return fo.Results(), nil
-}
-
-// SimulateFanOutSplit is SimulateFanOut with intra-workload
-// parallelism: one interpreter/front pass feeds every policy lane, and
-// lane replay is spread over up to workers goroutines. Results are
-// bit-identical to SimulateFanOut's.
-func SimulateFanOutSplit(cfg Config, kinds []PolicyKind, prog *workload.Program, seed, target, warmupLimit uint64, workers int, opts StreamOptions) ([]Result, error) {
-	fo, err := NewFanOut(cfg, kinds, warmupLimit)
-	if err != nil {
-		return nil, err
-	}
-	return fo.StreamProgramParallel(prog, seed, target, workers, opts)
 }

@@ -3,7 +3,19 @@ package frontend
 import (
 	"errors"
 	"testing"
+
+	"ghrpsim/internal/workload"
 )
+
+// simulateSplit streams prog (seed 1) through a fresh fan-out with lane
+// replay spread over workers goroutines.
+func simulateSplit(cfg Config, kinds []PolicyKind, prog *workload.Program, target, warmupLimit uint64, workers int, opts StreamOptions) ([]Result, error) {
+	fo, err := NewFanOut(cfg, kinds, warmupLimit)
+	if err != nil {
+		return nil, err
+	}
+	return fo.StreamProgram(prog, 1, target, workers, opts)
+}
 
 // TestFanOutParallelMatchesSerial pins the checkpoint-parallel
 // contract: splitting lane replay across worker goroutines must produce
@@ -26,7 +38,7 @@ func TestFanOutParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 3, len(kinds), len(kinds) + 5} {
-			split, err := SimulateFanOutSplit(cfg, kinds, prog, 1, target, warm, workers, StreamOptions{})
+			split, err := simulateSplit(cfg, kinds, prog, target, warm, workers, StreamOptions{})
 			if err != nil {
 				t.Fatalf("warm=%d workers=%d: %v", warm, workers, err)
 			}
@@ -45,7 +57,8 @@ func TestFanOutParallelMatchesSerial(t *testing.T) {
 
 // TestFanOutParallelProgressAbort checks that an aborting progress
 // callback shuts the worker pipeline down cleanly: the error comes
-// back, and the call does not deadlock on the bounded chunk pool.
+// back, the call does not deadlock on the bounded chunk pool, and no
+// chunk is left holding records a later Flush would replay.
 func TestFanOutParallelProgressAbort(t *testing.T) {
 	prog := fanOutProgram(t)
 	cfg := smallConfig()
@@ -59,8 +72,12 @@ func TestFanOutParallelProgressAbort(t *testing.T) {
 			return nil
 		},
 	}
-	_, err := SimulateFanOutSplit(cfg, allPolicies(), prog, 1, 150_000, 0, 4, opts)
-	if !errors.Is(err, boom) {
+	fo, err := NewFanOut(cfg, allPolicies(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fo.StreamProgram(prog, 1, 150_000, 4, opts); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the progress abort error", err)
 	}
+	requireChunksEmpty(t, fo)
 }

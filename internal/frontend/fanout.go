@@ -3,19 +3,24 @@ package frontend
 import (
 	"fmt"
 
+	"ghrpsim/internal/btb"
+	"ghrpsim/internal/cache"
+	"ghrpsim/internal/core"
 	"ghrpsim/internal/trace"
 	"ghrpsim/internal/workload"
 )
 
-// FanOut replays one record stream through N policy lanes in lockstep:
-// the policy-independent front (direction predictor, RAS, indirect
+// FanOut is the simulator: it replays one record stream through N
+// policy lanes in lockstep (N = 1 simulates a single policy). The
+// policy-independent front (direction predictor, RAS, indirect
 // predictor, fetch reconstruction, warm-up accounting) is evaluated once
 // per record and its decisions — the coalesced I-cache access list, the
-// wrong-path block list, the BTB probe — are applied to every lane.
+// wrong-path block list, the BTB probe — are queued in a decision chunk
+// that every lane replays lane-major (chunk.go).
 //
 // Because no front component observes cache or BTB state, each lane sees
-// exactly the sequence of accesses it would derive as a standalone
-// Engine, and lanes never observe each other; the fused replay is
+// exactly the sequence of accesses it would derive in a one-lane
+// fan-out, and lanes never observe each other; the fused replay is
 // therefore bit-identical to N independent per-policy replays of the
 // same stream. TestFanOutMatchesPerPolicy pins this contract.
 //
@@ -26,62 +31,120 @@ import (
 type FanOut struct {
 	front *front
 	lanes []lane
-	// chunks are the decision chunks replays fill: the serial path uses
-	// the first, the checkpoint-parallel path up to poolChunks. They are
-	// allocated on first use and kept for the FanOut's lifetime.
+	// chunks are the decision chunks replays fill. NewFanOut allocates
+	// the first, which queues Process's records and the serial stream's;
+	// the checkpoint-parallel stream circulates up to poolChunks,
+	// allocated on its first use. Between calls every chunk is empty
+	// except the first, which holds what Process queued and no replay
+	// has consumed yet.
 	chunks []*decChunk
 }
 
-// NewFanOut builds a fused simulator driving one lane per element of
-// kinds (duplicates allowed — each gets an independent lane). The
-// warm-up limit applies to all lanes, exactly as it would to N separate
-// engines built with the same limit. Lanes track no efficiency
-// matrices: fan-out results never expose them.
+// NewFanOut builds a simulator driving one lane per element of kinds
+// (duplicates allowed — each gets an independent lane). warmupLimit is
+// the number of leading instructions excluded from every lane's
+// statistics; use WarmupFor to derive it from a trace length per the
+// paper's rule. Lanes track no efficiency matrices unless
+// TrackEfficiency turns them on.
 func NewFanOut(cfg Config, kinds []PolicyKind, warmupLimit uint64) (*FanOut, error) {
 	if len(kinds) == 0 {
 		return nil, fmt.Errorf("frontend: fan-out needs at least one policy")
 	}
-	f, lanes, err := newSim(cfg, kinds)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	f, err := newFront(cfg)
 	if err != nil {
 		return nil, err
 	}
-	fo := &FanOut{front: f, lanes: lanes}
+	lanes, err := newLanes(cfg, kinds)
+	if err != nil {
+		return nil, err
+	}
+	fo := &FanOut{front: f, lanes: lanes, chunks: []*decChunk{newDecChunk()}}
 	fo.Reset(warmupLimit)
 	return fo, nil
 }
 
 // Reset puts the fan-out back into exactly the state NewFanOut builds
 // for warmupLimit — the front's predictors, RAS, fetcher and counters,
-// and every lane's cache, BTB, policy tables, seeds, history and
-// prefetch filter — in place and without allocating. The configuration
-// and lane roster stay those given to NewFanOut.
-// TestFanOutResetMatchesFresh pins the equivalence.
+// every lane's cache, BTB, policy tables, seeds, history and prefetch
+// filter, and the queue of unreplayed records — in place and without
+// allocating. The configuration, the lane roster and efficiency
+// tracking stay as they were. TestFanOutResetMatchesFresh pins the
+// equivalence.
 //
 //ghrp:hotpath
 func (fo *FanOut) Reset(warmupLimit uint64) {
-	resetSim(fo.front, fo.lanes, warmupLimit)
-}
-
-// chunkPool returns the fan-out's first n decision chunks, allocating
-// any that do not exist yet.
-func (fo *FanOut) chunkPool(n int) []*decChunk {
-	for len(fo.chunks) < n {
-		fo.chunks = append(fo.chunks, newDecChunk())
+	fo.front.reset(warmupLimit)
+	for i := range fo.lanes {
+		fo.lanes[i].reset(fo.front.warm)
 	}
-	return fo.chunks[:n]
+	fo.chunks[0].reset()
 }
 
-// Process consumes one branch record, advancing every lane.
+// TrackEfficiency turns on every lane's I-cache and BTB efficiency
+// matrices (the Fig. 1 and Fig. 5 heat maps), which lanes otherwise do
+// not pay for. Call it before the first record; Reset clears the
+// matrices and leaves tracking on.
+func (fo *FanOut) TrackEfficiency() {
+	for i := range fo.lanes {
+		fo.lanes[i].icache.TrackEfficiency()
+		fo.lanes[i].ibtb.TrackEfficiency()
+	}
+}
+
+// ICache returns lane i's I-cache. Like BTB and GHRP it shows the
+// records replayed so far: call Flush first to include queued ones.
+func (fo *FanOut) ICache(i int) *cache.Cache { return &fo.lanes[i].icache }
+
+// BTB returns lane i's BTB.
+func (fo *FanOut) BTB(i int) *btb.BTB { return &fo.lanes[i].ibtb }
+
+// GHRP returns lane i's GHRP I-cache policy, or nil if the lane runs
+// another policy.
+func (fo *FanOut) GHRP(i int) *core.ICachePolicy { return fo.lanes[i].ghrp }
+
+// Process consumes one branch record: the front decides it at once and
+// queues its decisions, which the lanes replay when the queue fills or
+// on Flush.
+//
+//ghrp:hotpath
 func (fo *FanOut) Process(r trace.Record) {
-	stepRecord(fo.front, fo.lanes, r)
+	ch := fo.chunks[0]
+	fo.front.decide(r, &fo.front.dec)
+	ch.push(&fo.front.dec)
+	if ch.full() {
+		fo.replay(ch)
+	}
+}
+
+// Flush replays every queued record on every lane.
+//
+//ghrp:hotpath
+func (fo *FanOut) Flush() {
+	if ch := fo.chunks[0]; !ch.empty() {
+		fo.replay(ch)
+	}
+}
+
+// replay advances every lane through ch, then empties it.
+//
+//ghrp:hotpath
+func (fo *FanOut) replay(ch *decChunk) {
+	for i := range fo.lanes {
+		fo.lanes[i].replay(ch)
+	}
+	ch.reset()
 }
 
 // Instructions returns total instructions processed so far.
 func (fo *FanOut) Instructions() uint64 { return fo.front.instrs }
 
-// Results snapshots the per-lane statistics, in the order the policy
-// kinds were given to NewFanOut.
+// Results flushes the queue and snapshots the per-lane statistics, in
+// the order the policy kinds were given to NewFanOut.
 func (fo *FanOut) Results() []Result {
+	fo.Flush()
 	out := make([]Result, len(fo.lanes))
 	for i := range fo.lanes {
 		out[i] = makeResult(fo.front, &fo.lanes[i])
@@ -92,30 +155,31 @@ func (fo *FanOut) Results() []Result {
 // StreamProgram re-emits a program's deterministic record stream
 // straight into the fan-out, with no intermediate record buffer; the
 // replay cost is one program interpretation regardless of lane count.
+// Because workload.Emit is deterministic for a (program, seed, target)
+// triple, repeated streams replay the identical trace GenerateRecords
+// would buffer.
 //
-// Internally the stream runs lane-major: the front's decisions are
-// serialized into chunks (chunk.go) and each lane replays a whole chunk
-// per activation, which keeps one specialized replay body and one
-// lane's tables hot at a time instead of cycling through all of them
-// every record. The result is bit-identical to record-major Process
-// calls; TestFanOutMatchesPerPolicy and the chunking equivalence tests
-// pin that.
-func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, opts StreamOptions) ([]Result, error) {
-	every := opts.ProgressEvery
-	if every == 0 {
-		every = DefaultProgressEvery
+// workers bounds the goroutines lane replay is spread over; it is
+// clamped to the lane count, and one or less replays on the calling
+// goroutine. Results are bit-identical for every worker count.
+func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, workers int, opts StreamOptions) ([]Result, error) {
+	if workers > len(fo.lanes) {
+		workers = len(fo.lanes)
 	}
-	ch := fo.chunkPool(1)[0]
-	ch.reset() // an aborted earlier stream may have left records behind
+	if workers > 1 {
+		return fo.streamParallel(prog, seed, target, workers, opts)
+	}
+	every := opts.every()
+	ch := fo.chunks[0]
 	var n uint64
+	// The per-record body is Process inlined by hand: it runs for every
+	// record of every workload, and a call per record costs measurable
+	// throughput here.
 	_, err := workload.Emit(prog, seed, target, func(r trace.Record) error {
 		fo.front.decide(r, &fo.front.dec)
 		ch.push(&fo.front.dec)
 		if ch.full() {
-			for i := range fo.lanes {
-				fo.lanes[i].replay(ch)
-			}
-			ch.reset()
+			fo.replay(ch)
 		}
 		if opts.Progress != nil {
 			n++
@@ -128,20 +192,17 @@ func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, opt
 	if err != nil {
 		return nil, err
 	}
-	for i := range fo.lanes {
-		fo.lanes[i].replay(ch)
-	}
 	return fo.Results(), nil
 }
 
 // SimulateFanOut executes a workload program once and replays it under
 // every given policy in lockstep. It returns one Result per kind, each
-// bit-identical to what SimulateProgramStream would produce for that
-// kind alone with the same warm-up limit.
+// bit-identical to what a one-lane fan-out of that kind would produce
+// with the same warm-up limit.
 func SimulateFanOut(cfg Config, kinds []PolicyKind, prog *workload.Program, seed, target, warmupLimit uint64, opts StreamOptions) ([]Result, error) {
 	fo, err := NewFanOut(cfg, kinds, warmupLimit)
 	if err != nil {
 		return nil, err
 	}
-	return fo.StreamProgram(prog, seed, target, opts)
+	return fo.StreamProgram(prog, seed, target, 1, opts)
 }

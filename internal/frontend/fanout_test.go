@@ -1,8 +1,12 @@
 package frontend
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
+	"ghrpsim/internal/trace"
 	"ghrpsim/internal/workload"
 )
 
@@ -73,7 +77,7 @@ func TestFanOutMatchesPerPolicy(t *testing.T) {
 
 // TestFanOutDuplicateKinds checks that duplicate lanes are independent
 // and identical: two GHRP lanes in one fan-out must match each other and
-// the standalone engine.
+// a one-lane fan-out.
 func TestFanOutDuplicateKinds(t *testing.T) {
 	prog := fanOutProgram(t)
 	cfg := smallConfig()
@@ -95,7 +99,7 @@ func TestFanOutDuplicateKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fused[0] != solo {
-		t.Errorf("fused GHRP diverges from standalone engine:\n fused: %+v\n  solo: %+v", fused[0], solo)
+		t.Errorf("fused GHRP diverges from a one-lane fan-out:\n fused: %+v\n  solo: %+v", fused[0], solo)
 	}
 }
 
@@ -112,5 +116,139 @@ func TestFanOutRejectsBadInputs(t *testing.T) {
 	bad.ICache.SizeBytes = 0
 	if _, err := NewFanOut(bad, []PolicyKind{PolicyLRU}, 0); err == nil {
 		t.Error("invalid config accepted")
+	}
+}
+
+// TestFanOutChunkBoundaries pins that where a record stream is cut into
+// decision chunks cannot change a result: Process with a Flush after
+// every record, after every k records or only at the end, and
+// StreamProgram at one and several workers, all give identical Results.
+// The warm-up limit makes the flip land on the last record of the first
+// chunk, so the flip is replayed at a chunk's edge. Records Process
+// queued before a stream are replayed ahead of it on either path.
+func TestFanOutChunkBoundaries(t *testing.T) {
+	prog := fanOutProgram(t)
+	cfg := smallConfig()
+	cfg.WrongPath = WrongPathInject
+	const target = 400_000
+	recs, err := GenerateRecords(prog, 1, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) < 2*chunkRecords {
+		t.Fatalf("%d records; need at least two chunks", len(recs))
+	}
+	warm, err := CountInstructions(recs[:chunkRecords], cfg.InstrBytes, uint64(cfg.ICache.BlockBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := []PolicyKind{PolicyLRU, PolicySDBP, PolicyGHRP}
+	newFanOut := func() *FanOut {
+		fo, err := NewFanOut(cfg, kinds, warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fo
+	}
+	fo := newFanOut()
+	for i, r := range recs[:chunkRecords] {
+		fo.Process(r)
+		if fo.front.warm != (i < chunkRecords-1) {
+			t.Fatalf("warm-up flip is not on record %d", chunkRecords-1)
+		}
+	}
+
+	process := func(recs []trace.Record, flushEvery int) []Result {
+		fo := newFanOut()
+		for i, r := range recs {
+			fo.Process(r)
+			if flushEvery > 0 && (i+1)%flushEvery == 0 {
+				fo.Flush()
+			}
+		}
+		return fo.Results()
+	}
+	check := func(name string, got, want []Result) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: lane %d (%v) diverges from a flush at the end:\n got: %+v\nwant: %+v", name, i, kinds[i], got[i], want[i])
+			}
+		}
+	}
+	want := process(recs, 0)
+	for _, k := range []int{1, 3, 1000, chunkRecords - 1, chunkRecords, chunkRecords + 1} {
+		check(fmt.Sprintf("flush every %d", k), process(recs, k), want)
+	}
+	for _, workers := range []int{1, 2, 3} {
+		got, err := simulateSplit(cfg, kinds, prog, target, warm, workers, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("StreamProgram workers=%d", workers), got, want)
+	}
+
+	prefix := recs[:chunkRecords/2]
+	wantPrefixed := process(append(slices.Clip(prefix), recs...), 0)
+	for _, workers := range []int{1, 3} {
+		fo := newFanOut()
+		for _, r := range prefix {
+			fo.Process(r)
+		}
+		got, err := fo.StreamProgram(prog, 1, target, workers, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("queued records, then StreamProgram workers=%d", workers), got, wantPrefixed)
+	}
+}
+
+// TestFanOutEfficiencyMatchesSolo pins efficiency tracking under
+// fusion: every lane of a PaperPolicies fan-out reports the I-cache and
+// BTB efficiency matrices a one-lane fan-out of its kind reports, on a
+// first stream and, after a Reset, on a second stream of another
+// program replayed over two workers.
+func TestFanOutEfficiencyMatchesSolo(t *testing.T) {
+	second, err := workload.Generate(testProfile(33))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig()
+	kinds := PaperPolicies()
+	var fused *FanOut
+	for round, prog := range []*workload.Program{fanOutProgram(t), second} {
+		const target = 60_000
+		total, _, err := CountProgram(cfg, prog, 1, target, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm := cfg.WarmupFor(total)
+		if fused == nil {
+			if fused, err = NewFanOut(cfg, kinds, warm); err != nil {
+				t.Fatal(err)
+			}
+			fused.TrackEfficiency()
+		} else {
+			fused.Reset(warm)
+		}
+		if _, err := fused.StreamProgram(prog, 1, target, round+1, StreamOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		for i, kind := range kinds {
+			solo := soloFanOut(t, cfg, kind, warm)
+			solo.TrackEfficiency()
+			if _, err := solo.StreamProgram(prog, 1, target, 1, StreamOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if solo.ICache(0).MeanEfficiency() == 0 {
+				t.Fatalf("round %d %v: zero I-cache efficiency; tracking is off", round, kind)
+			}
+			if !reflect.DeepEqual(fused.ICache(i).Efficiency(), solo.ICache(0).Efficiency()) {
+				t.Errorf("round %d %v: fused I-cache efficiency differs from a one-lane fan-out's", round, kind)
+			}
+			if !reflect.DeepEqual(fused.BTB(i).Efficiency(), solo.BTB(0).Efficiency()) {
+				t.Errorf("round %d %v: fused BTB efficiency differs from a one-lane fan-out's", round, kind)
+			}
+		}
 	}
 }

@@ -86,18 +86,18 @@ func TestPrefetchStatsUnchangedOnSuite(t *testing.T) {
 			t.Fatalf("%s: count: %v", spec.Name, err)
 		}
 		run := func(oracle bool) Result {
-			e, err := NewEngine(cfg, PolicyLRU, cfg.WarmupFor(total))
+			fo, err := NewFanOut(cfg, []PolicyKind{PolicyLRU}, cfg.WarmupFor(total))
 			if err != nil {
-				t.Fatalf("%s: engine: %v", spec.Name, err)
+				t.Fatalf("%s: fan-out: %v", spec.Name, err)
 			}
 			if oracle {
-				e.lanes[0].pref = newMapPrefetchSet()
+				fo.lanes[0].pref = newMapPrefetchSet()
 			}
-			res, err := e.StreamProgram(prog, 1, target, StreamOptions{})
+			res, err := fo.StreamProgram(prog, 1, target, 1, StreamOptions{})
 			if err != nil {
 				t.Fatalf("%s: stream: %v", spec.Name, err)
 			}
-			return res
+			return res[0]
 		}
 		filter, oracle := run(false), run(true)
 		if filter != oracle {

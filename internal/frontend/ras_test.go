@@ -93,11 +93,7 @@ func TestEngineRASAccuracyOnCleanTrace(t *testing.T) {
 	// Synthetic traces have perfectly matched calls/returns up to task
 	// caps and the depth limit, so RAS accuracy must be high.
 	recs := testRecords(t, 60_000)
-	e, err := NewEngine(DefaultConfig(), PolicyLRU, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := e.Run(recs)
+	res := replayRecords(t, DefaultConfig(), PolicyLRU, 0, recs)
 	if res.RAS.Pops == 0 {
 		t.Fatal("no returns processed")
 	}

@@ -81,7 +81,7 @@ func TestFanOutReuseMatchesFresh(t *testing.T) {
 					} else {
 						reused.Reset(warm)
 					}
-					got, err := reused.StreamProgramParallel(prog, 1, target, workers, StreamOptions{})
+					got, err := reused.StreamProgram(prog, 1, target, workers, StreamOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -89,7 +89,7 @@ func TestFanOutReuseMatchesFresh(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := fresh.StreamProgramParallel(prog, 1, target, workers, StreamOptions{})
+					want, err := fresh.StreamProgram(prog, 1, target, workers, StreamOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -131,7 +131,7 @@ func TestFanOutResetMatchesFresh(t *testing.T) {
 				if i == len(progs)-1 {
 					opts = abort
 				}
-				if _, err := fo.StreamProgram(prog, 1, target, opts); err != nil && i != len(progs)-1 {
+				if _, err := fo.StreamProgram(prog, 1, target, 1, opts); err != nil && i != len(progs)-1 {
 					t.Fatal(err)
 				}
 			}
@@ -147,6 +147,16 @@ func TestFanOutResetMatchesFresh(t *testing.T) {
 	}
 }
 
+// requireChunksEmpty fails unless every decision chunk of fo is empty.
+func requireChunksEmpty(t *testing.T, fo *FanOut) {
+	t.Helper()
+	for i, ch := range fo.chunks {
+		if !ch.empty() || len(ch.accesses) != 0 {
+			t.Fatalf("decision chunk %d not empty: %d records, %d accesses", i, len(ch.recs), len(ch.accesses))
+		}
+	}
+}
+
 // statePart is one named component of a fan-out's state.
 type statePart struct {
 	name      string
@@ -155,10 +165,12 @@ type statePart struct {
 
 // requireSameState compares two fan-outs' simulation state. The front's
 // scratch slices are compared by length only (Reset keeps their
-// capacity), and lanes' bound step functions by nothing: they are fixed
-// at construction.
+// capacity), decision chunks by emptiness, and lanes' bound replay
+// functions by nothing: they are fixed at construction.
 func requireSameState(t *testing.T, got, want *FanOut) {
 	t.Helper()
+	requireChunksEmpty(t, got)
+	requireChunksEmpty(t, want)
 	gf, wf := *got.front, *want.front
 	for _, f := range []*front{&gf, &wf} {
 		if len(f.spans) != 0 || len(f.accesses) != 0 {
@@ -178,7 +190,7 @@ func requireSameState(t *testing.T, got, want *FanOut) {
 	}
 	for i := range want.lanes {
 		gl, wl := got.lanes[i], want.lanes[i]
-		gl.step, gl.replay, wl.step, wl.replay = nil, nil, nil, nil
+		gl.replay, wl.replay = nil, nil
 		name := fmt.Sprintf("lane %d (%v)", i, wl.kind)
 		parts = append(parts,
 			statePart{name + " I-cache", gl.icache, wl.icache},
@@ -193,8 +205,9 @@ func requireSameState(t *testing.T, got, want *FanOut) {
 }
 
 // A progress callback that panics mid-way through a parallel replay must
-// not leave lane workers running: after recovering, the same fan-out
-// Resets and replays exactly like a fresh one (under -race, a straggler
+// not leave lane workers running or a decision chunk filled: after
+// recovering, the same fan-out Resets and replays exactly like a fresh
+// one (under -race, a straggler
 // touching the lanes would also be reported).
 func TestFanOutParallelPanicStopsWorkers(t *testing.T) {
 	prog := fanOutProgram(t)
@@ -210,7 +223,7 @@ func TestFanOutParallelPanicStopsWorkers(t *testing.T) {
 				t.Fatal("progress panic did not propagate")
 			}
 		}()
-		fo.StreamProgramParallel(prog, 1, 400_000, 3, StreamOptions{ProgressEvery: 64,
+		fo.StreamProgram(prog, 1, 400_000, 3, StreamOptions{ProgressEvery: 64,
 			Progress: func(records, _ uint64) error {
 				if records > 2*chunkRecords {
 					panic("boom")
@@ -218,8 +231,9 @@ func TestFanOutParallelPanicStopsWorkers(t *testing.T) {
 				return nil
 			}})
 	}()
+	requireChunksEmpty(t, fo)
 	fo.Reset(10_000)
-	got, err := fo.StreamProgramParallel(prog, 1, 150_000, 3, StreamOptions{})
+	got, err := fo.StreamProgram(prog, 1, 150_000, 3, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +241,7 @@ func TestFanOutParallelPanicStopsWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.StreamProgram(prog, 1, 150_000, StreamOptions{})
+	want, err := fresh.StreamProgram(prog, 1, 150_000, 1, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

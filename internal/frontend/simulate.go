@@ -22,6 +22,14 @@ type StreamOptions struct {
 	ProgressEvery uint64
 }
 
+// every returns the effective progress interval.
+func (o StreamOptions) every() uint64 {
+	if o.ProgressEvery == 0 {
+		return DefaultProgressEvery
+	}
+	return o.ProgressEvery
+}
+
 // CountInstructions walks a record slice with a fetch reconstructor and
 // returns the total instruction count it implies.
 func CountInstructions(recs []trace.Record, instrBytes, blockBytes uint64) (uint64, error) {
@@ -45,10 +53,7 @@ func CountProgram(cfg Config, prog *workload.Program, seed, target uint64, opts 
 	if err != nil {
 		return 0, 0, err
 	}
-	every := opts.ProgressEvery
-	if every == 0 {
-		every = DefaultProgressEvery
-	}
+	every := opts.every()
 	var total, n uint64
 	_, err = workload.Emit(prog, seed, target, func(r trace.Record) error {
 		total += f.Next(r, nil)
@@ -64,64 +69,15 @@ func CountProgram(cfg Config, prog *workload.Program, seed, target uint64, opts 
 	return total, n, nil
 }
 
-// SimulateRecords runs one policy over a pre-generated record slice,
-// deriving the warm-up window from the records themselves.
-func SimulateRecords(cfg Config, kind PolicyKind, recs []trace.Record) (Result, error) {
-	total, err := CountInstructions(recs, cfg.InstrBytes, uint64(cfg.ICache.BlockBytes))
-	if err != nil {
-		return Result{}, err
-	}
-	e, err := NewEngine(cfg, kind, cfg.WarmupFor(total))
-	if err != nil {
-		return Result{}, err
-	}
-	return e.Run(recs), nil
-}
-
-// StreamProgram re-emits a program's deterministic record stream
-// straight into the engine, with no intermediate record buffer. Because
-// workload.Emit is deterministic for a (program, seed, target) triple,
-// repeated streams replay the identical trace the buffered
-// GenerateRecords path would produce.
-func (e *Engine) StreamProgram(prog *workload.Program, seed, target uint64, opts StreamOptions) (Result, error) {
-	every := opts.ProgressEvery
-	if every == 0 {
-		every = DefaultProgressEvery
-	}
-	var n uint64
-	_, err := workload.Emit(prog, seed, target, func(r trace.Record) error {
-		e.Process(r)
-		if opts.Progress != nil {
-			n++
-			if n%every == 0 {
-				return opts.Progress(n, e.front.instrs)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	return e.Result(), nil
-}
-
-// SimulateProgramStream builds an engine with an explicit warm-up limit
-// and streams the program through it. Pair it with CountProgram to
-// derive the warm-up from the stream's actual instruction count, which
-// makes the result bit-identical to the buffered SimulateRecords path.
+// SimulateProgramStream is SimulateFanOut for a single policy. Pair
+// it with CountProgram to derive the warm-up limit from the stream's
+// actual instruction count.
 func SimulateProgramStream(cfg Config, kind PolicyKind, prog *workload.Program, seed, target, warmupLimit uint64, opts StreamOptions) (Result, error) {
-	e, err := NewEngine(cfg, kind, warmupLimit)
+	res, err := SimulateFanOut(cfg, []PolicyKind{kind}, prog, seed, target, warmupLimit, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	return e.StreamProgram(prog, seed, target, opts)
-}
-
-// SimulateProgram executes a synthesized program for target instructions,
-// streaming records straight into a fresh engine (no intermediate record
-// buffer). The warm-up window is derived from the target.
-func SimulateProgram(cfg Config, kind PolicyKind, prog *workload.Program, seed, target uint64) (Result, error) {
-	return SimulateProgramStream(cfg, kind, prog, seed, target, cfg.WarmupFor(target), StreamOptions{})
+	return res[0], nil
 }
 
 // GenerateRecords executes a program once and returns its record stream,

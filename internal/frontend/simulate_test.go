@@ -41,8 +41,9 @@ func TestCountProgramMatchesBuffered(t *testing.T) {
 }
 
 // Streaming replay with a CountProgram-derived warm-up must be
-// bit-identical to the buffered SimulateRecords path.
-func TestStreamMatchesSimulateRecords(t *testing.T) {
+// bit-identical to replaying the buffered records with a warm-up
+// counted from them.
+func TestStreamMatchesBufferedRecords(t *testing.T) {
 	cfg := DefaultConfig()
 	prog, target := streamTestProgram(t)
 	recs, err := GenerateRecords(prog, 1, target)
@@ -55,10 +56,7 @@ func TestStreamMatchesSimulateRecords(t *testing.T) {
 	}
 	warm := cfg.WarmupFor(total)
 	for _, kind := range PaperPolicies() {
-		want, err := SimulateRecords(cfg, kind, recs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := simulateRecords(t, cfg, kind, recs)
 		got, err := SimulateProgramStream(cfg, kind, prog, 1, target, warm, StreamOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -69,20 +67,21 @@ func TestStreamMatchesSimulateRecords(t *testing.T) {
 	}
 }
 
-// SimulateProgram remains the target-derived-warm-up convenience.
-func TestSimulateProgramDelegates(t *testing.T) {
+// SimulateProgramStream is SimulateFanOut with a one-kind roster.
+func TestSimulateProgramStreamDelegates(t *testing.T) {
 	cfg := DefaultConfig()
 	prog, target := streamTestProgram(t)
-	want, err := SimulateProgramStream(cfg, PolicyGHRP, prog, 1, target, cfg.WarmupFor(target), StreamOptions{})
+	warm := cfg.WarmupFor(target)
+	want, err := SimulateFanOut(cfg, []PolicyKind{PolicyGHRP}, prog, 1, target, warm, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SimulateProgram(cfg, PolicyGHRP, prog, 1, target)
+	got, err := SimulateProgramStream(cfg, PolicyGHRP, prog, 1, target, warm, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Errorf("SimulateProgram diverged from explicit-warm-up stream")
+	if got != want[0] {
+		t.Errorf("SimulateProgramStream diverged from a one-lane SimulateFanOut")
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 const hotPathMarker = "//ghrp:hotpath"
 
 // HotAlloc statically enforces the zero-allocation contract on the
-// replay hot path. Functions annotated //ghrp:hotpath — stepRecord, the
+// replay hot path. Functions annotated //ghrp:hotpath — FanOut.Process, the
 // per-lane access step, the prefetch filter, the perceptron
 // predict/update round trip — run once or more per branch record;
 // testing.AllocsPerRun pins their allocation count at test time, and

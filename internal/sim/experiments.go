@@ -438,8 +438,8 @@ type HeatmapResult struct {
 // ComputeHeatmaps simulates one workload under each policy on the given
 // configuration and renders the selected structure's efficiency matrix.
 // The paper uses a 16KB 8-way I-cache (Fig. 1) and a 256-entry 8-way BTB
-// (Fig. 5). The workload's stream is re-emitted per policy rather than
-// buffered.
+// (Fig. 5). One fused fan-out replays the workload's stream under every
+// policy, so the program executes once, not once per policy.
 func ComputeHeatmaps(cfg frontend.Config, st Structure, spec workload.Spec, instrs uint64, kinds []frontend.PolicyKind, rows, colWidth int) ([]HeatmapResult, error) {
 	prog, err := spec.Generate()
 	if err != nil {
@@ -449,20 +449,21 @@ func ComputeHeatmaps(cfg frontend.Config, st Structure, spec workload.Spec, inst
 	if err != nil {
 		return nil, err
 	}
+	fo, err := frontend.NewFanOut(cfg, kinds, cfg.WarmupFor(total))
+	if err != nil {
+		return nil, err
+	}
+	fo.TrackEfficiency()
+	if _, err := fo.StreamProgram(prog, 1, instrs, 1, frontend.StreamOptions{}); err != nil {
+		return nil, err
+	}
 	var out []HeatmapResult
-	for _, k := range kinds {
-		e, err := frontend.NewEngine(cfg, k, cfg.WarmupFor(total))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := e.StreamProgram(prog, 1, instrs, frontend.StreamOptions{}); err != nil {
-			return nil, err
-		}
+	for i, k := range kinds {
 		var eff [][]float64
 		if st == BTB {
-			eff = e.BTB().Efficiency()
+			eff = fo.BTB(i).Efficiency()
 		} else {
-			eff = e.ICache().Efficiency()
+			eff = fo.ICache(i).Efficiency()
 		}
 		out = append(out, HeatmapResult{
 			Policy:   k,

@@ -122,9 +122,8 @@ func headroomWorkload(opts Options, spec workload.Spec) (lru, optMPKI float64, p
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	// Count the stream once and share the warm-up window across
-	// policies instead of re-counting inside SimulateRecords per
-	// policy.
+	// Count the stream once and share the warm-up window across the
+	// policies and the OPT pass.
 	total, err := frontend.CountInstructions(recs, opts.Config.InstrBytes, uint64(opts.Config.ICache.BlockBytes))
 	if err != nil {
 		return 0, 0, nil, err
@@ -142,12 +141,7 @@ func headroomWorkload(opts Options, spec workload.Spec) (lru, optMPKI float64, p
 			lru = res.ICacheMPKI()
 		}
 	}
-	blocks, total, err := frontend.BlockStream(recs, opts.Config)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	warm = opts.Config.WarmupFor(total)
-	skip, err := frontend.AccessIndexAt(recs, opts.Config, warm)
+	blocks, skip, err := frontend.BlockStream(recs, opts.Config, warm)
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -160,9 +154,9 @@ func headroomWorkload(opts Options, spec workload.Spec) (lru, optMPKI float64, p
 
 // headroomPolicyResult produces one (workload, policy) cell for the
 // headroom report, consulting and filling the result cache when one is
-// attached. The buffered e.Run replay over the same stream and warm-up
-// window is bit-identical to RunContext's streaming replay, so the two
-// entry points share cache entries.
+// attached. A one-lane fan-out replaying the buffered stream under the
+// same warm-up window is bit-identical to RunContext's streaming
+// replay, so the two entry points share cache entries.
 func headroomPolicyResult(opts Options, spec workload.Spec, k frontend.PolicyKind, target, warm uint64, recs []trace.Record) (frontend.Result, error) {
 	var key resultcache.Key
 	if opts.Cache != nil {
@@ -175,11 +169,14 @@ func headroomPolicyResult(opts Options, spec workload.Spec, k frontend.PolicyKin
 			return res, nil
 		}
 	}
-	e, err := frontend.NewEngine(opts.Config, k, warm)
+	fo, err := frontend.NewFanOut(opts.Config, []frontend.PolicyKind{k}, warm)
 	if err != nil {
 		return frontend.Result{}, err
 	}
-	res := e.Run(recs)
+	for _, r := range recs {
+		fo.Process(r)
+	}
+	res := fo.Results()[0]
 	if opts.Cache != nil {
 		if err := opts.Cache.Put(key, res); err != nil {
 			return frontend.Result{}, err

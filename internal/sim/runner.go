@@ -59,9 +59,9 @@ type Options struct {
 	// policies costs policy work, not extra executor passes. When the
 	// suite has fewer workloads than Parallelism, the surplus is spent
 	// inside each task: lane replay splits across Parallelism/tasks
-	// goroutines (FanOut.StreamProgramParallel), so a few long workloads
-	// still use the whole machine. Results are bit-identical at any
-	// setting. Defaults to GOMAXPROCS.
+	// goroutines (FanOut.StreamProgram's workers), so a few long
+	// workloads still use the whole machine. Results are bit-identical
+	// at any setting. Defaults to GOMAXPROCS.
 	Parallelism int
 	// ExecSeed seeds workload execution (fixed across policies so every
 	// policy replays the identical trace). The zero value means "unset"
@@ -289,7 +289,8 @@ type runState struct {
 	observe obs.Observer
 	// laneWorkers is the per-task lane-replay width: the parallelism
 	// left over after one worker per workload has been provisioned.
-	// Above one, fused replays run through StreamProgramParallel.
+	// Above one, fused replays of several lanes run on that many
+	// goroutines.
 	laneWorkers int
 }
 
@@ -744,12 +745,7 @@ func (r *runState) runTask(ctx context.Context, t task, sw *simWorker) error {
 	if err != nil {
 		return err
 	}
-	var results []frontend.Result
-	if r.laneWorkers > 1 && len(missing) > 1 {
-		results, err = fo.StreamProgramParallel(st.prog, opts.ExecSeed, target, r.laneWorkers, so)
-	} else {
-		results, err = fo.StreamProgram(st.prog, opts.ExecSeed, target, so)
-	}
+	results, err := fo.StreamProgram(st.prog, opts.ExecSeed, target, r.laneWorkers, so)
 	if err != nil {
 		return w.fault(err)
 	}

@@ -90,17 +90,14 @@ func TestExecSeedZeroRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := frontend.SimulateRecords(frontend.DefaultConfig(), frontend.PolicyLRU, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := bufferedResult(t, frontend.DefaultConfig(), frontend.PolicyLRU, recs)
 	if got := m.Raw[0].Results[0]; got != ref {
 		t.Errorf("seed-0 run diverged from buffered seed-0 replay:\n got %+v\nwant %+v", got, ref)
 	}
 }
 
-// The streaming runner must be bit-identical to the old buffered
-// GenerateRecords + SimulateRecords path on the whole tiny suite.
+// The streaming runner must be bit-identical to the buffered
+// GenerateRecords + bufferedResult path on the whole tiny suite.
 func TestStreamingMatchesBuffered(t *testing.T) {
 	opts := tinyOptions()
 	m, err := Run(opts)
@@ -118,10 +115,7 @@ func TestStreamingMatchesBuffered(t *testing.T) {
 			t.Fatal(err)
 		}
 		for pi, k := range m.Policies {
-			ref, err := frontend.SimulateRecords(cfg, k, recs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := bufferedResult(t, cfg, k, recs)
 			if got := m.Raw[wi].Results[pi]; got != ref {
 				t.Errorf("%s/%v: streaming result diverged\n got %+v\nwant %+v", spec.Name, k, got, ref)
 			}

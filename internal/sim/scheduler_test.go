@@ -10,11 +10,32 @@ import (
 	"ghrpsim/internal/frontend"
 	"ghrpsim/internal/obs"
 	"ghrpsim/internal/resultcache"
+	"ghrpsim/internal/trace"
 	"ghrpsim/internal/workload"
 )
 
+// bufferedResult replays a buffered record stream under one policy the
+// obviously-correct way: count its instructions, then feed every record
+// to a one-lane fan-out built with the warm-up window that count
+// implies.
+func bufferedResult(t *testing.T, cfg frontend.Config, kind frontend.PolicyKind, recs []trace.Record) frontend.Result {
+	t.Helper()
+	total, err := frontend.CountInstructions(recs, cfg.InstrBytes, uint64(cfg.ICache.BlockBytes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fo, err := frontend.NewFanOut(cfg, []frontend.PolicyKind{kind}, cfg.WarmupFor(total))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		fo.Process(r)
+	}
+	return fo.Results()[0]
+}
+
 // serialReference simulates opts the slow, obviously-correct way: one
-// buffered GenerateRecords + SimulateRecords pass per (workload, policy)
+// buffered GenerateRecords + bufferedResult pass per (workload, policy)
 // cell, strictly in order, no scheduler involved.
 func serialReference(t *testing.T, opts Options) [][]frontend.Result {
 	t.Helper()
@@ -35,11 +56,7 @@ func serialReference(t *testing.T, opts Options) [][]frontend.Result {
 		}
 		out[wi] = make([]frontend.Result, len(opts.Policies))
 		for pi, k := range opts.Policies {
-			res, err := frontend.SimulateRecords(opts.Config, k, recs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[wi][pi] = res
+			out[wi][pi] = bufferedResult(t, opts.Config, k, recs)
 		}
 	}
 	return out
