@@ -17,9 +17,8 @@ vet:
 # (DESIGN.md "Static analysis"): wall-clock reads in deterministic
 # packages, math/rand global state, nondeterministic map iteration,
 # heap allocations transitively reachable from //ghrp:hotpath roots,
-# nondeterminism flowing into identity sinks, and the goroutine-leak /
-# context-propagation / lock-held-across-blocking concurrency rules.
-# Stdlib-only; diagnostics are suppressed per line with
+# and nondeterminism flowing into identity sinks. Stdlib-only;
+# diagnostics are suppressed per line with
 # //ghrplint:ignore <analyzer> <reason>. The gate fails only on
 # findings absent from the checked-in lint.baseline (and on baseline
 # entries that went stale).

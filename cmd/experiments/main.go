@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments [-run all|table1|fig1|fig2|fig3|fig5|fig6|fig7|fig8|fig9|fig10|fig11|headline|ablations]
+//	experiments [-run all|table1|fig1|fig2|fig3|fig5|fig6|fig7|fig8|fig9|fig10|fig11|headline|headroom|extended|ablations]
 //	            [-n workloads] [-scale f] [-parallel n] [-progress] [-cache-dir DIR]
 //	            [-timeout d] [-task-timeout d] [-stall-timeout d] [-retries n] [-keep-going]
 //	            [-cpuprofile FILE] [-memprofile FILE]
@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -48,6 +49,14 @@ import (
 	"ghrpsim/internal/sim"
 	"ghrpsim/internal/workload"
 )
+
+// experimentIDs are the -run values main dispatches on besides "all".
+// "all" covers the paper artifacts; headroom and extended are explicit
+// extras (run with -run headroom / -run extended).
+var experimentIDs = []string{
+	"table1", "fig1", "fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+	"headline", "headroom", "extended", "ablations",
+}
 
 func main() {
 	var (
@@ -66,13 +75,15 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if *run != "all" && !slices.Contains(experimentIDs, *run) {
+		fmt.Fprintf(os.Stderr, "experiments: unknown -run %q; valid ids: all, %s\n", *run, strings.Join(experimentIDs, ", "))
+		os.Exit(2)
+	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	fail(err)
 	profStop = stopProf
 	defer stopProf()
-	// "all" covers the paper artifacts; headroom and extended are
-	// explicit extras (run with -run headroom / -run extended).
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -1,6 +1,7 @@
-// Command ghrplint runs ghrpsim's determinism, hot-path, identity and
-// concurrency analyzers over the given package patterns (default
-// ./...).
+// Command ghrplint runs ghrpsim's five analyzers over the given
+// package patterns (default ./...): detwallclock, detrand and maprange
+// guard replay determinism, hotalloc the zero-allocation hot path, and
+// identtaint result identity.
 //
 // Exit code contract (relied on by make ci and the baseline gate):
 //

@@ -1040,6 +1040,10 @@ func (c *Coordinator) probe(rctx context.Context) {
 			pctx, cancel := context.WithTimeout(rctx, timeout)
 			doc, err := w.Client.Health(pctx)
 			cancel()
+			if rctx.Err() != nil {
+				// Cut short by the run's end: no verdict on the worker.
+				return
+			}
 			if err == nil && !doc.Draining {
 				if w.reinstate() {
 					c.emit(obs.Event{Kind: obs.WorkerReinstate, Worker: w.Name})

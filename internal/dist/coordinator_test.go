@@ -3,8 +3,11 @@ package dist
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -324,6 +327,85 @@ func TestCoordinatorHedgeWinsOverStalledDispatch(t *testing.T) {
 	if got := rec.count(obs.WorkloadDone); got != 4 {
 		t.Errorf("WorkloadDone events = %d, want 4 (hedging must not double-report)", got)
 	}
+	// The loser must be cancelled as a lost hedge when the winner
+	// completes, and joined; left stalled until the run ends, its
+	// dispatch would fail and be charged to its worker.
+	for _, w := range c.Workers() {
+		w.mu.Lock()
+		fails := w.fails
+		w.mu.Unlock()
+		if fails != 0 {
+			t.Errorf("worker %s has %d consecutive failures, want 0", w.Name, fails)
+		}
+	}
+	requireNoCoordinatorGoroutines(t)
+}
+
+// TestCoordinatorCancelMidRun cancels the run's context while a
+// dispatch is stalled on an unresponsive worker: Run must give up
+// promptly with the context's error and leave no coordinator goroutine
+// behind.
+func TestCoordinatorCancelMidRun(t *testing.T) {
+	w0 := newWorkerServer(t)
+	faults := faultinject.New(
+		faultinject.Rule{Op: faultinject.OpDistSlow, Nth: 1, Action: faultinject.Stall},
+	)
+	opts := testOpts(WorkerSpec{URL: w0.URL})
+	opts.Faults = faults
+	opts.DisableLocal = true // no local lane to finish the suite around the stall
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Run(ctx)
+		errc <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); faults.Fired(faultinject.OpDistSlow) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled dispatch never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run after cancel: %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return within 5s of its context being cancelled")
+	}
+	requireNoCoordinatorGoroutines(t)
+}
+
+// requireNoCoordinatorGoroutines polls the goroutine dump for up to
+// about a second until no goroutine has a Coordinator frame, and fails
+// with the survivors' stacks otherwise. Run joins everything it starts,
+// so once it has returned any such goroutine is a leak.
+func requireNoCoordinatorGoroutines(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	var leaked []string
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+		leaked = leaked[:0]
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "dist.(*Coordinator)") {
+				leaked = append(leaked, g)
+			}
+		}
+		if len(leaked) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			break
+		}
+	}
+	t.Fatalf("%d goroutine(s) still in the coordinator after Run returned:\n%s", len(leaked), strings.Join(leaked, "\n\n"))
 }
 
 // flakyWorker proxies to a real worker but answers garbage 502s while

@@ -2,25 +2,25 @@
 // go/types information the lint loader already produces — no
 // golang.org/x/tools, no SSA. It is the substrate the interprocedural
 // analyzers (hotalloc's transitive hot-path propagation, the identity
-// taint tracker, the concurrency rules) walk.
+// taint tracker) walk.
 //
 // Resolution strategy, from precise to conservative:
 //
-//   - Static: plain function calls and concrete method calls resolve to
-//     their one callee.
-//   - TypeParam: a method call on a type-parameter receiver (the
-//     cache.AccessWith / btb.AccessWith shape) is resolved once per
-//     concrete instantiation of the enclosing generic function. Nested
-//     generic calls (AccessWith instantiating installWith with its own
-//     type parameter) are closed over by a substitution fixpoint, so an
-//     instantiation discovered anywhere in the module flows through the
-//     whole generic call chain.
-//   - Interface: a call through an interface fans out to every module
-//     named type that implements the interface (by value or pointer
-//     receiver). External implementations are invisible — the analyzers
-//     that need soundness against them must say so in their docs.
-//   - FuncValue: a call through a function value fans out to every
-//     address-taken module function with an identical signature.
+//   - Plain function calls and concrete method calls resolve to their
+//     one callee.
+//   - A method call on a type-parameter operand (the cache.AccessWith /
+//     btb.AccessWith shape) is resolved once per concrete instantiation
+//     of the enclosing generic function. Nested generic calls
+//     (AccessWith instantiating installWith with its own type parameter)
+//     are closed over by a substitution fixpoint, so an instantiation
+//     discovered anywhere in the module flows through the whole generic
+//     call chain.
+//   - A call through an interface fans out to every module named type
+//     that implements the interface (by value or pointer receiver).
+//     External implementations are invisible — the analyzers that need
+//     soundness against them must say so in their docs.
+//   - A call through a function value fans out to every address-taken
+//     module function with an identical signature.
 //
 // Known approximation: function literals (closures) are not graph
 // nodes; a call through a closure value resolves to nothing. The
@@ -47,51 +47,11 @@ type Unit struct {
 	Info  *types.Info
 }
 
-// EdgeKind says how a call edge was resolved.
-type EdgeKind uint8
-
-const (
-	// Static is a direct call to a named function or concrete method.
-	Static EdgeKind = iota
-	// TypeParam is a method call on a type-parameter receiver, resolved
-	// through a concrete instantiation of the enclosing generic function.
-	TypeParam
-	// Interface is the conservative fan-out of an interface method call
-	// to every implementing module type.
-	Interface
-	// FuncValue is the conservative fan-out of a call through a function
-	// value to every address-taken module function of the same signature.
-	FuncValue
-)
-
-func (k EdgeKind) String() string {
-	switch k {
-	case Static:
-		return "static"
-	case TypeParam:
-		return "typeparam"
-	case Interface:
-		return "interface"
-	case FuncValue:
-		return "funcvalue"
-	}
-	return "unknown"
-}
-
 // Edge is one resolved call site: Caller calls Callee at Pos.
 type Edge struct {
 	Caller *Node
 	Callee *Node
-	Kind   EdgeKind
 	Pos    token.Pos
-}
-
-// ExtCall records a static call from a module function to a function
-// outside the module (standard library); those have no Node, but the
-// concurrency and taint analyzers still need to see them.
-type ExtCall struct {
-	Fn  *types.Func
-	Pos token.Pos
 }
 
 // Node is one module function with a body.
@@ -100,12 +60,8 @@ type Node struct {
 	Decl *ast.FuncDecl
 	Unit *Unit
 	Out  []*Edge
-	In   []*Edge
-	// External lists static calls to non-module functions, in source
-	// order.
-	External []ExtCall
 	// AddressTaken marks functions referenced outside call position —
-	// the candidate targets of FuncValue fan-out.
+	// the candidate targets of function-value fan-out.
 	AddressTaken bool
 }
 
@@ -210,20 +166,18 @@ type builder struct {
 	fvSites []fvSite
 }
 
-func (b *builder) edge(from, to *Node, kind EdgeKind, pos token.Pos) {
+func (b *builder) edge(from, to *Node, pos token.Pos) {
 	k := edgeKey{from.Func, to.Func, pos}
 	if b.seen[k] {
 		return
 	}
 	b.seen[k] = true
-	e := &Edge{Caller: from, Callee: to, Kind: kind, Pos: pos}
-	from.Out = append(from.Out, e)
-	to.In = append(to.In, e)
+	from.Out = append(from.Out, &Edge{Caller: from, Callee: to, Pos: pos})
 }
 
-// collect walks one function body, recording static edges, external
-// calls, dynamic call sites for later resolution, generic
-// instantiations, and address-taken function references.
+// collect walks one function body, recording static edges, dynamic
+// call sites for later resolution, generic instantiations, and
+// address-taken function references.
 func (b *builder) collect(n *Node) {
 	info := n.Unit.Info
 	// Idents that are the operator of a call: references to functions
@@ -307,9 +261,14 @@ func (b *builder) staticCall(n *Node, call *ast.CallExpr, fn *types.Func) {
 		if p, ok := rt.(*types.Pointer); ok {
 			rt = p.Elem()
 		}
-		if tp, ok := rt.(*types.TypeParam); ok {
-			b.tpSites = append(b.tpSites, tpSite{caller: n, tp: tp, name: fn.Name(), pos: call.Pos()})
-			return
+		// go/types gives a method selected on a type parameter its
+		// constraint interface as receiver, so the type parameter only
+		// shows in the operand's type.
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			if tp, ok := n.Unit.Info.TypeOf(sel.X).(*types.TypeParam); ok {
+				b.tpSites = append(b.tpSites, tpSite{caller: n, tp: tp, name: fn.Name(), pos: call.Pos()})
+				return
+			}
 		}
 		if types.IsInterface(rt) {
 			if iface, ok := rt.Underlying().(*types.Interface); ok {
@@ -318,11 +277,8 @@ func (b *builder) staticCall(n *Node, call *ast.CallExpr, fn *types.Func) {
 			}
 		}
 	}
-	orig := fn.Origin()
-	if callee := b.g.Node(orig); callee != nil {
-		b.edge(n, callee, Static, call.Pos())
-	} else {
-		n.External = append(n.External, ExtCall{Fn: orig, Pos: call.Pos()})
+	if callee := b.g.Node(fn); callee != nil {
+		b.edge(n, callee, call.Pos())
 	}
 }
 
@@ -483,9 +439,7 @@ func (b *builder) resolveTypeParams() {
 				continue
 			}
 			if callee := b.g.Node(m); callee != nil {
-				b.edge(s.caller, callee, TypeParam, s.pos)
-			} else {
-				s.caller.External = append(s.caller.External, ExtCall{Fn: m.Origin(), Pos: s.pos})
+				b.edge(s.caller, callee, s.pos)
 			}
 		}
 	}
@@ -526,7 +480,7 @@ func (b *builder) resolveInterfaces(units []*Unit) {
 				continue
 			}
 			if callee := b.g.Node(m); callee != nil {
-				b.edge(s.caller, callee, Interface, s.pos)
+				b.edge(s.caller, callee, s.pos)
 			}
 		}
 	}
@@ -547,7 +501,7 @@ func (b *builder) resolveFuncValues() {
 			if !ok || !types.Identical(sig, s.sig) { // Identical ignores receivers
 				continue
 			}
-			b.edge(s.caller, n, FuncValue, s.pos)
+			b.edge(s.caller, n, s.pos)
 		}
 	}
 }

@@ -1,18 +1,17 @@
 // Package lint is ghrpsim's in-tree static analysis suite. The
 // simulator's headline guarantees — bit-identical replay across
 // scheduler shapes, deterministic seeding, a zero-allocation hot path,
-// a concurrent serving stack that neither leaks goroutines nor lets
-// nondeterminism reach content-addressed identities — are invariants
-// the Go compiler cannot see; each analyzer here turns one of them into
-// a machine-checked rule that `make lint` (and so `make ci`) enforces
-// on every non-test file in the module.
+// and no nondeterminism reaching content-addressed identities — are
+// invariants the Go compiler cannot see; each analyzer here turns one
+// of them into a machine-checked rule that `make lint` (and so `make
+// ci`) enforces on every non-test file in the module.
 //
 // The suite is built on the standard library alone: packages are
 // enumerated with `go list -json -deps` and type-checked from source
 // with go/parser + go/types, so it needs neither golang.org/x/tools nor
 // a network-reachable module cache. The interprocedural analyzers
-// (hotalloc, identtaint, ctxflow, lockblock) walk a whole-module call
-// graph built by the callgraph subpackage.
+// (hotalloc, identtaint) walk a whole-module call graph built by the
+// callgraph subpackage.
 //
 // A diagnostic can be suppressed at the offending line (or the line
 // directly above it) with
@@ -103,7 +102,7 @@ func (p *Pass) PackageOf(n *callgraph.Node) *Package { return p.byUnit[n.Unit] }
 
 // All returns the full analyzer suite in its documentation order.
 func All() []*Analyzer {
-	return []*Analyzer{DetWallClock, DetRand, MapRange, HotAlloc, IdentTaint, GoroLeak, CtxFlow, LockBlock}
+	return []*Analyzer{DetWallClock, DetRand, MapRange, HotAlloc, IdentTaint}
 }
 
 // Select resolves a comma-separated analyzer-name list against All().
@@ -340,18 +339,3 @@ var deterministicPackages = map[string]bool{
 // deterministic reports whether the package is part of the
 // deterministic core.
 func deterministic(p *Package) bool { return deterministicPackages[p.Name] }
-
-// concurrencyPackages names the packages the concurrency analyzers
-// (goroleak, ctxflow, lockblock) apply to: the serving daemon, the
-// distributed coordinator/transport, and the observer fan-out — the
-// places goroutines, locks and network I/O meet. Keyed by package name
-// so fixtures opt in the same way the deterministic set works.
-var concurrencyPackages = map[string]bool{
-	"serve": true,
-	"dist":  true,
-	"obs":   true,
-}
-
-// concurrent reports whether the package is in the concurrency
-// analyzers' scope.
-func concurrent(p *Package) bool { return concurrencyPackages[p.Name] }

@@ -25,9 +25,6 @@ var fixtureDirs = []string{
 	"./testdata/src/hotalloc_deep",
 	"./testdata/src/hotalloc_generic",
 	"./testdata/src/identtaint",
-	"./testdata/src/goroleak",
-	"./testdata/src/ctxflow",
-	"./testdata/src/lockblock",
 	"./testdata/src/suppress",
 	"./testdata/src/stale",
 }
@@ -130,9 +127,6 @@ func TestHotAllocFixture(t *testing.T)       { checkFixture(t, "hotalloc") }
 func TestHotAllocDeepChains(t *testing.T)    { checkFixture(t, "hotalloc_deep") }
 func TestHotAllocGenerics(t *testing.T)      { checkFixture(t, "hotalloc_generic") }
 func TestIdentTaintFixture(t *testing.T)     { checkFixture(t, "identtaint") }
-func TestGoroLeakFixture(t *testing.T)       { checkFixture(t, "goroleak") }
-func TestCtxFlowFixture(t *testing.T)        { checkFixture(t, "ctxflow") }
-func TestLockBlockFixture(t *testing.T)      { checkFixture(t, "lockblock") }
 
 // TestStaleDirective asserts suppression hygiene both ways: the
 // directive that still suppresses a diagnostic stays silent, the one
@@ -178,6 +172,9 @@ func TestSelect(t *testing.T) {
 	}
 	if _, err := Select("nosuch"); err == nil {
 		t.Error("Select(nosuch) should fail")
+	}
+	if _, err := Select("lockblock"); err == nil {
+		t.Error("Select(lockblock) should fail: the analyzer was removed")
 	}
 	if _, err := Select(" , "); err == nil {
 		t.Error("Select of an empty list should fail")
