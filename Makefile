@@ -62,12 +62,15 @@ fault-smoke:
 	$(GO) test -race -run 'TestFault' ./internal/sim/
 	$(GO) test -race ./internal/faultinject/
 
-# fuzz-smoke runs each trace-format fuzz target briefly (native Go
-# fuzzing); the checked-in corpus under internal/trace/testdata/fuzz also
-# replays as ordinary test cases in `make test`.
+# fuzz-smoke runs each fuzz target briefly (native Go fuzzing): the
+# trace format, and the daemon's untrusted inputs — POST /runs bodies
+# and generated-suite grids. The checked-in corpora under each package's
+# testdata/fuzz also replay as ordinary test cases in `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzSuiteGenValidate$$' -fuzztime $(FUZZTIME) ./internal/workload/
 
 # golden-update rewrites the golden files: the renderer goldens under
 # internal/sim/testdata and the daemon's run-status API document under

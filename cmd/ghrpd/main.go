@@ -15,10 +15,12 @@
 //
 // Admission control: -slots bounds concurrent job executions, -queue
 // the jobs accepted beyond that; an overflowing submission is answered
-// with HTTP 429. SIGINT/SIGTERM drains gracefully — intake stops
-// (503), queued and running jobs get -drain to finish, stragglers are
-// cancelled — and job failures of any kind (panics, deadlines, stalls)
-// surface as a failed run status, never as daemon death.
+// with HTTP 429. -slots below 1 or a negative -queue, -job-parallelism,
+// -max-cells or -max-runs exits 2 before the daemon starts.
+// SIGINT/SIGTERM drains gracefully — intake stops (503), queued and
+// running jobs get -drain to finish, stragglers are cancelled — and job
+// failures of any kind (panics, deadlines, stalls) surface as a failed
+// run status, never as daemon death.
 //
 // -smoke runs the daemon's end-to-end self-test instead of serving:
 // bind an ephemeral port, submit one tiny run over real HTTP, stream
@@ -63,9 +65,13 @@ func main() {
 		announce = flag.Bool("announce", false, "print the base URL to stdout once listening (for spawning coordinators)")
 	)
 	flag.Parse()
+	if err := checkFlags(*slots, *queue, *jobPar, *maxCells, *maxRuns); err != nil {
+		fmt.Fprintln(os.Stderr, "ghrpd:", err)
+		os.Exit(2)
+	}
 	logger := log.New(os.Stderr, "ghrpd: ", log.LstdFlags)
 
-	if *jobPar <= 0 {
+	if *jobPar == 0 {
 		*jobPar = runtime.GOMAXPROCS(0) / *slots
 		if *jobPar < 1 {
 			*jobPar = 1
@@ -130,6 +136,24 @@ func main() {
 	logger.Printf("signal received, draining (budget %s)", *drain)
 	shutdown(srv, httpSrv, *drain)
 	logger.Print("drained, bye")
+}
+
+// checkFlags rejects sizing flags the daemon cannot honour: fewer than
+// one slot, or a negative count where 0 already means the default or
+// "unlimited".
+func checkFlags(slots, queue, jobPar, maxCells, maxRuns int) error {
+	if slots < 1 {
+		return fmt.Errorf("-slots %d: need at least 1", slots)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"queue", queue}, {"job-parallelism", jobPar}, {"max-cells", maxCells}, {"max-runs", maxRuns}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s %d: must not be negative", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // shutdown drains the serving layer (intake off, jobs finish or are

@@ -208,11 +208,18 @@ func normalize(req RunRequest, d Defaults) (job, error) {
 		if req.SuiteN != 0 {
 			return j, badRequestf("serve: workloads and suite_n are mutually exclusive")
 		}
+		// One suite build per request: a 1 MiB body names ~100k
+		// workloads, and workload.Find rebuilds the suite per name.
+		suite := workload.Suite()
+		byName := make(map[string]workload.Spec, len(suite))
+		for _, s := range suite {
+			byName[s.Name] = s
+		}
 		specs := make([]workload.Spec, len(req.Workloads))
 		for i, name := range req.Workloads {
-			spec, err := workload.Find(name)
-			if err != nil {
-				return j, &errBadRequest{err}
+			spec, ok := byName[name]
+			if !ok {
+				return j, badRequestf("serve: unknown workload %q", name)
 			}
 			specs[i] = spec
 		}
@@ -262,9 +269,11 @@ func normalize(req RunRequest, d Defaults) (job, error) {
 	if err := cfg.Validate(); err != nil {
 		return j, &errBadRequest{err}
 	}
-	if d.MaxCells > 0 && source.Len()*len(kinds) > d.MaxCells {
-		return j, badRequestf("serve: request is %d cells (%d workloads x %d policies), daemon limit is %d — shrink suite_n or the policy list",
-			source.Len()*len(kinds), source.Len(), len(kinds), d.MaxCells)
+	// Compared by division: a generated suite's size is any int, and
+	// its product with the policy count can overflow past the limit.
+	if d.MaxCells > 0 && source.Len() > d.MaxCells/len(kinds) {
+		return j, badRequestf("serve: request is %d workloads x %d policies, over the daemon limit of %d cells — shrink suite_n or the policy list",
+			source.Len(), len(kinds), d.MaxCells)
 	}
 
 	parallelism := req.Parallelism

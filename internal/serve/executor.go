@@ -29,10 +29,14 @@ var (
 
 // Executor runs accepted jobs on a fixed pool of slots fed by a bounded
 // queue. Admission control is Submit's job: a full queue is an ErrBusy,
-// never an unbounded backlog. One slot executes one run at a time via
-// sim.RunContext; a panic anywhere in the job path — including the
-// injected executor faults the tests arm — is contained to that run.
+// never an unbounded backlog. One slot executes one run at a time on
+// the executor's sim.Runner, which keeps simulation workers between
+// jobs: a daemon serving shard after shard builds its fan-outs and
+// program generators once, holding at most slots × job parallelism of
+// them. A panic anywhere in the job path — including the injected
+// executor faults the tests arm — is contained to that run.
 type Executor struct {
+	runner   sim.Runner
 	queue    chan *Run
 	quit     chan struct{}
 	drainOne sync.Once
@@ -178,7 +182,7 @@ func (x *Executor) execute(r *Run) {
 	}
 	opts := r.opts
 	opts.Observer = obs.Multi(r.hub.Observe, r.observe)
-	m, err := sim.RunContext(r.ctx, opts)
+	m, err := x.runner.RunContext(r.ctx, opts)
 	x.finish(r, m, err)
 }
 

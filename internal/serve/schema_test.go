@@ -76,6 +76,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"negative scale", `{"suite_n": 1, "scale": -0.5}`, "negative"},
 		{"bad config", `{"suite_n": 1, "config": {"ways": 3}}`, "sets"},
 		{"too many cells", `{"suite_n": 2, "policies": ["LRU", "GHRP", "SRRIP"]}`, "daemon limit"},
+		// Regression: 2^62 workloads x 4 policies wrapped to 0 cells.
+		{"cell count overflow", `{"suite": {"n": 4611686018427387904}, "policies": ["LRU", "LRU", "LRU", "LRU"]}`, "daemon limit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

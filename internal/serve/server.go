@@ -145,14 +145,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, ErrDraining.Error(), "")
 		return
 	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var req RunRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "serve: decoding request: "+err.Error(), "")
-		return
+	var j job
+	req, err := decodeRunRequest(r.Body)
+	if err == nil {
+		j, err = normalize(req, s.dflt)
 	}
-	j, err := normalize(req, s.dflt)
 	if err == nil {
 		// The armed injector reaches into each job's scheduler too, so
 		// tests can fault exact simulation sites through the HTTP path.
@@ -191,6 +188,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusCreated
 	}
 	writeJSON(w, status, SubmitResponse{Created: created, Status: run.status()})
+}
+
+// decodeRunRequest reads a POST /runs body: at most 1 MiB of JSON with
+// no fields RunRequest does not define. A failure is a bad request.
+func decodeRunRequest(body io.Reader) (RunRequest, error) {
+	dec := json.NewDecoder(io.LimitReader(body, 1<<20))
+	dec.DisallowUnknownFields()
+	var req RunRequest
+	if err := dec.Decode(&req); err != nil {
+		return RunRequest{}, badRequestf("serve: decoding request: %w", err)
+	}
+	return req, nil
 }
 
 // handleList is GET /runs: every retained run's status, oldest first.

@@ -598,6 +598,7 @@ func TestFaultTransientAfterGenerationReusesProgram(t *testing.T) {
 	prepared.Faults = midReplayFault(ref, opts, faultinject.Transient)
 	r := newRunState(prepared, func(obs.Event) {})
 	var sw simWorker
+	sw.useConfig(prepared.Config)
 	ctx := context.Background()
 	if err := r.runTaskSafe(ctx, task{0}, &sw); err != nil {
 		t.Fatal(err)
@@ -626,8 +627,8 @@ func TestFaultTransientAfterGenerationReusesProgram(t *testing.T) {
 }
 
 // A worker keeps its fan-out across successful tasks with the same
-// roster, rebuilds it for a different roster, and drops it after any
-// failed attempt.
+// configuration and roster, rebuilds it for a different roster or
+// configuration, and drops it after any failed attempt.
 func TestSimWorkerFanOutLifecycle(t *testing.T) {
 	opts, err := mixedRosterOptions(2).prepare()
 	if err != nil {
@@ -635,6 +636,7 @@ func TestSimWorkerFanOutLifecycle(t *testing.T) {
 	}
 	ctx := context.Background()
 	var sw simWorker
+	sw.useConfig(opts.Config)
 	r := newRunState(opts, func(obs.Event) {})
 	if err := r.runTaskSafe(ctx, task{0}, &sw); err != nil {
 		t.Fatal(err)
@@ -649,14 +651,39 @@ func TestSimWorkerFanOutLifecycle(t *testing.T) {
 	if sw.fo != kept {
 		t.Error("same roster rebuilt the fan-out instead of resetting it")
 	}
-	if fo, err := sw.fanOut(opts.Config, opts.Policies[:1], 0); err != nil || fo == kept {
+	if fo, err := sw.fanOut(opts.Policies[:1], 0); err != nil || fo == kept {
 		t.Errorf("different roster reused the fan-out (err %v)", err)
 	}
+
+	// A run under an equal configuration keeps the fan-out, even when
+	// the equal perceptron history lengths live in another slice; an
+	// in-place edit of the caller's slice afterwards must not make the
+	// kept copy match it.
+	lengths := []int{0, 4, 8, 16}
+	cfg := opts.Config
+	cfg.Branch.HistoryLengths = lengths
+	if sw.useConfig(cfg); sw.fo != nil {
+		t.Error("new history lengths kept the fan-out")
+	}
+	if _, err := sw.fanOut(opts.Policies, 0); err != nil {
+		t.Fatal(err)
+	}
+	kept = sw.fo
+	cfg.Branch.HistoryLengths = []int{0, 4, 8, 16}
+	if sw.useConfig(cfg); sw.fo != kept {
+		t.Error("an equal configuration rebuilt the fan-out")
+	}
+	lengths[1] = 5
+	cfg.Branch.HistoryLengths = lengths
+	if sw.useConfig(cfg); sw.fo != nil {
+		t.Error("history lengths edited in place kept the fan-out")
+	}
+	sw.useConfig(opts.Config)
 
 	for _, act := range []faultinject.Action{faultinject.Panic, faultinject.Transient} {
 		opts.Faults = faultinject.New(faultinject.Rule{Op: faultinject.OpProgress, Nth: 3, Action: act})
 		r := newRunState(opts, func(obs.Event) {})
-		if _, err := sw.fanOut(opts.Config, opts.Policies, 0); err != nil {
+		if _, err := sw.fanOut(opts.Policies, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.runTaskSafe(ctx, task{0}, &sw); err == nil {

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -263,6 +264,55 @@ func Run(opts Options) (*Measurements, error) {
 	return RunContext(context.Background(), opts)
 }
 
+// RunContext runs one suite on a one-shot Runner: the workers it builds
+// live for this run only. See Runner.RunContext.
+func RunContext(ctx context.Context, opts Options) (*Measurements, error) {
+	var rn Runner
+	return rn.RunContext(ctx, opts)
+}
+
+// Runner runs suites on simulation workers it keeps between runs. A
+// worker is a fan-out plus a program generator (simWorker); building
+// one costs a few megabytes of tables, chunks and arenas, so a caller
+// that runs many small suites — a daemon running shard after shard —
+// holds one Runner and pays that once per concurrent worker instead of
+// once per run. The package-level RunContext is a one-shot Runner, so
+// both go through the same code.
+//
+// A Runner is safe for concurrent use. It never holds more workers than
+// the most its runs have used at once. Reuse does not change results: a
+// worker rebuilds its fan-out when the run's frontend.Config or policy
+// roster differs from the one it was built for, and a failed attempt
+// discards it. The zero value is ready to use.
+type Runner struct {
+	mu   sync.Mutex
+	idle []*simWorker
+}
+
+// take hands out an idle worker, or a new one, ready for a run under
+// cfg.
+func (rn *Runner) take(cfg frontend.Config) *simWorker {
+	rn.mu.Lock()
+	var sw *simWorker
+	if n := len(rn.idle); n > 0 {
+		sw, rn.idle = rn.idle[n-1], rn.idle[:n-1]
+	}
+	rn.mu.Unlock()
+	if sw == nil {
+		sw = &simWorker{}
+	}
+	sw.useConfig(cfg)
+	return sw
+}
+
+// put returns a worker whose task loop has ended: every program it
+// generated has been released by finishTask.
+func (rn *Runner) put(sw *simWorker) {
+	rn.mu.Lock()
+	rn.idle = append(rn.idle, sw)
+	rn.mu.Unlock()
+}
+
 // task is one unit of scheduler work: one workload, replayed under every
 // policy that the result cache could not answer, in a single fused
 // traversal.
@@ -295,13 +345,16 @@ type runState struct {
 }
 
 // simWorker is one worker goroutine's reusable simulator: the fan-out it
-// built for the roster of policies it last fused. Consecutive tasks with
-// the same roster reset it in place instead of reallocating lanes,
-// tables and decision chunks; a different roster (a partial result-cache
-// hit) rebuilds it, and a failed attempt drops it, so no state from an
-// aborted replay can reach the next task.
+// built for the configuration and roster of policies it last fused.
+// Consecutive tasks with the same roster reset it in place instead of
+// reallocating lanes, tables and decision chunks; a different roster (a
+// partial result-cache hit) rebuilds it, and a failed attempt drops it,
+// so no state from an aborted replay can reach the next task. A worker
+// outlives its run when a Runner keeps it, so the next run may bring a
+// different configuration: useConfig drops the fan-out then.
 type simWorker struct {
 	fo    *frontend.FanOut
+	cfg   frontend.Config // what fo was built for; owns its slices
 	kinds []frontend.PolicyKind
 	// gen generates every program the worker runs into storage reused
 	// across workloads. A workload's attempts all run on this worker and
@@ -310,16 +363,31 @@ type simWorker struct {
 	gen workload.Generator
 }
 
+// useConfig readies the worker for a run under cfg, dropping a fan-out
+// built for any other configuration. The comparison is deep because
+// Config holds slices (the perceptron's HistoryLengths): a false
+// mismatch only costs a rebuild, a false match would replay under the
+// wrong tables. The kept copy owns its slices, so a caller mutating its
+// Config after the run cannot make a stale fan-out look current.
+func (sw *simWorker) useConfig(cfg frontend.Config) {
+	if sw.fo != nil && reflect.DeepEqual(sw.cfg, cfg) {
+		return
+	}
+	sw.drop()
+	cfg.Branch.HistoryLengths = slices.Clone(cfg.Branch.HistoryLengths)
+	sw.cfg = cfg
+}
+
 // fanOut returns a fan-out in its freshly built state for kinds and the
 // warm-up limit, reusing the worker's previous one when the roster
-// matches.
-func (sw *simWorker) fanOut(cfg frontend.Config, kinds []frontend.PolicyKind, warmupLimit uint64) (*frontend.FanOut, error) {
+// matches. The configuration is the run's, fixed by useConfig.
+func (sw *simWorker) fanOut(kinds []frontend.PolicyKind, warmupLimit uint64) (*frontend.FanOut, error) {
 	if sw.fo != nil && slices.Equal(sw.kinds, kinds) {
 		sw.fo.Reset(warmupLimit)
 		return sw.fo, nil
 	}
 	sw.drop()
-	fo, err := frontend.NewFanOut(cfg, kinds, warmupLimit)
+	fo, err := frontend.NewFanOut(sw.cfg, kinds, warmupLimit)
 	if err != nil {
 		return nil, err
 	}
@@ -331,7 +399,8 @@ func (sw *simWorker) fanOut(cfg frontend.Config, kinds []frontend.PolicyKind, wa
 func (sw *simWorker) drop() { sw.fo, sw.kinds = nil, nil }
 
 // RunContext simulates every workload under every policy. The schedule
-// is a queue of workload tasks drained by Options.Parallelism workers.
+// is a queue of workload tasks drained by Options.Parallelism workers,
+// taken from the Runner and returned to it when the run ends.
 // Each task executes its workload's program exactly once and feeds the
 // record stream to every policy the result cache could not answer in
 // lockstep (frontend.FanOut), so executor interpretation costs
@@ -354,7 +423,7 @@ func (sw *simWorker) drop() { sw.fo, sw.kinds = nil, nil }
 // are re-attempted up to Options.MaxRetries times with deterministic
 // backoff; and Options.KeepGoing turns cell failures into annotations
 // on the returned Measurements instead of a nil result.
-func RunContext(ctx context.Context, opts Options) (*Measurements, error) {
+func (rn *Runner) RunContext(ctx context.Context, opts Options) (*Measurements, error) {
 	opts, err := opts.prepare()
 	if err != nil {
 		return nil, err
@@ -390,14 +459,15 @@ func RunContext(ctx context.Context, opts Options) (*Measurements, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var sw simWorker
+			sw := rn.take(opts.Config)
 			for t := range tasks {
 				err := ctx.Err()
 				if err == nil {
-					err = r.runTaskRetrying(ctx, t, &sw)
+					err = r.runTaskRetrying(ctx, t, sw)
 				}
 				r.finishTask(ctx, t.wi, err)
 			}
+			rn.put(sw)
 		}()
 	}
 	wg.Wait()
@@ -741,7 +811,7 @@ func (r *runState) runTask(ctx context.Context, t task, sw *simWorker) error {
 			return nil
 		},
 	}
-	fo, err := sw.fanOut(opts.Config, kinds, st.warm)
+	fo, err := sw.fanOut(kinds, st.warm)
 	if err != nil {
 		return err
 	}

@@ -3,10 +3,13 @@ package sim
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"ghrpsim/internal/faultinject"
 	"ghrpsim/internal/frontend"
 	"ghrpsim/internal/obs"
 	"ghrpsim/internal/workload"
@@ -246,5 +249,167 @@ func TestRunEmitsEvents(t *testing.T) {
 	}
 	if counts[obs.WorkloadFailed] != 0 {
 		t.Errorf("%d WorkloadFailed events", counts[obs.WorkloadFailed])
+	}
+}
+
+// reuseOptions is a small generated grid run on one worker, ticking
+// often enough that a run can be cancelled mid-replay.
+func reuseOptions() Options {
+	return Options{
+		Source:        workload.SuiteGen{N: 6, FootprintMin: 0.2, FootprintMax: 1.0},
+		Scale:         0.01,
+		Parallelism:   1,
+		ProgressEvery: 256,
+	}
+}
+
+// requireSameRaw fails unless got and want hold the same specs, cells
+// and completion flags, with failures at the same workloads. Errors are
+// compared by presence only: a PanicError carries its goroutine stack.
+func requireSameRaw(t *testing.T, step string, got, want *Measurements) {
+	t.Helper()
+	if len(got.Raw) != len(want.Raw) {
+		t.Fatalf("%s: %d workloads, want %d", step, len(got.Raw), len(want.Raw))
+	}
+	for wi := range want.Raw {
+		g, w := got.Raw[wi], want.Raw[wi]
+		if (g.Err != nil) != (w.Err != nil) {
+			t.Errorf("%s: workload %d: Err %v, want %v", step, wi, g.Err, w.Err)
+		}
+		g.Err, w.Err = nil, nil
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: workload %d (%s) diverged from a fresh run\n got %+v\nwant %+v", step, wi, w.Spec.Name, g.Results, w.Results)
+		}
+	}
+}
+
+// requireIdle checks what one-worker runs leave in the Runner: exactly
+// one idle worker, holding a fan-out unless the run's last attempt
+// failed, which must drop it.
+func requireIdle(t *testing.T, step string, rn *Runner, wantFanOut bool) {
+	t.Helper()
+	if len(rn.idle) != 1 {
+		t.Fatalf("%s: Runner holds %d idle workers, want 1", step, len(rn.idle))
+	}
+	if has := rn.idle[0].fo != nil; has != wantFanOut {
+		t.Errorf("%s: idle worker holds a fan-out: %v, want %v", step, has, wantFanOut)
+	}
+}
+
+// One Runner's workers outlive each run: a new configuration with the
+// same roster, a roster subset, a cancelled run and a panicking task
+// must leave every later completed run bit-identical to a fresh
+// RunContext on the same options.
+func TestRunnerReuseMatchesFresh(t *testing.T) {
+	var rn Runner
+	ctx := context.Background()
+	check := func(step string, opts Options, fresh func() Options) {
+		t.Helper()
+		got, err := rn.RunContext(ctx, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		want, err := RunContext(ctx, fresh())
+		if err != nil {
+			t.Fatalf("%s fresh: %v", step, err)
+		}
+		requireSameRaw(t, step, got, want)
+	}
+	same := func(opts Options) func() Options { return func() Options { return opts } }
+
+	paper := reuseOptions()
+	check("paper config", paper, same(paper))
+	requireIdle(t, "paper config", &rn, true)
+
+	// Same roster, different configuration: every table the fan-out
+	// sizes from Config changes, so a reused fan-out would replay under
+	// the wrong geometry and predictors.
+	other := reuseOptions()
+	other.Config = frontend.DefaultConfig()
+	other.Config.ICache = frontend.ICacheConfig{SizeBytes: 16 * 1024, BlockBytes: 64, Ways: 4}
+	other.Config.GHRP.NumTables = 2
+	other.Config.Branch.HistoryLengths = []int{0, 4, 9, 17, 33}
+	check("other config", other, same(other))
+
+	subset := reuseOptions()
+	subset.Policies = []frontend.PolicyKind{frontend.PolicyGHRP, frontend.PolicyLRU}
+	check("roster subset", subset, same(subset))
+
+	// Cancel once the second workload is mid-replay: its aborted attempt
+	// must drop the fan-out before the worker goes back.
+	cancelled := reuseOptions()
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	cancelled.Observer = func(e obs.Event) {
+		if e.Kind == obs.Tick && e.WorkloadIndex == 1 {
+			cancel()
+		}
+	}
+	if _, err := rn.RunContext(cctx, cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
+	}
+	requireIdle(t, "cancelled run", &rn, false)
+
+	// A panic in the last task (one worker, one OpTask per workload).
+	// Faults count their calls, so each run gets its own injector.
+	panicking := func() Options {
+		opts := reuseOptions()
+		opts.KeepGoing = true
+		n := uint64(opts.Source.Len())
+		opts.Faults = faultinject.New(faultinject.Rule{Op: faultinject.OpTask, Nth: n, Action: faultinject.Panic})
+		return opts
+	}
+	check("panicking task", panicking(), panicking)
+	requireIdle(t, "panicking task", &rn, false)
+
+	check("paper config again", paper, same(paper))
+	requireIdle(t, "paper config again", &rn, true)
+}
+
+// A warm Runner's second identical run allocates a small fraction of
+// the first's: the fan-out and generator arenas are built once. Runs
+// sharing a Runner concurrently hold no more workers than they use at
+// once.
+func TestRunnerReusesWorkers(t *testing.T) {
+	// One worker, so the warm run's tasks land on the worker that built
+	// for them in the cold run; with two, either may pick up a task.
+	opts := Options{
+		Source:      workload.SuiteGen{N: 8, FootprintMin: 0.2, FootprintMax: 1.0},
+		Scale:       0.002,
+		Parallelism: 1,
+	}
+	var rn Runner
+	allocs := func() uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := rn.RunContext(context.Background(), opts); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	cold, warm := allocs(), allocs()
+	if warm*4 >= cold {
+		t.Errorf("warm run allocated %d bytes, cold %d: want under a quarter", warm, cold)
+	}
+	if len(rn.idle) != 1 {
+		t.Errorf("Runner holds %d idle workers after two 1-worker runs, want 1", len(rn.idle))
+	}
+
+	opts.Parallelism = 2
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := rn.RunContext(context.Background(), opts); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(rn.idle); n < 2 || n > 6 {
+		t.Errorf("Runner holds %d idle workers after three concurrent 2-worker runs, want 2..6", n)
 	}
 }

@@ -115,7 +115,8 @@ func (g SuiteGen) Validate() error {
 	if !(g.FootprintMin > 0) || math.IsInf(g.FootprintMin, 0) {
 		return fmt.Errorf("workload: suite gen footprint_min %v must be a positive finite multiplier", g.FootprintMin)
 	}
-	if g.FootprintMax < g.FootprintMin || math.IsInf(g.FootprintMax, 0) {
+	// Negated so a NaN bound fails too.
+	if !(g.FootprintMax >= g.FootprintMin) || math.IsInf(g.FootprintMax, 0) {
 		return fmt.Errorf("workload: suite gen footprint bounds [%v, %v] invalid", g.FootprintMin, g.FootprintMax)
 	}
 	if g.FootprintSteps < 1 {
@@ -129,8 +130,8 @@ func (g SuiteGen) Validate() error {
 		}
 		total += v
 	}
-	if total <= 0 {
-		return fmt.Errorf("workload: suite gen mix weights sum to zero")
+	if total <= 0 || math.IsInf(total, 0) {
+		return fmt.Errorf("workload: suite gen mix weights must have a positive finite sum, got %+v", g.Mix)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -130,6 +131,10 @@ func TestSuiteGenValidate(t *testing.T) {
 		{N: 1, FootprintMin: 2, FootprintMax: 1},
 		{N: 1, FootprintSteps: -2},
 		{N: 1, Mix: Mix{ShortMobile: -1}},
+		{N: 1, FootprintMin: 0.5, FootprintMax: math.NaN()},
+		// Finite weights whose sum overflows: every draw would fall
+		// through to the last category.
+		{N: 1, Mix: Mix{ShortMobile: math.MaxFloat64, LongServer: math.MaxFloat64}},
 	}
 	for _, g := range bad {
 		if err := g.WithDefaults().Validate(); err == nil {
