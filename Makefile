@@ -63,14 +63,17 @@ fault-smoke:
 	$(GO) test -race ./internal/faultinject/
 
 # fuzz-smoke runs each fuzz target briefly (native Go fuzzing): the
-# trace format, and the daemon's untrusted inputs — POST /runs bodies
-# and generated-suite grids. The checked-in corpora under each package's
-# testdata/fuzz also replay as ordinary test cases in `make test`.
+# trace format, the daemon's untrusted inputs — POST /runs bodies and
+# generated-suite grids — and the branch predictor against its
+# reference model over fuzzed geometries. The checked-in corpora under
+# each package's testdata/fuzz also replay as ordinary test cases in
+# `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzSuiteGenValidate$$' -fuzztime $(FUZZTIME) ./internal/workload/
+	$(GO) test -run '^$$' -fuzz '^FuzzPerceptronMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/perceptron/
 
 # golden-update rewrites the golden files: the renderer goldens under
 # internal/sim/testdata and the daemon's run-status API document under

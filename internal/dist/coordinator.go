@@ -171,6 +171,10 @@ type Coordinator struct {
 
 	runCtx context.Context
 	bg     sync.WaitGroup // best-effort loser cancellations
+	// local runs the in-process fallback lane's shards, keeping its sim
+	// workers (fan-outs and program generators) from one shard to the
+	// next instead of building them per shard.
+	local sim.Runner
 
 	mu        sync.Mutex
 	shards    []*shard
@@ -926,7 +930,7 @@ func (c *Coordinator) localLoop(rctx context.Context) {
 			return
 		}
 		c.emit(obs.Event{Kind: obs.ShardLocal, Shard: s.idx, Shards: len(c.shards), Worker: "local", Attempt: s.attempts})
-		doc, err := c.simShard(rctx, s, true)
+		doc, err := c.simShard(rctx, &c.local, s, true)
 		if err != nil {
 			if rctx.Err() != nil {
 				return
@@ -986,10 +990,10 @@ func (c *Coordinator) nextLocal(rctx context.Context) *shard {
 	}
 }
 
-// simShard runs one shard on the in-process scheduler and folds the
-// measurements through the exact wire-shape function a worker would
+// simShard runs one shard on rn, the in-process scheduler, and folds
+// the measurements through the exact wire-shape function a worker would
 // use, so the merged document cannot tell local from remote.
-func (c *Coordinator) simShard(ctx context.Context, s *shard, observe bool) (*serve.ResultDoc, error) {
+func (c *Coordinator) simShard(ctx context.Context, rn *sim.Runner, s *shard, observe bool) (*serve.ResultDoc, error) {
 	opts := sim.Options{
 		Source:        workload.NewRange(c.source, s.lo, s.hi),
 		Config:        c.cfg,
@@ -1012,7 +1016,7 @@ func (c *Coordinator) simShard(ctx context.Context, s *shard, observe bool) (*se
 			c.emit(e)
 		}
 	}
-	m, err := sim.RunContext(ctx, opts)
+	m, err := rn.RunContext(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -1088,7 +1092,9 @@ func (c *Coordinator) hedgeScan(rctx context.Context) {
 // against, byte for byte.
 func (c *Coordinator) Reference(ctx context.Context) (*Merged, error) {
 	full := &shard{idx: 0, lo: 0, hi: len(c.names), names: c.names}
-	doc, err := c.simShard(ctx, full, false)
+	// A one-shot Runner, as sim.RunContext uses: the oracle shares no
+	// workers with the run it checks.
+	doc, err := c.simShard(ctx, new(sim.Runner), full, false)
 	if err != nil {
 		return nil, err
 	}

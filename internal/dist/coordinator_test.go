@@ -285,6 +285,9 @@ func TestCoordinatorAllWorkersDeadLocalFallback(t *testing.T) {
 
 func TestCoordinatorEmptyRosterRunsLocally(t *testing.T) {
 	opts := testOpts() // no workers at all: the deepest degradation rung
+	// Twice the shards of the other tests, so the local lane's Runner
+	// hands the same sim workers to several shards in a row.
+	opts.SuiteN = 8
 	c, err := New(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -17,10 +17,11 @@ import (
 // specialized body runs for chunkRecords records per activation, and a
 // lane's cache, BTB and policy tables stay hot across the burst.
 //
-// A chunk is exactly a reified sequence of stepDecisions, and a lane
-// applies each record's decisions in a fixed order, so where a stream
-// is cut into chunks cannot change a result. The checkpoint-parallel
-// path (fanlog.go) ships these same chunks to worker goroutines.
+// A chunk is exactly a reified sequence of per-record decisions, and a
+// lane applies each record's decisions in a fixed order, so where a
+// stream is cut into chunks cannot change a result. The
+// checkpoint-parallel path (fanlog.go) ships these same chunks to
+// worker goroutines.
 
 // chunkRecords is the record capacity of one chunk: large enough to
 // amortize the per-lane body switch and keep a lane's tables hot,
@@ -36,19 +37,28 @@ const (
 	chunkFlip               // warm-up boundary crossed after this record
 )
 
-// decRec is one record's serialized decisions. The I-cache access list
-// lives flattened in the chunk's shared pool.
+// blockAccess is one I-cache access of a record's fetch group: the
+// block and the PC the access is attributed to.
+type blockAccess struct {
+	block uint64
+	pc    uint64
+}
+
+// decRec is one record's decisions, as front.decide appends them: the
+// policy-independent digest of one branch record — everything a lane
+// needs to advance, and nothing else. Its I-cache access list lives
+// flattened in the chunk's shared pool.
 type decRec struct {
 	accOff    uint32
 	accLen    uint32
 	flags     uint8
-	wrongPC   uint64
-	btbPC     uint64
-	btbTarget uint64
+	wrongPC   uint64 // with chunkInject
+	btbPC     uint64 // with chunkBTB
+	btbTarget uint64 // with chunkBTB
 }
 
-// decChunk holds the decisions of up to chunkRecords records. push
-// copies the access list out of the front's scratch, so a filled chunk
+// decChunk holds the decisions of up to chunkRecords records. decide
+// writes accesses and records into the chunk itself, so a filled chunk
 // is self-contained and safe to hand to another goroutine.
 type decChunk struct {
 	recs     []decRec
@@ -64,34 +74,6 @@ func newDecChunk() *decChunk {
 		// Fetch groups average one to two coalesced accesses per record.
 		accesses: make([]blockAccess, 0, 2*chunkRecords),
 	}
-}
-
-// push serializes one record's decisions into the chunk.
-//
-//ghrp:hotpath
-func (ch *decChunk) push(d *stepDecisions) {
-	var r decRec
-	r.accOff = uint32(len(ch.accesses))
-	r.accLen = uint32(len(d.accesses))
-	//ghrplint:ignore hotalloc chunk buffers keep their capacity across resets; a grow can happen only the first few chunks of a run (access lists denser than the 2x-records presize), after which pushes are allocation-free — TestStreamingAllocsBounded pins the steady state
-	ch.accesses = append(ch.accesses, d.accesses...)
-	if d.warm {
-		r.flags |= chunkWarm
-	}
-	if d.inject {
-		r.flags |= chunkInject
-		r.wrongPC = d.wrongPC
-	}
-	if d.btb {
-		r.flags |= chunkBTB
-		r.btbPC = d.btbPC
-		r.btbTarget = d.btbTarget
-	}
-	if d.flip {
-		r.flags |= chunkFlip
-	}
-	//ghrplint:ignore hotalloc recs is presized to chunkRecords and full() gates the chunk before this append can exceed it
-	ch.recs = append(ch.recs, r)
 }
 
 func (ch *decChunk) full() bool  { return len(ch.recs) >= chunkRecords }

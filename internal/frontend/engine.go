@@ -48,34 +48,13 @@ func (r Result) BranchMPKI() float64 { return r.Branch.MPKI(r.CountedInstrs) }
 // one-lane replays: each lane sees exactly the access, injection and
 // warm-up sequence it would have derived on its own.
 //
-// The split is made explicit by stepDecisions: front.decide distills one
-// record into the four lane-facing operations (coalesced I-cache
-// accesses, optional wrong-path injection, optional BTB probe, optional
-// warm-up flip), decision chunks queue them (chunk.go), and each lane
-// replays a chunk through a body specialized to its concrete policy
-// types. Because the serial and the checkpoint-parallel paths replay
-// the same chunks through the same body, they cannot diverge.
-
-// blockAccess is one pending I-cache access of the current record's
-// fetch group: the block and the PC the access is attributed to.
-type blockAccess struct {
-	block uint64
-	pc    uint64
-}
-
-// stepDecisions is the policy-independent digest of one branch record:
-// everything a lane needs to advance, and nothing else. accesses aliases
-// front scratch and is valid until the next decide call.
-type stepDecisions struct {
-	accesses  []blockAccess
-	warm      bool // warm-up state the lane ops run under (pre-flip)
-	inject    bool // wrong-path pollution after a misprediction
-	wrongPC   uint64
-	btb       bool // taken branch probing the BTB
-	btbPC     uint64
-	btbTarget uint64
-	flip      bool // warm-up boundary crossed at the end of this record
-}
+// The split is made explicit by decision chunks (chunk.go):
+// front.decide distills one record straight into a chunk as the four
+// lane-facing operations (coalesced I-cache accesses, optional
+// wrong-path injection, optional BTB probe, optional warm-up flip), and
+// each lane replays a chunk through a body specialized to its concrete
+// policy types. Because the serial and the checkpoint-parallel paths
+// replay the same chunks through the same body, they cannot diverge.
 
 // front is the policy-independent half of the simulator.
 type front struct {
@@ -95,9 +74,7 @@ type front struct {
 	lastBlock   uint64 // fetch buffer: last I-cache line touched
 	haveLast    bool
 
-	spans    []trace.BlockSpan // scratch: current record's fetch blocks
-	accesses []blockAccess     // scratch: coalesced I-cache accesses
-	dec      stepDecisions     // scratch: current record's decisions
+	branch perceptron.Outcome // scratch: current conditional branch's prediction
 }
 
 // newFront allocates the front's predictors and fetcher. Its warm-up
@@ -138,23 +115,21 @@ func (f *front) reset(warmupLimit uint64) {
 	f.warm = warmupLimit > 0
 	f.instrs, f.counted, f.records = 0, 0, 0
 	f.lastBlock, f.haveLast = 0, false
-	f.spans = f.spans[:0]
-	f.accesses = f.accesses[:0]
-	f.dec = stepDecisions{}
+	f.branch = perceptron.Outcome{}
 }
 
-// decide advances the front by one branch record and fills d with the
-// lane-facing decisions. It touches no lane state; the lanes replay d
-// once it has been queued in a decision chunk.
+// decide advances the front by one branch record and appends its
+// lane-facing decisions to ch, which must not be full. It touches no
+// lane state; the lanes replay the record once ch is replayed.
 //
 //ghrp:hotpath
-func (f *front) decide(r trace.Record, d *stepDecisions) {
+func (f *front) decide(r trace.Record, ch *decChunk) {
 	f.records++
 	preWarm := f.warm
-	d.warm = preWarm
-	d.inject = false
-	d.btb = false
-	d.flip = false
+	var d decRec
+	if preWarm {
+		d.flags = chunkWarm
+	}
 
 	// Fetch-group reconstruction: each distinct block is one I-cache
 	// access whose PC is the first instruction fetched in that block.
@@ -163,49 +138,56 @@ func (f *front) decide(r trace.Record, d *stepDecisions) {
 	// or a short taken branch within the line): they read the fetch
 	// buffer, not the I-cache. Without this, dense basic blocks would
 	// count several I-cache accesses per line and streaming lines would
-	// look "reused". The coalesced access list is policy-independent, so
-	// it is computed once and applied to every lane.
+	// look "reused". Blocks within a group are distinct and ascending,
+	// so only its first block can repeat the previous access. The
+	// coalesced access list is policy-independent, so it is computed
+	// once, appended to the chunk's pool, and applied to every lane.
 	startPC := f.fetcher.PC()
-	var n uint64
-	f.spans, n = f.fetcher.NextSpans(r, f.spans[:0])
-	f.accesses = f.accesses[:0]
-	first := true
-	for i := range f.spans {
-		block := f.spans[i].Block
-		if f.haveLast && block == f.lastBlock {
-			continue
-		}
-		f.lastBlock, f.haveLast = block, true
-		pc := block << f.blockShift
-		if first {
-			// A mid-block fetch begins at the branch target, not the
-			// block base; signatures must see the real entry point.
-			if startPC != 0 && startPC>>f.blockShift == block {
-				pc = startPC
-			} else if startPC == 0 {
-				pc = r.PC
-			}
-			first = false
-		}
-		f.accesses = append(f.accesses, blockAccess{block: block, pc: pc})
+	g := f.fetcher.Advance(r)
+	acc := ch.accesses
+	d.accOff = uint32(len(acc))
+	b := g.First
+	if f.haveLast && b == f.lastBlock {
+		b++
 	}
-	d.accesses = f.accesses
-	f.instrs += n
+	if b <= g.Last {
+		pc := b << f.blockShift
+		// A mid-block fetch begins at the branch target, not the block
+		// base; signatures must see the real entry point.
+		if startPC == 0 {
+			pc = r.PC
+		} else if startPC>>f.blockShift == b {
+			pc = startPC
+		}
+		for {
+			//ghrplint:ignore hotalloc chunk buffers keep their capacity across resets; a grow can happen only the first few chunks of a run (access lists denser than the 2x-records presize), after which decide is allocation-free — TestStreamingAllocsBounded pins the steady state
+			acc = append(acc, blockAccess{block: b, pc: pc})
+			if b == g.Last {
+				break
+			}
+			b++
+			pc = b << f.blockShift
+		}
+		f.lastBlock, f.haveLast = g.Last, true
+	}
+	ch.accesses = acc
+	d.accLen = uint32(len(acc)) - d.accOff
+	f.instrs += g.Instrs
 	if !f.warm {
-		f.counted += n
+		f.counted += g.Instrs
 	}
 
 	// Direction prediction for conditional branches; other transfers
 	// contribute to path history only.
 	if r.Type.Conditional() {
-		o := f.bpred.Predict(r.PC)
-		mispredicted := o.Taken != r.Taken
-		f.bpred.Update(o, r.PC, r.Taken)
+		f.bpred.PredictInto(&f.branch, r.PC)
+		mispredicted := f.branch.Taken != r.Taken
+		f.bpred.UpdateFrom(&f.branch, r.PC, r.Taken)
 		if mispredicted && f.cfg.WrongPath != WrongPathOff {
 			// Wrong-path fetch after a misprediction (§III-F): a few
 			// sequential blocks from the not-executed path. The lanes
 			// derive the block list from the wrong-path PC.
-			d.inject = true
+			d.flags |= chunkInject
 			if r.Taken {
 				d.wrongPC = r.FallThrough(f.cfg.InstrBytes)
 			} else {
@@ -218,7 +200,7 @@ func (f *front) decide(r trace.Record, d *stepDecisions) {
 
 	// BTB probe for taken branches that use it.
 	if r.Taken && r.Type.UsesBTB() {
-		d.btb = true
+		d.flags |= chunkBTB
 		d.btbPC = r.PC
 		d.btbTarget = r.Target
 	}
@@ -241,11 +223,13 @@ func (f *front) decide(r trace.Record, d *stepDecisions) {
 	// Warm-up boundary: flip statistics on once crossed.
 	if preWarm && f.instrs >= f.warmupLimit {
 		f.warm = false
-		d.flip = true
+		d.flags |= chunkFlip
 		f.bpred.ResetStats()
 		f.ras.ResetStats()
 		f.ind.ResetStats()
 	}
+	//ghrplint:ignore hotalloc recs is presized to chunkRecords and callers replay a full() chunk before deciding into it again
+	ch.recs = append(ch.recs, d)
 }
 
 // lane is the per-policy half of the simulator: one I-cache and BTB

@@ -112,8 +112,7 @@ func (fo *FanOut) streamParallel(prog *workload.Program, seed, target uint64, wo
 	ch.reset()
 	var n uint64
 	_, err := workload.Emit(prog, seed, target, func(r trace.Record) error {
-		fo.front.decide(r, &fo.front.dec)
-		ch.push(&fo.front.dec)
+		fo.front.decide(r, ch)
 		if ch.full() {
 			publish(ch)
 			ch = <-free

@@ -112,8 +112,7 @@ func (fo *FanOut) GHRP(i int) *core.ICachePolicy { return fo.lanes[i].ghrp }
 //ghrp:hotpath
 func (fo *FanOut) Process(r trace.Record) {
 	ch := fo.chunks[0]
-	fo.front.decide(r, &fo.front.dec)
-	ch.push(&fo.front.dec)
+	fo.front.decide(r, ch)
 	if ch.full() {
 		fo.replay(ch)
 	}
@@ -176,8 +175,7 @@ func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, wor
 	// record of every workload, and a call per record costs measurable
 	// throughput here.
 	_, err := workload.Emit(prog, seed, target, func(r trace.Record) error {
-		fo.front.decide(r, &fo.front.dec)
-		ch.push(&fo.front.dec)
+		fo.front.decide(r, ch)
 		if ch.full() {
 			fo.replay(ch)
 		}

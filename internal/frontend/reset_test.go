@@ -163,21 +163,15 @@ type statePart struct {
 	got, want any
 }
 
-// requireSameState compares two fan-outs' simulation state. The front's
-// scratch slices are compared by length only (Reset keeps their
-// capacity), decision chunks by emptiness, and lanes' bound replay
-// functions by nothing: they are fixed at construction.
+// requireSameState compares two fan-outs' simulation state. Decision
+// chunks are compared by emptiness (Reset keeps their capacity), and
+// lanes' bound replay functions by nothing: they are fixed at
+// construction.
 func requireSameState(t *testing.T, got, want *FanOut) {
 	t.Helper()
 	requireChunksEmpty(t, got)
 	requireChunksEmpty(t, want)
 	gf, wf := *got.front, *want.front
-	for _, f := range []*front{&gf, &wf} {
-		if len(f.spans) != 0 || len(f.accesses) != 0 {
-			t.Fatalf("front scratch not empty: %d spans, %d accesses", len(f.spans), len(f.accesses))
-		}
-		f.spans, f.accesses = nil, nil
-	}
 	parts := []statePart{
 		{"perceptron", *gf.bpred, *wf.bpred},
 		{"RAS", *gf.ras, *wf.ras},

@@ -102,16 +102,30 @@ func (s Stats) MPKI(instructions uint64) float64 {
 // All weight tables live in one flat []int16 slab, table-major: table t
 // occupies weights[t<<TableBits : (t+1)<<TableBits]. The per-prediction
 // walk then strides through one contiguous allocation instead of
-// chasing a slice-of-slices header per table.
+// chasing a slice-of-slices header per table. The paper's weights are
+// 8-bit, and the default WeightMax of 127 keeps them in that range, but
+// an int8 slab (half the size) measured no faster, so the slab keeps
+// room for WeightMax up to 2^14.
 type Predictor struct {
 	cfg     Config
 	weights []int16
-	ntables int
+	hashes  []tableHash
 	mask    uint64
 	ghr     uint64 // global outcome history, newest bit in bit 0
 	path    uint64 // folded path history of branch PCs
 	theta   int32
+	wmax    int16
 	stats   Stats
+}
+
+// tableHash is one table's indexing constants, derived from its history
+// length once in New so the per-branch walk neither reloads the length
+// nor branches on it.
+type tableHash struct {
+	histMask uint64 // global-history bits the table sees; 0 for a bias table
+	pathMul  uint64 // path-history multiplier 2t+1; 0 for a bias table
+	salt     uint64 // t<<7, decorrelates tables with equal inputs
+	base     uint32 // offset of the table in the weight slab
 }
 
 // New builds a predictor; the configuration is validated first.
@@ -121,74 +135,86 @@ func New(cfg Config) (*Predictor, error) {
 	}
 	cfg = cfg.withDefaults()
 	p := &Predictor{
-		cfg:     cfg,
-		ntables: len(cfg.HistoryLengths),
-		mask:    uint64(1)<<cfg.TableBits - 1,
-		theta:   int32(cfg.ThetaOverride),
+		cfg:    cfg,
+		hashes: make([]tableHash, len(cfg.HistoryLengths)),
+		mask:   uint64(1)<<cfg.TableBits - 1,
+		theta:  int32(cfg.ThetaOverride),
+		wmax:   int16(cfg.WeightMax),
 	}
-	p.weights = make([]int16, p.ntables<<cfg.TableBits)
+	for t, hlen := range cfg.HistoryLengths {
+		h := &p.hashes[t]
+		h.salt = uint64(t) << 7
+		h.base = uint32(t) << cfg.TableBits
+		if hlen > 0 {
+			h.histMask = ^uint64(0) >> (64 - hlen)
+			h.pathMul = uint64(t*2 + 1)
+		}
+	}
+	p.weights = make([]int16, len(p.hashes)<<cfg.TableBits)
 	return p, nil
 }
 
 // Tables returns how many weight tables the predictor has.
-func (p *Predictor) Tables() int { return p.ntables }
+func (p *Predictor) Tables() int { return len(p.hashes) }
 
 // TableEntries returns the entry count of each weight table.
 func (p *Predictor) TableEntries() int { return 1 << p.cfg.TableBits }
 
-// Outcome carries one prediction's working state from Predict to
-// Update. The indices live in a fixed-size array (bounded by
-// MaxTables) so the Predict/Update round trip is allocation-free; each
-// entry is an offset into the flat weight slab, table base included.
+// Outcome carries one prediction's working state from prediction to
+// training. The indices live in a fixed-size array (bounded by
+// MaxTables) so the round trip is allocation-free; each entry is an
+// offset into the flat weight slab, table base included (at most
+// MaxTables<<22, so 32 bits hold it).
 type Outcome struct {
 	Taken   bool
 	Sum     int32
-	indices [MaxTables]uint64
+	indices [MaxTables]uint32
 }
 
-// index hashes the PC with a history segment and the path register for
-// one table. Tables with different history lengths see decorrelated
-// hashes, which is the essence of "hashed perceptron".
-func (p *Predictor) index(t int, pc uint64) uint64 {
-	hlen := p.cfg.HistoryLengths[t]
-	var seg uint64
-	if hlen > 0 {
-		if hlen >= 64 {
-			seg = p.ghr
-		} else {
-			seg = p.ghr & (uint64(1)<<hlen - 1)
-		}
-	}
-	h := pc >> 2
-	h ^= seg * 0x9E3779B97F4A7C15
-	if hlen > 0 {
-		h ^= p.path * uint64(t*2+1)
-	}
-	h ^= h >> 29
-	h ^= uint64(t) << 7 // decorrelate tables with equal inputs
-	return h & p.mask
-}
-
-// Predict returns the predicted direction for a conditional branch at pc.
-//
-//ghrp:hotpath
+// Predict returns the predicted direction for a conditional branch at
+// pc. It is PredictInto for callers that keep no Outcome of their own.
 func (p *Predictor) Predict(pc uint64) Outcome {
 	var o Outcome
-	for t := 0; t < p.ntables; t++ {
-		i := uint64(t)<<p.cfg.TableBits | p.index(t, pc)
-		o.indices[t] = i
-		o.Sum += int32(p.weights[i])
-	}
-	o.Taken = o.Sum >= 0
+	p.PredictInto(&o, pc)
 	return o
 }
 
-// Update trains the predictor with the actual outcome of the branch
-// predicted by o, then advances the global and path histories. Call
-// exactly once per Predict, in program order.
+// PredictInto predicts the conditional branch at pc into o. Each table
+// is indexed by a hash of the PC with that table's global-history
+// segment and the path register; tables with different history lengths
+// see decorrelated hashes, which is the essence of "hashed perceptron".
 //
 //ghrp:hotpath
+func (p *Predictor) PredictInto(o *Outcome, pc uint64) {
+	ghr, path, mask := p.ghr, p.path, p.mask
+	hs := p.hashes
+	idx := o.indices[:len(hs)]
+	var sum int32
+	for t := range hs {
+		th := &hs[t]
+		h := pc>>2 ^ (ghr&th.histMask)*0x9E3779B97F4A7C15 ^ path*th.pathMul
+		h ^= h >> 29
+		h ^= th.salt
+		i := th.base | uint32(h&mask)
+		idx[t] = i
+		sum += int32(p.weights[i])
+	}
+	o.Sum = sum
+	o.Taken = sum >= 0
+}
+
+// Update trains the predictor with the actual outcome of the branch
+// predicted by o; it is UpdateFrom for callers holding o by value.
 func (p *Predictor) Update(o Outcome, pc uint64, taken bool) {
+	p.UpdateFrom(&o, pc, taken)
+}
+
+// UpdateFrom trains the predictor with the actual outcome of the branch
+// predicted into o, then advances the global and path histories. Call
+// exactly once per prediction, in program order.
+//
+//ghrp:hotpath
+func (p *Predictor) UpdateFrom(o *Outcome, pc uint64, taken bool) {
 	p.stats.Predictions++
 	mispredicted := o.Taken != taken
 	if mispredicted {
@@ -199,16 +225,20 @@ func (p *Predictor) Update(o Outcome, pc uint64, taken bool) {
 		mag = -mag
 	}
 	if mispredicted || mag <= p.theta {
-		for t := 0; t < p.ntables; t++ {
-			w := int32(p.weights[o.indices[t]])
-			if taken {
-				if w < int32(p.cfg.WeightMax) {
-					w++
+		w, wmax := p.weights, p.wmax
+		idx := o.indices[:len(p.hashes)]
+		if taken {
+			for _, i := range idx {
+				if w[i] < wmax {
+					w[i]++
 				}
-			} else if w > -int32(p.cfg.WeightMax) {
-				w--
 			}
-			p.weights[o.indices[t]] = int16(w)
+		} else {
+			for _, i := range idx {
+				if w[i] > -wmax {
+					w[i]--
+				}
+			}
 		}
 	}
 	p.pushHistory(pc, taken)

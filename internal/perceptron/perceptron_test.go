@@ -21,6 +21,7 @@ func TestConfigValidate(t *testing.T) {
 		{HistoryLengths: []int{-1}},
 		{HistoryLengths: []int{90}},
 		{WeightMax: 1 << 20},
+		{WeightMax: 1<<14 + 1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

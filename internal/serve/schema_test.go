@@ -78,6 +78,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"too many cells", `{"suite_n": 2, "policies": ["LRU", "GHRP", "SRRIP"]}`, "daemon limit"},
 		// Regression: 2^62 workloads x 4 policies wrapped to 0 cells.
 		{"cell count overflow", `{"suite": {"n": 4611686018427387904}, "policies": ["LRU", "LRU", "LRU", "LRU"]}`, "daemon limit"},
+		// One cell, but its program would need ~10^15 functions.
+		{"huge footprint", `{"suite": {"n": 1, "footprint_min": 1e12, "footprint_max": 1e12}, "policies": ["LRU"]}`, "footprint_max"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -20,7 +20,9 @@ const maxSequentialRun = 1 << 14
 // sequential. It reports the cache blocks touched by each fetch group.
 type Fetcher struct {
 	instrBytes uint64
+	instrShift uint
 	blockShift uint
+	maxRun     uint64 // maxSequentialRun in bytes
 	pc         uint64
 	started    bool
 	resyncs    uint64
@@ -28,7 +30,7 @@ type Fetcher struct {
 
 // NewFetcher returns a Fetcher for the given instruction size and I-cache
 // block size. blockBytes must be a power of two that is a multiple of
-// instrBytes.
+// instrBytes (so instrBytes is a power of two as well).
 func NewFetcher(instrBytes, blockBytes uint64) (*Fetcher, error) {
 	if instrBytes == 0 || blockBytes == 0 {
 		return nil, fmt.Errorf("trace: zero instruction (%d) or block (%d) size", instrBytes, blockBytes)
@@ -39,11 +41,62 @@ func NewFetcher(instrBytes, blockBytes uint64) (*Fetcher, error) {
 	if blockBytes%instrBytes != 0 {
 		return nil, fmt.Errorf("trace: block size %d not a multiple of instruction size %d", blockBytes, instrBytes)
 	}
-	shift := uint(0)
-	for b := blockBytes; b > 1; b >>= 1 {
-		shift++
+	return &Fetcher{
+		instrBytes: instrBytes,
+		instrShift: shiftOf(instrBytes),
+		blockShift: shiftOf(blockBytes),
+		maxRun:     maxSequentialRun * instrBytes,
+	}, nil
+}
+
+// Group is one record's fetch group: the sequential instructions from
+// the fetch PC through the branch instruction itself.
+type Group struct {
+	Start  uint64 // PC of the first instruction fetched (after any resync)
+	First  uint64 // first cache block touched (Start's block number)
+	Last   uint64 // last cache block touched (the branch's block number)
+	Instrs uint64 // instructions fetched, the branch included
+}
+
+// Advance consumes one branch record and returns its fetch group, which
+// touches every cache block from First through Last. Afterwards the
+// fetch PC is the branch's next PC. It is the one fetch-advance step:
+// Next and NextSpans are wrappers that also split the group by block.
+//
+//ghrp:hotpath
+func (f *Fetcher) Advance(rec Record) Group {
+	if !f.started {
+		f.pc = rec.PC
+		f.started = true
 	}
-	return &Fetcher{instrBytes: instrBytes, blockShift: shift}, nil
+	if rec.PC < f.pc || rec.PC-f.pc > f.maxRun {
+		// Discontinuity: resynchronize at the branch. This happens only
+		// for malformed traces; count it so callers can assert cleanliness.
+		f.resyncs++
+		f.pc = rec.PC
+	}
+	g := Group{
+		Start:  f.pc,
+		First:  f.pc >> f.blockShift,
+		Last:   rec.PC >> f.blockShift,
+		Instrs: (rec.PC-f.pc)>>f.instrShift + 1,
+	}
+	f.pc = rec.NextPC(f.instrBytes)
+	return g
+}
+
+// spanInstrs returns how many of group g's instructions lie in block b
+// (g.First <= b <= g.Last); end is the branch PC that closed the group.
+func (f *Fetcher) spanInstrs(g Group, end, b uint64) int {
+	blockInstrs := uint64(1) << (f.blockShift - f.instrShift)
+	lo, hi := uint64(0), blockInstrs-1
+	if b == g.First {
+		lo = (g.Start >> f.instrShift) & (blockInstrs - 1)
+	}
+	if b == g.Last {
+		hi = (end >> f.instrShift) & (blockInstrs - 1)
+	}
+	return int(hi - lo + 1)
 }
 
 // BlockVisitor receives one cache-block address (already shifted down by
@@ -57,36 +110,13 @@ type BlockVisitor func(block uint64, instrs int)
 // returns the number of instructions fetched (including the branch).
 // Afterwards the fetch PC is the branch's next PC.
 func (f *Fetcher) Next(rec Record, visit BlockVisitor) uint64 {
-	if !f.started {
-		f.pc = rec.PC
-		f.started = true
-	}
-	if rec.PC < f.pc || rec.PC-f.pc > maxSequentialRun*f.instrBytes {
-		// Discontinuity: resynchronize at the branch. This happens only
-		// for malformed traces; count it so callers can assert cleanliness.
-		f.resyncs++
-		f.pc = rec.PC
-	}
-	instrs := (rec.PC-f.pc)/f.instrBytes + 1
+	g := f.Advance(rec)
 	if visit != nil {
-		instrShift := shiftOf(f.instrBytes)
-		blockInstrs := uint64(1) << (f.blockShift - instrShift)
-		first, last := f.pc>>f.blockShift, rec.PC>>f.blockShift
-		firstIdx := (f.pc >> instrShift) & (blockInstrs - 1)
-		lastIdx := (rec.PC >> instrShift) & (blockInstrs - 1)
-		for b := first; b <= last; b++ {
-			lo, hi := uint64(0), blockInstrs-1
-			if b == first {
-				lo = firstIdx
-			}
-			if b == last {
-				hi = lastIdx
-			}
-			visit(b, int(hi-lo+1))
+		for b := g.First; b <= g.Last; b++ {
+			visit(b, f.spanInstrs(g, rec.PC, b))
 		}
 	}
-	f.pc = rec.NextPC(f.instrBytes)
-	return instrs
+	return g.Instrs
 }
 
 // BlockSpan is one cache block touched by a fetch group, together with
@@ -96,40 +126,17 @@ type BlockSpan struct {
 	Instrs int
 }
 
-// NextSpans is Next with the visitor devirtualized for the hot replay
-// path: it consumes one branch record, appends one BlockSpan per
-// distinct cache block (in fetch order) to spans — reusing the slice's
-// capacity, so a caller that passes its scratch back in allocates
-// nothing in steady state — and returns the extended slice with the
-// instruction count. It must stay in lockstep with Next; the
-// equivalence is pinned by TestNextSpansMatchesNext.
+// NextSpans is Next without the visitor: it consumes one branch record,
+// appends one BlockSpan per distinct cache block (in fetch order) to
+// spans — reusing the slice's capacity, so a caller that passes its
+// scratch back in allocates nothing in steady state — and returns the
+// extended slice with the instruction count.
 func (f *Fetcher) NextSpans(rec Record, spans []BlockSpan) ([]BlockSpan, uint64) {
-	if !f.started {
-		f.pc = rec.PC
-		f.started = true
+	g := f.Advance(rec)
+	for b := g.First; b <= g.Last; b++ {
+		spans = append(spans, BlockSpan{Block: b, Instrs: f.spanInstrs(g, rec.PC, b)})
 	}
-	if rec.PC < f.pc || rec.PC-f.pc > maxSequentialRun*f.instrBytes {
-		f.resyncs++
-		f.pc = rec.PC
-	}
-	instrs := (rec.PC-f.pc)/f.instrBytes + 1
-	instrShift := shiftOf(f.instrBytes)
-	blockInstrs := uint64(1) << (f.blockShift - instrShift)
-	first, last := f.pc>>f.blockShift, rec.PC>>f.blockShift
-	firstIdx := (f.pc >> instrShift) & (blockInstrs - 1)
-	lastIdx := (rec.PC >> instrShift) & (blockInstrs - 1)
-	for b := first; b <= last; b++ {
-		lo, hi := uint64(0), blockInstrs-1
-		if b == first {
-			lo = firstIdx
-		}
-		if b == last {
-			hi = lastIdx
-		}
-		spans = append(spans, BlockSpan{Block: b, Instrs: int(hi - lo + 1)})
-	}
-	f.pc = rec.NextPC(f.instrBytes)
-	return spans, instrs
+	return spans, g.Instrs
 }
 
 // Resyncs returns how many discontinuities were repaired; zero for a

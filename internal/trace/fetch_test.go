@@ -195,11 +195,14 @@ func TestFetcherBlockAccountingProperty(t *testing.T) {
 	}
 }
 
-// NextSpans must stay in lockstep with Next: for any record stream —
-// including discontinuities that force resyncs — the two walks report
-// identical blocks, per-block instruction counts, totals, and fetcher
-// state.
+// Next and NextSpans are wrappers over the one fetch-advance core,
+// Advance. For any record stream — including discontinuities that force
+// resyncs — the three must agree: identical instruction totals, the
+// wrappers' blocks exactly Advance's First..Last range, identical
+// per-block instruction counts summing to the total, and identical
+// fetcher state.
 func TestNextSpansMatchesNext(t *testing.T) {
+	var resyncs uint64
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a, err := NewFetcher(4, 64)
@@ -207,6 +210,7 @@ func TestNextSpansMatchesNext(t *testing.T) {
 			return false
 		}
 		b, _ := NewFetcher(4, 64)
+		c, _ := NewFetcher(4, 64)
 		pc := uint64(0x400000)
 		var spans []BlockSpan
 		for i := 0; i < 80; i++ {
@@ -224,22 +228,35 @@ func TestNextSpansMatchesNext(t *testing.T) {
 			})
 			var gotInstrs uint64
 			spans, gotInstrs = b.NextSpans(rec, spans[:0])
-			if gotInstrs != wantInstrs || len(spans) != len(blocks) {
+			g := c.Advance(rec)
+			if gotInstrs != wantInstrs || g.Instrs != wantInstrs || len(spans) != len(blocks) {
 				return false
 			}
+			if uint64(len(blocks)) != g.Last-g.First+1 || g.Last != rec.PC>>6 || g.First != g.Start>>6 {
+				return false
+			}
+			sum := 0
 			for j, s := range spans {
-				if s.Block != blocks[j] || s.Instrs != counts[j] {
+				if s.Block != blocks[j] || s.Instrs != counts[j] || s.Block != g.First+uint64(j) {
 					return false
 				}
+				sum += s.Instrs
 			}
-			if a.PC() != b.PC() || a.Resyncs() != b.Resyncs() {
+			if uint64(sum) != g.Instrs {
+				return false
+			}
+			if a.PC() != b.PC() || a.Resyncs() != b.Resyncs() || c.PC() != a.PC() || c.Resyncs() != a.Resyncs() {
 				return false
 			}
 			pc = rec.NextPC(4)
 		}
+		resyncs += a.Resyncs()
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+	if resyncs == 0 {
+		t.Error("no stream resynchronized; the discontinuity path went untested")
 	}
 }

@@ -82,7 +82,8 @@ type SuiteGen struct {
 	// FootprintMin/Max bound the footprint multiplier applied to the
 	// category template's code-size knobs (function counts, init-code
 	// length); 0/0 selects 0.25–4.0. Values below 1 shrink working sets
-	// under the cache, values above stress capacity.
+	// under the cache, values above stress capacity. Validate caps
+	// FootprintMax at MaxFootprint.
 	FootprintMin float64 `json:"footprint_min,omitempty"`
 	FootprintMax float64 `json:"footprint_max,omitempty"`
 	// FootprintSteps is the number of sweep points between Min and Max
@@ -107,6 +108,15 @@ func (g SuiteGen) WithDefaults() SuiteGen {
 	return g
 }
 
+// MaxFootprint caps a grid's footprint multiplier. The multiplier
+// scales function counts linearly, so an uncapped grid lets a
+// one-workload submission ask the program generator for 10^15
+// functions. The default grid (0.25–4.0) tops out near 12k functions
+// (11988 over its first 100k indices); 16 leaves 4x headroom above it
+// and bounds a program at about 48k functions, which the generator
+// builds in under 0.1 s and 60 MB.
+const MaxFootprint = 16
+
 // Validate rejects unusable grids (call after WithDefaults).
 func (g SuiteGen) Validate() error {
 	if g.N < 1 {
@@ -118,6 +128,9 @@ func (g SuiteGen) Validate() error {
 	// Negated so a NaN bound fails too.
 	if !(g.FootprintMax >= g.FootprintMin) || math.IsInf(g.FootprintMax, 0) {
 		return fmt.Errorf("workload: suite gen footprint bounds [%v, %v] invalid", g.FootprintMin, g.FootprintMax)
+	}
+	if g.FootprintMax > MaxFootprint {
+		return fmt.Errorf("workload: suite gen footprint_max %v exceeds %d", g.FootprintMax, MaxFootprint)
 	}
 	if g.FootprintSteps < 1 {
 		return fmt.Errorf("workload: suite gen needs footprint_steps >= 1, got %d", g.FootprintSteps)

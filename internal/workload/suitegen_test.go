@@ -135,6 +135,9 @@ func TestSuiteGenValidate(t *testing.T) {
 		// Finite weights whose sum overflows: every draw would fall
 		// through to the last category.
 		{N: 1, Mix: Mix{ShortMobile: math.MaxFloat64, LongServer: math.MaxFloat64}},
+		// A huge multiplier: At(0) would ask for ~10^15 functions.
+		{N: 1, FootprintMin: 1e12, FootprintMax: 1e12},
+		{N: 1, FootprintMin: 1, FootprintMax: MaxFootprint * 1.0001},
 	}
 	for _, g := range bad {
 		if err := g.WithDefaults().Validate(); err == nil {
@@ -143,6 +146,9 @@ func TestSuiteGenValidate(t *testing.T) {
 	}
 	if err := (SuiteGen{N: 100_000}).WithDefaults().Validate(); err != nil {
 		t.Errorf("Validate rejected a plain 100k grid: %v", err)
+	}
+	if err := (SuiteGen{N: 1, FootprintMin: MaxFootprint, FootprintMax: MaxFootprint}).WithDefaults().Validate(); err != nil {
+		t.Errorf("Validate rejected a grid at the footprint cap: %v", err)
 	}
 }
 
