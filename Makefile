@@ -5,7 +5,7 @@ GO ?= go
 # session: make fuzz-smoke FUZZTIME=5m
 FUZZTIME ?= 3s
 
-.PHONY: build vet lint lint-baseline test examples-smoke race-smoke fault-smoke fuzz-smoke golden-update bench bench-dist bench-smoke daemon-smoke dist-smoke dist-scale-smoke ci
+.PHONY: build vet lint lint-baseline test examples-smoke race-smoke fault-smoke fuzz-smoke golden-update daemon-smoke dist-smoke dist-scale-smoke ci
 
 build:
 	$(GO) build ./...
@@ -38,7 +38,7 @@ test:
 # root ghrpsim facade's documentation in code — keep printing the same
 # numbers.
 examples-smoke:
-	@for ex in quickstart mobileapp heatmap; do \
+	@for ex in quickstart mobileapp heatmap serverfleet; do \
 		$(GO) run ./examples/$$ex | diff -u examples/$$ex/expected.txt - || exit 1; \
 	done
 
@@ -80,35 +80,8 @@ fuzz-smoke:
 # internal/serve/testdata. Output changes fail `make test` until the
 # goldens are regenerated here and the diff is reviewed.
 golden-update:
-	$(GO) test -run TestGolden -update ./internal/sim/
-	$(GO) test -run TestGolden -update ./internal/serve/
-
-# bench regenerates BENCH_PR6.json: the fused fan-out replay measured
-# against the per-policy baseline across the full roster x parallelism
-# x workload-length matrix, best-of-3 per phase (the tool asserts the
-# two paths are bit-identical before reporting; the speedup grows with
-# roster size because policies add lane work, not executor passes).
-# bench-smoke runs the same comparison on a tiny suite to stdout only —
-# including one matrix/repeat pass — so CI exercises the harness
-# without overwriting the committed numbers.
-bench:
-	$(GO) run ./cmd/bench -n 24 -scale 0.3 -repeat 3 -matrix -out BENCH_PR6.json
-
-# bench-dist regenerates BENCH_PR9.json: distributed-coordinator
-# throughput across worker counts {1,2,4} for the fixed 662-workload
-# suite and a generated 10k-workload suite, each run cold and then warm
-# against per-worker on-disk result caches (the warm pass is where
-# cache-affinity shard placement pays: shards route back to the worker
-# that already holds their results). Numbers are host-dependent — only
-# the scaling shape and hit rates are comparable.
-bench-dist:
-	@mkdir -p bin
-	$(GO) build -o bin/ghrpd ./cmd/ghrpd
-	$(GO) run ./cmd/bench -dist -dist-worker-cmd ./bin/ghrpd -out BENCH_PR9.json
-
-bench-smoke:
-	$(GO) run ./cmd/bench -n 2 -scale 0.02 -repeat 2
-	$(GO) run ./cmd/bench -n 2 -scale 0.015 -matrix
+	$(GO) test ./internal/sim/ -run TestGolden -update
+	$(GO) test ./internal/serve/ -run TestGolden -update
 
 # daemon-smoke builds and starts ghrpd on an ephemeral port, submits one
 # tiny run over real HTTP, follows its SSE stream to completion, fetches
@@ -138,4 +111,4 @@ dist-scale-smoke:
 	$(GO) build -o bin/ghrpd ./cmd/ghrpd
 	$(GO) run ./cmd/ghrpdist -scale-smoke -worker-cmd ./bin/ghrpd
 
-ci: build vet lint test examples-smoke race-smoke fuzz-smoke bench-smoke daemon-smoke dist-smoke dist-scale-smoke
+ci: build vet lint test examples-smoke race-smoke fuzz-smoke daemon-smoke dist-smoke dist-scale-smoke

@@ -23,7 +23,7 @@
 // requests carry only the grid parameters plus an index window, so
 // suites far larger than the 662-entry table cost O(1) bytes to
 // describe. -merge-window bounds how many out-of-order shard results
-// the coordinator may hold parked (0 = auto, negative = unbounded).
+// the coordinator may hold parked (0 = auto; must not be negative).
 //
 // -verify additionally runs the identical suite single-process and
 // fails (exit 1) unless the merged result matches byte for byte — the
@@ -75,7 +75,7 @@ func main() {
 		genMix     = flag.String("gen-mix", "", "generated-suite category weights short_mobile,long_mobile,short_server,long_server (empty = fixed-suite proportions)")
 		genFoot    = flag.String("gen-footprint", "", "generated-suite footprint multiplier bounds min,max (empty = defaults)")
 		genSteps   = flag.Int("gen-steps", 0, "generated-suite footprint sweep steps (0 = default)")
-		window     = flag.Int("merge-window", 0, "max out-of-order shard results parked at the coordinator (0 = auto, negative = unbounded)")
+		window     = flag.Int("merge-window", 0, "max out-of-order shard results parked at the coordinator (0 = auto)")
 		policies   = flag.String("policies", "", "comma-separated policies (empty = the paper's five)")
 		scale      = flag.Float64("scale", 1.0, "instruction-budget scale factor")
 		seed       = flag.Uint64("seed", 1, "workload execution seed")

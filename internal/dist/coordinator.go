@@ -89,9 +89,8 @@ type Options struct {
 	// MergeWindow bounds how far past the streaming merger's emission
 	// frontier a shard may be dispatched, which bounds the coordinator's
 	// parked-document memory to O(window × shard size) whatever the
-	// suite size. 0 picks max(8, 4 × len(Workers)); negative disables
-	// the gate (every shard dispatchable at once, memory O(suite) in
-	// the worst case — the pre-streaming behavior).
+	// suite size. 0 picks max(8, 4 × len(Workers)); negative is
+	// rejected.
 	MergeWindow int
 
 	// Retry is the per-worker HTTP retry policy; zero fields pick the
@@ -268,6 +267,9 @@ func New(opts Options) (*Coordinator, error) {
 	if opts.DisableLocal && len(opts.Workers) == 0 {
 		return nil, errors.New("dist: DisableLocal with an empty roster leaves no way to run anything")
 	}
+	if opts.MergeWindow < 0 {
+		return nil, fmt.Errorf("dist: merge window %d is negative", opts.MergeWindow)
+	}
 
 	c.hedgeAfter = opts.HedgeAfter
 	if c.hedgeAfter == 0 {
@@ -340,9 +342,6 @@ func New(opts Options) (*Coordinator, error) {
 		if c.window < 8 {
 			c.window = 8
 		}
-	}
-	if c.window < 0 {
-		c.window = len(c.shards) // unbounded: every shard is in window
 	}
 
 	if len(c.workers) > 0 {

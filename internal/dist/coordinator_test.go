@@ -493,6 +493,9 @@ func TestCoordinatorRejectsBadOptions(t *testing.T) {
 	if _, err := New(Options{SuiteN: 2, DisableLocal: true}); err == nil {
 		t.Error("DisableLocal with an empty roster accepted, want error")
 	}
+	if _, err := New(Options{SuiteN: 2, MergeWindow: -1}); err == nil {
+		t.Error("negative merge window accepted, want error")
+	}
 	if _, err := New(Options{SuiteN: 2, Policies: []string{"NOPE"}}); err == nil {
 		t.Error("unknown policy accepted, want error")
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -363,6 +364,34 @@ func TestFaultKeepGoingHeadroom(t *testing.T) {
 	}
 	if !strings.Contains(rep.Render(), "1 workloads failed") {
 		t.Errorf("render missing skip note:\n%s", rep.Render())
+	}
+}
+
+// Headroom's policy lanes run through the suite scheduler, so the
+// scheduler's options reach them: a transient task fault is retried,
+// the Observer sees every workload, and the report matches a clean one.
+func TestFaultHeadroomRetriesThroughScheduler(t *testing.T) {
+	clean, err := ComputeHeadroom(context.Background(), faultOptions(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := faultOptions(3)
+	opts.Parallelism = 2
+	opts.Faults = faultinject.New(faultinject.Rule{Op: faultinject.OpTask, Nth: 2, Action: faultinject.Transient})
+	observer, count, _ := countEvents()
+	opts.Observer = observer
+	rep, err := ComputeHeadroom(context.Background(), opts)
+	if err != nil {
+		t.Fatalf("transient fault not retried: %v", err)
+	}
+	if got := count(obs.TaskRetry); got != 1 {
+		t.Errorf("%d TaskRetry events, want 1", got)
+	}
+	if got := count(obs.WorkloadDone); got != 3 {
+		t.Errorf("%d WorkloadDone events, want 3", got)
+	}
+	if !reflect.DeepEqual(rep, clean) {
+		t.Errorf("retried headroom diverged:\n%+v\n%+v", rep, clean)
 	}
 }
 

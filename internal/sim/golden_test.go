@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -125,4 +127,16 @@ func TestGoldenRenderers(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { checkGolden(t, c.name, c.out) })
 	}
+}
+
+// TestGoldenHeadroom pins the headroom report end to end: a real
+// ComputeHeadroom run over a small suite, rendered, plus every field at
+// full precision, so a change to how the policy lanes or the OPT pass
+// are run must reproduce the same numbers bit for bit.
+func TestGoldenHeadroom(t *testing.T) {
+	rep, err := ComputeHeadroom(context.Background(), Options{Workloads: workload.SuiteN(8), Scale: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "headroom", rep.Render()+fmt.Sprintf("%+v\n", rep))
 }

@@ -2,15 +2,15 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"strings"
 
 	"ghrpsim/internal/frontend"
 	"ghrpsim/internal/opt"
-	"ghrpsim/internal/resultcache"
 	"ghrpsim/internal/stats"
-	"ghrpsim/internal/trace"
 	"ghrpsim/internal/workload"
 )
 
@@ -39,35 +39,40 @@ type HeadroomReport struct {
 
 // ComputeHeadroom runs the suite's I-cache under every policy plus the
 // OPT oracle. This is an extension beyond the paper's evaluation,
-// bounding how much of the achievable improvement GHRP captures. Unlike
-// RunContext, the OPT oracle needs the whole access stream at once, so
-// each workload's records are buffered (one workload at a time); the
-// context is checked between workloads and per-workload failures abort
-// the computation. The online-policy replays share the result cache
-// with RunContext when opts.Cache is set — the buffered replay is
-// bit-identical to the streaming one, so cells a main suite run already
-// simulated are loaded instead of replayed (the OPT pass itself is
-// never cached: its state is not a frontend.Result).
+// bounding how much of the achievable improvement GHRP captures. The
+// online policies run through RunContext, so they honor every Options
+// knob a suite run does — Parallelism, the result cache, timeouts,
+// retries, fault injection and the Observer — and share cache cells
+// with it. The OPT oracle then needs each completed workload's whole
+// access stream at once, so it buffers one workload at a time, checking
+// the context between workloads (the OPT pass itself is never cached:
+// its state is not a frontend.Result). The roster must include LRU,
+// which the gap is measured from.
 //
 // Per-workload failures — including panics, which are contained to a
 // PanicError — abort the computation, or with Options.KeepGoing skip
 // the workload (counted in HeadroomReport.Failed) so one bad workload
 // cannot sink a long bound computation.
 func ComputeHeadroom(ctx context.Context, opts Options) (HeadroomReport, error) {
-	opts, err := opts.prepare()
+	if len(opts.Policies) > 0 && !slices.Contains(opts.Policies, frontend.PolicyLRU) {
+		return HeadroomReport{}, errors.New("sim: headroom needs LRU in Options.Policies: the gap each policy closes is measured from LRU")
+	}
+	m, err := RunContext(ctx, opts)
 	if err != nil {
 		return HeadroomReport{}, err
 	}
-	var lruV, optV []float64
-	polV := map[frontend.PolicyKind][]float64{}
-	failed := 0
-
-	for wi := 0; wi < opts.Source.Len(); wi++ {
+	opts = m.Options
+	done := m.Completed()
+	failed := len(m.Specs) - len(done.Specs)
+	// kept indexes done's workloads whose OPT pass succeeded; optV is
+	// aligned with it.
+	var kept []int
+	var optV []float64
+	for wi, spec := range done.Specs {
 		if err := ctx.Err(); err != nil {
 			return HeadroomReport{}, err
 		}
-		spec := opts.Source.At(wi)
-		lru, optMPKI, pol, err := headroomWorkload(opts, spec)
+		optMPKI, err := headroomOPT(opts, spec)
 		if err != nil {
 			if opts.KeepGoing {
 				failed++
@@ -75,32 +80,38 @@ func ComputeHeadroom(ctx context.Context, opts Options) (HeadroomReport, error) 
 			}
 			return HeadroomReport{}, fmt.Errorf("sim: workload %s: %w", spec.Name, err)
 		}
-		lruV = append(lruV, lru)
+		kept = append(kept, wi)
 		optV = append(optV, optMPKI)
-		for _, k := range opts.Policies {
-			polV[k] = append(polV[k], pol[k])
-		}
 	}
+	keptOf := func(k frontend.PolicyKind) []float64 {
+		v := make([]float64, len(kept))
+		for i, wi := range kept {
+			v[i] = done.ICacheMPKI[k][wi]
+		}
+		return v
+	}
+	lruV := keptOf(frontend.PolicyLRU)
 
 	rep := HeadroomReport{LRUMean: stats.Mean(lruV), OPTMean: stats.Mean(optV), Failed: failed}
 	// Aggregate the gap over workloads rather than averaging
 	// per-workload ratios, which tiny-gap outliers dominate.
 	var lruSum, optSum float64
 	cnt := 0
-	for wi := range lruV {
-		if lruV[wi]-optV[wi] > 1e-6 {
-			lruSum += lruV[wi]
-			optSum += optV[wi]
+	for i := range lruV {
+		if lruV[i]-optV[i] > 1e-6 {
+			lruSum += lruV[i]
+			optSum += optV[i]
 			cnt++
 		}
 	}
 	rep.Included = cnt
 	for _, k := range opts.Policies {
-		row := HeadroomRow{Policy: k, MeanMPKI: stats.Mean(polV[k])}
+		polV := keptOf(k)
+		row := HeadroomRow{Policy: k, MeanMPKI: stats.Mean(polV)}
 		var polSum float64
-		for wi := range lruV {
-			if lruV[wi]-optV[wi] > 1e-6 {
-				polSum += polV[k][wi]
+		for i := range lruV {
+			if lruV[i]-optV[i] > 1e-6 {
+				polSum += polV[i]
 			}
 		}
 		row.GapClosed = opt.Headroom(lruSum, polSum, optSum)
@@ -109,93 +120,38 @@ func ComputeHeadroom(ctx context.Context, opts Options) (HeadroomReport, error) 
 	return rep, nil
 }
 
-// headroomWorkload computes one workload's LRU, OPT and per-policy
-// I-cache MPKI values. A panic anywhere in the workload's generation,
-// replay or OPT pass is contained to a PanicError.
-func headroomWorkload(opts Options, spec workload.Spec) (lru, optMPKI float64, pol map[frontend.PolicyKind]float64, err error) {
+// headroomOPT computes one workload's OPT I-cache MPKI on the stream
+// the policy lanes replayed: the same records, fetch-buffer coalescing
+// and warm-up window. A panic anywhere in the workload's generation or
+// OPT pass is contained to a PanicError.
+func headroomOPT(opts Options, spec workload.Spec) (optMPKI float64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &PanicError{Value: p, Stack: debug.Stack()}
 		}
 	}()
-	recs, err := specRecords(opts, spec)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	// Count the stream once and share the warm-up window across the
-	// policies and the OPT pass.
-	total, err := frontend.CountInstructions(recs, opts.Config.InstrBytes, uint64(opts.Config.ICache.BlockBytes))
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	warm := opts.Config.WarmupFor(total)
-	target := targetFor(spec, opts.Scale)
-	pol = map[frontend.PolicyKind]float64{}
-	for _, k := range opts.Policies {
-		res, err := headroomPolicyResult(opts, spec, k, target, warm, recs)
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		pol[k] = res.ICacheMPKI()
-		if k == frontend.PolicyLRU {
-			lru = res.ICacheMPKI()
-		}
-	}
-	blocks, skip, err := frontend.BlockStream(recs, opts.Config, warm)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	ost, err := opt.Simulate(blocks, opts.Config.ICache.Sets(), opts.Config.ICache.Ways, skip)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return lru, ost.MPKI(total - warm), pol, nil
-}
-
-// headroomPolicyResult produces one (workload, policy) cell for the
-// headroom report, consulting and filling the result cache when one is
-// attached. A one-lane fan-out replaying the buffered stream under the
-// same warm-up window is bit-identical to RunContext's streaming
-// replay, so the two entry points share cache entries.
-func headroomPolicyResult(opts Options, spec workload.Spec, k frontend.PolicyKind, target, warm uint64, recs []trace.Record) (frontend.Result, error) {
-	var key resultcache.Key
-	if opts.Cache != nil {
-		var err error
-		key, err = resultcache.KeyFor(spec, opts.Config, k, opts.ExecSeed, target)
-		if err != nil {
-			return frontend.Result{}, err
-		}
-		if res, ok := opts.Cache.Get(key); ok && res.Policy == k {
-			return res, nil
-		}
-	}
-	fo, err := frontend.NewFanOut(opts.Config, []frontend.PolicyKind{k}, warm)
-	if err != nil {
-		return frontend.Result{}, err
-	}
-	for _, r := range recs {
-		fo.Process(r)
-	}
-	res := fo.Results()[0]
-	if opts.Cache != nil {
-		if err := opts.Cache.Put(key, res); err != nil {
-			return frontend.Result{}, err
-		}
-	}
-	return res, nil
-}
-
-// specRecords generates one workload's record stream per the run options.
-func specRecords(opts Options, spec workload.Spec) ([]trace.Record, error) {
 	prog, err := spec.Generate()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	recs, err := frontend.GenerateRecords(prog, opts.ExecSeed, targetFor(spec, opts.Scale))
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	return recs, nil
+	total, err := frontend.CountInstructions(recs, opts.Config.InstrBytes, uint64(opts.Config.ICache.BlockBytes))
+	if err != nil {
+		return 0, err
+	}
+	warm := opts.Config.WarmupFor(total)
+	blocks, skip, err := frontend.BlockStream(recs, opts.Config, warm)
+	if err != nil {
+		return 0, err
+	}
+	ost, err := opt.Simulate(blocks, opts.Config.ICache.Sets(), opts.Config.ICache.Ways, skip)
+	if err != nil {
+		return 0, err
+	}
+	return ost.MPKI(total - warm), nil
 }
 
 // Render prints the headroom table.

@@ -362,6 +362,35 @@ func TestHeadroomExperiment(t *testing.T) {
 	}
 }
 
+// Headroom measures every gap from LRU, so a roster without it is
+// rejected instead of reported as a table of zeros.
+func TestHeadroomRequiresLRU(t *testing.T) {
+	_, err := ComputeHeadroom(context.Background(), Options{Workloads: workload.SuiteN(2), Scale: 0.05,
+		Policies: []frontend.PolicyKind{frontend.PolicyGHRP}})
+	if err == nil || !strings.Contains(err.Error(), "LRU") {
+		t.Fatalf("roster without LRU: err %v, want one naming LRU", err)
+	}
+}
+
+// A policy listed twice gets two identical rows, each equal to the row
+// it gets when listed once.
+func TestHeadroomDuplicatePolicy(t *testing.T) {
+	opts := Options{Workloads: workload.SuiteN(4), Scale: 0.05,
+		Policies: []frontend.PolicyKind{frontend.PolicyLRU, frontend.PolicySRRIP}}
+	once, err := ComputeHeadroom(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Policies = []frontend.PolicyKind{frontend.PolicyLRU, frontend.PolicySRRIP, frontend.PolicySRRIP}
+	twice, err := ComputeHeadroom(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if twice.Rows[1] != once.Rows[1] || twice.Rows[2] != once.Rows[1] {
+		t.Errorf("duplicated SRRIP rows %+v, %+v; listed once %+v", twice.Rows[1], twice.Rows[2], once.Rows[1])
+	}
+}
+
 func TestAblationPrefetch(t *testing.T) {
 	rows, err := AblationPrefetch(context.Background(), Options{Workloads: workload.SuiteN(3), Scale: 0.05})
 	if err != nil {
