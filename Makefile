@@ -5,7 +5,7 @@ GO ?= go
 # session: make fuzz-smoke FUZZTIME=5m
 FUZZTIME ?= 3s
 
-.PHONY: build vet lint lint-baseline test examples-smoke race-smoke fault-smoke fuzz-smoke golden-update daemon-smoke dist-smoke dist-scale-smoke ci
+.PHONY: build vet lint lint-baseline test examples-smoke ghrpsim-smoke race-smoke fault-smoke fuzz-smoke golden-update daemon-smoke dist-smoke dist-scale-smoke ci
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,19 @@ examples-smoke:
 	@for ex in quickstart mobileapp heatmap serverfleet; do \
 		$(GO) run ./examples/$$ex | diff -u examples/$$ex/expected.txt - || exit 1; \
 	done
+
+# ghrpsim-smoke pins the ghrpsim CLI's -analyze output, which profiles
+# the I-cache accesses read from the simulator's access tap: one run
+# streams a suite workload, one replays the same stream from a tracegen
+# file through -trace. Each must print exactly its expected file under
+# cmd/ghrpsim/testdata.
+ghrpsim-smoke:
+	@mkdir -p bin
+	$(GO) build -o bin/ghrpsim ./cmd/ghrpsim
+	$(GO) build -o bin/tracegen ./cmd/tracegen
+	./bin/ghrpsim -workload SS-001 -instrs 200000 -analyze | diff -u cmd/ghrpsim/testdata/analyze.txt -
+	./bin/tracegen -workload SS-001 -instrs 200000 -out bin/SS-001.trace > /dev/null
+	./bin/ghrpsim -trace bin/SS-001.trace -analyze | diff -u cmd/ghrpsim/testdata/analyze-trace.txt -
 
 # race-smoke runs the packages with concurrency-sensitive code — the
 # suite scheduler, the observers, the fan-out engine, the result cache,
@@ -111,4 +124,4 @@ dist-scale-smoke:
 	$(GO) build -o bin/ghrpd ./cmd/ghrpd
 	$(GO) run ./cmd/ghrpdist -scale-smoke -worker-cmd ./bin/ghrpd
 
-ci: build vet lint test examples-smoke race-smoke fuzz-smoke daemon-smoke dist-smoke dist-scale-smoke
+ci: build vet lint test examples-smoke ghrpsim-smoke race-smoke fuzz-smoke daemon-smoke dist-smoke dist-scale-smoke

@@ -20,10 +20,11 @@
 //
 // Failure semantics: -timeout bounds the whole invocation (a run cut
 // short exits nonzero after printing what completed); -task-timeout and
-// -stall-timeout bound one (workload, policy) cell's wall time and
-// progress gaps; transient failures are retried up to -retries times;
-// -keep-going finishes the suite past failing cells, reporting them on
-// stderr and computing every figure over the surviving workloads.
+// -stall-timeout bound one workload task's wall time and progress gaps
+// (all its policies and headroom's OPT pass); transient failures are
+// retried up to -retries times; -keep-going finishes the suite past
+// failing cells, reporting them on stderr and computing every figure
+// over the surviving workloads.
 //
 // -cpuprofile and -memprofile write pprof profiles; they are flushed on
 // every exit path, including fail() aborts and a -timeout partial exit,
@@ -67,7 +68,7 @@ func main() {
 		progress = flag.Bool("progress", false, "stream live progress and a throughput summary to stderr")
 		cacheDir = flag.String("cache-dir", "", "on-disk result cache directory (empty = no caching)")
 		timeout  = flag.Duration("timeout", 0, "overall run deadline (0 = none); an expired run exits nonzero with partial results")
-		taskTO   = flag.Duration("task-timeout", 0, "per-(workload, policy) task deadline (0 = none)")
+		taskTO   = flag.Duration("task-timeout", 0, "per-workload task deadline: every policy's replay and headroom's OPT pass (0 = none)")
 		stallTO  = flag.Duration("stall-timeout", 0, "fail a task making no progress for this long (0 = none)")
 		retries  = flag.Int("retries", sim.DefaultMaxRetries, "retries per task for transient failures (0 = none)")
 		keepOn   = flag.Bool("keep-going", false, "complete the suite past failing cells; figures cover the surviving workloads")

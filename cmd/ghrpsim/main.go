@@ -2,9 +2,10 @@
 // the front end under one replacement policy and prints its statistics.
 //
 // Suite workloads are replayed by streaming the deterministic record
-// stream straight into the simulator (no record buffer); -analyze and
-// -trace buffer records because their offline analyses need the whole
-// stream. SIGINT/SIGTERM cancels a streaming replay promptly.
+// stream straight into the simulator (no record buffer); -trace reads
+// its file whole to size the warm-up window. -analyze profiles the
+// I-cache accesses tapped off the simulator. SIGINT/SIGTERM cancels a
+// streaming replay promptly.
 //
 // Usage:
 //
@@ -94,10 +95,12 @@ func main() {
 		observe = obs.NewProgress(os.Stderr, 500*time.Millisecond)
 	}
 
-	// The offline analyses (-trace input, -analyze) need the whole
-	// record stream in memory; plain workload replay streams it. fo is
-	// the one-lane simulator, nil when the result cache answered.
-	var recs []trace.Record
+	// -analyze profiles the accesses tapped off the simulator. fo is the
+	// one-lane simulator, nil when the result cache answered.
+	var log *frontend.AccessLog
+	if *analyze {
+		log = new(frontend.AccessLog)
+	}
 	var name string
 	var fo *frontend.FanOut
 	var res frontend.Result
@@ -108,10 +111,16 @@ func main() {
 		defer f.Close()
 		r, err := trace.NewReader(f)
 		fail(err)
-		recs, err = r.ReadAll()
+		recs, err := r.ReadAll()
 		fail(err)
 		name = r.Header().Name
-		fo, res = runRecords(cfg, kind, recs)
+		total, err := frontend.CountInstructions(recs, cfg.InstrBytes, uint64(cfg.ICache.BlockBytes))
+		fail(err)
+		fo = newFanOut(cfg, kind, total, log)
+		for _, rec := range recs {
+			fo.Process(rec)
+		}
+		res = fo.Results()[0]
 
 	default:
 		spec, err := workload.Find(*wlName)
@@ -121,19 +130,12 @@ func main() {
 		if *instrs > 0 {
 			target = *instrs
 		}
-		if *analyze {
-			prog, err := spec.Generate()
-			fail(err)
-			recs, err = frontend.GenerateRecords(prog, 1, target)
-			fail(err)
-			fo, res = runRecords(cfg, kind, recs)
-			break
-		}
 		// The result cache can answer the plain statistics run; outputs
-		// that need live simulator state (-heatmap, -pgm) still simulate.
+		// that need live simulator state (-heatmap, -pgm, -analyze) still
+		// simulate.
 		var cache *resultcache.Cache
 		var cacheKey resultcache.Key
-		if *cacheDir != "" && !*heatmap && *pgm == "" {
+		if *cacheDir != "" && !*heatmap && *pgm == "" && !*analyze {
 			cache, err = resultcache.Open(*cacheDir)
 			fail(err)
 			cacheKey, err = resultcache.KeyFor(spec, cfg, kind, 1, target)
@@ -163,7 +165,7 @@ func main() {
 			Progress: func(records, instructions uint64) error { return tctx.Err() },
 		})
 		fail(causeOf(tctx, err))
-		fo = newFanOut(cfg, kind, total)
+		fo = newFanOut(cfg, kind, total, log)
 		results, err := fo.StreamProgram(prog, 1, target, 1, frontend.StreamOptions{
 			Progress: func(records, instructions uint64) error {
 				if err := tctx.Err(); err != nil {
@@ -214,15 +216,13 @@ func main() {
 		fmt.Print(stats.Heatmap(fo.ICache(0).Efficiency(), 32, 2))
 	}
 	if *analyze {
-		blocks, _, err := frontend.BlockStream(recs, cfg, 0)
-		fail(err)
-		prof, err := analysis.ComputeReuse(blocks, cfg.ICache.Sets(), 2*cfg.ICache.Ways)
+		prof, err := analysis.ComputeReuse(log.Blocks, cfg.ICache.Sets(), 2*cfg.ICache.Ways)
 		fail(err)
 		fmt.Println()
 		fmt.Print(prof.Render(cfg.ICache.Ways))
 		fmt.Printf("ideal LRU hit rate at %d ways: %.1f%%\n",
 			cfg.ICache.Ways, prof.HitRateAtAssociativity(cfg.ICache.Ways)*100)
-		pts := analysis.WorkingSetCurve(blocks, []int{1 << 10, 1 << 12, 1 << 14, 1 << 16})
+		pts := analysis.WorkingSetCurve(log.Blocks, []int{1 << 10, 1 << 12, 1 << 14, 1 << 16})
 		fmt.Print(analysis.RenderWorkingSet(pts, cfg.ICache.Blocks()))
 	}
 	if *pgm != "" {
@@ -236,24 +236,13 @@ func main() {
 
 // newFanOut builds the one-lane simulator for kind with the warm-up
 // window a stream of total instructions implies, tracking efficiency
-// for -heatmap and -pgm.
-func newFanOut(cfg frontend.Config, kind frontend.PolicyKind, total uint64) *frontend.FanOut {
+// for -heatmap and -pgm and tapping its accesses into log for -analyze.
+func newFanOut(cfg frontend.Config, kind frontend.PolicyKind, total uint64, log *frontend.AccessLog) *frontend.FanOut {
 	fo, err := frontend.NewFanOut(cfg, []frontend.PolicyKind{kind}, cfg.WarmupFor(total))
 	fail(err)
 	fo.TrackEfficiency()
+	fo.TapAccesses(log)
 	return fo
-}
-
-// runRecords replays a buffered record slice, deriving the warm-up
-// window from the records.
-func runRecords(cfg frontend.Config, kind frontend.PolicyKind, recs []trace.Record) (*frontend.FanOut, frontend.Result) {
-	total, err := frontend.CountInstructions(recs, cfg.InstrBytes, uint64(cfg.ICache.BlockBytes))
-	fail(err)
-	fo := newFanOut(cfg, kind, total)
-	for _, r := range recs {
-		fo.Process(r)
-	}
-	return fo, fo.Results()[0]
 }
 
 // causeOf maps a context-abort error to that context's cause, so an

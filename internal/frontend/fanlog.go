@@ -100,7 +100,12 @@ func (fo *FanOut) streamParallel(prog *workload.Program, seed, target uint64, wo
 	}
 	defer drain()
 
+	// A chunk is complete once the producer publishes it, and it stays
+	// the producer's until then: the tap reads it here.
 	publish := func(ch *decChunk) {
+		if fo.tap != nil {
+			fo.tap.add(ch)
+		}
 		ch.refs.Store(int32(workers))
 		for _, q := range queues {
 			q <- ch

@@ -38,6 +38,7 @@ type FanOut struct {
 	// except the first, which holds what Process queued and no replay
 	// has consumed yet.
 	chunks []*decChunk
+	tap    *AccessLog // receives every replayed chunk's accesses (TapAccesses)
 }
 
 // NewFanOut builds a simulator driving one lane per element of kinds
@@ -70,9 +71,9 @@ func NewFanOut(cfg Config, kinds []PolicyKind, warmupLimit uint64) (*FanOut, err
 // for warmupLimit — the front's predictors, RAS, fetcher and counters,
 // every lane's cache, BTB, policy tables, seeds, history and prefetch
 // filter, and the queue of unreplayed records — in place and without
-// allocating. The configuration, the lane roster and efficiency
-// tracking stay as they were. TestFanOutResetMatchesFresh pins the
-// equivalence.
+// allocating. The configuration, the lane roster, efficiency tracking
+// and an attached access log stay as they were; the log is emptied.
+// TestFanOutResetMatchesFresh pins the equivalence.
 //
 //ghrp:hotpath
 func (fo *FanOut) Reset(warmupLimit uint64) {
@@ -81,6 +82,9 @@ func (fo *FanOut) Reset(warmupLimit uint64) {
 		fo.lanes[i].reset(fo.front.warm)
 	}
 	fo.chunks[0].reset()
+	if fo.tap != nil {
+		fo.tap.Blocks, fo.tap.Skip = fo.tap.Blocks[:0], 0
+	}
 }
 
 // TrackEfficiency turns on every lane's I-cache and BTB efficiency
@@ -131,6 +135,9 @@ func (fo *FanOut) Flush() {
 //
 //ghrp:hotpath
 func (fo *FanOut) replay(ch *decChunk) {
+	if fo.tap != nil {
+		fo.tap.add(ch)
+	}
 	for i := range fo.lanes {
 		fo.lanes[i].replay(ch)
 	}

@@ -39,7 +39,7 @@ func CountInstructions(recs []trace.Record, instrBytes, blockBytes uint64) (uint
 	}
 	var total uint64
 	for _, r := range recs {
-		total += f.Next(r, nil)
+		total += f.Advance(r).Instrs
 	}
 	return total, nil
 }
@@ -56,7 +56,7 @@ func CountProgram(cfg Config, prog *workload.Program, seed, target uint64, opts 
 	every := opts.every()
 	var total, n uint64
 	_, err = workload.Emit(prog, seed, target, func(r trace.Record) error {
-		total += f.Next(r, nil)
+		total += f.Advance(r).Instrs
 		n++
 		if opts.Progress != nil && n%every == 0 {
 			return opts.Progress(n, total)

@@ -367,31 +367,73 @@ func TestFaultKeepGoingHeadroom(t *testing.T) {
 	}
 }
 
-// Headroom's policy lanes run through the suite scheduler, so the
-// scheduler's options reach them: a transient task fault is retried,
-// the Observer sees every workload, and the report matches a clean one.
+// Headroom's policy lanes and OPT passes run through the suite
+// scheduler, so the scheduler's options reach them: a transient fault
+// is retried, the Observer sees every workload, and the report matches
+// a clean one. Against a cache Run already filled, every cell hits and
+// each workload streams one LRU lane only to fill OPT's access log; a
+// transient progress fault can fire only in that pass, and its retry
+// must still add no cache entry.
 func TestFaultHeadroomRetriesThroughScheduler(t *testing.T) {
 	clean, err := ComputeHeadroom(context.Background(), faultOptions(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := faultOptions(3)
-	opts.Parallelism = 2
-	opts.Faults = faultinject.New(faultinject.Rule{Op: faultinject.OpTask, Nth: 2, Action: faultinject.Transient})
-	observer, count, _ := countEvents()
-	opts.Observer = observer
-	rep, err := ComputeHeadroom(context.Background(), opts)
-	if err != nil {
-		t.Fatalf("transient fault not retried: %v", err)
+	inputs := []struct {
+		name  string
+		setup func(t *testing.T, opts *Options)
+	}{
+		{"transient task fault", func(t *testing.T, opts *Options) {
+			opts.Faults = faultinject.New(faultinject.Rule{Op: faultinject.OpTask, Nth: 2, Action: faultinject.Transient})
+		}},
+		{"warm cache, transient fault in the OPT-only pass", func(t *testing.T, opts *Options) {
+			cache, err := resultcache.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Cache = cache
+			if _, err := Run(*opts); err != nil {
+				t.Fatal(err)
+			}
+			opts.ProgressEvery = 64
+			opts.Faults = faultinject.New(faultinject.Rule{Op: faultinject.OpProgress, Nth: 2, Action: faultinject.Transient})
+		}},
 	}
-	if got := count(obs.TaskRetry); got != 1 {
-		t.Errorf("%d TaskRetry events, want 1", got)
-	}
-	if got := count(obs.WorkloadDone); got != 3 {
-		t.Errorf("%d WorkloadDone events, want 3", got)
-	}
-	if !reflect.DeepEqual(rep, clean) {
-		t.Errorf("retried headroom diverged:\n%+v\n%+v", rep, clean)
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			opts := faultOptions(3)
+			opts.Parallelism = 2
+			in.setup(t, &opts)
+			var n0 int
+			if opts.Cache != nil {
+				if n0, err = opts.Cache.Len(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			observer, count, _ := countEvents()
+			opts.Observer = observer
+			rep, err := ComputeHeadroom(context.Background(), opts)
+			if err != nil {
+				t.Fatalf("transient fault not retried: %v", err)
+			}
+			if got := count(obs.TaskRetry); got != 1 {
+				t.Errorf("%d TaskRetry events, want 1", got)
+			}
+			if got := count(obs.WorkloadDone); got != 3 {
+				t.Errorf("%d WorkloadDone events, want 3", got)
+			}
+			if !reflect.DeepEqual(rep, clean) {
+				t.Errorf("retried headroom diverged:\n%+v\n%+v", rep, clean)
+			}
+			if opts.Cache != nil {
+				if n1, err := opts.Cache.Len(); err != nil || n1 != n0 {
+					t.Errorf("headroom grew the cache from %d to %d entries (%v)", n0, n1, err)
+				}
+				if got := count(obs.PolicyDone); got != 0 {
+					t.Errorf("%d PolicyDone events on a fully cached run, want 0", got)
+				}
+			}
+		})
 	}
 }
 

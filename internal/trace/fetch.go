@@ -61,7 +61,7 @@ type Group struct {
 // Advance consumes one branch record and returns its fetch group, which
 // touches every cache block from First through Last. Afterwards the
 // fetch PC is the branch's next PC. It is the one fetch-advance step:
-// Next and NextSpans are wrappers that also split the group by block.
+// NextSpans is a wrapper that also splits the group by block.
 //
 //ghrp:hotpath
 func (f *Fetcher) Advance(rec Record) Group {
@@ -85,40 +85,6 @@ func (f *Fetcher) Advance(rec Record) Group {
 	return g
 }
 
-// spanInstrs returns how many of group g's instructions lie in block b
-// (g.First <= b <= g.Last); end is the branch PC that closed the group.
-func (f *Fetcher) spanInstrs(g Group, end, b uint64) int {
-	blockInstrs := uint64(1) << (f.blockShift - f.instrShift)
-	lo, hi := uint64(0), blockInstrs-1
-	if b == g.First {
-		lo = (g.Start >> f.instrShift) & (blockInstrs - 1)
-	}
-	if b == g.Last {
-		hi = (end >> f.instrShift) & (blockInstrs - 1)
-	}
-	return int(hi - lo + 1)
-}
-
-// BlockVisitor receives one cache-block address (already shifted down by
-// the block size, i.e. a block number) together with the number of
-// instructions the fetch group contributes to that block.
-type BlockVisitor func(block uint64, instrs int)
-
-// Next consumes one branch record. It walks the inferred sequential
-// instructions from the current fetch PC through the branch instruction
-// itself, invoking visit once per distinct cache block in order, and
-// returns the number of instructions fetched (including the branch).
-// Afterwards the fetch PC is the branch's next PC.
-func (f *Fetcher) Next(rec Record, visit BlockVisitor) uint64 {
-	g := f.Advance(rec)
-	if visit != nil {
-		for b := g.First; b <= g.Last; b++ {
-			visit(b, f.spanInstrs(g, rec.PC, b))
-		}
-	}
-	return g.Instrs
-}
-
 // BlockSpan is one cache block touched by a fetch group, together with
 // the number of instructions the group contributes to that block.
 type BlockSpan struct {
@@ -126,15 +92,23 @@ type BlockSpan struct {
 	Instrs int
 }
 
-// NextSpans is Next without the visitor: it consumes one branch record,
-// appends one BlockSpan per distinct cache block (in fetch order) to
-// spans — reusing the slice's capacity, so a caller that passes its
-// scratch back in allocates nothing in steady state — and returns the
-// extended slice with the instruction count.
+// NextSpans consumes one branch record, appends one BlockSpan per
+// distinct cache block (in fetch order) to spans — reusing the slice's
+// capacity, so a caller that passes its scratch back in allocates
+// nothing in steady state — and returns the extended slice with the
+// instruction count. Afterwards the fetch PC is the branch's next PC.
 func (f *Fetcher) NextSpans(rec Record, spans []BlockSpan) ([]BlockSpan, uint64) {
 	g := f.Advance(rec)
+	last := uint64(1)<<(f.blockShift-f.instrShift) - 1 // last instruction slot of a block
 	for b := g.First; b <= g.Last; b++ {
-		spans = append(spans, BlockSpan{Block: b, Instrs: f.spanInstrs(g, rec.PC, b)})
+		lo, hi := uint64(0), last
+		if b == g.First {
+			lo = g.Start >> f.instrShift & last
+		}
+		if b == g.Last {
+			hi = rec.PC >> f.instrShift & last
+		}
+		spans = append(spans, BlockSpan{Block: b, Instrs: int(hi - lo + 1)})
 	}
 	return spans, g.Instrs
 }

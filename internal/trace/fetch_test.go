@@ -27,12 +27,13 @@ func TestNewFetcherValidation(t *testing.T) {
 	}
 }
 
-// collect gathers the visited (block, instrs) pairs for one record.
+// collect gathers the (block, instrs) spans of one record.
 func collect(f *Fetcher, rec Record) (blocks []uint64, counts []int, instrs uint64) {
-	instrs = f.Next(rec, func(b uint64, n int) {
-		blocks = append(blocks, b)
-		counts = append(counts, n)
-	})
+	spans, instrs := f.NextSpans(rec, nil)
+	for _, s := range spans {
+		blocks = append(blocks, s.Block)
+		counts = append(counts, s.Instrs)
+	}
 	return
 }
 
@@ -60,7 +61,7 @@ func TestFetcherSequentialRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Seed position with a first branch landing at 0x2000.
-	f.Next(Record{PC: 0x1000, Target: 0x2000, Type: UncondDirect, Taken: true}, nil)
+	f.Advance(Record{PC: 0x1000, Target: 0x2000, Type: UncondDirect, Taken: true})
 	// Branch at 0x20A0: instructions 0x2000..0x20A0 inclusive = 41 instrs,
 	// spanning blocks 0x80 (16 instrs), 0x81 (16), 0x82 (9).
 	blocks, counts, instrs := collect(f, Record{PC: 0x20A0, Target: 0x3000, Type: UncondDirect, Taken: true})
@@ -93,7 +94,7 @@ func TestFetcherMisalignedStart(t *testing.T) {
 	}
 	// Land mid-block at 0x2038 (instruction 14 of block 0x80), run to
 	// 0x2044 (instruction 1 of block 0x81): 4 instructions total.
-	f.Next(Record{PC: 0x1000, Target: 0x2038, Type: UncondDirect, Taken: true}, nil)
+	f.Advance(Record{PC: 0x1000, Target: 0x2038, Type: UncondDirect, Taken: true})
 	blocks, counts, instrs := collect(f, Record{PC: 0x2044, Target: 0x3000, Type: UncondDirect, Taken: true})
 	if instrs != 4 {
 		t.Errorf("instrs = %d, want 4", instrs)
@@ -108,7 +109,7 @@ func TestFetcherNotTakenFallThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Next(Record{PC: 0x1000, Target: 0x1004, Type: CondDirect, Taken: false}, nil)
+	f.Advance(Record{PC: 0x1000, Target: 0x1004, Type: CondDirect, Taken: false})
 	if f.PC() != 0x1004 {
 		t.Errorf("PC after not-taken = %#x, want 0x1004", f.PC())
 	}
@@ -123,7 +124,7 @@ func TestFetcherResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Next(Record{PC: 0x10000, Target: 0x20000, Type: UncondDirect, Taken: true}, nil)
+	f.Advance(Record{PC: 0x10000, Target: 0x20000, Type: UncondDirect, Taken: true})
 	// A branch before the fetch PC is a discontinuity.
 	_, _, instrs := collect(f, Record{PC: 0x8000, Target: 0x9000, Type: UncondDirect, Taken: true})
 	if instrs != 1 {
@@ -133,7 +134,7 @@ func TestFetcherResync(t *testing.T) {
 		t.Errorf("Resyncs = %d, want 1", f.Resyncs())
 	}
 	// A branch absurdly far ahead is also a discontinuity.
-	f.Next(Record{PC: 0x9000 + maxSequentialRun*8, Target: 0xA000, Type: UncondDirect, Taken: true}, nil)
+	f.Advance(Record{PC: 0x9000 + maxSequentialRun*8, Target: 0xA000, Type: UncondDirect, Taken: true})
 	if f.Resyncs() != 2 {
 		t.Errorf("Resyncs = %d, want 2", f.Resyncs())
 	}
@@ -144,7 +145,7 @@ func TestFetcherReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Next(Record{PC: 0x1000, Target: 0x2000, Type: UncondDirect, Taken: true}, nil)
+	f.Advance(Record{PC: 0x1000, Target: 0x2000, Type: UncondDirect, Taken: true})
 	f.Reset()
 	if f.PC() != 0 || f.Resyncs() != 0 {
 		t.Error("Reset did not clear state")
@@ -166,13 +167,10 @@ func TestFetcherBlockAccountingProperty(t *testing.T) {
 			return false
 		}
 		pc := uint64(0x400000) + uint64(rng.Intn(1<<20))*4
-		fet.Next(Record{PC: 0x1000, Target: pc, Type: UncondDirect, Taken: true}, nil)
+		fet.Advance(Record{PC: 0x1000, Target: pc, Type: UncondDirect, Taken: true})
 		for i := 0; i < 50; i++ {
 			branchPC := pc + uint64(rng.Intn(200))*4
-			var blocks []uint64
-			var counts []int
-			instrs := fet.Next(Record{PC: branchPC, Target: pc, Type: CondDirect, Taken: false},
-				func(b uint64, n int) { blocks = append(blocks, b); counts = append(counts, n) })
+			blocks, counts, instrs := collect(fet, Record{PC: branchPC, Target: pc, Type: CondDirect, Taken: false})
 			sum := 0
 			for j, c := range counts {
 				if c <= 0 || c > 16 {
@@ -195,21 +193,21 @@ func TestFetcherBlockAccountingProperty(t *testing.T) {
 	}
 }
 
-// Next and NextSpans are wrappers over the one fetch-advance core,
-// Advance. For any record stream — including discontinuities that force
-// resyncs — the three must agree: identical instruction totals, the
-// wrappers' blocks exactly Advance's First..Last range, identical
-// per-block instruction counts summing to the total, and identical
+// NextSpans is a wrapper over the one fetch-advance core, Advance. For
+// any record stream — including discontinuities that force resyncs —
+// the two must agree: identical instruction totals, NextSpans' blocks
+// exactly Advance's First..Last range, per-block instruction counts
+// that match the instructions from the group's start through the
+// branch falling in each block and sum to the total, and identical
 // fetcher state.
-func TestNextSpansMatchesNext(t *testing.T) {
+func TestNextSpansMatchesAdvance(t *testing.T) {
 	var resyncs uint64
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a, err := NewFetcher(4, 64)
+		b, err := NewFetcher(4, 64)
 		if err != nil {
 			return false
 		}
-		b, _ := NewFetcher(4, 64)
 		c, _ := NewFetcher(4, 64)
 		pc := uint64(0x400000)
 		var spans []BlockSpan
@@ -220,24 +218,19 @@ func TestNextSpansMatchesNext(t *testing.T) {
 			}
 			rec := Record{PC: branchPC, Target: uint64(0x400000) + uint64(rng.Intn(1<<20))*4,
 				Type: CondDirect, Taken: rng.Intn(2) == 0}
-			var blocks []uint64
-			var counts []int
-			wantInstrs := a.Next(rec, func(blk uint64, n int) {
-				blocks = append(blocks, blk)
-				counts = append(counts, n)
-			})
 			var gotInstrs uint64
 			spans, gotInstrs = b.NextSpans(rec, spans[:0])
 			g := c.Advance(rec)
-			if gotInstrs != wantInstrs || g.Instrs != wantInstrs || len(spans) != len(blocks) {
+			if gotInstrs != g.Instrs || uint64(len(spans)) != g.Last-g.First+1 {
 				return false
 			}
-			if uint64(len(blocks)) != g.Last-g.First+1 || g.Last != rec.PC>>6 || g.First != g.Start>>6 {
+			if g.Last != rec.PC>>6 || g.First != g.Start>>6 {
 				return false
 			}
 			sum := 0
 			for j, s := range spans {
-				if s.Block != blocks[j] || s.Instrs != counts[j] || s.Block != g.First+uint64(j) {
+				lo, hi := max(g.Start, s.Block<<6), min(rec.PC, s.Block<<6+60)
+				if s.Block != g.First+uint64(j) || s.Instrs != int((hi-lo)/4+1) {
 					return false
 				}
 				sum += s.Instrs
@@ -245,12 +238,12 @@ func TestNextSpansMatchesNext(t *testing.T) {
 			if uint64(sum) != g.Instrs {
 				return false
 			}
-			if a.PC() != b.PC() || a.Resyncs() != b.Resyncs() || c.PC() != a.PC() || c.Resyncs() != a.Resyncs() {
+			if b.PC() != c.PC() || b.Resyncs() != c.Resyncs() {
 				return false
 			}
 			pc = rec.NextPC(4)
 		}
-		resyncs += a.Resyncs()
+		resyncs += b.Resyncs()
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

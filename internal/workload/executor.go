@@ -48,8 +48,8 @@ type retAddr struct {
 
 // NewExecutor prepares an executor that will emit records through emit.
 // The emit callback may return an error to abort execution early. A
-// generated program's validated layout is reused; any other program is
-// validated first.
+// generated program's layout is reused; any other program is validated
+// first.
 func NewExecutor(p *Program, seed uint64, emit func(trace.Record) error) (*Executor, error) {
 	lay := p.layout
 	if lay == nil {

@@ -159,7 +159,7 @@ func TestTaskCapBoundsTasks(t *testing.T) {
 		t.Fatal(err)
 	}
 	x, err := NewExecutor(prog, 1, func(r trace.Record) error {
-		f.Next(r, nil)
+		f.Advance(r)
 		return nil
 	})
 	if err != nil {

@@ -12,7 +12,8 @@ import (
 // Profile.Validate and a footprint multiplier inside the grid's bounds
 // (to a relative 1e-12: the log-spaced sweep's exp(log(Max)) may round
 // a few ulps past Max). The first workload's program must also
-// generate, at a size MaxFootprint keeps affordable.
+// generate, at a size MaxFootprint keeps affordable, and pass
+// Program.Validate, which Generate itself no longer runs.
 func FuzzSuiteGenValidate(f *testing.F) {
 	f.Add(5, uint64(0), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
 	f.Add(2000, uint64(7), 1.0, 0.0, 0.0, 3.0, 0.2, 1.0, 8)
@@ -37,8 +38,12 @@ func FuzzSuiteGenValidate(f *testing.F) {
 				t.Fatalf("At(%d) of a valid grid %+v: footprint %v outside [%v, %v]", i, g, m, g.FootprintMin, g.FootprintMax)
 			}
 		}
-		if _, err := gen.Generate(g.At(0).Profile); err != nil {
+		prog, err := gen.Generate(g.At(0).Profile)
+		if err != nil {
 			t.Fatalf("At(0) of a valid grid %+v: %v", g, err)
+		}
+		if err := prog.Validate(); err != nil {
+			t.Fatalf("At(0) of a valid grid %+v: generated program invalid: %v", g, err)
 		}
 	})
 }

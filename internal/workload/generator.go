@@ -190,9 +190,6 @@ func (g *Generator) Generate(p Profile) (*Program, error) {
 	prog.Funcs = g.funcs
 
 	prog.Phases = g.genPhases(&p, r)
-	if err := prog.Validate(); err != nil {
-		return nil, fmt.Errorf("workload: generated program invalid: %w", err)
-	}
 	g.layout.build(prog)
 	prog.layout = &g.layout
 	return prog, nil

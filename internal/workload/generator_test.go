@@ -134,9 +134,17 @@ func TestGeneratorReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Generate does not validate its output; every program of the
+		// suite and the grid sample is checked here instead.
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%s: generated program invalid: %v", s.Name, err)
+		}
 		want, err := Generate(s.Profile)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if err := want.Validate(); err != nil {
+			t.Fatalf("%s: generated program invalid: %v", s.Name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: reused Generator diverged from a fresh Generate", s.Name)

@@ -82,10 +82,11 @@ type Phase struct {
 // Program is a synthesized program: functions, an initialization
 // function run once, and a phase schedule driven by the dispatcher loop.
 //
-// A generated program carries the block layout it was validated with,
-// and every Executor of it reuses that layout instead of validating
-// again; such a program must not be modified afterwards. Programs built
-// by hand are validated by each NewExecutor. A program from
+// A generated program carries its block layout, and every Executor of
+// it reuses that layout; such a program must not be modified
+// afterwards. The generator's output is valid by construction (tests
+// validate every program of the suite and a generated grid), so only
+// programs built by hand are validated, by each NewExecutor. A program from
 // Generator.Generate lives in the Generator's storage: it and its
 // executors stay valid only until the next Generate call on that
 // Generator. The package-level Generate returns a program that stays
@@ -106,12 +107,11 @@ type Program struct {
 	// repeats one sampled function (see Profile). Values below 1 mean 1.
 	BurstMin, BurstMax int
 
-	// layout is set by Generate once the program validated; nil for
-	// programs built by hand.
+	// layout is set by Generate; nil for programs built by hand.
 	layout *blockLayout
 }
 
-// blockLayout is a validated program's per-block bookkeeping, shared
+// blockLayout is a valid program's per-block bookkeeping, shared
 // read-only by its executors: the global index of each function's first
 // block, each block's counted-loop slot, and each counted loop's initial
 // trip count. Executors copy only the per-loop counts.
@@ -121,7 +121,7 @@ type blockLayout struct {
 	trips    []int   // counted-loop slot -> initial remaining taken iterations
 }
 
-// build lays out a program that passed Validate, reusing l's storage.
+// build lays out a valid program, reusing l's storage.
 func (l *blockLayout) build(p *Program) {
 	l.blockOff = resize(l.blockOff, len(p.Funcs)+1)
 	l.blockOff[0] = 0

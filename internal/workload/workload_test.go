@@ -141,7 +141,7 @@ func TestExecutorControlFlowConsistency(t *testing.T) {
 	}
 	var total uint64
 	_, err = Emit(prog, 3, 30000, func(r trace.Record) error {
-		total += f.Next(r, nil)
+		total += f.Advance(r).Instrs
 		return nil
 	})
 	if err != nil {
