@@ -362,6 +362,30 @@ func TestHeadroomExperiment(t *testing.T) {
 	}
 }
 
+// OPT's MPKI must cover the same window as the lanes': the misses past
+// the skip index over the counted instructions. With a cache larger
+// than every footprint, no block is ever evicted, so OPT and LRU take
+// the same compulsory misses and their MPKI must be equal. Dividing
+// OPT's misses by total − WarmupFor(total) instead would also count the
+// rest of the record that crosses the warm-up limit, whose accesses
+// OPT's skip index already drops.
+func TestHeadroomOPTUsesCountedWindow(t *testing.T) {
+	opts := Options{Workloads: workload.SuiteN(8), Scale: 0.05, Policies: []frontend.PolicyKind{frontend.PolicyLRU}}
+	opts.Config = frontend.DefaultConfig()
+	opts.Config.ICache = frontend.ICacheConfig{SizeBytes: 16 << 20, BlockBytes: 64, Ways: 16}
+	rep, err := ComputeHeadroom(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LRUMean == 0 {
+		t.Fatal("no misses after warm-up; the suite cannot tell the windows apart")
+	}
+	if rep.OPTMean != rep.LRUMean || rep.Included != 0 {
+		t.Errorf("no-eviction cache: OPT mean %v, LRU mean %v, %d gapped workloads; want equal means and none gapped",
+			rep.OPTMean, rep.LRUMean, rep.Included)
+	}
+}
+
 // Headroom measures every gap from LRU, so a roster without it is
 // rejected instead of reported as a table of zeros.
 func TestHeadroomRequiresLRU(t *testing.T) {
