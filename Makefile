@@ -77,8 +77,9 @@ fault-smoke:
 
 # fuzz-smoke runs each fuzz target briefly (native Go fuzzing): the
 # trace format, the daemon's untrusted inputs — POST /runs bodies and
-# generated-suite grids — and the branch predictor against its
-# reference model over fuzzed geometries. The checked-in corpora under
+# generated-suite grids — the branch predictor against its reference
+# model over fuzzed geometries, and the one-pass warm-up window against
+# counting the stream first. The checked-in corpora under
 # each package's testdata/fuzz also replay as ordinary test cases in
 # `make test`.
 fuzz-smoke:
@@ -87,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzSuiteGenValidate$$' -fuzztime $(FUZZTIME) ./internal/workload/
 	$(GO) test -run '^$$' -fuzz '^FuzzPerceptronMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/perceptron/
+	$(GO) test -run '^$$' -fuzz '^FuzzOnePassMatchesTwoPass$$' -fuzztime $(FUZZTIME) ./internal/frontend/
 
 # golden-update rewrites the golden files: the renderer goldens under
 # internal/sim/testdata and the daemon's run-status API document under

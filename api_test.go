@@ -17,17 +17,14 @@ func TestFacadeSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	total, _, err := CountProgram(cfg, prog, 1, 30_000, StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := SimulateFanOut(cfg, PaperPolicies(), prog, 1, 30_000, cfg.WarmupFor(total), StreamOptions{})
+	results, err := SimulateFanOut(cfg, PaperPolicies(), prog, 1, 30_000, WarmupFromStream, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, kind := range PaperPolicies() {
-		if res := results[i]; res.CountedInstrs == 0 {
-			t.Errorf("%v: zero counted instructions", kind)
+		res := results[i]
+		if want := res.TotalInstructions - cfg.WarmupFor(res.TotalInstructions); res.CountedInstrs == 0 || res.CountedInstrs > want {
+			t.Errorf("%v: %d counted instructions of %d, want (0, %d]", kind, res.CountedInstrs, res.TotalInstructions, want)
 		}
 	}
 }
@@ -127,12 +124,8 @@ func Example() {
 		log.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	total, _, err := CountProgram(cfg, prog, 1, 20_000, StreamOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
 	kinds := []PolicyKind{PolicyLRU, PolicyGHRP}
-	res, err := SimulateFanOut(cfg, kinds, prog, 1, 20_000, cfg.WarmupFor(total), StreamOptions{})
+	res, err := SimulateFanOut(cfg, kinds, prog, 1, 20_000, WarmupFromStream, StreamOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

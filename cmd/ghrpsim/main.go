@@ -15,7 +15,7 @@
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
 // -timeout bounds the whole invocation and -task-timeout the replay
-// itself (counting pre-pass included); an expired deadline exits
+// itself; an expired deadline exits
 // nonzero with an explanatory error instead of hanging. -cpuprofile
 // and -memprofile write pprof profiles, flushed on every exit path
 // including deadline aborts.
@@ -64,7 +64,7 @@ func main() {
 		progress   = flag.Bool("progress", false, "stream live replay progress to stderr")
 		cacheDir   = flag.String("cache-dir", "", "on-disk result cache directory (empty = no caching)")
 		timeout    = flag.Duration("timeout", 0, "overall run deadline (0 = none)")
-		taskTO     = flag.Duration("task-timeout", 0, "replay deadline, counting pre-pass included (0 = none)")
+		taskTO     = flag.Duration("task-timeout", 0, "replay deadline (0 = none)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file (flushed on every exit path)")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -116,7 +116,7 @@ func main() {
 		name = r.Header().Name
 		total, err := frontend.CountInstructions(recs, cfg.InstrBytes, uint64(cfg.ICache.BlockBytes))
 		fail(err)
-		fo = newFanOut(cfg, kind, total, log)
+		fo = newFanOut(cfg, kind, cfg.WarmupFor(total), log)
 		for _, rec := range recs {
 			fo.Process(rec)
 		}
@@ -148,8 +148,8 @@ func main() {
 		}
 		prog, err := spec.Generate()
 		fail(err)
-		// The replay deadline covers the counting pre-pass and the
-		// stream; both poll the context through their progress hooks.
+		// The replay deadline covers the stream, which polls the context
+		// through its progress hook.
 		tctx := ctx
 		if *taskTO > 0 {
 			var cancel context.CancelFunc
@@ -161,11 +161,7 @@ func main() {
 			observe(obs.Event{Kind: obs.RunStart, Workloads: 1, Policies: 1})
 			observe(obs.Event{Kind: obs.WorkloadStart, Workload: name, Workloads: 1, Policies: 1})
 		}
-		total, _, err := frontend.CountProgram(cfg, prog, 1, target, frontend.StreamOptions{
-			Progress: func(records, instructions uint64) error { return tctx.Err() },
-		})
-		fail(causeOf(tctx, err))
-		fo = newFanOut(cfg, kind, total, log)
+		fo = newFanOut(cfg, kind, frontend.WarmupFromStream, log)
 		results, err := fo.StreamProgram(prog, 1, target, 1, frontend.StreamOptions{
 			Progress: func(records, instructions uint64) error {
 				if err := tctx.Err(); err != nil {
@@ -234,11 +230,11 @@ func main() {
 	}
 }
 
-// newFanOut builds the one-lane simulator for kind with the warm-up
-// window a stream of total instructions implies, tracking efficiency
-// for -heatmap and -pgm and tapping its accesses into log for -analyze.
-func newFanOut(cfg frontend.Config, kind frontend.PolicyKind, total uint64, log *frontend.AccessLog) *frontend.FanOut {
-	fo, err := frontend.NewFanOut(cfg, []frontend.PolicyKind{kind}, cfg.WarmupFor(total))
+// newFanOut builds the one-lane simulator for kind with the given
+// warm-up limit, tracking efficiency for -heatmap and -pgm and tapping
+// its accesses into log for -analyze.
+func newFanOut(cfg frontend.Config, kind frontend.PolicyKind, warmupLimit uint64, log *frontend.AccessLog) *frontend.FanOut {
+	fo, err := frontend.NewFanOut(cfg, []frontend.PolicyKind{kind}, warmupLimit)
 	fail(err)
 	fo.TrackEfficiency()
 	fo.TapAccesses(log)

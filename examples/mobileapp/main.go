@@ -49,14 +49,10 @@ func main() {
 	fmt.Printf("mobile workload: %d KB code, %d static branches\n\n",
 		prog.CodeBytes()/1024, prog.StaticBranches())
 
-	// Count the stream once: every cache size below shares the 64B
-	// block, so they all derive the same warm-up window from it.
+	// Each cache size replays the stream once, under all five policies;
+	// WarmupFromStream derives the warm-up window from that pass.
 	const seed, target = 7, 1_500_000
 	base := ghrpsim.DefaultConfig()
-	total, _, err := ghrpsim.CountProgram(base, prog, seed, target, ghrpsim.StreamOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	fmt.Printf("%-14s", "I-cache MPKI")
 	for _, k := range ghrpsim.PaperPolicies() {
@@ -67,7 +63,7 @@ func main() {
 		cfg := base
 		cfg.ICache = ghrpsim.ICacheConfig{SizeBytes: kb * 1024, BlockBytes: 64, Ways: 8}
 		fmt.Printf("%3dKB 8-way   ", kb)
-		results, err := ghrpsim.SimulateFanOut(cfg, ghrpsim.PaperPolicies(), prog, seed, target, cfg.WarmupFor(total), ghrpsim.StreamOptions{})
+		results, err := ghrpsim.SimulateFanOut(cfg, ghrpsim.PaperPolicies(), prog, seed, target, ghrpsim.WarmupFromStream, ghrpsim.StreamOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,16 +28,12 @@ func main() {
 	// blocks, 4096-entry 4-way BTB, warm-up on the first half.
 	cfg := ghrpsim.DefaultConfig()
 
-	// Count the branch trace's instructions first: the total sets the
-	// warm-up window. Then one pass replays the identical stream under
-	// both policies in lockstep, exactly as the experiment harness does.
+	// One pass replays the branch trace under both policies in lockstep,
+	// exactly as the experiment harness does; WarmupFromStream derives
+	// the warm-up window from that same pass's instruction count.
 	target := spec.DefaultInstructions
-	total, _, err := ghrpsim.CountProgram(cfg, prog, 1, target, ghrpsim.StreamOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
 	kinds := []ghrpsim.PolicyKind{ghrpsim.PolicyLRU, ghrpsim.PolicyGHRP}
-	results, err := ghrpsim.SimulateFanOut(cfg, kinds, prog, 1, target, cfg.WarmupFor(total), ghrpsim.StreamOptions{})
+	results, err := ghrpsim.SimulateFanOut(cfg, kinds, prog, 1, target, ghrpsim.WarmupFromStream, ghrpsim.StreamOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,15 +8,14 @@
 // harness that regenerates every table and figure of the paper's
 // evaluation.
 //
-// Quick start — count the stream once to derive the warm-up window,
-// then replay it under both policies in one pass:
+// Quick start — replay a workload under both policies in one pass,
+// which also derives the warm-up window from the stream's length:
 //
 //	spec := ghrpsim.SuiteN(8)[0]
 //	prog, _ := spec.Generate()
 //	cfg := ghrpsim.DefaultConfig()
-//	total, _, _ := ghrpsim.CountProgram(cfg, prog, 1, 500_000, ghrpsim.StreamOptions{})
 //	kinds := []ghrpsim.PolicyKind{ghrpsim.PolicyLRU, ghrpsim.PolicyGHRP}
-//	res, _ := ghrpsim.SimulateFanOut(cfg, kinds, prog, 1, 500_000, cfg.WarmupFor(total), ghrpsim.StreamOptions{})
+//	res, _ := ghrpsim.SimulateFanOut(cfg, kinds, prog, 1, 500_000, ghrpsim.WarmupFromStream, ghrpsim.StreamOptions{})
 //	fmt.Printf("LRU %.3f vs GHRP %.3f I-cache MPKI\n", res[0].ICacheMPKI(), res[1].ICacheMPKI())
 //
 // NewFanOut gives record-level control (Process, Flush) and access to
@@ -90,10 +89,17 @@ func PaperPolicies() []PolicyKind { return frontend.PaperPolicies() }
 
 // NewFanOut builds a simulator with one lane per policy in kinds;
 // warmupLimit instructions are excluded from statistics (see
-// Config.WarmupFor).
+// Config.WarmupFor and WarmupFromStream).
 func NewFanOut(cfg Config, kinds []PolicyKind, warmupLimit uint64) (*FanOut, error) {
 	return frontend.NewFanOut(cfg, kinds, warmupLimit)
 }
+
+// WarmupFromStream is the warm-up limit that derives the paper's window
+// (Config.WarmupFor of the stream's total instructions) from the same
+// single pass that simulates a program: pass it to SimulateFanOut, or to
+// NewFanOut before FanOut.StreamProgram. Record-level replay (Process)
+// needs an explicit limit.
+const WarmupFromStream = frontend.WarmupFromStream
 
 // StreamOptions tunes a streaming replay: an optional progress callback
 // invoked every ProgressEvery records, which may abort (e.g. for
@@ -102,16 +108,10 @@ type StreamOptions = frontend.StreamOptions
 
 // SimulateFanOut executes a program once and replays it under every
 // given policy in lockstep; each Result is bit-identical to a one-lane
-// replay of its policy, at one execution's cost. Pair it with
-// CountProgram to derive the warm-up limit from the stream.
+// replay of its policy, at one execution's cost. WarmupFromStream as
+// warmupLimit applies the paper's warm-up rule to the stream.
 func SimulateFanOut(cfg Config, kinds []PolicyKind, prog *Program, seed, target, warmupLimit uint64, opts StreamOptions) ([]Result, error) {
 	return frontend.SimulateFanOut(cfg, kinds, prog, seed, target, warmupLimit, opts)
-}
-
-// CountProgram streams a program through a fetch reconstructor without
-// buffering, returning total instruction and record counts.
-func CountProgram(cfg Config, prog *Program, seed, target uint64, opts StreamOptions) (instrs, records uint64, err error) {
-	return frontend.CountProgram(cfg, prog, seed, target, opts)
 }
 
 // GenerateRecords executes a program once, returning its record stream

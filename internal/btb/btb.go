@@ -64,7 +64,6 @@ type BTB struct {
 	policy cache.Policy
 	stats  Stats
 	now    uint64
-	warmup bool
 	born   bool
 	birth  uint64
 }
@@ -135,9 +134,6 @@ func (b *BTB) Entries() int { return b.sets * b.ways }
 // Policy returns the attached replacement policy.
 func (b *BTB) Policy() cache.Policy { return b.policy }
 
-// SetWarmup toggles warm-up mode: state changes but statistics freeze.
-func (b *BTB) SetWarmup(on bool) { b.warmup = on }
-
 // Stats returns a copy of the accumulated statistics.
 func (b *BTB) Stats() Stats { return b.stats }
 
@@ -203,20 +199,16 @@ func AccessWith[P cache.Policy](b *BTB, p P, pc, target uint64) (hit bool) {
 		b.born = true
 		b.birth = b.now
 	}
-	if !b.warmup {
-		b.stats.Accesses++
-	}
+	b.stats.Accesses++
 
 	base := set * b.ways
 	vm := b.valid[set]
 	for m := vm; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
 		if b.pcs[base+w] == pc {
-			if !b.warmup {
-				b.stats.Hits++
-				if b.targets[base+w] != target {
-					b.stats.TargetMismatches++
-				}
+			b.stats.Hits++
+			if b.targets[base+w] != target {
+				b.stats.TargetMismatches++
 			}
 			b.targets[base+w] = target
 			if b.eff != nil {
@@ -227,14 +219,10 @@ func AccessWith[P cache.Policy](b *BTB, p P, pc, target uint64) (hit bool) {
 		}
 	}
 
-	if !b.warmup {
-		b.stats.Misses++
-	}
+	b.stats.Misses++
 	if free := bits.TrailingZeros64(^vm); free < b.ways {
 		if p.MayBypass(a) {
-			if !b.warmup {
-				b.stats.Bypasses++
-			}
+			b.stats.Bypasses++
 			p.OnBypass(a)
 			return false
 		}
@@ -243,9 +231,7 @@ func AccessWith[P cache.Policy](b *BTB, p P, pc, target uint64) (hit bool) {
 	}
 	way, bypass := p.Victim(a)
 	if bypass {
-		if !b.warmup {
-			b.stats.Bypasses++
-		}
+		b.stats.Bypasses++
 		p.OnBypass(a)
 		return false
 	}
@@ -253,9 +239,7 @@ func AccessWith[P cache.Policy](b *BTB, p P, pc, target uint64) (hit bool) {
 		//ghrplint:ignore hotalloc cold invariant-violation path; fires only on a buggy policy, never in a clean replay
 		panic(fmt.Sprintf("btb: policy %s returned way %d of %d", p.Name(), way, b.ways))
 	}
-	if !b.warmup {
-		b.stats.Evictions++
-	}
+	b.stats.Evictions++
 	if b.eff != nil {
 		e := &b.eff[base+way]
 		e.liveTime += e.lastUseAt - e.insertAt
@@ -314,7 +298,7 @@ func (b *BTB) Efficiency() [][]float64 {
 }
 
 // Reset returns the BTB to the state Init leaves it in — contents,
-// statistics, clocks, warm-up mode and policy state cleared, geometry,
+// statistics, clocks and policy state cleared, geometry,
 // policy binding and efficiency tracking kept — without allocating.
 //
 //ghrp:hotpath
@@ -327,6 +311,5 @@ func (b *BTB) Reset() {
 	b.now = 0
 	b.birth = 0
 	b.born = false
-	b.warmup = false
 	b.policy.Reset()
 }

@@ -98,19 +98,6 @@ func TestLRUEvictionInBTB(t *testing.T) {
 	}
 }
 
-func TestWarmupFreezesStats(t *testing.T) {
-	b := newBTB(t, 8, 2, policies.NewLRU())
-	b.SetWarmup(true)
-	b.Access(0x1000, 0x2000)
-	if st := b.Stats(); st.Accesses != 0 {
-		t.Errorf("warmup leaked: %+v", st)
-	}
-	b.SetWarmup(false)
-	if !b.Access(0x1000, 0x2000) {
-		t.Error("warmup did not install entry")
-	}
-}
-
 func TestBTBStatsMPKI(t *testing.T) {
 	s := Stats{Misses: 30}
 	if got := s.MPKI(10000); got != 3 {

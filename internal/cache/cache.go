@@ -182,7 +182,10 @@ func (c *Cache) Ways() int { return c.ways }
 // Policy returns the attached replacement policy.
 func (c *Cache) Policy() Policy { return c.policy }
 
-// SetWarmup toggles warm-up mode: state changes but statistics freeze.
+// SetWarmup toggles the statistics freeze: accesses change state but
+// are not counted. The simulator brackets fills that are not demand
+// traffic (prefetches, wrong-path fetch) with it; warm-up itself is
+// subtracted from the counters afterwards.
 func (c *Cache) SetWarmup(on bool) { c.warmup = on }
 
 // TrackEfficiency turns on per-frame efficiency bookkeeping, one

@@ -31,10 +31,9 @@ const chunkRecords = 8192
 
 // chunk record flags.
 const (
-	chunkWarm   = 1 << iota // ops run under warm-up statistics
-	chunkInject             // wrong-path injection follows the accesses
+	chunkInject = 1 << iota // wrong-path injection follows the accesses
 	chunkBTB                // BTB probe for a taken branch
-	chunkFlip               // warm-up boundary crossed after this record
+	chunkMark               // the record may end warm-up: save counters after it (warmup.go)
 )
 
 // blockAccess is one I-cache access of a record's fetch group: the
@@ -86,26 +85,24 @@ func (ch *decChunk) reset() {
 
 // replayChunk advances one lane through every record of a chunk,
 // applying each record's decisions in a fixed order: I-cache accesses,
-// wrong-path injection, BTB probe, warm-up flip.
+// wrong-path injection, BTB probe, warm-up mark.
 //
 //ghrp:hotpath
 func replayChunk[IP, BP cache.Policy](l *lane, ip IP, bp BP, ch *decChunk) {
 	for i := range ch.recs {
 		r := &ch.recs[i]
-		warm := r.flags&chunkWarm != 0
 		acc := ch.accesses[r.accOff : r.accOff+r.accLen]
 		for j := range acc {
-			laneAccess(l, ip, acc[j].block, acc[j].pc, warm)
+			laneAccess(l, ip, acc[j].block, acc[j].pc)
 		}
 		if r.flags&chunkInject != 0 {
-			laneInject(l, ip, r.wrongPC, warm)
+			laneInject(l, ip, r.wrongPC)
 		}
 		if r.flags&chunkBTB != 0 {
 			btb.AccessWith(&l.ibtb, bp, r.btbPC, r.btbTarget)
 		}
-		if r.flags&chunkFlip != 0 {
-			l.icache.SetWarmup(false)
-			l.ibtb.SetWarmup(false)
+		if r.flags&chunkMark != 0 {
+			l.mark()
 		}
 	}
 }

@@ -46,12 +46,12 @@ func (r Result) BranchMPKI() float64 { return r.Branch.MPKI(r.CountedInstrs) }
 // None of the front's components observe cache or BTB state, which is
 // what makes driving N lanes from one front bit-identical to N
 // one-lane replays: each lane sees exactly the access, injection and
-// warm-up sequence it would have derived on its own.
+// warm-up mark sequence it would have derived on its own.
 //
 // The split is made explicit by decision chunks (chunk.go):
 // front.decide distills one record straight into a chunk as the four
 // lane-facing operations (coalesced I-cache accesses, optional
-// wrong-path injection, optional BTB probe, optional warm-up flip), and
+// wrong-path injection, optional BTB probe, optional warm-up mark), and
 // each lane replays a chunk through a body specialized to its concrete
 // policy types. Because the serial and the checkpoint-parallel paths
 // replay the same chunks through the same body, they cannot diverge.
@@ -67,18 +67,22 @@ type front struct {
 	blockShift  uint
 	instrShift  uint
 	warmupLimit uint64
-	warm        bool // true while warming up
 	instrs      uint64
-	counted     uint64
 	records     uint64
 	lastBlock   uint64 // fetch buffer: last I-cache line touched
 	haveLast    bool
+
+	// Warm-up marks (warmup.go): the window of candidate limits whose
+	// crossing records are marked, and the counters saved at a zero mark
+	// and at each marked record.
+	markLo, markHi uint64
+	marks          []Result
 
 	branch perceptron.Outcome // scratch: current conditional branch's prediction
 }
 
 // newFront allocates the front's predictors and fetcher. Its warm-up
-// state is set by reset, which every construction path calls next.
+// limit is set by reset, which every construction path calls next.
 func newFront(cfg Config) (*front, error) {
 	f := &front{cfg: cfg}
 	f.blockShift = shiftOf(uint64(cfg.ICache.BlockBytes))
@@ -102,8 +106,10 @@ func newFront(cfg Config) (*front, error) {
 
 // reset puts the front in the state a simulation starts from: predictor
 // tables, histories, RAS and fetcher cleared, counters and the fetch
-// buffer zeroed, and warm-up armed when warmupLimit is positive. Every
-// table keeps its storage.
+// buffer zeroed, marks down to the zero mark, and the warm-up limit set.
+// An explicit limit is its own one-candidate window; WarmupFromStream
+// marks nothing until StreamProgram arms its window. Every table keeps
+// its storage.
 //
 //ghrp:hotpath
 func (f *front) reset(warmupLimit uint64) {
@@ -112,8 +118,9 @@ func (f *front) reset(warmupLimit uint64) {
 	f.ind.Reset()
 	f.fetcher.Reset()
 	f.warmupLimit = warmupLimit
-	f.warm = warmupLimit > 0
-	f.instrs, f.counted, f.records = 0, 0, 0
+	f.window(warmupLimit, warmupLimit)
+	f.marks = append(f.marks[:0], Result{})
+	f.instrs, f.records = 0, 0
 	f.lastBlock, f.haveLast = 0, false
 	f.branch = perceptron.Outcome{}
 }
@@ -125,11 +132,7 @@ func (f *front) reset(warmupLimit uint64) {
 //ghrp:hotpath
 func (f *front) decide(r trace.Record, ch *decChunk) {
 	f.records++
-	preWarm := f.warm
 	var d decRec
-	if preWarm {
-		d.flags = chunkWarm
-	}
 
 	// Fetch-group reconstruction: each distinct block is one I-cache
 	// access whose PC is the first instruction fetched in that block.
@@ -173,9 +176,6 @@ func (f *front) decide(r trace.Record, ch *decChunk) {
 	ch.accesses = acc
 	d.accLen = uint32(len(acc)) - d.accOff
 	f.instrs += g.Instrs
-	if !f.warm {
-		f.counted += g.Instrs
-	}
 
 	// Direction prediction for conditional branches; other transfers
 	// contribute to path history only.
@@ -220,13 +220,11 @@ func (f *front) decide(r trace.Record, ch *decChunk) {
 		f.ind.Update(o, r.PC, r.Target)
 	}
 
-	// Warm-up boundary: flip statistics on once crossed.
-	if preWarm && f.instrs >= f.warmupLimit {
-		f.warm = false
-		d.flags |= chunkFlip
-		f.bpred.ResetStats()
-		f.ras.ResetStats()
-		f.ind.ResetStats()
+	// A record that crosses a candidate warm-up limit may end warm-up:
+	// the counters it leaves behind are saved, here and in every lane.
+	if f.instrs >= f.markLo && f.instrs-g.Instrs < f.markHi {
+		d.flags |= chunkMark
+		f.mark()
 	}
 	//ghrplint:ignore hotalloc recs is presized to chunkRecords and callers replay a full() chunk before deciding into it again
 	ch.recs = append(ch.recs, d)
@@ -246,7 +244,8 @@ type lane struct {
 	prefStats   PrefetchStats
 	blockShift  uint
 	wrongDepth  int
-	recoverHist bool // WrongPathInject: restore speculative history
+	recoverHist bool     // WrongPathInject: restore speculative history
+	marks       []Result // counters at the zero mark and each marked record (warmup.go)
 	// replay applies a whole chunk of decisions to this lane. It is
 	// bound at construction to an instantiation specialized to the
 	// lane's concrete policy types, so the cache and BTB access paths
@@ -276,7 +275,7 @@ func laneHotWords(cfg Config) int {
 }
 
 // newLanes builds one lane per kind, all carving hot state from a
-// single shared arena. Their warm-up state is set by reset.
+// single shared arena.
 func newLanes(cfg Config, kinds []PolicyKind) ([]lane, error) {
 	ar := cache.NewArena(len(kinds) * laneHotWords(cfg))
 	lanes := make([]lane, len(kinds))
@@ -320,18 +319,17 @@ func (l *lane) init(cfg Config, kind PolicyKind, ar *cache.Arena) error {
 // reset puts the lane in the state a simulation starts from: cache and
 // BTB contents, clocks and statistics cleared (their arena words
 // included), every policy table and seed restored, the prefetch filter
-// emptied, and both structures in warm-up mode when warm is set.
+// emptied, and marks down to the zero mark.
 //
 //ghrp:hotpath
-func (l *lane) reset(warm bool) {
+func (l *lane) reset() {
 	l.icache.Reset()
 	l.ibtb.Reset()
 	if l.pref != nil {
 		l.pref.reset()
 	}
 	l.prefStats = PrefetchStats{}
-	l.icache.SetWarmup(warm)
-	l.ibtb.SetWarmup(warm)
+	l.marks = append(l.marks[:0], Result{})
 }
 
 func (l *lane) makeICachePolicy(cfg Config) (cache.Policy, error) {
@@ -438,16 +436,6 @@ func (l *lane) bindReplay(icp, btbp cache.Policy) {
 	}
 }
 
-// WarmupFor derives the warm-up instruction count for a trace of the
-// given length under cfg: half the instructions, capped (§IV-C).
-func (c Config) WarmupFor(totalInstructions uint64) uint64 {
-	w := uint64(float64(totalInstructions) * c.WarmupFraction)
-	if w > c.WarmupCap {
-		w = c.WarmupCap
-	}
-	return w
-}
-
 // laneAccess performs one I-cache access and mirrors the retired GHRP
 // path history (right-path accesses commit immediately in a trace-driven
 // simulation). With next-line prefetching enabled, a demand miss also
@@ -455,7 +443,7 @@ func (c Config) WarmupFor(totalInstructions uint64) uint64 {
 // traffic.
 //
 //ghrp:hotpath
-func laneAccess[P cache.Policy](l *lane, p P, block, pc uint64, warm bool) {
+func laneAccess[P cache.Policy](l *lane, p P, block, pc uint64) {
 	hit, _ := cache.AccessWith(&l.icache, p, cache.Access{Block: block, PC: pc})
 	if l.ghrp != nil {
 		l.ghrp.History().Commit(pc)
@@ -464,23 +452,17 @@ func laneAccess[P cache.Policy](l *lane, p P, block, pc uint64, warm bool) {
 		return
 	}
 	if hit {
-		if l.pref.take(block) && !warm {
+		if l.pref.take(block) {
 			l.prefStats.Useful++
 		}
 	} else {
 		next := block + 1
 		if !l.icache.Lookup(next) {
-			if !warm {
-				l.icache.SetWarmup(true)
-			}
+			l.icache.SetWarmup(true)
 			_, bypassed := cache.AccessWith(&l.icache, p, cache.Access{Block: next, PC: next << l.blockShift})
-			if !warm {
-				l.icache.SetWarmup(false)
-				if !bypassed {
-					l.prefStats.Issued++
-				}
-			}
+			l.icache.SetWarmup(false)
 			if !bypassed {
+				l.prefStats.Issued++
 				l.pref.add(next)
 			}
 		}
@@ -495,10 +477,8 @@ func laneAccess[P cache.Policy](l *lane, p P, block, pc uint64, warm bool) {
 // misses; they are excluded from statistics.
 //
 //ghrp:hotpath
-func laneInject[P cache.Policy](l *lane, p P, wrongPC uint64, warm bool) {
-	if !warm {
-		l.icache.SetWarmup(true)
-	}
+func laneInject[P cache.Policy](l *lane, p P, wrongPC uint64) {
+	l.icache.SetWarmup(true)
 	base := wrongPC >> l.blockShift
 	for i := 0; i < l.wrongDepth; i++ {
 		b := base + uint64(i)
@@ -508,28 +488,9 @@ func laneInject[P cache.Policy](l *lane, p P, wrongPC uint64, warm bool) {
 		}
 		cache.AccessWith(&l.icache, p, cache.Access{Block: b, PC: pc})
 	}
-	if !warm {
-		l.icache.SetWarmup(false)
-	}
+	l.icache.SetWarmup(false)
 	if l.ghrp != nil && l.recoverHist {
 		l.ghrp.History().Recover()
-	}
-}
-
-// makeResult assembles one lane's Result from the shared front counters
-// and the lane's structures.
-func makeResult(f *front, l *lane) Result {
-	return Result{
-		Policy:            l.kind,
-		TotalInstructions: f.instrs,
-		CountedInstrs:     f.counted,
-		Records:           f.records,
-		ICache:            l.icache.Stats(),
-		BTB:               l.ibtb.Stats(),
-		Branch:            f.bpred.Stats(),
-		RAS:               f.ras.Stats(),
-		Indirect:          f.ind.Stats(),
-		Prefetch:          l.prefStats,
 	}
 }
 

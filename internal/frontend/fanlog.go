@@ -43,7 +43,7 @@ func (fo *FanOut) chunkPool(n int) []*decChunk {
 // (2 ≤ workers ≤ lanes) goroutines. Records Process queued beforehand
 // are replayed first, and every chunk is left empty on return, however
 // the stream ends: the next Flush must not replay a stale chunk.
-func (fo *FanOut) streamParallel(prog *workload.Program, seed, target uint64, workers int, opts StreamOptions) ([]Result, error) {
+func (fo *FanOut) streamParallel(prog *workload.Program, seed, target uint64, workers int, opts StreamOptions) error {
 	fo.Flush()
 	pool := fo.chunkPool(poolChunks)
 	free := make(chan *decChunk, poolChunks)
@@ -135,8 +135,5 @@ func (fo *FanOut) streamParallel(prog *workload.Program, seed, target uint64, wo
 		publish(ch)
 	}
 	drain()
-	if err != nil {
-		return nil, err
-	}
-	return fo.Results(), nil
+	return err
 }

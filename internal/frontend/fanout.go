@@ -44,9 +44,10 @@ type FanOut struct {
 // NewFanOut builds a simulator driving one lane per element of kinds
 // (duplicates allowed — each gets an independent lane). warmupLimit is
 // the number of leading instructions excluded from every lane's
-// statistics; use WarmupFor to derive it from a trace length per the
-// paper's rule. Lanes track no efficiency matrices unless
-// TrackEfficiency turns them on.
+// statistics. WarmupFromStream has StreamProgram apply the paper's rule
+// (WarmupFor) to the stream's total; an explicit limit also serves
+// Process. Lanes track no efficiency matrices unless TrackEfficiency
+// turns them on.
 func NewFanOut(cfg Config, kinds []PolicyKind, warmupLimit uint64) (*FanOut, error) {
 	if len(kinds) == 0 {
 		return nil, fmt.Errorf("frontend: fan-out needs at least one policy")
@@ -79,7 +80,7 @@ func NewFanOut(cfg Config, kinds []PolicyKind, warmupLimit uint64) (*FanOut, err
 func (fo *FanOut) Reset(warmupLimit uint64) {
 	fo.front.reset(warmupLimit)
 	for i := range fo.lanes {
-		fo.lanes[i].reset(fo.front.warm)
+		fo.lanes[i].reset()
 	}
 	fo.chunks[0].reset()
 	if fo.tap != nil {
@@ -111,10 +112,13 @@ func (fo *FanOut) GHRP(i int) *core.ICachePolicy { return fo.lanes[i].ghrp }
 
 // Process consumes one branch record: the front decides it at once and
 // queues its decisions, which the lanes replay when the queue fills or
-// on Flush.
+// on Flush. It needs an explicit warm-up limit.
 //
 //ghrp:hotpath
 func (fo *FanOut) Process(r trace.Record) {
+	if fo.front.warmupLimit == WarmupFromStream {
+		panic(errNoWindow)
+	}
 	ch := fo.chunks[0]
 	fo.front.decide(r, ch)
 	if ch.full() {
@@ -147,13 +151,39 @@ func (fo *FanOut) replay(ch *decChunk) {
 // Instructions returns total instructions processed so far.
 func (fo *FanOut) Instructions() uint64 { return fo.front.instrs }
 
-// Results flushes the queue and snapshots the per-lane statistics, in
-// the order the policy kinds were given to NewFanOut.
+// Results flushes the queue and snapshots the per-lane statistics after
+// warm-up, in the order the policy kinds were given to NewFanOut. It
+// also sets an attached access log's Skip. While warm-up outlasts the
+// records, no statistic counts: every Result reports only its Policy,
+// TotalInstructions and Records, and Skip is the log's whole length.
 func (fo *FanOut) Results() []Result {
 	fo.Flush()
+	f := fo.front
+	if f.warmupLimit == WarmupFromStream {
+		panic(errNoWindow)
+	}
+	k := f.warmEnd()
 	out := make([]Result, len(fo.lanes))
 	for i := range fo.lanes {
-		out[i] = makeResult(fo.front, &fo.lanes[i])
+		l := &fo.lanes[i]
+		r := &out[i]
+		*r = Result{Policy: l.kind, TotalInstructions: f.instrs, Records: f.records}
+		if k == len(f.marks) {
+			continue // warm-up outlasted the records: nothing counts
+		}
+		r.CountedInstrs, r.Branch, r.RAS, r.Indirect = f.instrs, f.bpred.Stats(), f.ras.Stats(), f.ind.Stats()
+		r.ICache, r.BTB, r.Prefetch = l.icache.Stats(), l.ibtb.Stats(), l.prefStats
+		m, fm := l.marks[k], &f.marks[k]
+		m.CountedInstrs, m.Branch, m.RAS, m.Indirect = fm.CountedInstrs, fm.Branch, fm.RAS, fm.Indirect
+		subtract(r, &m)
+	}
+	// Every tapped block is one demand I-cache access, so a lane's
+	// access count at a mark is the tap's length there.
+	if fo.tap != nil {
+		fo.tap.Skip = len(fo.tap.Blocks)
+		if k < len(f.marks) {
+			fo.tap.Skip = int(fo.lanes[0].marks[k].ICache.Accesses)
+		}
 	}
 	return out
 }
@@ -168,13 +198,41 @@ func (fo *FanOut) Results() []Result {
 // workers bounds the goroutines lane replay is spread over; it is
 // clamped to the lane count, and one or less replays on the calling
 // goroutine. Results are bit-identical for every worker count.
+//
+// Under WarmupFromStream the program executes once: the totals its
+// stream can reach for target (Program.FetchBounds) bound the candidate
+// warm-up limits before the stream, and the total settles the limit
+// after it. A total outside those bounds is an error naming the program.
 func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, workers int, opts StreamOptions) ([]Result, error) {
-	if workers > len(fo.lanes) {
-		workers = len(fo.lanes)
+	f := fo.front
+	fromStream := f.warmupLimit == WarmupFromStream
+	var lo, hi uint64
+	if fromStream {
+		lo, hi = prog.FetchBounds(target)
+		f.window(f.cfg.WarmupFor(lo), f.cfg.WarmupFor(hi))
 	}
-	if workers > 1 {
-		return fo.streamParallel(prog, seed, target, workers, opts)
+	var err error
+	if workers = min(workers, len(fo.lanes)); workers > 1 {
+		err = fo.streamParallel(prog, seed, target, workers, opts)
+	} else {
+		err = fo.streamSerial(prog, seed, target, opts)
 	}
+	if err != nil {
+		return nil, err
+	}
+	if fromStream {
+		if f.instrs < lo || f.instrs > hi {
+			return nil, fmt.Errorf("frontend: %s: stream of %d instructions for target %d is outside its warm-up window [%d, %d]",
+				prog.Name, f.instrs, target, lo, hi)
+		}
+		f.warmupLimit = f.cfg.WarmupFor(f.instrs)
+	}
+	return fo.Results(), nil
+}
+
+// streamSerial is StreamProgram replaying every lane on the calling
+// goroutine.
+func (fo *FanOut) streamSerial(prog *workload.Program, seed, target uint64, opts StreamOptions) error {
 	every := opts.every()
 	ch := fo.chunks[0]
 	var n uint64
@@ -194,16 +252,13 @@ func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, wor
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fo.Results(), nil
+	return err
 }
 
 // SimulateFanOut executes a workload program once and replays it under
 // every given policy in lockstep. It returns one Result per kind, each
 // bit-identical to what a one-lane fan-out of that kind would produce
-// with the same warm-up limit.
+// with the same warm-up limit, WarmupFromStream included.
 func SimulateFanOut(cfg Config, kinds []PolicyKind, prog *workload.Program, seed, target, warmupLimit uint64, opts StreamOptions) ([]Result, error) {
 	fo, err := NewFanOut(cfg, kinds, warmupLimit)
 	if err != nil {

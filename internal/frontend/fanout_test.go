@@ -75,6 +75,34 @@ func TestFanOutMatchesPerPolicy(t *testing.T) {
 	}
 }
 
+// TestFanOutWarmupOutlastsRecords pins Results when the warm-up limit is
+// above the stream's total: nothing counts, and the tap's whole log is
+// warm-up.
+func TestFanOutWarmupOutlastsRecords(t *testing.T) {
+	recs := testRecords(t, 20_000)
+	cfg := smallConfig()
+	cfg.WrongPath = WrongPathInject
+	cfg.NextLinePrefetch = true
+	fo, err := NewFanOut(cfg, []PolicyKind{PolicyLRU, PolicyGHRP}, 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log AccessLog
+	fo.TapAccesses(&log)
+	for _, r := range recs {
+		fo.Process(r)
+	}
+	for i, r := range fo.Results() {
+		want := Result{Policy: r.Policy, TotalInstructions: fo.Instructions(), Records: uint64(len(recs))}
+		if r != want || r.TotalInstructions == 0 {
+			t.Errorf("lane %d: got %+v, want only %+v", i, r, want)
+		}
+	}
+	if len(log.Blocks) == 0 || log.Skip != len(log.Blocks) {
+		t.Errorf("tap skips %d of %d accesses, want all", log.Skip, len(log.Blocks))
+	}
+}
+
 // TestFanOutDuplicateKinds checks that duplicate lanes are independent
 // and identical: two GHRP lanes in one fan-out must match each other and
 // a one-lane fan-out.
@@ -123,8 +151,8 @@ func TestFanOutRejectsBadInputs(t *testing.T) {
 // decision chunks cannot change a result: Process with a Flush after
 // every record, after every k records or only at the end, and
 // StreamProgram at one and several workers, all give identical Results.
-// The warm-up limit makes the flip land on the last record of the first
-// chunk, so the flip is replayed at a chunk's edge. Records Process
+// The warm-up limit makes the warm-up mark land on the last record of
+// the first chunk, so the mark is replayed at a chunk's edge. Records Process
 // queued before a stream are replayed ahead of it on either path.
 func TestFanOutChunkBoundaries(t *testing.T) {
 	prog := fanOutProgram(t)
@@ -153,8 +181,8 @@ func TestFanOutChunkBoundaries(t *testing.T) {
 	fo := newFanOut()
 	for i, r := range recs[:chunkRecords] {
 		fo.Process(r)
-		if fo.front.warm != (i < chunkRecords-1) {
-			t.Fatalf("warm-up flip is not on record %d", chunkRecords-1)
+		if marked := len(fo.front.marks) == 2; marked != (i == chunkRecords-1) {
+			t.Fatalf("warm-up mark is not on record %d", chunkRecords-1)
 		}
 	}
 

@@ -72,9 +72,6 @@ func (r *RAS) Pop(actual uint64) (predicted uint64, correct bool) {
 // Stats returns the accumulated counters.
 func (r *RAS) Stats() RASStats { return r.stats }
 
-// ResetStats clears statistics while keeping the stack contents.
-func (r *RAS) ResetStats() { r.stats = RASStats{} }
-
 // Reset clears everything, stack slots included, returning the stack to
 // the state NewRAS builds.
 //

@@ -66,16 +66,14 @@ func TestRASMispredict(t *testing.T) {
 func TestRASResets(t *testing.T) {
 	r := NewRAS(4)
 	r.Push(0x100)
-	r.ResetStats()
-	if r.Stats().Pushes != 0 {
-		t.Error("ResetStats did not clear")
-	}
-	// Contents survive ResetStats.
 	if tgt, ok := r.Pop(0x100); !ok || tgt != 0x100 {
 		t.Errorf("contents lost: (%#x, %v)", tgt, ok)
 	}
 	r.Push(0x200)
 	r.Reset()
+	if r.Stats() != (RASStats{}) {
+		t.Errorf("Reset left statistics %+v", r.Stats())
+	}
 	if _, ok := r.Pop(0x200); ok {
 		t.Error("Reset left contents")
 	}

@@ -47,7 +47,9 @@ func CountInstructions(recs []trace.Record, instrBytes, blockBytes uint64) (uint
 // CountProgram streams a program's deterministic record stream through a
 // fetch reconstructor without buffering it, returning the total
 // instruction and record counts — the streaming equivalent of
-// GenerateRecords followed by CountInstructions.
+// GenerateRecords followed by CountInstructions. Simulations derive
+// their warm-up window in the same pass (WarmupFromStream); the
+// benchmark's probe and the tests' two-pass reference still count first.
 func CountProgram(cfg Config, prog *workload.Program, seed, target uint64, opts StreamOptions) (instrs, records uint64, err error) {
 	f, err := trace.NewFetcher(cfg.InstrBytes, uint64(cfg.ICache.BlockBytes))
 	if err != nil {
@@ -69,9 +71,8 @@ func CountProgram(cfg Config, prog *workload.Program, seed, target uint64, opts 
 	return total, n, nil
 }
 
-// SimulateProgramStream is SimulateFanOut for a single policy. Pair
-// it with CountProgram to derive the warm-up limit from the stream's
-// actual instruction count.
+// SimulateProgramStream is SimulateFanOut for a single policy, kept for
+// the benchmark's probe.
 func SimulateProgramStream(cfg Config, kind PolicyKind, prog *workload.Program, seed, target, warmupLimit uint64, opts StreamOptions) (Result, error) {
 	res, err := SimulateFanOut(cfg, []PolicyKind{kind}, prog, seed, target, warmupLimit, opts)
 	if err != nil {

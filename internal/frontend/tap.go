@@ -5,7 +5,8 @@ import "slices"
 // AccessLog is a caller-owned record of a fan-out's demand I-cache
 // accesses: the block of every coalesced access its lanes replay, in
 // order and warm-up included, and Skip, how many leading Blocks belong
-// to records decided during warm-up (0 without one). Offline oracles
+// to records decided during warm-up (0 without one), which the
+// fan-out's Results sets. Offline oracles
 // read it — Belady's MIN as opt.Simulate(Blocks, sets, ways, Skip),
 // reuse-distance profiles — so they see exactly the stream the policies
 // saw. Wrong-path and prefetch fills are not demand accesses and are not
@@ -17,7 +18,7 @@ type AccessLog struct {
 
 // add appends the accesses of one complete decision chunk. The chunk's
 // access pool holds its records' access lists end to end, in record
-// order, and warm records are a prefix of the stream.
+// order.
 //
 //ghrp:hotpath
 func (l *AccessLog) add(ch *decChunk) {
@@ -27,9 +28,6 @@ func (l *AccessLog) add(ch *decChunk) {
 	l.Blocks = slices.Grow(l.Blocks, len(ch.accesses))[:n+len(ch.accesses)]
 	for i := range ch.accesses {
 		l.Blocks[n+i] = ch.accesses[i].block
-	}
-	for i := 0; i < len(ch.recs) && ch.recs[i].flags&chunkWarm != 0; i++ {
-		l.Skip = n + int(ch.recs[i].accOff+ch.recs[i].accLen)
 	}
 }
 

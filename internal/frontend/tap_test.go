@@ -224,7 +224,7 @@ func TestAccessTapMatchesReference(t *testing.T) {
 							fo.Flush()
 						}
 					}
-					fo.Flush()
+					fo.Results()
 					check("Process with uneven flushes")
 					for _, workers := range []int{1, 2, 3} {
 						reset()

@@ -212,9 +212,6 @@ func (p *Predictor) Update(o Outcome, pc uint64, actual uint64) {
 // Stats returns the accumulated counters.
 func (p *Predictor) Stats() Stats { return p.stats }
 
-// ResetStats clears statistics while keeping learned state.
-func (p *Predictor) ResetStats() { p.stats = Stats{} }
-
 // Reset clears everything, returning the predictor to the state New
 // builds.
 //

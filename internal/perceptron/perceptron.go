@@ -262,10 +262,6 @@ func (p *Predictor) pushHistory(pc uint64, taken bool) {
 // Stats returns the accumulated prediction statistics.
 func (p *Predictor) Stats() Stats { return p.stats }
 
-// ResetStats clears statistics (e.g. at the end of warm-up) while keeping
-// the learned weights.
-func (p *Predictor) ResetStats() { p.stats = Stats{} }
-
 // Reset clears weights, histories and statistics, returning the
 // predictor to the state New builds.
 //

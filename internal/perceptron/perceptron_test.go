@@ -161,12 +161,10 @@ func TestStatsAndReset(t *testing.T) {
 	if p.Stats().Predictions != 10 {
 		t.Errorf("predictions = %d, want 10", p.Stats().Predictions)
 	}
-	p.ResetStats()
-	if p.Stats().Predictions != 0 {
-		t.Error("ResetStats did not clear")
-	}
-	// Weights survive ResetStats: predictions remain informed.
 	p.Reset()
+	if p.Stats().Predictions != 0 {
+		t.Error("Reset did not clear statistics")
+	}
 	o := p.Predict(pc)
 	if o.Sum != 0 {
 		t.Error("Reset did not clear weights")

@@ -129,16 +129,10 @@ func matchReference(t *testing.T, cfg Config, seed int64, steps int) {
 	for step := 0; step < steps; step++ {
 		k := rng.Intn(len(pcs))
 		pc := pcs[k]
-		switch rng.Intn(16) {
-		case 0:
+		if rng.Intn(16) == 0 {
 			p.PushUnconditional(pc ^ 0x40)
 			ref.PushUnconditional(pc ^ 0x40)
 			continue
-		case 1:
-			if rng.Intn(64) == 0 {
-				p.ResetStats()
-				ref.stats = Stats{}
-			}
 		}
 		taken := rng.Float64() < bias[k]
 		want := ref.Predict(pc)

@@ -10,13 +10,10 @@
 // can be keyed by a hash of exactly those inputs and replayed from disk
 // instead of re-simulated.
 //
-// Alongside per-policy results the cache stores per-workload Counts —
-// the instruction/record totals of the counting pre-pass that derives
-// the warm-up window. Counts are policy-independent and depend on less
-// of the configuration than results do (only the instruction and block
-// geometry), so one count entry serves every policy and every cache/BTB
-// sweep variant of a workload, and a warm-cache rerun skips the
-// counting traversal entirely.
+// The cache can also store per-workload Counts, the totals of a
+// counting pass over a workload's stream (frontend.CountProgram). The
+// suite runner no longer counts, since its one pass derives the warm-up
+// window, so only the benchmark's probe (suitebench) uses them now.
 //
 // Layout: each entry is one JSON file under dir/<hh>/<hash>.json, where
 // hash is the SHA-256 of the cell's canonical JSON encoding and hh its
@@ -90,8 +87,8 @@ func KeyFor(spec workload.Spec, cfg frontend.Config, kind frontend.PolicyKind, e
 	})
 }
 
-// Counts memoizes one workload's counting pre-pass: the totals that
-// derive the warm-up window (frontend.CountProgram's outputs).
+// Counts memoizes one workload's counting pass (frontend.CountProgram's
+// outputs). Only the benchmark's probe uses it now.
 type Counts struct {
 	Instructions uint64
 	Records      uint64
@@ -112,8 +109,9 @@ type countCell struct {
 	BlockBytes int
 }
 
-// CountKeyFor computes the cache key for one workload's counting
-// pre-pass under the given configuration's fetch geometry.
+// CountKeyFor computes the cache key for one workload's counting pass
+// under the given configuration's fetch geometry. Only the benchmark's
+// probe uses it now.
 func CountKeyFor(spec workload.Spec, cfg frontend.Config, execSeed, target uint64) (Key, error) {
 	return keyOf(countCell{
 		Version:    FormatVersion,
@@ -217,8 +215,9 @@ func (c *Cache) Get(key Key) (frontend.Result, bool) {
 	return get[frontend.Result](c, key)
 }
 
-// GetCount returns the memoized counting pre-pass for key (from
-// CountKeyFor), with Get's miss/quarantine semantics.
+// GetCount returns the memoized counting pass for key (from
+// CountKeyFor), with Get's miss/quarantine semantics. Only the
+// benchmark's probe uses it now.
 func (c *Cache) GetCount(key Key) (Counts, bool) {
 	return get[Counts](c, key)
 }
@@ -268,8 +267,9 @@ func (c *Cache) Put(key Key, res frontend.Result) error {
 	return put(c, key, res)
 }
 
-// PutCount stores one workload's counting pre-pass under key (from
-// CountKeyFor), with Put's atomicity guarantees.
+// PutCount stores one workload's counting pass under key (from
+// CountKeyFor), with Put's atomicity guarantees. Only the benchmark's
+// probe uses it now.
 func (c *Cache) PutCount(key Key, counts Counts) error {
 	return put(c, key, counts)
 }

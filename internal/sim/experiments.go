@@ -445,11 +445,7 @@ func ComputeHeatmaps(cfg frontend.Config, st Structure, spec workload.Spec, inst
 	if err != nil {
 		return nil, err
 	}
-	total, _, err := frontend.CountProgram(cfg, prog, 1, instrs, frontend.StreamOptions{})
-	if err != nil {
-		return nil, err
-	}
-	fo, err := frontend.NewFanOut(cfg, kinds, cfg.WarmupFor(total))
+	fo, err := frontend.NewFanOut(cfg, kinds, frontend.WarmupFromStream)
 	if err != nil {
 		return nil, err
 	}

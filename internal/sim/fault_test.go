@@ -222,8 +222,8 @@ func TestFaultNegativeMaxRetriesDisables(t *testing.T) {
 }
 
 // A transient cache write failure (here the first write of the run:
-// workload 0's memoized count entry) must retry the task and succeed on
-// the second attempt, filling the cache completely.
+// workload 0's result entry) must retry the task and succeed on the
+// second attempt, filling the cache completely.
 func TestFaultCachePutTransientRetries(t *testing.T) {
 	cache, err := resultcache.Open(t.TempDir())
 	if err != nil {
@@ -244,10 +244,10 @@ func TestFaultCachePutTransientRetries(t *testing.T) {
 	if m.Stats.Retries != 1 {
 		t.Errorf("stats retries %d, want 1", m.Stats.Retries)
 	}
-	// 2 result entries + 2 memoized count entries; the faulted count
-	// write was re-attempted and stored.
-	if n, err := cache.Len(); err != nil || n != 4 {
-		t.Errorf("cache holds %d entries (err %v), want 4", n, err)
+	// One result entry per workload; the faulted write was re-attempted
+	// and stored.
+	if n, err := cache.Len(); err != nil || n != 2 {
+		t.Errorf("cache holds %d entries (err %v), want 2", n, err)
 	}
 }
 
@@ -259,10 +259,8 @@ func TestFaultCacheCorruptQuarantinedOnRerun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Writes interleave count and result entries (count first per
-	// workload at Parallelism 1), so occurrence 2 is workload 0's result
-	// entry — corrupting a count entry would go unnoticed on a fully
-	// warm rerun, which never re-counts.
+	// Every write is a result entry, one per workload at Parallelism 1,
+	// so occurrence 2 is workload 1's.
 	in := faultinject.New(faultinject.Rule{Op: faultinject.OpCacheCorrupt, Nth: 2, Action: faultinject.Corrupt})
 	cache.SetTestHooks(resultcache.TestHooks{
 		AfterPut: func(path string) {
@@ -295,9 +293,9 @@ func TestFaultCacheCorruptQuarantinedOnRerun(t *testing.T) {
 			t.Errorf("workload %d: warm rerun diverged after quarantine", wi)
 		}
 	}
-	// 3 result + 3 count entries; the quarantined result was repaired.
-	if n, err := cache.Len(); err != nil || n != 6 {
-		t.Errorf("cache holds %d entries (err %v), want 6 (quarantined cell repaired)", n, err)
+	// 3 result entries; the quarantined one was repaired.
+	if n, err := cache.Len(); err != nil || n != 3 {
+		t.Errorf("cache holds %d entries (err %v), want 3 (quarantined cell repaired)", n, err)
 	}
 }
 
@@ -500,10 +498,10 @@ func TestFaultCachePutMidFanOutRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Write order at Parallelism 1: wl0 count, wl0 results x3, wl1 count,
-	// wl1 results x3. Occurrence 4 is workload 0's third result entry, so
-	// two of its cells are recorded before the attempt fails.
-	in := faultinject.New(faultinject.Rule{Op: faultinject.OpCachePut, Nth: 4, Action: faultinject.Transient})
+	// Write order at Parallelism 1: wl0 results x3, wl1 results x3.
+	// Occurrence 3 is workload 0's third result entry, so two of its
+	// cells are recorded before the attempt fails.
+	in := faultinject.New(faultinject.Rule{Op: faultinject.OpCachePut, Nth: 3, Action: faultinject.Transient})
 	cache.SetTestHooks(resultcache.TestHooks{
 		BeforePut: func(path string) error { return in.Fire(context.Background(), faultinject.OpCachePut) },
 	})
@@ -530,9 +528,9 @@ func TestFaultCachePutMidFanOutRetries(t *testing.T) {
 	if got := count(obs.WorkloadDone); got != 2 {
 		t.Errorf("%d WorkloadDone events, want 2", got)
 	}
-	// 2 count entries + 6 result entries, the faulted one re-written.
-	if n, err := cache.Len(); err != nil || n != 8 {
-		t.Errorf("cache holds %d entries (err %v), want 8", n, err)
+	// 6 result entries, the faulted one re-written.
+	if n, err := cache.Len(); err != nil || n != 6 {
+		t.Errorf("cache holds %d entries (err %v), want 6", n, err)
 	}
 }
 
@@ -722,7 +720,7 @@ func TestSimWorkerFanOutLifecycle(t *testing.T) {
 	if sw.fo != kept {
 		t.Error("same roster rebuilt the fan-out instead of resetting it")
 	}
-	if fo, err := sw.fanOut(opts.Policies[:1], 0); err != nil || fo == kept {
+	if fo, err := sw.fanOut(opts.Policies[:1]); err != nil || fo == kept {
 		t.Errorf("different roster reused the fan-out (err %v)", err)
 	}
 
@@ -736,7 +734,7 @@ func TestSimWorkerFanOutLifecycle(t *testing.T) {
 	if sw.useConfig(cfg); sw.fo != nil {
 		t.Error("new history lengths kept the fan-out")
 	}
-	if _, err := sw.fanOut(opts.Policies, 0); err != nil {
+	if _, err := sw.fanOut(opts.Policies); err != nil {
 		t.Fatal(err)
 	}
 	kept = sw.fo
@@ -754,7 +752,7 @@ func TestSimWorkerFanOutLifecycle(t *testing.T) {
 	for _, act := range []faultinject.Action{faultinject.Panic, faultinject.Transient} {
 		opts.Faults = faultinject.New(faultinject.Rule{Op: faultinject.OpProgress, Nth: 3, Action: act})
 		r := newRunState(opts, func(obs.Event) {})
-		if _, err := sw.fanOut(opts.Policies, 0); err != nil {
+		if _, err := sw.fanOut(opts.Policies); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.runTaskSafe(ctx, task{0}, &sw); err == nil {

@@ -83,12 +83,11 @@ type Options struct {
 	// from disk instead of replayed, which makes sweeps, ablations and
 	// repeat runs skip their redundant baseline cells. Hits are
 	// reported via obs.PolicyCached events and RunStats cache counters.
-	// The workload's counting pre-pass is memoized alongside the result
-	// cells (resultcache.Counts), so a warm rerun that still has cells
-	// to simulate skips the counting traversal too.
+	// Only result cells are stored: the warm-up window comes from the
+	// fused replay itself, so a workload writes one entry per policy.
 	Cache *resultcache.Cache
-	// TaskTimeout bounds one workload task's wall time — prep, counting,
-	// the fused replay of all its uncached cells and, under
+	// TaskTimeout bounds one workload task's wall time — program
+	// generation, the fused replay of all its uncached cells and, under
 	// ComputeHeadroom, its OPT pass; 0 disables. A task over deadline
 	// fails with ErrTaskTimeout.
 	TaskTimeout time.Duration
@@ -321,14 +320,13 @@ type task struct{ wi int }
 
 // wlState is one workload's scheduler state. A workload is a single
 // task owned by one worker at a time, so the fields need no locking;
-// they persist across that task's retry attempts (the program and
-// warm-up window survive a transient replay failure, and started keeps
-// WorkloadStart from re-firing).
+// they persist across that task's retry attempts (the program survives
+// a transient replay failure, and started keeps WorkloadStart from
+// re-firing).
 type wlState struct {
 	start   time.Time
 	started bool
 	prog    *workload.Program
-	warm    uint64
 }
 
 // runState carries one RunContext invocation's shared pieces.
@@ -385,16 +383,17 @@ func (sw *simWorker) useConfig(cfg frontend.Config) {
 	sw.cfg = cfg
 }
 
-// fanOut returns a fan-out in its freshly built state for kinds and the
-// warm-up limit, reusing the worker's previous one when the roster
-// matches. The configuration is the run's, fixed by useConfig.
-func (sw *simWorker) fanOut(kinds []frontend.PolicyKind, warmupLimit uint64) (*frontend.FanOut, error) {
+// fanOut returns a fan-out in its freshly built state for kinds, reusing
+// the worker's previous one when the roster matches. The configuration
+// is the run's, fixed by useConfig; the warm-up limit comes from the
+// stream (frontend.WarmupFromStream).
+func (sw *simWorker) fanOut(kinds []frontend.PolicyKind) (*frontend.FanOut, error) {
 	if sw.fo != nil && slices.Equal(sw.kinds, kinds) {
-		sw.fo.Reset(warmupLimit)
+		sw.fo.Reset(frontend.WarmupFromStream)
 		return sw.fo, nil
 	}
 	sw.drop()
-	fo, err := frontend.NewFanOut(sw.cfg, kinds, warmupLimit)
+	fo, err := frontend.NewFanOut(sw.cfg, kinds, frontend.WarmupFromStream)
 	if err != nil {
 		return nil, err
 	}
@@ -410,11 +409,11 @@ func (sw *simWorker) drop() { sw.fo, sw.kinds = nil, nil }
 // taken from the Runner and returned to it when the run ends.
 // Each task executes its workload's program exactly once and feeds the
 // record stream to every policy the result cache could not answer in
-// lockstep (frontend.FanOut), so executor interpretation costs
-// 1× per workload instead of once per policy plus the counting
-// pre-pass — and the pre-pass itself is memoized in the result cache.
-// Cache hits stay per-cell: a cell served from disk is reported via
-// obs.PolicyCached and excluded from the fused replay. Because fan-out
+// lockstep (frontend.FanOut), which also derives the warm-up window from
+// that stream, so executor interpretation costs 1× per workload instead
+// of once per policy plus a counting pass. Cache hits stay per-cell: a
+// cell served from disk is reported via obs.PolicyCached and excluded
+// from the fused replay. Because fan-out
 // lanes are fully independent and the stream is deterministic, results
 // are bit-identical to per-policy replays at any parallelism. Workload
 // failures are aggregated with errors.Join rather than truncated to
@@ -697,11 +696,10 @@ func (r *runState) runTaskSafe(ctx context.Context, t task, sw *simWorker) (err 
 }
 
 // runTask executes one workload task: per-cell result-cache lookups,
-// prep (program generation + memoized counting pre-pass), one fused
-// replay of every cell the cache could not answer, the OPT pass when the
-// run owes one, and per-cell cache fills. Cells completed and an OPT
-// pass done by an earlier attempt of this task are skipped. The replay
-// runs on the worker's reusable fan-out.
+// program generation, one fused replay of every cell the cache could not
+// answer, the OPT pass when the run owes one, and per-cell cache fills.
+// Cells completed and an OPT pass done by an earlier attempt of this
+// task are skipped. The replay runs on the worker's reusable fan-out.
 func (r *runState) runTask(ctx context.Context, t task, sw *simWorker) error {
 	opts := r.opts
 	st := &r.states[t.wi]
@@ -760,48 +758,14 @@ func (r *runState) runTask(ctx context.Context, t task, sw *simWorker) error {
 		return nil
 	}
 
-	// Prep: generate the program and derive the warm-up window. The
-	// counting pre-pass is memoized in the result cache (the count
-	// depends only on the fetch geometry, so one entry serves every
-	// policy and sweep variant); prep state is kept only once the whole
-	// stage — count store included — succeeded, so a transient failure
-	// here retries side-effect free. The program lives in the worker's
-	// generator; a retry after prep replays the kept st.prog and never
-	// regenerates over it.
+	// The program lives in the worker's generator; a retry replays the
+	// kept st.prog and never regenerates over it.
 	if st.prog == nil {
 		prog, err := sw.gen.Generate(spec.Profile)
 		if err != nil {
 			return err
 		}
-		var countKey resultcache.Key
-		counts, haveCounts := resultcache.Counts{}, false
-		if opts.Cache != nil {
-			countKey, err = resultcache.CountKeyFor(spec, opts.Config, opts.ExecSeed, target)
-			if err != nil {
-				return err
-			}
-			counts, haveCounts = opts.Cache.GetCount(countKey)
-		}
-		if !haveCounts {
-			counting := frontend.StreamOptions{
-				ProgressEvery: opts.ProgressEvery,
-				Progress: func(records, instructions uint64) error {
-					w.touch()
-					return w.ctx.Err()
-				},
-			}
-			instrs, records, err := frontend.CountProgram(opts.Config, prog, opts.ExecSeed, target, counting)
-			if err != nil {
-				return w.fault(err)
-			}
-			counts = resultcache.Counts{Instructions: instrs, Records: records}
-			if opts.Cache != nil {
-				if err := opts.Cache.PutCount(countKey, counts); err != nil {
-					return &RetryableError{fmt.Errorf("count cache put: %w", err)}
-				}
-			}
-		}
-		st.prog, st.warm = prog, opts.Config.WarmupFor(counts.Instructions)
+		st.prog = prog
 	}
 
 	// One fused traversal drives every missing cell. Progress ticks are
@@ -840,7 +804,7 @@ func (r *runState) runTask(ctx context.Context, t task, sw *simWorker) error {
 			return nil
 		},
 	}
-	fo, err := sw.fanOut(kinds, st.warm)
+	fo, err := sw.fanOut(kinds)
 	if err != nil {
 		return err
 	}

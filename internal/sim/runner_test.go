@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ghrpsim/internal/faultinject"
@@ -403,7 +404,20 @@ func TestRunnerReusesWorkers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := rn.RunContext(context.Background(), opts); err != nil {
+			// The run's two workers meet at their first workloads, so
+			// each run holds two workers at once however short its
+			// tasks are.
+			var meet sync.WaitGroup
+			meet.Add(2)
+			var starts atomic.Int32
+			ro := opts
+			ro.Observer = func(e obs.Event) {
+				if e.Kind == obs.WorkloadStart && starts.Add(1) <= 2 {
+					meet.Done()
+					meet.Wait()
+				}
+			}
+			if _, err := rn.RunContext(context.Background(), ro); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -141,9 +141,9 @@ func TestSchedulerWarmCacheBitIdentical(t *testing.T) {
 		t.Fatalf("cold run: %d hits / %d misses, want 0 / %d",
 			cold.Stats.CacheHits, cold.Stats.CacheMisses, cells)
 	}
-	// One result entry per cell plus one memoized count entry per
-	// workload.
-	want := cells + len(cold.Specs)
+	// One result entry per cell and nothing else: the runner memoizes
+	// no count.
+	want := cells
 	if n, err := cache.Len(); err != nil || n != want {
 		t.Fatalf("cache holds %d entries (%v), want %d", n, err, want)
 	}
@@ -343,7 +343,7 @@ func TestRunReusesHeadroomCache(t *testing.T) {
 		t.Errorf("fused run after headroom: %d hits / %d misses, want %d / 0",
 			m.Stats.CacheHits, m.Stats.CacheMisses, cells)
 	}
-	// A fully-warm run never counts, so no count entries are added either.
+	// A fully-warm run simulates nothing, so it writes nothing.
 	if n1, err := cache.Len(); err != nil || n1 != n0 {
 		t.Errorf("fused run grew cache from %d to %d (%v); every cell should hit", n0, n1, err)
 	}

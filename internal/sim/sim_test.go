@@ -7,6 +7,7 @@ import (
 
 	"ghrpsim/internal/core"
 	"ghrpsim/internal/frontend"
+	"ghrpsim/internal/opt"
 	"ghrpsim/internal/workload"
 )
 
@@ -383,6 +384,77 @@ func TestHeadroomOPTUsesCountedWindow(t *testing.T) {
 	if rep.OPTMean != rep.LRUMean || rep.Included != 0 {
 		t.Errorf("no-eviction cache: OPT mean %v, LRU mean %v, %d gapped workloads; want equal means and none gapped",
 			rep.OPTMean, rep.LRUMean, rep.Included)
+	}
+}
+
+// ComputeHeadroom aggregates the gap over gapped workloads: each row's
+// GapClosed is (ΣLRU − Σpolicy) / (ΣLRU − ΣOPT) over the workloads whose
+// OPT MPKI is below LRU's. An 8KB I-cache gaps most of the suite, and an
+// independent recomputation must reproduce the report: the policy MPKI
+// vectors of a plain run, and OPT from Belady's MIN over the access tap
+// of a one-pass LRU fan-out per workload, whose Results set the tap's
+// warm-up skip.
+func TestHeadroomAggregatesGappedWorkloads(t *testing.T) {
+	opts := Options{Workloads: workload.SuiteN(8), Scale: 0.05, Config: frontend.DefaultConfig()}
+	opts.Config.ICache = frontend.ICacheConfig{SizeBytes: 8 << 10, BlockBytes: 64, Ways: 4}
+	rep, err := ComputeHeadroom(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := opts.Config
+	optV := make([]float64, len(opts.Workloads))
+	for wi, spec := range opts.Workloads {
+		prog, err := spec.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fo, err := frontend.NewFanOut(cfg, []frontend.PolicyKind{frontend.PolicyLRU}, frontend.WarmupFromStream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log frontend.AccessLog
+		fo.TapAccesses(&log)
+		res, err := fo.StreamProgram(prog, 1, targetFor(spec, opts.Scale), 1, frontend.StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ost, err := opt.Simulate(log.Blocks, cfg.ICache.Sets(), cfg.ICache.Ways, log.Skip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		optV[wi] = ost.MPKI(res[0].CountedInstrs)
+	}
+	lruV := m.ICacheMPKI[frontend.PolicyLRU]
+	var gapped []int
+	for wi := range lruV {
+		if lruV[wi]-optV[wi] > 1e-6 {
+			gapped = append(gapped, wi)
+		}
+	}
+	if len(gapped) < 3 {
+		t.Fatalf("%d gapped workloads; the aggregation needs several", len(gapped))
+	}
+	t.Logf("%d of %d workloads gapped", len(gapped), len(lruV))
+	if rep.Included != len(gapped) {
+		t.Errorf("report includes %d gapped workloads, recomputation %d", rep.Included, len(gapped))
+	}
+	sum := func(v []float64) float64 {
+		var s float64
+		for _, wi := range gapped {
+			s += v[wi]
+		}
+		return s
+	}
+	lruSum, optSum := sum(lruV), sum(optV)
+	for i, k := range m.Policies {
+		want := (lruSum - sum(m.ICacheMPKI[k])) / (lruSum - optSum)
+		if got := rep.Rows[i].GapClosed; got < want-1e-9 || got > want+1e-9 {
+			t.Errorf("%v closes %.9f of the gap, recomputation %.9f", k, got, want)
+		}
 	}
 }
 

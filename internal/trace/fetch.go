@@ -7,12 +7,12 @@ import "fmt"
 // traces come from a RISC-style ISA with 4-byte instructions.
 const DefaultInstrBytes = 4
 
-// maxSequentialRun caps how many sequential instructions may be inferred
+// MaxSequentialRun caps how many sequential instructions may be inferred
 // between two branch records. Real basic blocks are far shorter; a longer
 // run indicates a malformed or discontinuous trace, and the reconstructor
 // resynchronizes at the branch PC instead of fabricating megabytes of
 // straight-line code.
-const maxSequentialRun = 1 << 14
+const MaxSequentialRun = 1 << 14
 
 // Fetcher reconstructs the instruction fetch stream from a branch-record
 // stream, as described in the paper's methodology: every instruction
@@ -22,7 +22,7 @@ type Fetcher struct {
 	instrBytes uint64
 	instrShift uint
 	blockShift uint
-	maxRun     uint64 // maxSequentialRun in bytes
+	maxRun     uint64 // MaxSequentialRun in bytes
 	pc         uint64
 	started    bool
 	resyncs    uint64
@@ -45,7 +45,7 @@ func NewFetcher(instrBytes, blockBytes uint64) (*Fetcher, error) {
 		instrBytes: instrBytes,
 		instrShift: shiftOf(instrBytes),
 		blockShift: shiftOf(blockBytes),
-		maxRun:     maxSequentialRun * instrBytes,
+		maxRun:     MaxSequentialRun * instrBytes,
 	}, nil
 }
 

