@@ -45,7 +45,10 @@ examples-smoke:
 # ghrpsim-smoke pins the ghrpsim CLI's -analyze output, which profiles
 # the I-cache accesses read from the simulator's access tap: one run
 # streams a suite workload, one replays the same stream from a tracegen
-# file through -trace. Each must print exactly its expected file under
+# file through -trace. Two more pin the GHRP and SDBP lanes' counters
+# on LS-001, whose GHRP run takes the dead paths (bypasses,
+# dead-predicted evictions, dead predictions) that SS-001 never
+# reaches. Each must print exactly its expected file under
 # cmd/ghrpsim/testdata.
 ghrpsim-smoke:
 	@mkdir -p bin
@@ -54,6 +57,8 @@ ghrpsim-smoke:
 	./bin/ghrpsim -workload SS-001 -instrs 200000 -analyze | diff -u cmd/ghrpsim/testdata/analyze.txt -
 	./bin/tracegen -workload SS-001 -instrs 200000 -out bin/SS-001.trace > /dev/null
 	./bin/ghrpsim -trace bin/SS-001.trace -analyze | diff -u cmd/ghrpsim/testdata/analyze-trace.txt -
+	./bin/ghrpsim -workload LS-001 -instrs 1000000 | diff -u cmd/ghrpsim/testdata/ls001-ghrp.txt -
+	./bin/ghrpsim -workload LS-001 -instrs 1000000 -policy SDBP | diff -u cmd/ghrpsim/testdata/ls001-sdbp.txt -
 
 # race-smoke runs the packages with concurrency-sensitive code — the
 # suite scheduler, the observers, the fan-out engine, the result cache,
@@ -78,7 +83,9 @@ fault-smoke:
 # fuzz-smoke runs each fuzz target briefly (native Go fuzzing): the
 # trace format, the daemon's untrusted inputs — POST /runs bodies and
 # generated-suite grids — the branch predictor against its reference
-# model over fuzzed geometries, and the one-pass warm-up window against
+# model over fuzzed geometries, GHRP (I-cache policy and BTB adapter) and
+# SDBP against reference copies of their earlier, slower code over
+# fuzzed configurations, and the one-pass warm-up window against
 # counting the stream first. The checked-in corpora under
 # each package's testdata/fuzz also replay as ordinary test cases in
 # `make test`.
@@ -88,6 +95,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzSuiteGenValidate$$' -fuzztime $(FUZZTIME) ./internal/workload/
 	$(GO) test -run '^$$' -fuzz '^FuzzPerceptronMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/perceptron/
+	$(GO) test -run '^$$' -fuzz '^FuzzGHRPMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/btb/
+	$(GO) test -run '^$$' -fuzz '^FuzzSDBPMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/policies/
 	$(GO) test -run '^$$' -fuzz '^FuzzOnePassMatchesTwoPass$$' -fuzztime $(FUZZTIME) ./internal/frontend/
 
 # golden-update rewrites the golden files: the renderer goldens under

@@ -154,8 +154,8 @@ func (c Config) Validate() error {
 	if c.TableBits < 1 || c.TableBits > 24 {
 		return fmt.Errorf("core: TableBits %d out of range [1,24]", c.TableBits)
 	}
-	if c.NumTables < 1 || c.NumTables > 7 {
-		return fmt.Errorf("core: NumTables %d out of range [1,7]", c.NumTables)
+	if c.NumTables < 1 || c.NumTables > maxTables {
+		return fmt.Errorf("core: NumTables %d out of range [1,%d]", c.NumTables, maxTables)
 	}
 	if c.CounterMax < 1 || c.CounterMax > 255 {
 		return fmt.Errorf("core: CounterMax %d out of range [1,255]", c.CounterMax)

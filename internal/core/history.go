@@ -20,12 +20,26 @@ package core
 type History struct {
 	spec    uint16
 	retired uint16
-	cfg     Config
+	// The history geometry, reduced once from Config: the shift per
+	// access, the mask of PC bits shifted in and the register mask.
+	shift    uint32
+	pcMask   uint32
+	histMask uint32
 }
 
 // NewHistory returns a History using cfg's history parameters.
 func NewHistory(cfg Config) *History {
-	return &History{cfg: cfg.WithDefaults()}
+	h := newHistory(cfg)
+	return &h
+}
+
+func newHistory(cfg Config) History {
+	cfg = cfg.WithDefaults()
+	return History{
+		shift:    uint32(cfg.ShiftPerAccess),
+		pcMask:   uint32(1)<<max(cfg.PCBitsPerAccess, 0) - 1,
+		histMask: uint32(1)<<cfg.HistoryBits - 1,
+	}
 }
 
 // PCFold reduces an instruction address to the bits shifted into the
@@ -38,15 +52,12 @@ func PCFold(pc uint64) uint64 {
 	return (pc >> 2) ^ (pc >> 6) ^ (pc >> 12)
 }
 
-// step folds one PC into a history register value.
+// step folds one PC into a history register value: the register shifts
+// left, the folded PC bits enter above one zero bit, and the result is
+// truncated to the register width.
 func (h *History) step(reg uint16, pc uint64) uint16 {
-	shifted := uint32(reg) << h.cfg.ShiftPerAccess
-	pcBits := h.cfg.PCBitsPerAccess
-	if pcBits < 0 {
-		pcBits = 0
-	}
-	bits := uint32(PCFold(pc)) & (1<<pcBits - 1)
-	return uint16((shifted | bits<<1) & (1<<h.cfg.HistoryBits - 1))
+	bits := uint32(PCFold(pc)) & h.pcMask
+	return uint16((uint32(reg)<<h.shift | bits<<1) & h.histMask)
 }
 
 // Update folds a fetch address into the speculative history. Call once
@@ -76,6 +87,5 @@ func (h *History) Reset() { h.spec, h.retired = 0, 0 }
 // PC per Algorithm 2: signature = history XOR PC, truncated to the
 // history width.
 func (h *History) Signature(pc uint64) uint16 {
-	mask := uint64(1)<<h.cfg.HistoryBits - 1
-	return uint16((uint64(h.spec) ^ pc) & mask)
+	return uint16((uint64(h.spec) ^ pc) & uint64(h.histMask))
 }

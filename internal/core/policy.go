@@ -2,12 +2,14 @@ package core
 
 import "ghrpsim/internal/cache"
 
-// blockMeta is GHRP's per-block metadata: the signature recorded at the
-// block's most recent access, the dead prediction bit, and (for BTB
-// coupling) the block number it describes.
+// blockMeta is GHRP's per-block metadata: the dead prediction bit and,
+// for BTB coupling, the block number it describes. The signature
+// recorded at the block's most recent access is kept as its counter
+// offsets (Predictor.offsets), NumTables per frame in
+// ICachePolicy.slots, since training and the BTB's predictions need only
+// those.
 type blockMeta struct {
 	block  uint64
-	sig    uint16
 	dead   bool
 	valid  bool
 	reused bool // hit at least once during this residency
@@ -18,14 +20,29 @@ type blockMeta struct {
 // Predictor and History; the BTB adapter consults it through
 // BlockPrediction.
 type ICachePolicy struct {
-	cfg        Config
-	pred       *Predictor
-	hist       *History
-	ways       int
-	sets       int
-	meta       []blockMeta
-	last       []uint64 // per-frame recency timestamps (3-bit LRU equivalent)
-	now        uint64
+	cfg  Config
+	pred Predictor
+	hist History
+	ways int
+	sets int
+	meta []blockMeta
+	// slots holds each frame's recorded signature as its counter
+	// offsets, NumTables per frame: a hit's live training, an
+	// eviction's dead training and the BTB's predictions read them
+	// instead of hashing the signature again.
+	slots []uint32
+	last  []uint64 // per-frame recency timestamps (3-bit LRU equivalent)
+	now   uint64
+	// lastFrame is the frame of the latest hit or insertion: the block a
+	// BTB probe most likely asks about, since a taken branch almost
+	// always ends the block fetched just before it (BlockPrediction).
+	lastFrame int
+	// missSig and missSlots memoize the offsets of the latest signature
+	// MayBypass hashed, so that an insertion right after the bypass
+	// vote, under the same history, does not hash it again. Offsets
+	// depend on the signature alone, so the memo never goes stale.
+	missSig    uint16
+	missSlots  [maxTables]uint32
 	bypassTick uint64 // counts predicted bypasses for the escape
 	// Memoized recencyCutoff result. Victim and the default OnEvict
 	// training gate both need the set's median recency for the same
@@ -48,15 +65,17 @@ func NewICachePolicy(cfg Config) (*ICachePolicy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ICachePolicy{cfg: pred.Config(), pred: pred, hist: NewHistory(cfg)}, nil
+	p := &ICachePolicy{cfg: pred.Config(), pred: *pred, hist: newHistory(cfg)}
+	p.resetMemo()
+	return p, nil
 }
 
 // Predictor exposes the shared prediction tables (used by the BTB
 // adapter and by diagnostics).
-func (p *ICachePolicy) Predictor() *Predictor { return p.pred }
+func (p *ICachePolicy) Predictor() *Predictor { return &p.pred }
 
 // History exposes the shared path history registers.
-func (p *ICachePolicy) History() *History { return p.hist }
+func (p *ICachePolicy) History() *History { return &p.hist }
 
 // Name implements cache.Policy.
 func (p *ICachePolicy) Name() string { return "GHRP" }
@@ -65,8 +84,16 @@ func (p *ICachePolicy) Name() string { return "GHRP" }
 func (p *ICachePolicy) Attach(sets, ways int) {
 	p.sets, p.ways = sets, ways
 	p.meta = make([]blockMeta, sets*ways)
+	p.slots = make([]uint32, sets*ways*p.cfg.NumTables)
 	p.last = make([]uint64, sets*ways)
 	p.now = 0
+	p.lastFrame = 0
+}
+
+// frameSlots returns frame f's recorded counter offsets.
+func (p *ICachePolicy) frameSlots(f int) []uint32 {
+	n := p.cfg.NumTables
+	return p.slots[f*n : f*n+n]
 }
 
 func (p *ICachePolicy) touch(set, way int) {
@@ -89,17 +116,20 @@ func (p *ICachePolicy) lru(set int) int {
 // signature is trained live, then replaced by the signature for the
 // current history, and the prediction bit refreshed.
 func (p *ICachePolicy) OnHit(a cache.Access, way int) {
-	m := &p.meta[a.Set*p.ways+way]
+	f := a.Set*p.ways + way
+	m := &p.meta[f]
+	off, sig := p.frameSlots(f), p.hist.Signature(a.PC)
 	if m.valid {
-		p.pred.Train(m.sig, false)
+		m.dead = p.pred.reuseAt(off, sig, p.cfg.DeadThreshold)
+	} else {
+		p.pred.offsets(sig, off)
+		m.dead = p.pred.predictAt(off, p.cfg.DeadThreshold)
 	}
-	sig := p.hist.Signature(a.PC)
 	m.block = a.Block
-	m.sig = sig
-	m.dead = p.pred.Predict(sig, p.cfg.DeadThreshold)
 	m.valid = true
 	m.reused = true
 	p.touch(a.Set, way)
+	p.lastFrame = f
 	p.hist.Update(a.PC)
 }
 
@@ -167,7 +197,11 @@ func (p *ICachePolicy) MayBypass(a cache.Access) bool {
 	if p.cfg.DisableBypass {
 		return false
 	}
-	if !p.pred.PredictUnanimous(p.hist.Signature(a.PC), p.cfg.BypassThreshold) {
+	if sig := p.hist.Signature(a.PC); sig != p.missSig {
+		p.missSig = sig
+		p.pred.offsets(sig, p.missSlots[:p.cfg.NumTables])
+	}
+	if !p.pred.unanimousAt(p.missSlots[:p.cfg.NumTables], p.cfg.BypassThreshold) {
 		return false
 	}
 	if p.cfg.BypassEscapeShift >= 0 {
@@ -197,7 +231,8 @@ func (p *ICachePolicy) OnBypass(a cache.Access) {
 // Config.TrainAllEvictions restores the literal Algorithm 6 for the
 // ablation.
 func (p *ICachePolicy) OnEvict(a cache.Access, way int, evicted uint64) {
-	m := &p.meta[a.Set*p.ways+way]
+	f := a.Set*p.ways + way
+	m := &p.meta[f]
 	if !m.valid {
 		return
 	}
@@ -210,24 +245,32 @@ func (p *ICachePolicy) OnEvict(a cache.Access, way int, evicted uint64) {
 	case TrainZeroReuseLRU:
 		train = !m.reused && way == p.lru(a.Set)
 	default: // TrainLRUHalf
-		train = p.last[a.Set*p.ways+way] <= p.recencyCutoff(a.Set)
+		train = p.last[f] <= p.recencyCutoff(a.Set)
 	}
 	if train {
-		p.pred.Train(m.sig, true)
+		p.pred.trainAt(p.frameSlots(f), true)
 	}
 }
 
 // OnInsert implements cache.Policy: record the new block's signature and
-// initial prediction bit (Algorithm 1, lines 18-20).
+// initial prediction bit (Algorithm 1, lines 18-20). The history has not
+// moved since the bypass vote, so the vote's offsets are usually the
+// ones to record.
 func (p *ICachePolicy) OnInsert(a cache.Access, way int) {
-	sig := p.hist.Signature(a.PC)
-	m := &p.meta[a.Set*p.ways+way]
+	f := a.Set*p.ways + way
+	off := p.frameSlots(f)
+	if sig := p.hist.Signature(a.PC); sig == p.missSig {
+		copy(off, p.missSlots[:])
+	} else {
+		p.pred.offsets(sig, off)
+	}
+	m := &p.meta[f]
 	m.block = a.Block
-	m.sig = sig
-	m.dead = p.pred.Predict(sig, p.cfg.DeadThreshold)
+	m.dead = p.pred.predictAt(off, p.cfg.DeadThreshold)
 	m.valid = true
 	m.reused = false
 	p.touch(a.Set, way)
+	p.lastFrame = f
 	p.hist.Update(a.PC)
 }
 
@@ -238,37 +281,68 @@ func (p *ICachePolicy) OnInsert(a cache.Access, way int) {
 //ghrp:hotpath
 func (p *ICachePolicy) Reset() {
 	clear(p.meta)
+	clear(p.slots)
 	clear(p.last)
 	p.now = 0
+	p.lastFrame = 0
 	p.pred.Reset()
 	p.hist.Reset()
 	p.bypassTick = 0
 	p.deadEvictions = 0
 	p.lruEvictions = 0
 	p.cutSet, p.cutNow, p.cutVal = 0, 0, 0
+	p.resetMemo()
+}
+
+// resetMemo points the miss memo at signature 0, the state a new policy
+// starts from.
+func (p *ICachePolicy) resetMemo() {
+	p.missSig = 0
+	p.pred.offsets(0, p.missSlots[:p.cfg.NumTables])
 }
 
 // BlockPrediction looks up the I-cache metadata for the cache block
 // containing a branch and re-evaluates its recorded signature against
 // threshold. ok is false when the block is not resident, in which case
 // the BTB falls back to LRU behavior for that entry (§III-E).
+//
+// The frame of the latest hit or insertion is tried before the set is
+// scanned. A block occupies at most one frame, so a match there is the
+// frame the scan would find: the shortcut changes no result.
 func (p *ICachePolicy) BlockPrediction(block uint64, threshold int) (dead, ok bool) {
 	if p.sets == 0 {
 		return false, false
 	}
-	set := int(block & uint64(p.sets-1))
-	base := set * p.ways
-	for w := 0; w < p.ways; w++ {
-		m := &p.meta[base+w]
-		if m.valid && m.block == block {
-			return p.pred.Predict(m.sig, threshold), true
+	f := p.lastFrame
+	if m := &p.meta[f]; !m.valid || m.block != block {
+		if f = p.find(block); f < 0 {
+			return false, false
 		}
 	}
-	return false, false
+	return p.pred.predictAt(p.frameSlots(f), threshold), true
+}
+
+// find returns the frame holding block, or -1.
+func (p *ICachePolicy) find(block uint64) int {
+	base := int(block&uint64(p.sets-1)) * p.ways
+	for f := base; f < base+p.ways; f++ {
+		if m := &p.meta[f]; m.valid && m.block == block {
+			return f
+		}
+	}
+	return -1
 }
 
 // EvictionBreakdown reports how many victims were chosen by dead-block
 // prediction versus LRU fallback.
 func (p *ICachePolicy) EvictionBreakdown() (deadChosen, lruChosen uint64) {
 	return p.deadEvictions, p.lruEvictions
+}
+
+// PredictedDead reports the prediction bit recorded for the block in
+// frame (set, way): false for an empty frame. Diagnostics read it; it
+// changes no state.
+func (p *ICachePolicy) PredictedDead(set, way int) bool {
+	m := &p.meta[set*p.ways+way]
+	return m.valid && m.dead
 }

@@ -90,8 +90,8 @@ func TestGHRPHitTrainsLive(t *testing.T) {
 	// Manually drive the policy protocol: insert a block, saturate its
 	// signature dead, then a hit must decrement those counters.
 	a := cache.Access{Block: 5, PC: 0x40, Set: 0}
+	sig := p.hist.Signature(a.PC) // the signature the insertion records
 	p.OnInsert(a, 0)
-	sig := p.meta[0].sig
 	p.pred.Train(sig, true)
 	p.pred.Train(sig, true)
 	before := p.pred.Counters(sig)
@@ -107,8 +107,8 @@ func TestGHRPHitTrainsLive(t *testing.T) {
 func TestGHRPEvictTrainsDead(t *testing.T) {
 	_, p := newGHRPCache(t, 1, 2, Config{DisableBypass: true, DeadTraining: TrainAllEvictions})
 	a := cache.Access{Block: 5, PC: 0x40, Set: 0}
+	sig := p.hist.Signature(a.PC) // the signature the insertion records
 	p.OnInsert(a, 0)
-	sig := p.meta[0].sig
 	before := p.pred.Counters(sig)
 	p.OnEvict(cache.Access{Block: 9, PC: 0x99, Set: 0}, 0, 5)
 	after := p.pred.Counters(sig)
@@ -124,11 +124,13 @@ func TestGHRPDeadTrainingLRUHalfGate(t *testing.T) {
 	// an eviction from the LRU half must.
 	_, p := newGHRPCache(t, 1, 4, Config{DisableBypass: true})
 	pcs := []uint64{0x40, 0x80, 0xC0, 0x100}
+	sigs := make([]uint16, len(pcs)) // the signature each insertion records
 	for w, pc := range pcs {
+		sigs[w] = p.hist.Signature(pc)
 		p.OnInsert(cache.Access{Block: uint64(w + 1), PC: pc, Set: 0}, w)
 	}
 	// Way 3 is MRU: evicting it must not train.
-	sig3 := p.meta[3].sig
+	sig3 := sigs[3]
 	before := p.pred.Counters(sig3)
 	p.OnEvict(cache.Access{Block: 9, Set: 0}, 3, 4)
 	for i, c := range p.pred.Counters(sig3) {
@@ -137,7 +139,7 @@ func TestGHRPDeadTrainingLRUHalfGate(t *testing.T) {
 		}
 	}
 	// Way 0 is LRU: evicting it must train.
-	sig0 := p.meta[0].sig
+	sig0 := sigs[0]
 	before = p.pred.Counters(sig0)
 	p.OnEvict(cache.Access{Block: 9, Set: 0}, 0, 1)
 	for i, c := range p.pred.Counters(sig0) {

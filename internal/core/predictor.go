@@ -14,12 +14,17 @@ type Predictor struct {
 	// and the slab invisible to the garbage collector's scan phase.
 	tables []uint8
 	mask   uint32
+	// skew holds the first NumTables skew multipliers.
+	skew []uint32
 	// statistics
 	deadPredictions uint64
 	livePredictions uint64
 	deadTrainings   uint64
 	liveTrainings   uint64
 }
+
+// maxTables bounds Config.NumTables: one skew multiplier per table.
+const maxTables = len(skewMultipliers)
 
 // NewPredictor builds the prediction tables for cfg. It panics only on
 // configurations rejected by cfg.Validate, so validate first when the
@@ -29,7 +34,7 @@ func NewPredictor(cfg Config) (*Predictor, error) {
 		return nil, err
 	}
 	cfg = cfg.WithDefaults()
-	p := &Predictor{cfg: cfg, mask: uint32(1)<<cfg.TableBits - 1}
+	p := &Predictor{cfg: cfg, mask: uint32(1)<<cfg.TableBits - 1, skew: skewMultipliers[:cfg.NumTables]}
 	p.tables = make([]uint8, cfg.NumTables<<cfg.TableBits)
 	return p, nil
 }
@@ -37,32 +42,31 @@ func NewPredictor(cfg Config) (*Predictor, error) {
 // Config returns the predictor's (defaulted) configuration.
 func (p *Predictor) Config() Config { return p.cfg }
 
-// Indices computes the per-table indices for a signature: NumTables
-// different 12-bit hashes of the 16-bit signature (Algorithm 2,
-// ComputeIndices). Each table uses its own multiplicative hash so that a
-// collision in one table is unlikely to repeat in the others.
-func (p *Predictor) Indices(sig uint16) []uint32 {
-	idx := make([]uint32, p.cfg.NumTables)
-	p.indicesInto(sig, idx)
-	return idx
-}
-
-// indicesInto fills idx (len NumTables) without allocating.
-func (p *Predictor) indicesInto(sig uint16, idx []uint32) {
+// offsets writes the slab offsets of sig's counters into off, which must
+// hold NumTables entries: table t's offset is t<<TableBits | h_t(sig),
+// where h_t is table t's 12-bit hash of the 16-bit signature (Algorithm
+// 2, ComputeIndices). Each table uses its own multiplicative hash so
+// that a collision in one table is unlikely to repeat in the others.
+// Offsets depend on the signature alone, so a caller that keeps them
+// beside the signature's block never hashes it again: predictAt,
+// unanimousAt, trainAt and reuseAt take them directly.
+//
+//ghrp:hotpath
+func (p *Predictor) offsets(sig uint16, off []uint32) {
 	s := uint32(sig)
-	for t := range idx {
-		// Multiplicative skewing per table; the +1 keeps table 0 from
-		// being the identity so low-entropy signatures still spread.
-		h := s * skewMultipliers[t%len(skewMultipliers)]
-		h ^= h >> p.foldShift()
-		idx[t] = h & p.mask
+	for t, m := range p.skew[:len(off)] {
+		off[t] = p.offset(t, s, m)
 	}
 }
 
-func (p *Predictor) foldShift() uint32 {
-	// Fold the upper product bits down into the index. For 12-bit tables
-	// this mixes bits 12.. into 0..11.
-	return uint32(p.cfg.TableBits)
+// offset is table t's offset for signature s under skew multiplier m:
+// multiplicative skewing, the upper product bits folded down into the
+// index.
+func (p *Predictor) offset(t int, s, m uint32) uint32 {
+	tb := uint32(p.cfg.TableBits)
+	h := s * m
+	h ^= h >> tb
+	return uint32(t)<<tb | h&p.mask
 }
 
 var skewMultipliers = [...]uint32{
@@ -75,96 +79,135 @@ var skewMultipliers = [...]uint32{
 	0xFD7046C5,
 }
 
-// Vote is one table's thresholded opinion plus the raw counter.
-type Vote struct {
-	Counter int
-	Dead    bool
+// vote is 1 when counter c reaches threshold, else 0: the sign of
+// c − threshold, so counting votes never branches on a counter.
+func vote(c, threshold int) int { return 1 + (c-threshold)>>63 }
+
+// up and down step a counter toward CounterMax or 0 by the sign of its
+// distance to the bound, so a saturated counter stays put without a
+// branch.
+func (p *Predictor) up(c uint8) uint8 { return c + uint8((int(c)-p.cfg.CounterMax)>>63&1) }
+
+func down(c uint8) uint8 { return c - uint8(-int(c)>>63&1) }
+
+// conclude aggregates n tables' votes and counter sum into a prediction
+// and counts it. With MajorityVote aggregation the prediction is dead
+// when a strict majority of tables vote dead; with Summation the counter
+// sum is compared against n*threshold.
+func (p *Predictor) conclude(votes, sum, n, threshold int) bool {
+	dead := 2*votes > n
+	if p.cfg.Aggregation == Summation {
+		dead = sum >= threshold*n
+	}
+	p.count(dead)
+	return dead
 }
 
-// Predict reads the counters for sig and combines them against the given
-// per-table threshold. With MajorityVote aggregation the prediction is
-// dead when a strict majority of tables vote dead; with Summation the
-// counter sum is compared against NumTables*threshold.
-func (p *Predictor) Predict(sig uint16, threshold int) bool {
-	var idx [8]uint32
-	ix := idx[:p.cfg.NumTables]
-	p.indicesInto(sig, ix)
-	tb := uint(p.cfg.TableBits)
-	deadVotes, sum := 0, 0
-	for t := range ix {
-		c := int(p.tables[uint32(t)<<tb|ix[t]])
-		sum += c
-		if c >= threshold {
-			deadVotes++
-		}
-	}
-	var dead bool
-	if p.cfg.Aggregation == Summation {
-		dead = sum >= threshold*p.cfg.NumTables
-	} else {
-		dead = 2*deadVotes > p.cfg.NumTables
-	}
+// count records one prediction in the statistics.
+func (p *Predictor) count(dead bool) {
 	if dead {
 		p.deadPredictions++
 	} else {
 		p.livePredictions++
 	}
+}
+
+// predictAt combines the counters at off (from offsets) against the
+// given per-table threshold (see conclude).
+//
+//ghrp:hotpath
+func (p *Predictor) predictAt(off []uint32, threshold int) bool {
+	tables, votes, sum := p.tables, 0, 0
+	for _, o := range off {
+		c := int(tables[o])
+		sum += c
+		votes += vote(c, threshold)
+	}
+	return p.conclude(votes, sum, len(off), threshold)
+}
+
+// unanimousAt is predictAt but requires every table to clear the
+// threshold — the stricter vote used for bypass decisions, where a
+// false positive costs a guaranteed miss.
+//
+//ghrp:hotpath
+func (p *Predictor) unanimousAt(off []uint32, threshold int) bool {
+	tables, votes := p.tables, 0
+	for _, o := range off {
+		votes += vote(int(tables[o]), threshold)
+	}
+	dead := votes == len(off)
+	p.count(dead)
 	return dead
 }
 
-// PredictUnanimous is Predict but requires every table to clear the
-// threshold — the stricter vote used for bypass decisions, where a
-// false positive costs a guaranteed miss.
-func (p *Predictor) PredictUnanimous(sig uint16, threshold int) bool {
-	var idx [8]uint32
-	ix := idx[:p.cfg.NumTables]
-	p.indicesInto(sig, ix)
-	tb := uint(p.cfg.TableBits)
-	for t := range ix {
-		if int(p.tables[uint32(t)<<tb|ix[t]]) < threshold {
-			p.livePredictions++
-			return false
-		}
-	}
-	p.deadPredictions++
-	return true
-}
-
-// Train adjusts the counters for sig: incremented when the signature led
-// to a dead block (observed at eviction), decremented when it led to
-// reuse (observed at a hit) — Algorithm 6.
-func (p *Predictor) Train(sig uint16, dead bool) {
-	var idx [8]uint32
-	ix := idx[:p.cfg.NumTables]
-	p.indicesInto(sig, ix)
+// trainAt adjusts the counters at off (from offsets): incremented when
+// the signature led to a dead block (observed at eviction), decremented
+// when it led to reuse (observed at a hit) — Algorithm 6.
+//
+//ghrp:hotpath
+func (p *Predictor) trainAt(off []uint32, dead bool) {
+	tables := p.tables
 	if dead {
 		p.deadTrainings++
-	} else {
-		p.liveTrainings++
-	}
-	tb := uint(p.cfg.TableBits)
-	for t := range ix {
-		off := uint32(t)<<tb | ix[t]
-		c := p.tables[off]
-		if dead {
-			if int(c) < p.cfg.CounterMax {
-				p.tables[off] = c + 1
-			}
-		} else if c > 0 {
-			p.tables[off] = c - 1
+		for _, o := range off {
+			tables[o] = p.up(tables[o])
 		}
+		return
 	}
+	p.liveTrainings++
+	for _, o := range off {
+		tables[o] = down(tables[o])
+	}
+}
+
+// reuseAt is a hit's whole predictor update in one pass over the tables:
+// trainAt(off, false) for the signature off holds, then offsets(sig,
+// off), then predictAt(off, threshold). Tables never share an entry, so
+// doing table by table what the three do in turn changes no counter and
+// no outcome.
+//
+//ghrp:hotpath
+func (p *Predictor) reuseAt(off []uint32, sig uint16, threshold int) bool {
+	p.liveTrainings++
+	s, tables := uint32(sig), p.tables
+	votes, sum := 0, 0
+	for t, m := range p.skew[:len(off)] {
+		tables[off[t]] = down(tables[off[t]])
+		o := p.offset(t, s, m)
+		off[t] = o
+		c := int(tables[o])
+		sum += c
+		votes += vote(c, threshold)
+	}
+	return p.conclude(votes, sum, len(off), threshold)
+}
+
+// Predict is predictAt for a signature: it hashes sig and combines its
+// counters against threshold.
+func (p *Predictor) Predict(sig uint16, threshold int) bool {
+	var buf [maxTables]uint32
+	off := buf[:p.cfg.NumTables]
+	p.offsets(sig, off)
+	return p.predictAt(off, threshold)
+}
+
+// Train is trainAt for a signature.
+func (p *Predictor) Train(sig uint16, dead bool) {
+	var buf [maxTables]uint32
+	off := buf[:p.cfg.NumTables]
+	p.offsets(sig, off)
+	p.trainAt(off, dead)
 }
 
 // Counters returns the raw counters for sig, for diagnostics and tests.
 func (p *Predictor) Counters(sig uint16) []int {
-	var idx [8]uint32
-	ix := idx[:p.cfg.NumTables]
-	p.indicesInto(sig, ix)
-	out := make([]int, len(ix))
-	tb := uint(p.cfg.TableBits)
-	for t := range ix {
-		out[t] = int(p.tables[uint32(t)<<tb|ix[t]])
+	out := make([]int, p.cfg.NumTables)
+	var buf [maxTables]uint32
+	off := buf[:p.cfg.NumTables]
+	p.offsets(sig, off)
+	for t, o := range off {
+		out[t] = int(p.tables[o])
 	}
 	return out
 }

@@ -58,6 +58,20 @@ func TestAggregationString(t *testing.T) {
 	}
 }
 
+// indices returns sig's per-table indices: its counter offsets less
+// the table bits.
+func indices(p *Predictor, sig uint16) []uint32 {
+	off := make([]uint32, p.cfg.NumTables)
+	p.offsets(sig, off)
+	for t := range off {
+		if int(off[t]>>p.cfg.TableBits) != t {
+			panic("offset outside its table")
+		}
+		off[t] &= p.mask
+	}
+	return off
+}
+
 func TestIndicesDistinctHashes(t *testing.T) {
 	p := newPred(t, Config{})
 	// Across many signatures the three tables must disagree on index
@@ -65,7 +79,7 @@ func TestIndicesDistinctHashes(t *testing.T) {
 	same := 0
 	const n = 4096
 	for s := 0; s < n; s++ {
-		idx := p.Indices(uint16(s))
+		idx := indices(p, uint16(s))
 		if idx[0] == idx[1] && idx[1] == idx[2] {
 			same++
 		}
@@ -83,7 +97,7 @@ func TestIndicesDistinctHashes(t *testing.T) {
 func TestIndicesDeterministic(t *testing.T) {
 	p := newPred(t, Config{})
 	f := func(sig uint16) bool {
-		a, b := p.Indices(sig), p.Indices(sig)
+		a, b := indices(p, sig), indices(p, sig)
 		for i := range a {
 			if a[i] != b[i] {
 				return false
@@ -141,11 +155,11 @@ func TestMajorityToleratesSingleTableAliasing(t *testing.T) {
 	p := newPred(t, Config{})
 	victim := uint16(0x0001) // signature we never train dead
 	// Find a signature that aliases with victim in exactly one table.
-	vIdx := p.Indices(victim)
+	vIdx := indices(p, victim)
 	var alias uint16
 	found := false
 	for s := 2; s < 1<<16; s++ {
-		idx := p.Indices(uint16(s))
+		idx := indices(p, uint16(s))
 		shared := 0
 		for t := range idx {
 			if idx[t] == vIdx[t] {

@@ -175,7 +175,7 @@ func (c Config) Validate() error {
 	if c.WrongPathDepth < 0 {
 		return fmt.Errorf("frontend: negative WrongPathDepth")
 	}
-	return nil
+	return c.SDBP.Validate()
 }
 
 // PolicyKind names a replacement policy for both I-cache and BTB.

@@ -105,6 +105,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.InstrBytes = 3 },
 		func(c *Config) { c.WarmupFraction = 1.5 },
 		func(c *Config) { c.WrongPathDepth = -1 },
+		func(c *Config) { c.SDBP.CounterMax = 256 }, // counters are one byte
+		func(c *Config) { c.SDBP.DeadSum = -1 },
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig()

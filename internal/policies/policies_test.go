@@ -229,8 +229,8 @@ func TestSDBPReset(t *testing.T) {
 	if p.PredictDead(0x40) {
 		t.Error("Reset did not clear tables")
 	}
-	for _, e := range p.smp {
-		if e.valid {
+	for _, set := range p.smpSets {
+		if set.fill != 0 {
 			t.Fatal("Reset did not clear sampler")
 		}
 	}
@@ -250,6 +250,34 @@ func TestSDBPCountersSaturate(t *testing.T) {
 	}
 	if got := p.sum(sig); got != 0 {
 		t.Errorf("floor sum = %d, want 0", got)
+	}
+}
+
+func TestSDBPConfigValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  SDBPConfig
+		ok   bool
+	}{
+		{"defaults", SDBPConfig{}, true},
+		{"byte counters", SDBPConfig{CounterMax: 255}, true},
+		{"one-step counters", SDBPConfig{CounterMax: 1}, true},
+		{"counter past a byte", SDBPConfig{CounterMax: 256}, false},
+		{"negative counter max", SDBPConfig{CounterMax: -1}, false},
+		{"one-entry tables", SDBPConfig{TableBits: 1}, true},
+		{"largest tables", SDBPConfig{TableBits: 24}, true},
+		{"tables too large", SDBPConfig{TableBits: 25}, false},
+		{"negative table bits", SDBPConfig{TableBits: -3}, false},
+		{"negative dead sum", SDBPConfig{DeadSum: -1}, false},
+		{"negative bypass sum", SDBPConfig{BypassSum: -1}, false},
+		{"bypass out of reach", SDBPConfig{BypassSum: 1 << 20}, true},
+		{"set-sampled", SDBPConfig{SamplerSets: 4}, true},
+		{"negative sampler sets", SDBPConfig{SamplerSets: -1}, false},
+	}
+	for _, c := range cases {
+		if err := c.cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate(%+v) = %v, want ok %v", c.name, c.cfg, err, c.ok)
+		}
 	}
 }
 

@@ -261,3 +261,66 @@ func generatorBenchSuites() []struct {
 		{"suite-gen", profiles(Materialize(SuiteGen{N: 2000, FootprintMin: 0.2, FootprintMax: 1.0}))},
 	}
 }
+
+// longestRun returns the most instructions one record can fetch in f:
+// blocks up to one whose branch always records (conditional, jump or
+// return).
+func longestRun(f *Function) uint64 {
+	var run, longest uint64
+	for _, b := range f.Blocks {
+		run += uint64(b.Instrs)
+		if b.Term == TermCond || b.Term == TermJump || b.Term == TermReturn {
+			longest, run = max(longest, run), 0
+		}
+	}
+	return longest
+}
+
+// The window's top counts the init function's runs only for targets the
+// init function can end a stream at: at most the dispatcher's
+// instructions plus its own. Past that, the last record's fetch group
+// comes from a function that can repeat. Over the suite programs, whose
+// init function is usually the longest straight line, that narrows the
+// window for every longer target.
+func TestFetchBoundsInitRunOnlyWithinInit(t *testing.T) {
+	var gen Generator
+	narrowed := 0
+	for _, spec := range SuiteN(24) {
+		prog, err := gen.Generate(spec.Profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var repeat, initRun, initInstrs uint64
+		for fi := range prog.Funcs {
+			f := &prog.Funcs[fi]
+			if fi != prog.InitFunc {
+				repeat = max(repeat, longestRun(f))
+				continue
+			}
+			initRun = longestRun(f)
+			for _, b := range f.Blocks {
+				initInstrs += uint64(b.Instrs)
+			}
+		}
+		group := func(run uint64) uint64 { return min(max(run, 2), trace.MaxSequentialRun+1) }
+		reach := dispatcherInstrs + initInstrs
+		for _, target := range []uint64{1, reach / 2, reach} {
+			if _, hi := prog.FetchBounds(target); hi != target+group(max(repeat, initRun))-2 {
+				t.Errorf("%s: FetchBounds(%d) tops out at %d, want the init function's run counted (%d)",
+					spec.Name, target, hi, target+group(max(repeat, initRun))-2)
+			}
+		}
+		for _, target := range []uint64{reach + 1, 10 * reach, 1_000_000} {
+			if _, hi := prog.FetchBounds(target); hi != target+group(repeat)-2 {
+				t.Errorf("%s: FetchBounds(%d) tops out at %d, want only repeatable runs counted (%d)",
+					spec.Name, target, hi, target+group(repeat)-2)
+			}
+		}
+		if group(initRun) > group(repeat) {
+			narrowed++
+		}
+	}
+	if narrowed < 12 {
+		t.Errorf("the init function's run bounds only %d of 24 suite windows; want most", narrowed)
+	}
+}

@@ -121,9 +121,13 @@ type Program struct {
 // task-cap jump only cuts it short, so every group the stream fetches
 // lies within one run.
 type fetchRuns struct {
-	longest uint64 // instructions in the longest run
+	longest uint64 // instructions in the longest run of a function that can repeat
+	// onceLongest and onceInstrs are the longest run and the instruction
+	// total of the functions that execute at most once (the init
+	// function).
+	onceLongest, onceInstrs uint64
 	// onceLost bounds the instructions fetch reconstruction drops from
-	// functions that execute at most once (the init function).
+	// functions that execute at most once.
 	onceLost uint64
 	// repeatLost reports a run reconstruction drops instructions from
 	// that can execute any number of times.
@@ -136,7 +140,12 @@ type fetchRuns struct {
 // rest; a shorter group within the run drops nothing. A function that
 // executes once drops fewer than its instructions.
 func (s *fetchRuns) add(longest, instrs uint64, once bool) {
-	s.longest = max(s.longest, longest)
+	if once {
+		s.onceLongest = max(s.onceLongest, longest)
+		s.onceInstrs += instrs
+	} else {
+		s.longest = max(s.longest, longest)
+	}
 	switch long := longest > trace.MaxSequentialRun+1; {
 	case long && once:
 		s.onceLost += instrs - 1
@@ -263,7 +272,11 @@ func (p *Program) Validate() error {
 // bound above 1. The record before the last left the executor below
 // target, so reconstruction stood at target − 2 or less, and the last
 // record adds one fetch group: the dispatcher's 2 or a function's run,
-// and never more than trace.MaxSequentialRun+1 instructions.
+// and never more than trace.MaxSequentialRun+1 instructions. The init
+// function runs first and once, so every record of it comes while the
+// executor's count is at most the dispatcher's instructions plus the
+// function's: only a target within that reach can end the stream on one
+// of the init function's runs, which are usually the program's longest.
 //
 // A program built by hand counts as one run of its whole code that may
 // repeat. A layout whose blocks are not contiguous in address order can
@@ -277,7 +290,11 @@ func (p *Program) FetchBounds(target uint64) (lo, hi uint64) {
 	if !runs.repeatLost && target > runs.onceLost+3 {
 		lo = target - 3 - runs.onceLost
 	}
-	return lo, target + min(max(runs.longest, 2), trace.MaxSequentialRun+1) - 2
+	longest := runs.longest
+	if target <= dispatcherInstrs+runs.onceInstrs {
+		longest = max(longest, runs.onceLongest)
+	}
+	return lo, target + min(max(longest, 2), trace.MaxSequentialRun+1) - 2
 }
 
 // CodeBytes returns the total byte footprint of the program's code.
