@@ -61,9 +61,11 @@ ghrpsim-smoke:
 	./bin/ghrpsim -workload LS-001 -instrs 1000000 -policy SDBP | diff -u cmd/ghrpsim/testdata/ls001-sdbp.txt -
 
 # race-smoke runs the packages with concurrency-sensitive code — the
-# suite scheduler, the observers, the fan-out engine, the result cache,
-# the fault-injection harness, and the serving daemon with its e2e
-# harness — in full under the race detector. This replaced a -run regex
+# suite scheduler, the observers, the result cache, the fault-injection
+# harness, and the serving daemon with its e2e harness — in full under
+# the race detector. The fan-out engine starts no goroutine, but every
+# scheduler worker drives its own fan-out, so its package stays in the
+# set. This replaced a -run regex
 # that had drifted from the test inventory: a package-list run cannot
 # drop newly added concurrency tests from the smoke set. (The full
 # module under -race stays out of routine CI; these packages hold all

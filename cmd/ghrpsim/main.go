@@ -162,7 +162,7 @@ func main() {
 			observe(obs.Event{Kind: obs.WorkloadStart, Workload: name, Workloads: 1, Policies: 1})
 		}
 		fo = newFanOut(cfg, kind, frontend.WarmupFromStream, log)
-		results, err := fo.StreamProgram(prog, 1, target, 1, frontend.StreamOptions{
+		results, err := fo.StreamProgram(prog, 1, target, frontend.StreamOptions{
 			Progress: func(records, instructions uint64) error {
 				if err := tctx.Err(); err != nil {
 					return err

@@ -35,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fo.TrackEfficiency()
-	if _, err := fo.StreamProgram(prog, 1, spec.DefaultInstructions, 1, ghrpsim.StreamOptions{}); err != nil {
+	if _, err := fo.StreamProgram(prog, 1, spec.DefaultInstructions, ghrpsim.StreamOptions{}); err != nil {
 		log.Fatal(err)
 	}
 

@@ -72,17 +72,12 @@ type BTB struct {
 // validity masks) a BTB with this geometry carves from a cache.Arena.
 func HotWords(sets, ways int) int { return 2*sets*ways + sets }
 
-// New builds a BTB with entries = sets x ways. sets must be a power of
-// two. instrBytes sets the modulo-indexing granularity (typically 4).
+// New builds a BTB with entries = sets x ways, its arrays allocated
+// privately and efficiency tracking on. sets must be a power of two.
+// instrBytes sets the modulo-indexing granularity (typically 4).
 func New(sets, ways int, instrBytes uint64, p cache.Policy) (*BTB, error) {
-	return NewInArena(sets, ways, instrBytes, p, nil)
-}
-
-// NewInArena is New with the hot arrays carved from ar; a nil arena
-// allocates privately.
-func NewInArena(sets, ways int, instrBytes uint64, p cache.Policy, ar *cache.Arena) (*BTB, error) {
 	b := new(BTB)
-	if err := b.Init(sets, ways, instrBytes, p, ar); err != nil {
+	if err := b.Init(sets, ways, instrBytes, p, nil); err != nil {
 		return nil, err
 	}
 	b.TrackEfficiency()
@@ -90,8 +85,8 @@ func NewInArena(sets, ways int, instrBytes uint64, p cache.Policy, ar *cache.Are
 }
 
 // Init initializes b in place, carving hot arrays from ar when non-nil.
-// Efficiency tracking starts off, as for cache.Cache.Init; New and
-// NewInArena turn it on.
+// Efficiency tracking starts off, as for cache.Cache.Init; New turns it
+// on.
 func (b *BTB) Init(sets, ways int, instrBytes uint64, p cache.Policy, ar *cache.Arena) error {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		return fmt.Errorf("btb: sets %d must be a positive power of two", sets)
@@ -138,10 +133,9 @@ func (b *BTB) Policy() cache.Policy { return b.policy }
 func (b *BTB) Stats() Stats { return b.stats }
 
 // TrackEfficiency turns on per-entry efficiency bookkeeping, one
-// cold-array write per access. New and NewInArena turn it on; a BTB set
-// up with Init starts without it, so only callers that read Efficiency
-// pay for the array. Replacement decisions and statistics are
-// unaffected.
+// cold-array write per access. New turns it on; a BTB set up with Init
+// starts without it, so only callers that read Efficiency pay for the
+// array. Replacement decisions and statistics are unaffected.
 func (b *BTB) TrackEfficiency() {
 	if b.eff == nil {
 		b.eff = make([]effTimes, b.sets*b.ways)

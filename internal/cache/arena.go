@@ -22,14 +22,6 @@ func NewArena(words int) *Arena {
 	return &Arena{words: make([]uint64, words)}
 }
 
-// Remaining returns how many words are still available for carving.
-func (a *Arena) Remaining() int {
-	if a == nil {
-		return 0
-	}
-	return len(a.words) - a.off
-}
-
 // ArenaWords carves n zeroed words from a (which may be nil), for
 // sibling packages — e.g. btb — that lay their own arena-backed
 // structures out of the same slab.

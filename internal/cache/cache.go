@@ -129,18 +129,12 @@ type Cache struct {
 // validity masks) a cache with this geometry carves from an Arena.
 func HotWords(sets, ways int) int { return sets*ways + sets }
 
-// New builds a cache with the given geometry and policy. sets must be a
-// power of two; ways is capped at MaxWays.
+// New builds a cache with the given geometry and policy, its arrays
+// allocated privately and efficiency tracking on. sets must be a power
+// of two; ways is capped at MaxWays.
 func New(sets, ways int, p Policy) (*Cache, error) {
-	return NewInArena(sets, ways, p, nil)
-}
-
-// NewInArena is New with the hot tag and validity arrays carved from
-// ar, so several caches built from one arena keep their per-access
-// state in a single contiguous slab. A nil arena allocates privately.
-func NewInArena(sets, ways int, p Policy, ar *Arena) (*Cache, error) {
 	c := new(Cache)
-	if err := c.Init(sets, ways, p, ar); err != nil {
+	if err := c.Init(sets, ways, p, nil); err != nil {
 		return nil, err
 	}
 	c.TrackEfficiency()
@@ -149,9 +143,9 @@ func NewInArena(sets, ways int, p Policy, ar *Arena) (*Cache, error) {
 
 // Init initializes c in place (so callers can lay cache headers out
 // contiguously themselves), carving hot arrays from ar when non-nil.
-// Efficiency tracking starts off (see TrackEfficiency): New and
-// NewInArena turn it on, while the fan-out's policy lanes, whose results
-// never read Efficiency, leave it off.
+// Efficiency tracking starts off (see TrackEfficiency): New turns it
+// on, while the fan-out's policy lanes, whose results never read
+// Efficiency, leave it off.
 func (c *Cache) Init(sets, ways int, p Policy, ar *Arena) error {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: sets %d must be a positive power of two", sets)
@@ -189,10 +183,9 @@ func (c *Cache) Policy() Policy { return c.policy }
 func (c *Cache) SetWarmup(on bool) { c.warmup = on }
 
 // TrackEfficiency turns on per-frame efficiency bookkeeping, one
-// cold-array write per access. New and NewInArena turn it on; a cache
-// set up with Init starts without it, so only callers that read
-// Efficiency pay for the array. Replacement decisions and statistics are
-// unaffected.
+// cold-array write per access. New turns it on; a cache set up with
+// Init starts without it, so only callers that read Efficiency pay for
+// the array. Replacement decisions and statistics are unaffected.
 func (c *Cache) TrackEfficiency() {
 	if c.eff == nil {
 		c.eff = make([]effTimes, c.sets*c.ways)

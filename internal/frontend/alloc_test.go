@@ -85,7 +85,7 @@ func TestStreamingAllocsBounded(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		res, err := fo.StreamProgram(prog, 1, target, 1, StreamOptions{})
+		res, err := fo.StreamProgram(prog, 1, target, StreamOptions{})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,6 @@
 package frontend
 
 import (
-	"sync/atomic"
-
 	"ghrpsim/internal/btb"
 	"ghrpsim/internal/cache"
 )
@@ -19,9 +17,7 @@ import (
 //
 // A chunk is exactly a reified sequence of per-record decisions, and a
 // lane applies each record's decisions in a fixed order, so where a
-// stream is cut into chunks cannot change a result. The
-// checkpoint-parallel path (fanlog.go) ships these same chunks to
-// worker goroutines.
+// stream is cut into chunks cannot change a result.
 
 // chunkRecords is the record capacity of one chunk: large enough to
 // amortize the per-lane body switch and keep a lane's tables hot,
@@ -58,13 +54,11 @@ type decRec struct {
 
 // decChunk holds the decisions of up to chunkRecords records. decide
 // writes accesses and records into the chunk itself, so a filled chunk
-// is self-contained and safe to hand to another goroutine.
+// is self-contained: every lane replays it, and the access tap reads
+// it, without looking back at the front.
 type decChunk struct {
 	recs     []decRec
 	accesses []blockAccess
-	// refs counts the workers still due to replay this chunk on the
-	// parallel path (fanlog.go); the serial path leaves it at zero.
-	refs atomic.Int32
 }
 
 func newDecChunk() *decChunk {

@@ -53,8 +53,7 @@ func (r Result) BranchMPKI() float64 { return r.Branch.MPKI(r.CountedInstrs) }
 // lane-facing operations (coalesced I-cache accesses, optional
 // wrong-path injection, optional BTB probe, optional warm-up mark), and
 // each lane replays a chunk through a body specialized to its concrete
-// policy types. Because the serial and the checkpoint-parallel paths
-// replay the same chunks through the same body, they cannot diverge.
+// policy types.
 
 // front is the policy-independent half of the simulator.
 type front struct {
@@ -287,33 +286,46 @@ func newLanes(cfg Config, kinds []PolicyKind) ([]lane, error) {
 	return lanes, nil
 }
 
+// init builds the lane for kind. Its one switch on the kind builds the
+// kind's I-cache and BTB policies and hands them, wrapped, to initLane,
+// so the lane replays through the body specialized to them.
 func (l *lane) init(cfg Config, kind PolicyKind, ar *cache.Arena) error {
-	if kind >= numPolicies {
-		return fmt.Errorf("frontend: invalid policy kind %d", kind)
-	}
 	l.kind = kind
 	l.blockShift = shiftOf(uint64(cfg.ICache.BlockBytes))
 	l.wrongDepth = cfg.WrongPathDepth
 	l.recoverHist = cfg.WrongPath == WrongPathInject
-	icPolicy, err := l.makeICachePolicy(cfg)
-	if err != nil {
-		return err
-	}
-	if err := l.icache.Init(cfg.ICache.Sets(), cfg.ICache.Ways, icPolicy, ar); err != nil {
-		return err
-	}
-	btbPolicy, err := l.makeBTBPolicy(cfg)
-	if err != nil {
-		return err
-	}
-	if err := l.ibtb.Init(cfg.BTB.Sets(), cfg.BTB.Ways, cfg.InstrBytes, btbPolicy, ar); err != nil {
-		return err
-	}
 	if cfg.NextLinePrefetch {
 		l.pref = newPrefetchFilter()
 	}
-	l.bindReplay(icPolicy, btbPolicy)
-	return nil
+	switch kind {
+	case PolicyLRU:
+		return initLane(l, cfg, ar, wLRU{policies.NewLRU()}, wLRU{policies.NewLRU()})
+	case PolicyRandom:
+		return initLane(l, cfg, ar, wRandom{policies.NewRandom(cfg.RandomSeed)}, wRandom{policies.NewRandom(cfg.RandomSeed + 1)})
+	case PolicyFIFO:
+		return initLane(l, cfg, ar, wFIFO{policies.NewFIFO()}, wFIFO{policies.NewFIFO()})
+	case PolicySRRIP:
+		return initLane(l, cfg, ar, wSRRIP{policies.NewSRRIP()}, wSRRIP{policies.NewSRRIP()})
+	case PolicySDBP:
+		return initLane(l, cfg, ar, wSDBP{policies.NewSDBPConfig(cfg.SDBP)}, wSDBP{policies.NewSDBPConfig(cfg.SDBP)})
+	case PolicySHiP:
+		return initLane(l, cfg, ar, wSHiP{policies.NewSHiP()}, wSHiP{policies.NewSHiP()})
+	case PolicyDIP:
+		return initLane(l, cfg, ar, wDIP{policies.NewDIP()}, wDIP{policies.NewDIP()})
+	case PolicyGHRP:
+		p, err := core.NewICachePolicy(cfg.GHRP)
+		if err != nil {
+			return err
+		}
+		// The BTB shares the I-cache's predictor and metadata (§III-E).
+		bp, err := btb.NewGHRPPolicy(p, uint64(cfg.ICache.BlockBytes))
+		if err != nil {
+			return err
+		}
+		l.ghrp = p
+		return initLane(l, cfg, ar, wGHRP{p}, wGHRPB{bp})
+	}
+	return fmt.Errorf("frontend: invalid policy kind %d", kind)
 }
 
 // reset puts the lane in the state a simulation starts from: cache and
@@ -332,58 +344,6 @@ func (l *lane) reset() {
 	l.marks = append(l.marks[:0], Result{})
 }
 
-func (l *lane) makeICachePolicy(cfg Config) (cache.Policy, error) {
-	switch l.kind {
-	case PolicyLRU:
-		return policies.NewLRU(), nil
-	case PolicyRandom:
-		return policies.NewRandom(cfg.RandomSeed), nil
-	case PolicyFIFO:
-		return policies.NewFIFO(), nil
-	case PolicySRRIP:
-		return policies.NewSRRIP(), nil
-	case PolicySDBP:
-		return policies.NewSDBPConfig(cfg.SDBP), nil
-	case PolicySHiP:
-		return policies.NewSHiP(), nil
-	case PolicyDIP:
-		return policies.NewDIP(), nil
-	case PolicyGHRP:
-		p, err := core.NewICachePolicy(cfg.GHRP)
-		if err != nil {
-			return nil, err
-		}
-		l.ghrp = p
-		return p, nil
-	default:
-		return nil, fmt.Errorf("frontend: unhandled policy %v", l.kind)
-	}
-}
-
-func (l *lane) makeBTBPolicy(cfg Config) (cache.Policy, error) {
-	switch l.kind {
-	case PolicyLRU:
-		return policies.NewLRU(), nil
-	case PolicyRandom:
-		return policies.NewRandom(cfg.RandomSeed + 1), nil
-	case PolicyFIFO:
-		return policies.NewFIFO(), nil
-	case PolicySRRIP:
-		return policies.NewSRRIP(), nil
-	case PolicySDBP:
-		return policies.NewSDBPConfig(cfg.SDBP), nil
-	case PolicySHiP:
-		return policies.NewSHiP(), nil
-	case PolicyDIP:
-		return policies.NewDIP(), nil
-	case PolicyGHRP:
-		// The BTB shares the I-cache's predictor and metadata (§III-E).
-		return btb.NewGHRPPolicy(l.ghrp, uint64(cfg.ICache.BlockBytes))
-	default:
-		return nil, fmt.Errorf("frontend: unhandled policy %v", l.kind)
-	}
-}
-
 // Policy specialization. Passing a concrete policy type to the generic
 // access paths would not devirtualize on its own: Go's gcshape
 // stenciling collapses all pointer type arguments into one dictionary-
@@ -391,7 +351,8 @@ func (l *lane) makeBTBPolicy(cfg Config) (cache.Policy, error) {
 // struct type forces a distinct shape per policy, so every wrapper gets
 // its own copy of replayChunk/cache.AccessWith/btb.AccessWith with the
 // policy callbacks statically bound (and inlinable). The wrappers embed
-// the pointer; the promoted methods are exactly the policy's own.
+// the pointer, so the promoted methods are exactly the policy's own, and
+// a lane's cache and BTB hold the wrappers as their policies.
 type (
 	wLRU    struct{ *policies.LRU }
 	wFIFO   struct{ *policies.FIFO }
@@ -404,36 +365,18 @@ type (
 	wGHRPB  struct{ *btb.GHRPPolicy }
 )
 
-// bindLane fixes a lane's replay function to the instantiation for its
-// concrete policy pair.
-func bindLane[IP, BP cache.Policy](l *lane, ip IP, bp BP) {
-	l.replay = func(ch *decChunk) { replayChunk(l, ip, bp, ch) }
-}
-
-// bindReplay dispatches once, at construction, from the lane's kind to
-// the specialized replay function. The default arm falls back to the
-// interface-typed instantiation — bit-identical, just not devirtualized.
-func (l *lane) bindReplay(icp, btbp cache.Policy) {
-	switch l.kind {
-	case PolicyLRU:
-		bindLane(l, wLRU{icp.(*policies.LRU)}, wLRU{btbp.(*policies.LRU)})
-	case PolicyRandom:
-		bindLane(l, wRandom{icp.(*policies.Random)}, wRandom{btbp.(*policies.Random)})
-	case PolicyFIFO:
-		bindLane(l, wFIFO{icp.(*policies.FIFO)}, wFIFO{btbp.(*policies.FIFO)})
-	case PolicySRRIP:
-		bindLane(l, wSRRIP{icp.(*policies.SRRIP)}, wSRRIP{btbp.(*policies.SRRIP)})
-	case PolicySDBP:
-		bindLane(l, wSDBP{icp.(*policies.SDBP)}, wSDBP{btbp.(*policies.SDBP)})
-	case PolicySHiP:
-		bindLane(l, wSHiP{icp.(*policies.SHiP)}, wSHiP{btbp.(*policies.SHiP)})
-	case PolicyDIP:
-		bindLane(l, wDIP{icp.(*policies.DIP)}, wDIP{btbp.(*policies.DIP)})
-	case PolicyGHRP:
-		bindLane(l, wGHRP{icp.(*core.ICachePolicy)}, wGHRPB{btbp.(*btb.GHRPPolicy)})
-	default:
-		bindLane(l, icp, btbp)
+// initLane sets up the lane's I-cache with ip and its BTB with bp, both
+// carving hot state from ar, and fixes the lane's replay function to the
+// instantiation for that concrete policy pair.
+func initLane[IP, BP cache.Policy](l *lane, cfg Config, ar *cache.Arena, ip IP, bp BP) error {
+	if err := l.icache.Init(cfg.ICache.Sets(), cfg.ICache.Ways, ip, ar); err != nil {
+		return err
 	}
+	if err := l.ibtb.Init(cfg.BTB.Sets(), cfg.BTB.Ways, cfg.InstrBytes, bp, ar); err != nil {
+		return err
+	}
+	l.replay = func(ch *decChunk) { replayChunk(l, ip, bp, ch) }
+	return nil
 }
 
 // laneAccess performs one I-cache access and mirrors the retired GHRP

@@ -31,14 +31,11 @@ import (
 type FanOut struct {
 	front *front
 	lanes []lane
-	// chunks are the decision chunks replays fill. NewFanOut allocates
-	// the first, which queues Process's records and the serial stream's;
-	// the checkpoint-parallel stream circulates up to poolChunks,
-	// allocated on its first use. Between calls every chunk is empty
-	// except the first, which holds what Process queued and no replay
-	// has consumed yet.
-	chunks []*decChunk
-	tap    *AccessLog // receives every replayed chunk's accesses (TapAccesses)
+	// chunk queues the decisions of Process's and StreamProgram's
+	// records until every lane replays them. Between calls it holds what
+	// Process queued and no replay has consumed yet.
+	chunk *decChunk
+	tap   *AccessLog // receives every replayed chunk's accesses (TapAccesses)
 }
 
 // NewFanOut builds a simulator driving one lane per element of kinds
@@ -63,7 +60,7 @@ func NewFanOut(cfg Config, kinds []PolicyKind, warmupLimit uint64) (*FanOut, err
 	if err != nil {
 		return nil, err
 	}
-	fo := &FanOut{front: f, lanes: lanes, chunks: []*decChunk{newDecChunk()}}
+	fo := &FanOut{front: f, lanes: lanes, chunk: newDecChunk()}
 	fo.Reset(warmupLimit)
 	return fo, nil
 }
@@ -82,7 +79,7 @@ func (fo *FanOut) Reset(warmupLimit uint64) {
 	for i := range fo.lanes {
 		fo.lanes[i].reset()
 	}
-	fo.chunks[0].reset()
+	fo.chunk.reset()
 	if fo.tap != nil {
 		fo.tap.Blocks, fo.tap.Skip = fo.tap.Blocks[:0], 0
 	}
@@ -119,10 +116,9 @@ func (fo *FanOut) Process(r trace.Record) {
 	if fo.front.warmupLimit == WarmupFromStream {
 		panic(errNoWindow)
 	}
-	ch := fo.chunks[0]
-	fo.front.decide(r, ch)
-	if ch.full() {
-		fo.replay(ch)
+	fo.front.decide(r, fo.chunk)
+	if fo.chunk.full() {
+		fo.replay()
 	}
 }
 
@@ -130,15 +126,16 @@ func (fo *FanOut) Process(r trace.Record) {
 //
 //ghrp:hotpath
 func (fo *FanOut) Flush() {
-	if ch := fo.chunks[0]; !ch.empty() {
-		fo.replay(ch)
+	if !fo.chunk.empty() {
+		fo.replay()
 	}
 }
 
-// replay advances every lane through ch, then empties it.
+// replay advances every lane through the queued chunk, then empties it.
 //
 //ghrp:hotpath
-func (fo *FanOut) replay(ch *decChunk) {
+func (fo *FanOut) replay() {
+	ch := fo.chunk
 	if fo.tap != nil {
 		fo.tap.add(ch)
 	}
@@ -193,17 +190,14 @@ func (fo *FanOut) Results() []Result {
 // replay cost is one program interpretation regardless of lane count.
 // Because workload.Emit is deterministic for a (program, seed, target)
 // triple, repeated streams replay the identical trace GenerateRecords
-// would buffer.
-//
-// workers bounds the goroutines lane replay is spread over; it is
-// clamped to the lane count, and one or less replays on the calling
-// goroutine. Results are bit-identical for every worker count.
+// would buffer. Records Process queued beforehand replay ahead of the
+// stream.
 //
 // Under WarmupFromStream the program executes once: the totals its
 // stream can reach for target (Program.FetchBounds) bound the candidate
 // warm-up limits before the stream, and the total settles the limit
 // after it. A total outside those bounds is an error naming the program.
-func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, workers int, opts StreamOptions) ([]Result, error) {
+func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, opts StreamOptions) ([]Result, error) {
 	f := fo.front
 	fromStream := f.warmupLimit == WarmupFromStream
 	var lo, hi uint64
@@ -211,12 +205,25 @@ func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, wor
 		lo, hi = prog.FetchBounds(target)
 		f.window(f.cfg.WarmupFor(lo), f.cfg.WarmupFor(hi))
 	}
-	var err error
-	if workers = min(workers, len(fo.lanes)); workers > 1 {
-		err = fo.streamParallel(prog, seed, target, workers, opts)
-	} else {
-		err = fo.streamSerial(prog, seed, target, opts)
-	}
+	every := opts.every()
+	ch := fo.chunk
+	var n uint64
+	// The per-record body is Process inlined by hand: it runs for every
+	// record of every workload, and a call per record costs measurable
+	// throughput here.
+	_, err := workload.Emit(prog, seed, target, func(r trace.Record) error {
+		f.decide(r, ch)
+		if ch.full() {
+			fo.replay()
+		}
+		if opts.Progress != nil {
+			n++
+			if n%every == 0 {
+				return opts.Progress(n, f.instrs)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -230,31 +237,6 @@ func (fo *FanOut) StreamProgram(prog *workload.Program, seed, target uint64, wor
 	return fo.Results(), nil
 }
 
-// streamSerial is StreamProgram replaying every lane on the calling
-// goroutine.
-func (fo *FanOut) streamSerial(prog *workload.Program, seed, target uint64, opts StreamOptions) error {
-	every := opts.every()
-	ch := fo.chunks[0]
-	var n uint64
-	// The per-record body is Process inlined by hand: it runs for every
-	// record of every workload, and a call per record costs measurable
-	// throughput here.
-	_, err := workload.Emit(prog, seed, target, func(r trace.Record) error {
-		fo.front.decide(r, ch)
-		if ch.full() {
-			fo.replay(ch)
-		}
-		if opts.Progress != nil {
-			n++
-			if n%every == 0 {
-				return opts.Progress(n, fo.front.instrs)
-			}
-		}
-		return nil
-	})
-	return err
-}
-
 // SimulateFanOut executes a workload program once and replays it under
 // every given policy in lockstep. It returns one Result per kind, each
 // bit-identical to what a one-lane fan-out of that kind would produce
@@ -264,5 +246,5 @@ func SimulateFanOut(cfg Config, kinds []PolicyKind, prog *workload.Program, seed
 	if err != nil {
 		return nil, err
 	}
-	return fo.StreamProgram(prog, seed, target, 1, opts)
+	return fo.StreamProgram(prog, seed, target, opts)
 }

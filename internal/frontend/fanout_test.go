@@ -150,10 +150,10 @@ func TestFanOutRejectsBadInputs(t *testing.T) {
 // TestFanOutChunkBoundaries pins that where a record stream is cut into
 // decision chunks cannot change a result: Process with a Flush after
 // every record, after every k records or only at the end, and
-// StreamProgram at one and several workers, all give identical Results.
+// StreamProgram, all give identical Results.
 // The warm-up limit makes the warm-up mark land on the last record of
 // the first chunk, so the mark is replayed at a chunk's edge. Records Process
-// queued before a stream are replayed ahead of it on either path.
+// queued before a stream are replayed ahead of it.
 func TestFanOutChunkBoundaries(t *testing.T) {
 	prog := fanOutProgram(t)
 	cfg := smallConfig()
@@ -208,34 +208,30 @@ func TestFanOutChunkBoundaries(t *testing.T) {
 	for _, k := range []int{1, 3, 1000, chunkRecords - 1, chunkRecords, chunkRecords + 1} {
 		check(fmt.Sprintf("flush every %d", k), process(recs, k), want)
 	}
-	for _, workers := range []int{1, 2, 3} {
-		got, err := simulateSplit(cfg, kinds, prog, target, warm, workers, StreamOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("StreamProgram workers=%d", workers), got, want)
+	got, err := newFanOut().StreamProgram(prog, 1, target, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	check("StreamProgram", got, want)
 
 	prefix := recs[:chunkRecords/2]
 	wantPrefixed := process(append(slices.Clip(prefix), recs...), 0)
-	for _, workers := range []int{1, 3} {
-		fo := newFanOut()
-		for _, r := range prefix {
-			fo.Process(r)
-		}
-		got, err := fo.StreamProgram(prog, 1, target, workers, StreamOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(fmt.Sprintf("queued records, then StreamProgram workers=%d", workers), got, wantPrefixed)
+	fo = newFanOut()
+	for _, r := range prefix {
+		fo.Process(r)
 	}
+	got, err = fo.StreamProgram(prog, 1, target, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("queued records, then StreamProgram", got, wantPrefixed)
 }
 
 // TestFanOutEfficiencyMatchesSolo pins efficiency tracking under
 // fusion: every lane of a PaperPolicies fan-out reports the I-cache and
 // BTB efficiency matrices a one-lane fan-out of its kind reports, on a
 // first stream and, after a Reset, on a second stream of another
-// program replayed over two workers.
+// program.
 func TestFanOutEfficiencyMatchesSolo(t *testing.T) {
 	second, err := workload.Generate(testProfile(33))
 	if err != nil {
@@ -259,13 +255,13 @@ func TestFanOutEfficiencyMatchesSolo(t *testing.T) {
 		} else {
 			fused.Reset(warm)
 		}
-		if _, err := fused.StreamProgram(prog, 1, target, round+1, StreamOptions{}); err != nil {
+		if _, err := fused.StreamProgram(prog, 1, target, StreamOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		for i, kind := range kinds {
 			solo := soloFanOut(t, cfg, kind, warm)
 			solo.TrackEfficiency()
-			if _, err := solo.StreamProgram(prog, 1, target, 1, StreamOptions{}); err != nil {
+			if _, err := solo.StreamProgram(prog, 1, target, StreamOptions{}); err != nil {
 				t.Fatal(err)
 			}
 			if solo.ICache(0).MeanEfficiency() == 0 {

@@ -93,7 +93,7 @@ func TestPrefetchStatsUnchangedOnSuite(t *testing.T) {
 			if oracle {
 				fo.lanes[0].pref = newMapPrefetchSet()
 			}
-			res, err := fo.StreamProgram(prog, 1, target, 1, StreamOptions{})
+			res, err := fo.StreamProgram(prog, 1, target, StreamOptions{})
 			if err != nil {
 				t.Fatalf("%s: stream: %v", spec.Name, err)
 			}

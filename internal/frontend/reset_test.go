@@ -61,47 +61,45 @@ func resetRun(i int) (target, warm uint64) {
 // TestFanOutReuseMatchesFresh is the reuse contract: one fan-out Reset
 // and replayed across many workloads of different footprints returns,
 // for every workload, exactly the results a freshly built fan-out
-// returns — on the serial and the checkpoint-parallel path alike.
+// returns.
 func TestFanOutReuseMatchesFresh(t *testing.T) {
 	progs := resetWorkloads(t, 20)
 	kinds := resetKinds()
 	for _, v := range resetVariants() {
-		for _, workers := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/workers=%d", v.name, workers), func(t *testing.T) {
-				cfg := DefaultConfig()
-				v.mutate(&cfg)
-				var reused *FanOut
-				for i, prog := range progs {
-					target, warm := resetRun(i)
-					if reused == nil {
-						var err error
-						if reused, err = NewFanOut(cfg, kinds, warm); err != nil {
-							t.Fatal(err)
-						}
-					} else {
-						reused.Reset(warm)
-					}
-					got, err := reused.StreamProgram(prog, 1, target, workers, StreamOptions{})
-					if err != nil {
+		t.Run(v.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			v.mutate(&cfg)
+			var reused *FanOut
+			for i, prog := range progs {
+				target, warm := resetRun(i)
+				if reused == nil {
+					var err error
+					if reused, err = NewFanOut(cfg, kinds, warm); err != nil {
 						t.Fatal(err)
 					}
-					fresh, err := NewFanOut(cfg, kinds, warm)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := fresh.StreamProgram(prog, 1, target, workers, StreamOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for l := range want {
-						if got[l] != want[l] {
-							t.Fatalf("workload %d lane %d (%v): reused fan-out diverges from a fresh one:\n reused: %+v\n  fresh: %+v",
-								i, l, kinds[l], got[l], want[l])
-						}
+				} else {
+					reused.Reset(warm)
+				}
+				got, err := reused.StreamProgram(prog, 1, target, StreamOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := NewFanOut(cfg, kinds, warm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.StreamProgram(prog, 1, target, StreamOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for l := range want {
+					if got[l] != want[l] {
+						t.Fatalf("workload %d lane %d (%v): reused fan-out diverges from a fresh one:\n reused: %+v\n  fresh: %+v",
+							i, l, kinds[l], got[l], want[l])
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -131,7 +129,7 @@ func TestFanOutResetMatchesFresh(t *testing.T) {
 				if i == len(progs)-1 {
 					opts = abort
 				}
-				if _, err := fo.StreamProgram(prog, 1, target, 1, opts); err != nil && i != len(progs)-1 {
+				if _, err := fo.StreamProgram(prog, 1, target, opts); err != nil && i != len(progs)-1 {
 					t.Fatal(err)
 				}
 			}
@@ -147,13 +145,11 @@ func TestFanOutResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// requireChunksEmpty fails unless every decision chunk of fo is empty.
+// requireChunksEmpty fails unless fo's decision chunk is empty.
 func requireChunksEmpty(t *testing.T, fo *FanOut) {
 	t.Helper()
-	for i, ch := range fo.chunks {
-		if !ch.empty() || len(ch.accesses) != 0 {
-			t.Fatalf("decision chunk %d not empty: %d records, %d accesses", i, len(ch.recs), len(ch.accesses))
-		}
+	if ch := fo.chunk; !ch.empty() || len(ch.accesses) != 0 {
+		t.Fatalf("decision chunk not empty: %d records, %d accesses", len(ch.recs), len(ch.accesses))
 	}
 }
 
@@ -163,8 +159,8 @@ type statePart struct {
 	got, want any
 }
 
-// requireSameState compares two fan-outs' simulation state. Decision
-// chunks are compared by emptiness (Reset keeps their capacity), and
+// requireSameState compares two fan-outs' simulation state. The
+// decision chunk is compared by emptiness (Reset keeps its capacity), and
 // lanes' bound replay functions by nothing: they are fixed at
 // construction.
 func requireSameState(t *testing.T, got, want *FanOut) {
@@ -194,54 +190,6 @@ func requireSameState(t *testing.T, got, want *FanOut) {
 	for _, p := range parts {
 		if !reflect.DeepEqual(p.got, p.want) {
 			t.Errorf("%s: Reset state differs from a fresh fan-out's", p.name)
-		}
-	}
-}
-
-// A progress callback that panics mid-way through a parallel replay must
-// not leave lane workers running or a decision chunk filled: after
-// recovering, the same fan-out Resets and replays exactly like a fresh
-// one (under -race, a straggler
-// touching the lanes would also be reported).
-func TestFanOutParallelPanicStopsWorkers(t *testing.T) {
-	prog := fanOutProgram(t)
-	cfg := smallConfig()
-	kinds := allPolicies()
-	fo, err := NewFanOut(cfg, kinds, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("progress panic did not propagate")
-			}
-		}()
-		fo.StreamProgram(prog, 1, 400_000, 3, StreamOptions{ProgressEvery: 64,
-			Progress: func(records, _ uint64) error {
-				if records > 2*chunkRecords {
-					panic("boom")
-				}
-				return nil
-			}})
-	}()
-	requireChunksEmpty(t, fo)
-	fo.Reset(10_000)
-	got, err := fo.StreamProgram(prog, 1, 150_000, 3, StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewFanOut(cfg, kinds, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.StreamProgram(prog, 1, 150_000, 1, StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("lane %d (%v): replay after a recovered panic diverges:\n got: %+v\nwant: %+v", i, kinds[i], got[i], want[i])
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package frontend
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
@@ -151,8 +150,8 @@ func TestBlockStreamSkipIndex(t *testing.T) {
 
 // TestAccessTapMatchesReference pins the tap to the reference
 // derivation, blocks and skip index, over every way a fan-out can be
-// driven: Process with Flush at uneven boundaries and StreamProgram at
-// one, two and three workers; warm-up off and at half the stream;
+// driven: Process with Flush at uneven boundaries and StreamProgram;
+// warm-up off and at half the stream;
 // prefetch on and off; wrong-path fetch off and injected. Every stream
 // after the first runs on the same fan-out after a Reset, with the log
 // attached once. The streams are the test profile and a SuiteGen
@@ -226,18 +225,16 @@ func TestAccessTapMatchesReference(t *testing.T) {
 					}
 					fo.Results()
 					check("Process with uneven flushes")
-					for _, workers := range []int{1, 2, 3} {
-						reset()
-						if _, err := fo.StreamProgram(s.prog, 1, s.target, workers, StreamOptions{}); err != nil {
-							t.Fatal(err)
-						}
-						check(fmt.Sprintf("StreamProgram workers=%d", workers))
+					reset()
+					if _, err := fo.StreamProgram(s.prog, 1, s.target, StreamOptions{}); err != nil {
+						t.Fatal(err)
 					}
+					check("StreamProgram")
 				}
 				// A nil log detaches the tap.
 				fo.TapAccesses(nil)
 				fo.Reset(0)
-				if _, err := fo.StreamProgram(s.prog, 1, s.target, 2, StreamOptions{}); err != nil {
+				if _, err := fo.StreamProgram(s.prog, 1, s.target, StreamOptions{}); err != nil {
 					t.Fatal(err)
 				}
 				if len(log.Blocks) == 0 {
@@ -253,7 +250,7 @@ func TestAccessTapMatchesReference(t *testing.T) {
 
 // With the log grown to a stream's length, the tap allocates nothing:
 // neither per record on the Process path nor per replay on the
-// streaming path, serial or parallel.
+// streaming path.
 func TestAccessTapAllocs(t *testing.T) {
 	recs := allocTestRecords(t)
 	fo, err := NewFanOut(allocTestConfig(), []PolicyKind{PolicyLRU, PolicyGHRP}, 10_000)
@@ -272,21 +269,19 @@ func TestAccessTapAllocs(t *testing.T) {
 
 	prog := fanOutProgram(t)
 	const target = 150_000
-	for _, workers := range []int{1, 2} {
-		stream := func() {
-			fo.Reset(10_000)
-			if _, err := fo.StreamProgram(prog, 1, target, workers, StreamOptions{}); err != nil {
-				t.Fatal(err)
-			}
+	stream := func() {
+		fo.Reset(10_000)
+		if _, err := fo.StreamProgram(prog, 1, target, StreamOptions{}); err != nil {
+			t.Fatal(err)
 		}
-		fo.TapAccesses(nil)
-		stream()
-		untapped := testing.AllocsPerRun(3, stream)
-		fo.TapAccesses(&log)
-		stream()
-		if tapped := testing.AllocsPerRun(3, stream); tapped != untapped {
-			t.Errorf("workers=%d: tapped StreamProgram allocates %v objects per replay, untapped %v", workers, tapped, untapped)
-		}
+	}
+	fo.TapAccesses(nil)
+	stream()
+	untapped := testing.AllocsPerRun(3, stream)
+	fo.TapAccesses(&log)
+	stream()
+	if tapped := testing.AllocsPerRun(3, stream); tapped != untapped {
+		t.Errorf("tapped StreamProgram allocates %v objects per replay, untapped %v", tapped, untapped)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 	"ghrpsim/internal/workload"
 )
 
-// onePassKinds are the lanes the one-pass tests replay: enough for a
-// three-worker split, with GHRP's shared I-cache/BTB predictor among them.
+// onePassKinds are the lanes the one-pass tests replay, GHRP's shared
+// I-cache/BTB predictor among them.
 func onePassKinds() []PolicyKind { return []PolicyKind{PolicyLRU, PolicyGHRP, PolicySRRIP} }
 
 // twoPass is the reference the one-pass warm-up must reproduce: count
@@ -29,32 +29,32 @@ func twoPass(cfg Config, kinds []PolicyKind, prog *workload.Program, seed, targe
 	}
 	var log AccessLog
 	fo.TapAccesses(&log)
-	res, err := fo.StreamProgram(prog, seed, target, 1, StreamOptions{})
+	res, err := fo.StreamProgram(prog, seed, target, StreamOptions{})
 	return res, log.Skip, err
 }
 
 // onePass replays the stream once under WarmupFromStream.
-func onePass(cfg Config, kinds []PolicyKind, prog *workload.Program, seed, target uint64, workers int) ([]Result, int, error) {
+func onePass(cfg Config, kinds []PolicyKind, prog *workload.Program, seed, target uint64) ([]Result, int, error) {
 	fo, err := NewFanOut(cfg, kinds, WarmupFromStream)
 	if err != nil {
 		return nil, 0, err
 	}
 	var log AccessLog
 	fo.TapAccesses(&log)
-	res, err := fo.StreamProgram(prog, seed, target, workers, StreamOptions{})
+	res, err := fo.StreamProgram(prog, seed, target, StreamOptions{})
 	return res, log.Skip, err
 }
 
 // requireOnePassMatches fails unless the one-pass replay equals the
 // two-pass reference on every Result field and on the tap's Skip.
-func requireOnePassMatches(t testing.TB, name string, cfg Config, prog *workload.Program, seed, target uint64, workers int) {
+func requireOnePassMatches(t testing.TB, name string, cfg Config, prog *workload.Program, seed, target uint64) {
 	t.Helper()
 	kinds := onePassKinds()
 	want, wantSkip, err := twoPass(cfg, kinds, prog, seed, target)
 	if err != nil {
 		t.Fatalf("%s: two-pass reference: %v", name, err)
 	}
-	got, gotSkip, err := onePass(cfg, kinds, prog, seed, target, workers)
+	got, gotSkip, err := onePass(cfg, kinds, prog, seed, target)
 	if err != nil {
 		t.Fatalf("%s: one pass: %v", name, err)
 	}
@@ -72,9 +72,8 @@ func requireOnePassMatches(t testing.TB, name string, cfg Config, prog *workload
 // warm-up: over a 240-workload SuiteGen grid, each workload run under one
 // combination of two budgets, four warm-up rules (the paper's fraction
 // with the cap far above the window, the cap below it, the cap inside
-// it, and no warm-up), wrong-path fetch off and injected, prefetch off
-// and on, and one and three lane workers, so that every combination
-// covers several workloads.
+// it, and no warm-up), wrong-path fetch off and injected, and prefetch
+// off and on, so that every combination covers several workloads.
 func TestOnePassMatchesTwoPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("population test")
@@ -101,10 +100,9 @@ func TestOnePassMatchesTwoPass(t *testing.T) {
 		}
 		cfg.WrongPath = []WrongPathMode{WrongPathOff, WrongPathInject}[i/8%2]
 		cfg.NextLinePrefetch = i/16%2 == 1
-		workers := []int{1, 3}[i/32%2]
-		name := fmt.Sprintf("%s target %d warm-up %s wrong-path %v prefetch %v workers %d",
-			spec.Name, target, rule, cfg.WrongPath, cfg.NextLinePrefetch, workers)
-		requireOnePassMatches(t, name, cfg, prog, 1, target, workers)
+		name := fmt.Sprintf("%s target %d warm-up %s wrong-path %v prefetch %v",
+			spec.Name, target, rule, cfg.WrongPath, cfg.NextLinePrefetch)
+		requireOnePassMatches(t, name, cfg, prog, 1, target)
 	}
 }
 
@@ -126,7 +124,7 @@ func FuzzOnePassMatchesTwoPass(f *testing.F) {
 			cfg.WrongPath = WrongPathInject
 		}
 		cfg.NextLinePrefetch = prefetch
-		requireOnePassMatches(t, spec.Name, cfg, prog, 1, 1+uint64(target%200_000), 2)
+		requireOnePassMatches(t, spec.Name, cfg, prog, 1, 1+uint64(target%200_000))
 	})
 }
 
@@ -166,7 +164,7 @@ func TestOnePassMatchesTwoPassLongRuns(t *testing.T) {
 		found++
 		for _, target := range []uint64{5_000, 60_000} {
 			name := fmt.Sprintf("%s (init %d blocks) target %d", spec.Name, spec.Profile.InitBlocks, target)
-			requireOnePassMatches(t, name, smallConfig(), prog, 1, target, found)
+			requireOnePassMatches(t, name, smallConfig(), prog, 1, target)
 		}
 	}
 	if found == 0 {
@@ -183,7 +181,7 @@ func TestOnePassMatchesTwoPassLongRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, target := range []uint64{10_000, 300_000} {
-		requireOnePassMatches(t, fmt.Sprintf("long-runs target %d", target), smallConfig(), prog, 1, target, 2)
+		requireOnePassMatches(t, fmt.Sprintf("long-runs target %d", target), smallConfig(), prog, 1, target)
 	}
 }
 
@@ -326,7 +324,7 @@ func TestStreamWindowBoundsChainProgram(t *testing.T) {
 		t.Errorf("no target ended within 9 instructions of the window's top (closest %d)", closest)
 	}
 	for _, target := range []uint64{1, 777, 2_345} {
-		requireOnePassMatches(t, fmt.Sprintf("chain target %d", target), cfg, prog, 1, target, 1)
+		requireOnePassMatches(t, fmt.Sprintf("chain target %d", target), cfg, prog, 1, target)
 	}
 }
 
@@ -349,7 +347,7 @@ func TestStreamWindowViolationNamesWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = fo.StreamProgram(prog, 1, 10_000, 1, StreamOptions{})
+	_, err = fo.StreamProgram(prog, 1, 10_000, StreamOptions{})
 	if err == nil || !strings.Contains(err.Error(), "gapped") || !strings.Contains(err.Error(), "warm-up window") {
 		t.Fatalf("StreamProgram err = %v, want a warm-up window error naming the program", err)
 	}

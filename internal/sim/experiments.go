@@ -450,7 +450,7 @@ func ComputeHeatmaps(cfg frontend.Config, st Structure, spec workload.Spec, inst
 		return nil, err
 	}
 	fo.TrackEfficiency()
-	if _, err := fo.StreamProgram(prog, 1, instrs, 1, frontend.StreamOptions{}); err != nil {
+	if _, err := fo.StreamProgram(prog, 1, instrs, frontend.StreamOptions{}); err != nil {
 		return nil, err
 	}
 	var out []HeatmapResult

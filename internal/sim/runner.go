@@ -57,12 +57,10 @@ type Options struct {
 	// Parallelism bounds concurrent simulation tasks. Each workload is
 	// one task: its program is executed once and the record stream drives
 	// every uncached policy lane in lockstep (frontend.FanOut), so adding
-	// policies costs policy work, not extra executor passes. When the
-	// suite has fewer workloads than Parallelism, the surplus is spent
-	// inside each task: lane replay splits across Parallelism/tasks
-	// goroutines (FanOut.StreamProgram's workers), so a few long
-	// workloads still use the whole machine. Results are bit-identical
-	// at any setting. Defaults to GOMAXPROCS.
+	// policies costs policy work, not extra executor passes. A run
+	// starts min(Parallelism, workloads) workers, each simulating one
+	// task at a time. Results are bit-identical at any setting. Defaults
+	// to GOMAXPROCS.
 	Parallelism int
 	// ExecSeed seeds workload execution (fixed across policies so every
 	// policy replays the identical trace). The zero value means "unset"
@@ -336,11 +334,6 @@ type runState struct {
 	states  []wlState
 	errs    []error // one slot per workload, joined after the wait
 	observe obs.Observer
-	// laneWorkers is the per-task lane-replay width: the parallelism
-	// left over after one worker per workload has been provisioned.
-	// Above one, fused replays of several lanes run on that many
-	// goroutines.
-	laneWorkers int
 	// opt, set only by ComputeHeadroom, receives each workload's OPT
 	// MPKI, computed from the access log of the task's fused pass.
 	opt *optSink
@@ -464,13 +457,7 @@ func (rn *Runner) run(ctx context.Context, opts Options, sink *optSink) (*Measur
 	}
 	close(tasks)
 
-	workers := opts.Parallelism
-	if workers > n {
-		workers = n
-	}
-	// Parallelism beyond one worker per workload splits lane replay
-	// inside each task instead of idling.
-	r.laneWorkers = opts.Parallelism / workers
+	workers := min(opts.Parallelism, n)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -813,7 +800,7 @@ func (r *runState) runTask(ctx context.Context, t task, sw *simWorker) error {
 		log = &sw.log
 	}
 	fo.TapAccesses(log)
-	results, err := fo.StreamProgram(st.prog, opts.ExecSeed, target, r.laneWorkers, so)
+	results, err := fo.StreamProgram(st.prog, opts.ExecSeed, target, so)
 	if err != nil {
 		return w.fault(err)
 	}

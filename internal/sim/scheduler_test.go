@@ -84,10 +84,11 @@ func requireMatchesReference(t *testing.T, m *Measurements, ref [][]frontend.Res
 }
 
 // The fused fan-out scheduler must produce bit-identical Measurements
-// to the serial reference at Parallelism 1 and GOMAXPROCS.
+// to the serial reference at Parallelism 1, at GOMAXPROCS, and above the
+// suite's workload count, where a run starts one worker per workload.
 func TestSchedulerMatchesSerialReference(t *testing.T) {
 	ref := serialReference(t, tinyOptions())
-	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, par := range []int{1, runtime.GOMAXPROCS(0), len(tinyOptions().Workloads) + 3} {
 		opts := tinyOptions()
 		opts.Parallelism = par
 		m, err := Run(opts)

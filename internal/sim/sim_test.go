@@ -418,7 +418,7 @@ func TestHeadroomAggregatesGappedWorkloads(t *testing.T) {
 		}
 		var log frontend.AccessLog
 		fo.TapAccesses(&log)
-		res, err := fo.StreamProgram(prog, 1, targetFor(spec, opts.Scale), 1, frontend.StreamOptions{})
+		res, err := fo.StreamProgram(prog, 1, targetFor(spec, opts.Scale), frontend.StreamOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
