@@ -120,11 +120,14 @@ daemon-smoke:
 # ghrpd binary, spawn two workers through the coordinator, SIGKILL one
 # of them at its first dispatched shard, and require the merged result
 # to be bit-identical to a single-process run of the same suite
-# (DESIGN.md §9). Exit is nonzero on any mismatch.
+# (DESIGN.md §9). A second run sends explicitly named workloads, out of
+# suite order, to one spawned worker and verifies it the same way.
+# Exit is nonzero on any mismatch.
 dist-smoke:
 	@mkdir -p bin
 	$(GO) build -o bin/ghrpd ./cmd/ghrpd
 	$(GO) run ./cmd/ghrpdist -smoke -worker-cmd ./bin/ghrpd
+	$(GO) run ./cmd/ghrpdist -workloads SM-001,LS-145,SS-070 -policies LRU,GHRP -scale 0.01 -spawn 1 -worker-cmd ./bin/ghrpd -verify -out bin/dist-named.json
 
 # dist-scale-smoke is the scaling drill: a generated 5000-workload
 # suite over two spawned workers with the coordinator's heap sampled

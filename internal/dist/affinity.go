@@ -4,23 +4,22 @@ import (
 	"sort"
 	"strconv"
 
-	"ghrpsim/internal/frontend"
 	"ghrpsim/internal/resultcache"
-	"ghrpsim/internal/workload"
+	"ghrpsim/internal/sim"
 )
 
 // Cache-affinity shard placement. Workers run with per-worker result
 // caches (-cache-dir), so a shard re-simulated on the worker that ran
 // it before — this run after a retry, or a warm rerun of the same
 // suite — answers from disk instead of replaying. The coordinator
-// therefore hashes each shard's identity material (the same inputs
-// that determine the workers' resultcache cell keys: workloads or
-// generator grid plus window, policies, scale, seed, config) onto a
-// consistent-hash ring over the roster, and each worker prefers the
-// pending shards the ring assigns to it. One key per shard rather than
-// one per (workload, policy) cell: cells of a shard always travel
-// together, so hashing the shard's identifying material places every
-// one of its cells at once at 1/N·cells the hashing cost.
+// therefore places each shard on a consistent-hash ring over the roster
+// by its run key — the content hash a worker gives the shard request,
+// over the inputs that determine the workers' resultcache cell keys
+// (workloads or generator grid plus window, policies, scale, seed,
+// config) — and each worker prefers the pending shards the ring assigns
+// to it. One key per shard rather than one per (workload, policy) cell:
+// cells of a shard always travel together, so the shard's key places
+// every one of its cells at once at 1/N·cells the hashing cost.
 //
 // Affinity is a preference, never a constraint: an idle worker with no
 // affine shard steals the oldest eligible one (no starvation), hedging
@@ -52,7 +51,7 @@ func newRing(names []string) *ring {
 	for wi, name := range names {
 		base := fnv64(name)
 		for rep := 0; rep < ringReplicas; rep++ {
-			r.hashes = append(r.hashes, splitmix64(base^splitmix64(uint64(rep+1))))
+			r.hashes = append(r.hashes, sim.SplitMix64(base^sim.SplitMix64(uint64(rep+1))))
 			r.workers = append(r.workers, wi)
 		}
 	}
@@ -104,40 +103,13 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// affinityMaterial is the canonical identity a shard's placement hash
-// is computed from — the exact inputs that determine the shard's
-// resultcache cell keys on a worker, so equal shards (same suite
+// ringKey places a shard on the ring by its run key: the key a worker
+// gives the shard's request, which covers exactly the inputs of the
+// worker's resultcache cell keys, so equal shards (same suite
 // partition, same experiment) hash to the same owner across runs and
-// reruns.
-type affinityMaterial struct {
-	Names    []string           `json:",omitempty"`
-	Suite    *workload.SuiteGen `json:",omitempty"`
-	Lo, Hi   int
-	Policies []string
-	Scale    float64
-	Seed     uint64
-	Config   frontend.Config
-}
-
-// affinityKey hashes one shard's identity material to its ring key.
-func (c *Coordinator) affinityKey(s *shard) (uint64, error) {
-	m := affinityMaterial{
-		Lo: s.lo, Hi: s.hi,
-		Policies: c.policies,
-		Scale:    c.scale,
-		Seed:     c.seed,
-		Config:   c.cfg,
-	}
-	if c.gen != nil {
-		m.Suite = c.gen
-	} else {
-		m.Names = s.names
-	}
-	key, err := resultcache.KeyOf(m)
-	if err != nil {
-		return 0, err
-	}
-	// The key is a hex SHA-256; its first 16 digits are an unbiased
-	// 64-bit ring position.
-	return strconv.ParseUint(string(key)[:16], 16, 64)
+// reruns. The key is a hex SHA-256; its first 16 digits are an unbiased
+// 64-bit ring position, and always parse.
+func ringKey(key resultcache.Key) uint64 {
+	pos, _ := strconv.ParseUint(string(key)[:16], 16, 64)
+	return pos
 }

@@ -1,7 +1,12 @@
 package dist
 
 import (
+	"reflect"
 	"testing"
+
+	"ghrpsim/internal/serve"
+	"ghrpsim/internal/sim"
+	"ghrpsim/internal/workload"
 )
 
 func allUsable(int) bool { return true }
@@ -13,7 +18,7 @@ func TestRingCoversAllWorkersRoughlyEvenly(t *testing.T) {
 	key := uint64(0x1234_5678_9ABC_DEF0)
 	const keys = 4096
 	for i := 0; i < keys; i++ {
-		key = splitmix64(key)
+		key = sim.SplitMix64(key)
 		wi := r.owner(key, allUsable)
 		if wi < 0 || wi >= len(names) {
 			t.Fatalf("owner(%#x) = %d, out of roster", key, wi)
@@ -41,7 +46,7 @@ func TestRingStableUnderWorkerRemoval(t *testing.T) {
 	key := uint64(0xBEEF)
 	moved, kept := 0, 0
 	for i := 0; i < 2048; i++ {
-		key = splitmix64(key)
+		key = sim.SplitMix64(key)
 		before := r.owner(key, allUsable)
 		after := r.owner(key, without)
 		if before != down {
@@ -79,49 +84,77 @@ func TestRingDeterministic(t *testing.T) {
 	b := newRing([]string{"alpha", "beta"})
 	key := uint64(1)
 	for i := 0; i < 512; i++ {
-		key = splitmix64(key)
+		key = sim.SplitMix64(key)
 		if a.owner(key, allUsable) != b.owner(key, allUsable) {
 			t.Fatalf("ring placement differs across identical rosters at key %#x", key)
 		}
 	}
 }
 
-// Shard affinity keys are a pure function of the shard's identity
-// material: stable within a plan, distinct across shards, and changed
-// by experiment parameters that change worker cache keys.
+// Shard affinity keys are the ring positions of the shards' run keys:
+// stable within a plan, distinct across shards, and moved by experiment
+// parameters that change worker cache keys.
 func TestShardAffinityKeys(t *testing.T) {
 	c1 := synthCoordinator(t, 12, 3)
 	c2 := synthCoordinator(t, 12, 3)
 	seen := map[uint64]bool{}
 	for i, s := range c1.shards {
-		k1, err := c1.affinityKey(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k2, err := c2.affinityKey(c2.shards[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k1 != k2 {
+		if s.affinity != c2.shards[i].affinity {
 			t.Errorf("shard %d affinity key differs across identical plans", i)
 		}
-		if seen[k1] {
+		if seen[s.affinity] {
 			t.Errorf("shard %d affinity key collides within the plan", i)
 		}
-		seen[k1] = true
+		seen[s.affinity] = true
 	}
 
-	o := Options{Suite: c1.gen, Policies: []string{"LRU", "GHRP"}, ShardSize: 3, ExecSeed: 99}
-	c3, err := New(o)
+	c3, err := New(Options{Suite: &workload.SuiteGen{N: 12}, Policies: []string{"LRU", "GHRP"}, ShardSize: 3, ExecSeed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1, _ := c1.affinityKey(c1.shards[0])
-	k3, err := c3.affinityKey(c3.shards[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 == k3 {
+	if c1.shards[0].affinity == c3.shards[0].affinity {
 		t.Error("changing the exec seed did not move the affinity key")
+	}
+}
+
+// TestShardRequestsAreFixedPoints pins the worker protocol (docs/API.md):
+// a shard request, normalized as a worker normalizes it, comes back
+// unchanged on every identity field, runs the same specs as the
+// coordinator's in-process fallback, and gets the run key whose ring
+// position is the shard's affinity key.
+func TestShardRequestsAreFixedPoints(t *testing.T) {
+	for name, opts := range map[string]Options{
+		"named": {Workloads: []string{"LS-145", "SM-001", "SS-070", "SM-002"}, Policies: []string{"GHRP", "LRU"},
+			Scale: 0.01, ExecSeed: 5, KeepGoing: true, Config: &serve.ConfigDoc{ICacheKB: 32, Ways: 4}},
+		"subsample": {SuiteN: 7, ProgressEvery: 64},
+		"generated": {Suite: &workload.SuiteGen{N: 10, FootprintSteps: 3}, Policies: []string{"SRRIP"}, Parallelism: 3},
+	} {
+		t.Run(name, func(t *testing.T) {
+			opts.ShardSize = 3
+			c, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range c.shards {
+				req := s.job.Request
+				j, err := serve.Normalize(req, serve.Defaults{JobParallelism: 2})
+				if err != nil {
+					t.Fatalf("shard %d: worker rejects its request: %v", s.idx, err)
+				}
+				got := j.Request
+				// Pacing knobs are outside the identity; a worker may fill
+				// in its own parallelism.
+				got.Parallelism, got.ProgressEvery = req.Parallelism, req.ProgressEvery
+				if !reflect.DeepEqual(got, req) {
+					t.Errorf("shard %d: worker normalizes\n%+v\nto\n%+v", s.idx, req, got)
+				}
+				if j.Key != s.job.Key || ringKey(j.Key) != s.affinity {
+					t.Errorf("shard %d: worker key %s, shard key %s, affinity %#x", s.idx, j.Key, s.job.Key, s.affinity)
+				}
+				if !reflect.DeepEqual(workload.Materialize(j.Options.Source), workload.Materialize(s.job.Options.Source)) {
+					t.Errorf("shard %d: worker and in-process fallback run different specs", s.idx)
+				}
+			}
+		})
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"ghrpsim/internal/faultinject"
 	"ghrpsim/internal/obs"
 	"ghrpsim/internal/serve"
+	"ghrpsim/internal/sim"
 )
 
 // RetryPolicy bounds the client's per-call retry loop. The zero value
@@ -204,7 +205,7 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body []byte, o
 		if attempt >= c.retry.MaxAttempts {
 			return fmt.Errorf("dist: %s %s failed after %d attempts: %w", method, path, attempt, lastErr)
 		}
-		delay := backoffDelay(c.retry.Backoff, c.retry.MaxBackoff, attempt, c.retry.Seed)
+		delay := sim.RetryDelay(c.retry.Backoff, c.retry.MaxBackoff, attempt, c.retry.Seed)
 		if retryAfter > 0 {
 			// The worker told us when a retry is worth it; pace by its
 			// estimate, bounded by our own policy.
@@ -288,7 +289,7 @@ func (c *Client) Tail(ctx context.Context, id string, onEvent func(serve.EventDo
 	for resets := 0; resets <= c.retry.StreamResets; resets++ {
 		if resets > 0 {
 			c.observeRetry(resets, errStreamReset)
-			if !sleep(ctx, backoffDelay(c.retry.Backoff, c.retry.MaxBackoff, resets, c.retry.Seed)) {
+			if !sleep(ctx, sim.RetryDelay(c.retry.Backoff, c.retry.MaxBackoff, resets, c.retry.Seed)) {
 				return serve.StatusDoc{}, context.Cause(ctx)
 			}
 		}

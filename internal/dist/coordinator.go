@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ghrpsim/internal/faultinject"
-	"ghrpsim/internal/frontend"
 	"ghrpsim/internal/obs"
 	"ghrpsim/internal/serve"
 	"ghrpsim/internal/sim"
@@ -29,9 +28,10 @@ type WorkerSpec struct {
 	Proc *Proc
 }
 
-// Options configures a Coordinator. The suite fields mirror
-// serve.RunRequest and normalize identically, so a distributed run is
-// the same experiment as a single-process or single-daemon run.
+// Options configures a Coordinator. The suite fields are a
+// serve.RunRequest's, and New normalizes them with serve.Normalize, so a
+// distributed run is the same experiment as a single-process or
+// single-daemon run.
 type Options struct {
 	// Workloads names suite workloads explicitly; empty selects a
 	// SuiteN subsample (0 = full suite). Mutually exclusive with SuiteN.
@@ -53,8 +53,8 @@ type Options struct {
 	// KeepGoing completes past failing cells, annotating them.
 	KeepGoing bool
 	// Config overrides the paper's default front-end configuration. It
-	// travels inside each shard request, so workers must run with the
-	// default base configuration (a plain ghrpd launch).
+	// travels inside each shard request; every ghrpd applies it to the
+	// same default configuration.
 	Config *serve.ConfigDoc
 	// Parallelism is the per-shard scheduler parallelism hint sent to
 	// workers and used by the in-process fallback; 0 = their defaults.
@@ -114,10 +114,13 @@ const (
 
 // shard is one dispatch unit: a contiguous range of whole workloads.
 type shard struct {
-	idx      int
-	lo, hi   int // global workload index range [lo, hi)
-	names    []string
-	affinity uint64 // consistent-hash ring key; 0 with an empty roster
+	idx    int
+	lo, hi int // global workload index range [lo, hi)
+	names  []string
+	// job is the run's normalized job narrowed to [lo, hi): the worker
+	// submission, its run key and the in-process scheduler options.
+	job      serve.Job
+	affinity uint64 // consistent-hash ring key: the run key's ring position
 
 	// Guarded by Coordinator.mu.
 	state    int
@@ -149,19 +152,15 @@ var errHedgeLost = errors.New("dist: hedge lost: another attempt completed first
 // failure-handling ladder. A Coordinator is single-use: New, then Run
 // once.
 type Coordinator struct {
-	opts     Options
-	source   workload.Source
-	gen      *workload.SuiteGen // non-nil for generative suites (defaults applied)
-	names    []string
-	kinds    []frontend.PolicyKind
-	policies []string
-	cfg      frontend.Config
-	scale    float64
-	seed     uint64
-	workers  []*Worker
-	ring     *ring   // nil with an empty roster
-	window   int     // dispatch gate width past the merge frontier
-	merger   *merger // streaming shard-document fold
+	opts Options
+	// job is the whole suite normalized by serve.Normalize, as a worker
+	// would normalize it; every shard is a Window of it.
+	job     serve.Job
+	names   []string
+	workers []*Worker
+	ring    *ring   // nil with an empty roster
+	window  int     // dispatch gate width past the merge frontier
+	merger  *merger // streaming shard-document fold
 
 	hedgeAfter      time.Duration // 0 = disabled
 	probeEvery      time.Duration // 0 = disabled
@@ -189,80 +188,39 @@ type Coordinator struct {
 	stats  Stats
 }
 
-// New resolves and validates the suite exactly the way a worker daemon
-// would, builds the shard plan and the worker roster, and returns a
-// ready Coordinator.
+// New normalizes the suite with serve.Normalize, exactly as a worker
+// daemon would, builds the shard plan and the worker roster, and
+// returns a ready Coordinator.
 func New(opts Options) (*Coordinator, error) {
 	c := &Coordinator{opts: opts}
 
-	switch {
-	case opts.Suite != nil:
-		if len(opts.Workloads) > 0 || opts.SuiteN != 0 {
-			return nil, errors.New("dist: suite generator is mutually exclusive with workloads and suite_n")
-		}
-		g := opts.Suite.WithDefaults()
-		if err := g.Validate(); err != nil {
-			return nil, err
-		}
-		c.gen = &g
-		c.source = g
-	case len(opts.Workloads) > 0:
-		if opts.SuiteN != 0 {
-			return nil, errors.New("dist: workloads and suite_n are mutually exclusive")
-		}
-		specs := make([]workload.Spec, len(opts.Workloads))
-		for i, name := range opts.Workloads {
-			spec, err := workload.Find(name)
-			if err != nil {
-				return nil, err
-			}
-			specs[i] = spec
-		}
-		c.source = workload.SliceSource(specs)
-	case opts.SuiteN < 0:
-		return nil, fmt.Errorf("dist: suite_n %d is negative", opts.SuiteN)
-	case opts.SuiteN == 0:
-		c.source = workload.SliceSource(workload.Suite())
-	default:
-		c.source = workload.SliceSource(workload.SuiteN(opts.SuiteN))
+	req := serve.RunRequest{
+		Workloads:     opts.Workloads,
+		SuiteN:        opts.SuiteN,
+		Policies:      opts.Policies,
+		Scale:         opts.Scale,
+		ExecSeed:      opts.ExecSeed,
+		KeepGoing:     opts.KeepGoing,
+		Config:        opts.Config,
+		Parallelism:   opts.Parallelism,
+		ProgressEvery: opts.ProgressEvery,
 	}
+	if opts.Suite != nil {
+		req.Suite = &serve.SuiteGenDoc{SuiteGen: *opts.Suite}
+	}
+	job, err := serve.Normalize(req, serve.Defaults{})
+	if err != nil {
+		return nil, err
+	}
+	c.job = job
 	// Names are the one per-workload slice the coordinator keeps: they
 	// are the merged document's output axis (strings, not programs).
-	c.names = make([]string, c.source.Len())
-	for i := range c.names {
-		c.names[i] = c.source.At(i).Name
-	}
-
-	c.kinds = frontend.PaperPolicies()
-	if len(opts.Policies) > 0 {
-		c.kinds = make([]frontend.PolicyKind, len(opts.Policies))
-		for i, name := range opts.Policies {
-			k, err := frontend.ParsePolicy(name)
-			if err != nil {
-				return nil, err
-			}
-			c.kinds[i] = k
+	if c.names = job.Request.Workloads; c.names == nil {
+		src := job.Options.Source
+		c.names = make([]string, src.Len())
+		for i := range c.names {
+			c.names[i] = src.At(i).Name
 		}
-	}
-	c.policies = make([]string, len(c.kinds))
-	for i, k := range c.kinds {
-		c.policies[i] = k.String()
-	}
-
-	c.scale = opts.Scale
-	if c.scale == 0 {
-		c.scale = 1
-	}
-	if c.scale < 0 {
-		return nil, fmt.Errorf("dist: scale %v is negative", c.scale)
-	}
-	c.seed = opts.ExecSeed
-	if c.seed == 0 {
-		c.seed = 1
-	}
-	c.cfg = opts.Config.Apply(frontend.DefaultConfig())
-	if err := c.cfg.Validate(); err != nil {
-		return nil, err
 	}
 	if opts.DisableLocal && len(opts.Workers) == 0 {
 		return nil, errors.New("dist: DisableLocal with an empty roster leaves no way to run anything")
@@ -296,7 +254,7 @@ func New(opts Options) (*Coordinator, error) {
 
 	retry := opts.Retry
 	if retry.Seed == 0 {
-		retry.Seed = c.seed
+		retry.Seed = job.Request.ExecSeed
 	}
 	c.workers = make([]*Worker, len(opts.Workers))
 	for i, ws := range opts.Workers {
@@ -306,7 +264,7 @@ func New(opts Options) (*Coordinator, error) {
 		}
 		r := retry
 		// Decorrelate backoff jitter across workers deterministically.
-		r.Seed = splitmix64(retry.Seed ^ uint64(i+1))
+		r.Seed = sim.SplitMix64(retry.Seed ^ uint64(i+1))
 		c.workers[i] = &Worker{
 			Name:   name,
 			Client: NewClient(ws.URL, r, opts.Faults, c.emit, name),
@@ -331,7 +289,11 @@ func New(opts Options) (*Coordinator, error) {
 		if hi > len(c.names) {
 			hi = len(c.names)
 		}
-		s := &shard{idx: len(c.shards), lo: lo, hi: hi, names: c.names[lo:hi]}
+		sj, err := job.Window(lo, hi)
+		if err != nil {
+			return nil, err
+		}
+		s := &shard{idx: len(c.shards), lo: lo, hi: hi, names: c.names[lo:hi], job: sj, affinity: ringKey(sj.Key)}
 		c.shards = append(c.shards, s)
 		c.pending = append(c.pending, s)
 	}
@@ -350,16 +312,9 @@ func New(opts Options) (*Coordinator, error) {
 			wnames[i] = w.Name
 		}
 		c.ring = newRing(wnames)
-		for _, s := range c.shards {
-			key, err := c.affinityKey(s)
-			if err != nil {
-				return nil, err
-			}
-			s.affinity = key
-		}
 	}
 
-	c.merger = newMerger(c.names, c.policies)
+	c.merger = newMerger(c.names, job.Request.Policies)
 	c.remaining = len(c.shards)
 	c.doneC = make(chan struct{})
 	c.kickC = make(chan struct{})
@@ -434,7 +389,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 	c.mu.Unlock()
 
 	start := now()
-	c.emit(obs.Event{Kind: obs.RunStart, Workloads: len(c.names), Policies: len(c.policies), Shards: len(c.shards)})
+	c.emit(obs.Event{Kind: obs.RunStart, Workloads: len(c.names), Policies: len(c.job.Request.Policies), Shards: len(c.shards)})
 	if remaining == 0 {
 		return c.finish(start)
 	}
@@ -656,7 +611,7 @@ func (c *Coordinator) newAttemptLocked(s *shard, w *Worker, hedge bool) *attempt
 // event stream (forwarding progress), fetch the result.
 func (c *Coordinator) dispatch(att *attempt) (*serve.ResultDoc, error) {
 	ctx, s, w := att.ctx, att.shard, att.worker
-	sub, err := w.Client.Submit(ctx, c.shardRequest(s))
+	sub, err := w.Client.Submit(ctx, s.job.Request)
 	if err != nil {
 		return nil, err
 	}
@@ -699,30 +654,6 @@ func (c *Coordinator) dispatch(att *attempt) (*serve.ResultDoc, error) {
 
 func terminalState(s string) bool { return s == "done" || s == "failed" || s == "cancelled" }
 
-// shardRequest builds the worker submission for s. It carries the
-// coordinator's normalized values, so the worker's own normalization
-// is the identity function on everything that matters. Generative
-// suites ship as grid parameters plus the shard's index window — a
-// few dozen bytes per shard whatever the suite size — and the worker
-// regenerates the identical specs from them.
-func (c *Coordinator) shardRequest(s *shard) serve.RunRequest {
-	req := serve.RunRequest{
-		Policies:      c.policies,
-		Scale:         c.scale,
-		ExecSeed:      c.seed,
-		KeepGoing:     c.opts.KeepGoing,
-		Config:        c.opts.Config,
-		Parallelism:   c.opts.Parallelism,
-		ProgressEvery: c.opts.ProgressEvery,
-	}
-	if c.gen != nil {
-		req.Suite = &serve.SuiteGenDoc{SuiteGen: *c.gen, Lo: s.lo, Hi: s.hi}
-	} else {
-		req.Workloads = s.names
-	}
-	return req
-}
-
 // forward re-emits one worker event with suite-global indices. Only
 // ticks flow through: workload lifecycle is emitted exactly once at
 // shard completion (hedged shards would double-report), and ticks are
@@ -738,7 +669,7 @@ func (c *Coordinator) forward(s *shard, w *Worker, e serve.EventDoc) {
 		Workloads:     len(c.names),
 		Policy:        e.Policy,
 		PolicyIndex:   e.PolicyIndex,
-		Policies:      len(c.policies),
+		Policies:      len(c.job.Request.Policies),
 		Records:       e.Records,
 		Instructions:  e.Instructions,
 		Elapsed:       time.Duration(e.ElapsedMS * float64(time.Millisecond)),
@@ -821,7 +752,7 @@ func (c *Coordinator) completeShard(s *shard, att *attempt, doc *serve.ResultDoc
 			Workload:      name,
 			WorkloadIndex: s.lo + i,
 			Workloads:     len(c.names),
-			Policies:      len(c.policies),
+			Policies:      len(c.job.Request.Policies),
 			Shard:         s.idx,
 			Shards:        len(c.shards),
 			Worker:        worker,
@@ -989,20 +920,12 @@ func (c *Coordinator) nextLocal(rctx context.Context) *shard {
 	}
 }
 
-// simShard runs one shard on rn, the in-process scheduler, and folds
-// the measurements through the exact wire-shape function a worker would
+// simShard runs one shard on rn, the in-process scheduler, with the
+// options a worker would run its shard request with, and folds the
+// measurements through the exact wire-shape function a worker would
 // use, so the merged document cannot tell local from remote.
 func (c *Coordinator) simShard(ctx context.Context, rn *sim.Runner, s *shard, observe bool) (*serve.ResultDoc, error) {
-	opts := sim.Options{
-		Source:        workload.NewRange(c.source, s.lo, s.hi),
-		Config:        c.cfg,
-		Policies:      c.kinds,
-		Scale:         c.scale,
-		Parallelism:   c.opts.Parallelism,
-		ExecSeed:      c.seed,
-		ProgressEvery: c.opts.ProgressEvery,
-		KeepGoing:     c.opts.KeepGoing,
-	}
+	opts := s.job.Options
 	if observe {
 		opts.Observer = func(e obs.Event) {
 			if e.Kind != obs.Tick {
@@ -1010,7 +933,7 @@ func (c *Coordinator) simShard(ctx context.Context, rn *sim.Runner, s *shard, ob
 			}
 			e.WorkloadIndex += s.lo
 			e.Workloads = len(c.names)
-			e.Policies = len(c.policies)
+			e.Policies = len(c.job.Request.Policies)
 			e.Shard, e.Shards, e.Worker = s.idx, len(c.shards), "local"
 			c.emit(e)
 		}
@@ -1090,14 +1013,14 @@ func (c *Coordinator) hedgeScan(rctx context.Context) {
 // the oracle the fault tests (and -verify) compare a distributed run
 // against, byte for byte.
 func (c *Coordinator) Reference(ctx context.Context) (*Merged, error) {
-	full := &shard{idx: 0, lo: 0, hi: len(c.names), names: c.names}
+	full := &shard{idx: 0, lo: 0, hi: len(c.names), names: c.names, job: c.job}
 	// A one-shot Runner, as sim.RunContext uses: the oracle shares no
 	// workers with the run it checks.
 	doc, err := c.simShard(ctx, new(sim.Runner), full, false)
 	if err != nil {
 		return nil, err
 	}
-	m := newMerger(c.names, c.policies)
+	m := newMerger(c.names, c.job.Request.Policies)
 	if err := m.complete(full, doc); err != nil {
 		return nil, err
 	}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -157,6 +159,29 @@ func TestCoordinatorCleanRunBitIdentity(t *testing.T) {
 	}
 	if rec.count(obs.Tick) == 0 {
 		t.Error("no forwarded Tick events; progress tailing is not flowing")
+	}
+}
+
+// TestCoordinatorNamedWorkloadsBitIdentity runs explicitly named
+// workloads, out of suite order, through a worker: shard requests carry
+// slices of the normalized names, and the merged result keeps the
+// requested order and equals the single-process reference.
+func TestCoordinatorNamedWorkloadsBitIdentity(t *testing.T) {
+	w0 := newWorkerServer(t)
+	opts := testOpts(WorkerSpec{URL: w0.URL})
+	opts.SuiteN = 0
+	opts.Workloads = []string{"LS-145", "SM-001", "SS-070"}
+	opts.ShardSize = 2
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := runAndVerify(t, c)
+	if !reflect.DeepEqual(m.Workloads, opts.Workloads) {
+		t.Errorf("merged workloads %v, want %v", m.Workloads, opts.Workloads)
+	}
+	if m.Stats.LocalShards != 0 {
+		t.Errorf("LocalShards = %d, want 0 (healthy roster)", m.Stats.LocalShards)
 	}
 }
 
@@ -489,6 +514,11 @@ func TestCoordinatorRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := New(Options{SuiteN: 2, Scale: -1}); err == nil {
 		t.Error("negative scale accepted, want error")
+	}
+	for _, scale := range []float64{math.Inf(1), math.NaN(), 1e308} {
+		if _, err := New(Options{SuiteN: 2, Scale: scale}); err == nil {
+			t.Errorf("scale %v accepted, want error", scale)
+		}
 	}
 	if _, err := New(Options{SuiteN: 2, DisableLocal: true}); err == nil {
 		t.Error("DisableLocal with an empty roster accepted, want error")

@@ -107,35 +107,3 @@ func tick(d time.Duration) (<-chan time.Time, func()) {
 	t := time.NewTicker(d) //ghrplint:ignore detwallclock periodic health probing and hedge scanning are wall-clock by definition; results never depend on their cadence
 	return t.C, t.Stop
 }
-
-// backoffDelay computes the pause before retry attempt (1-based):
-// base<<(attempt-1) capped at max, plus deterministic jitter in
-// [0, delay/2] derived from seed — the retry discipline the in-process
-// scheduler established, reproducible from the seed alone.
-func backoffDelay(base, max time.Duration, attempt int, seed uint64) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	if max <= 0 {
-		max = DefaultMaxBackoff
-	}
-	delay := base
-	for i := 1; i < attempt && delay < max; i++ {
-		delay <<= 1
-	}
-	if delay > max {
-		delay = max
-	}
-	half := uint64(delay / 2)
-	jitter := time.Duration(splitmix64(seed^uint64(attempt)) % (half + 1))
-	return delay + jitter
-}
-
-// splitmix64 is the SplitMix64 mixer — the repo's standard source of
-// deterministic jitter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}

@@ -34,12 +34,12 @@ func synthDoc(c *Coordinator, s *shard, failEvery int) *serve.ResultDoc {
 	doc := &serve.ResultDoc{
 		ID:         fmt.Sprintf("synth-%d", s.idx),
 		Workloads:  s.names,
-		Policies:   c.policies,
+		Policies:   c.job.Request.Policies,
 		ICacheMPKI: map[string][]float64{},
 		BTBMPKI:    map[string][]float64{},
 	}
 	doc.Stats.CacheHits = 1
-	for pi, p := range c.policies {
+	for pi, p := range c.job.Request.Policies {
 		iv := make([]float64, len(s.names))
 		bv := make([]float64, len(s.names))
 		for j := range s.names {
@@ -101,7 +101,7 @@ func TestStreamingMergeMatchesBufferedOracle(t *testing.T) {
 		wantBytes := identity(t, want)
 
 		for trial := 0; trial < 10; trial++ {
-			m := newMerger(c.names, c.policies)
+			m := newMerger(c.names, c.job.Request.Policies)
 			order := rng.Perm(len(c.shards))
 			for _, i := range order {
 				if err := m.complete(c.shards[i], docs[i]); err != nil {
@@ -139,7 +139,7 @@ func TestStreamingMergeDuplicateCompletions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := newMerger(c.names, c.policies)
+	m := newMerger(c.names, c.job.Request.Policies)
 	// Reverse order (everything parks), duplicating every complete —
 	// once while parked, once after folding.
 	for i := len(c.shards) - 1; i >= 0; i-- {
@@ -169,7 +169,7 @@ func TestStreamingMergeDuplicateCompletions(t *testing.T) {
 // completions keep folding.
 func TestStreamingMergeTombstoneAdvancesFrontier(t *testing.T) {
 	c := synthCoordinator(t, 12, 2) // 6 shards
-	m := newMerger(c.names, c.policies)
+	m := newMerger(c.names, c.job.Request.Policies)
 
 	// Shards 1 and 2 park behind the (eventually failing) shard 0.
 	for _, i := range []int{1, 2} {
@@ -206,7 +206,7 @@ func TestStreamingMergeRejectsMalformedDocs(t *testing.T) {
 		"unknown failure": func(d *serve.ResultDoc) { d.Failed = []serve.RunErrorDoc{{Workload: "bogus", Error: "x"}} },
 	}
 	for name, mutate := range cases {
-		m := newMerger(c.names, c.policies)
+		m := newMerger(c.names, c.job.Request.Policies)
 		s := c.shards[0]
 		var doc *serve.ResultDoc
 		if mutate != nil {
@@ -233,12 +233,12 @@ func (c *Coordinator) mergeDocs(docs []*serve.ResultDoc) (*Merged, error) {
 	}
 	m := &Merged{
 		Workloads:  c.names,
-		Policies:   c.policies,
-		ICacheMPKI: make(map[string][]float64, len(c.policies)),
-		BTBMPKI:    make(map[string][]float64, len(c.policies)),
+		Policies:   c.job.Request.Policies,
+		ICacheMPKI: make(map[string][]float64, len(c.job.Request.Policies)),
+		BTBMPKI:    make(map[string][]float64, len(c.job.Request.Policies)),
 		BranchMPKI: make([]float64, len(c.names)),
 	}
-	for _, p := range c.policies {
+	for _, p := range c.job.Request.Policies {
 		m.ICacheMPKI[p] = make([]float64, len(c.names))
 		m.BTBMPKI[p] = make([]float64, len(c.names))
 	}
@@ -248,12 +248,12 @@ func (c *Coordinator) mergeDocs(docs []*serve.ResultDoc) (*Merged, error) {
 		if doc == nil {
 			return nil, fmt.Errorf("dist: merge: shard document %d is missing", d)
 		}
-		if len(doc.Policies) != len(c.policies) {
-			return nil, fmt.Errorf("dist: merge: document %d has %d policies, want %d", d, len(doc.Policies), len(c.policies))
+		if len(doc.Policies) != len(c.job.Request.Policies) {
+			return nil, fmt.Errorf("dist: merge: document %d has %d policies, want %d", d, len(doc.Policies), len(c.job.Request.Policies))
 		}
 		for i, p := range doc.Policies {
-			if p != c.policies[i] {
-				return nil, fmt.Errorf("dist: merge: document %d policy %d is %q, want %q", d, i, p, c.policies[i])
+			if p != c.job.Request.Policies[i] {
+				return nil, fmt.Errorf("dist: merge: document %d policy %d is %q, want %q", d, i, p, c.job.Request.Policies[i])
 			}
 		}
 		if len(doc.BranchMPKI) != len(doc.Workloads) {
@@ -269,7 +269,7 @@ func (c *Coordinator) mergeDocs(docs []*serve.ResultDoc) (*Merged, error) {
 			}
 			covered[gi] = true
 			m.BranchMPKI[gi] = doc.BranchMPKI[j]
-			for _, p := range c.policies {
+			for _, p := range c.job.Request.Policies {
 				iv, bv := doc.ICacheMPKI[p], doc.BTBMPKI[p]
 				if j >= len(iv) || j >= len(bv) {
 					return nil, fmt.Errorf("dist: merge: document %d policy %q vectors are short", d, p)

@@ -103,10 +103,9 @@ type ConfigDoc struct {
 	NextLinePrefetch bool `json:"next_line_prefetch,omitempty"`
 }
 
-// Apply overlays the overrides on cfg. Exported so the dist
-// coordinator's in-process fallback resolves the same effective config
-// a worker daemon would, keeping local and remote shard results
-// bit-identical.
+// Apply overlays the overrides on cfg. Normalize applies them to the
+// paper's default configuration, on every daemon and in the dist
+// coordinator alike.
 func (d *ConfigDoc) Apply(cfg frontend.Config) frontend.Config {
 	if d == nil {
 		return cfg
@@ -146,13 +145,15 @@ type identity struct {
 	Config    frontend.Config
 }
 
-// job is a fully normalized, validated submission: the request echoed
+// Job is a fully normalized, validated submission: the request echoed
 // with defaults applied, its content-hash identity, and the prepared
 // scheduler options (observer-free; the executor attaches one per run).
-type job struct {
-	req  RunRequest // normalized
-	key  resultcache.Key
-	opts sim.Options
+// Normalize is the only code that builds one from a request: the daemon
+// calls it per POST /runs, the dist coordinator once per run.
+type Job struct {
+	Request RunRequest // normalized
+	Key     resultcache.Key
+	Options sim.Options
 }
 
 // errBadRequest marks a submission rejected at normalization; the
@@ -172,12 +173,14 @@ func IsBadRequest(err error) bool {
 	return errors.As(err, &b)
 }
 
-// normalize resolves a submission into a job: defaults applied,
+// Normalize resolves a submission into a Job: defaults applied,
 // workloads and policies resolved and validated, the identity hashed.
-// defaults carries the server-side knobs (base config, per-job
-// parallelism, cell ceiling).
-func normalize(req RunRequest, d Defaults) (job, error) {
-	var j job
+// d carries the server-side knobs (per-job parallelism, cell ceiling,
+// cache, timeouts, retries); every daemon applies the overrides to the
+// paper's default configuration, so a request means the same run on
+// any daemon.
+func Normalize(req RunRequest, d Defaults) (Job, error) {
+	var j Job
 
 	// Workload resolution: a generated suite or explicit names win over
 	// the subsample. Generated suites stay lazy end to end — the source
@@ -261,11 +264,14 @@ func normalize(req RunRequest, d Defaults) (job, error) {
 	if scale < 0 {
 		return j, badRequestf("serve: scale %v is negative", scale)
 	}
+	if err := sim.CheckScale(scale); err != nil {
+		return j, &errBadRequest{err}
+	}
 	seed := req.ExecSeed
 	if seed == 0 {
 		seed = 1
 	}
-	cfg := req.Config.Apply(d.Config)
+	cfg := req.Config.Apply(frontend.DefaultConfig())
 	if err := cfg.Validate(); err != nil {
 		return j, &errBadRequest{err}
 	}
@@ -281,7 +287,7 @@ func normalize(req RunRequest, d Defaults) (job, error) {
 		parallelism = d.JobParallelism
 	}
 
-	j.req = RunRequest{
+	j.Request = RunRequest{
 		Workloads:     names,
 		Suite:         suiteDoc,
 		Policies:      policyNames,
@@ -292,21 +298,7 @@ func normalize(req RunRequest, d Defaults) (job, error) {
 		Parallelism:   parallelism,
 		ProgressEvery: req.ProgressEvery,
 	}
-	key, err := resultcache.KeyOf(identity{
-		Version:   apiVersion,
-		Workloads: names,
-		Suite:     suiteDoc,
-		Policies:  policyNames,
-		Scale:     scale,
-		ExecSeed:  seed,
-		KeepGoing: req.KeepGoing,
-		Config:    cfg,
-	})
-	if err != nil {
-		return j, err
-	}
-	j.key = key
-	j.opts = sim.Options{
+	j.Options = sim.Options{
 		Source:        source,
 		Config:        cfg,
 		Policies:      kinds,
@@ -321,7 +313,44 @@ func normalize(req RunRequest, d Defaults) (job, error) {
 		MaxRetries:    d.MaxRetries,
 		RetryBackoff:  d.RetryBackoff,
 	}
-	return j, nil
+	var err error
+	j.Key, err = j.key()
+	return j, err
+}
+
+// Window narrows a normalized job to workloads [lo, hi) of its source,
+// without resolving anything again: the request names that slice of the
+// workloads (or the matching index window of a generated suite), the
+// options run workload.NewRange over the source, and the key is the one
+// Normalize gives that narrowed request. The dist coordinator builds
+// its shards this way.
+func (j Job) Window(lo, hi int) (Job, error) {
+	w := j
+	w.Options.Source = workload.NewRange(j.Options.Source, lo, hi)
+	if s := j.Request.Suite; s != nil {
+		w.Request.Suite = &SuiteGenDoc{SuiteGen: s.SuiteGen, Lo: s.Lo + lo, Hi: s.Lo + hi}
+	} else {
+		w.Request.Workloads = j.Request.Workloads[lo:hi]
+	}
+	var err error
+	w.Key, err = w.key()
+	return w, err
+}
+
+// key hashes the job's identity from its normalized request and its
+// resolved configuration.
+func (j Job) key() (resultcache.Key, error) {
+	r := j.Request
+	return resultcache.KeyOf(identity{
+		Version:   apiVersion,
+		Workloads: r.Workloads,
+		Suite:     r.Suite,
+		Policies:  r.Policies,
+		Scale:     r.Scale,
+		ExecSeed:  r.ExecSeed,
+		KeepGoing: r.KeepGoing,
+		Config:    j.Options.Config,
+	})
 }
 
 // SubmitResponse is the POST /runs body: whether this submission

@@ -31,11 +31,11 @@ func freshResult(t *testing.T, d Defaults, id, body string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := normalize(req, d)
+	j, err := Normalize(req, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sim.RunContext(context.Background(), j.opts)
+	m, err := sim.RunContext(context.Background(), j.Options)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"ghrpsim/internal/frontend"
 	"ghrpsim/internal/obs"
 )
 
@@ -74,6 +73,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"negative suite_n", `{"suite_n": -1}`, "negative"},
 		{"bad policy", `{"suite_n": 1, "policies": ["NOPE"]}`, "NOPE"},
 		{"negative scale", `{"suite_n": 1, "scale": -0.5}`, "negative"},
+		// Regression: the budget became +Inf, then a 2^63-instruction task.
+		{"overflowing scale", `{"suite_n": 1, "scale": 1e308}`, "past 2^64"},
+		{"long budget just past uint64", `{"workloads": ["LS-001"], "scale": 9.3e12}`, "past 2^64"},
 		{"bad config", `{"suite_n": 1, "config": {"ways": 3}}`, "sets"},
 		{"too many cells", `{"suite_n": 2, "policies": ["LRU", "GHRP", "SRRIP"]}`, "daemon limit"},
 		// Regression: 2^62 workloads x 4 policies wrapped to 0 cells.
@@ -106,15 +108,15 @@ func TestSubmitValidation(t *testing.T) {
 // pacing knobs (parallelism, progress_every) are excluded; everything
 // that can change simulation output is included.
 func TestIdentityKnobs(t *testing.T) {
-	d := Defaults{Config: frontend.DefaultConfig(), JobParallelism: 2}
+	d := Defaults{JobParallelism: 2}
 	base := RunRequest{SuiteN: 2, Policies: []string{"LRU"}, Scale: 0.5}
 	keyOf := func(req RunRequest) string {
 		t.Helper()
-		j, err := normalize(req, d)
+		j, err := Normalize(req, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return string(j.key)
+		return string(j.Key)
 	}
 	k0 := keyOf(base)
 
@@ -151,8 +153,8 @@ func TestIdentityKnobs(t *testing.T) {
 // (regenerate with -update via make golden-update).
 func TestGoldenRunStatus(t *testing.T) {
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	d := Defaults{Config: frontend.DefaultConfig(), JobParallelism: 2}
-	j, err := normalize(RunRequest{SuiteN: 2, Policies: []string{"LRU", "GHRP"}, Scale: 0.5}, d)
+	d := Defaults{JobParallelism: 2}
+	j, err := Normalize(RunRequest{SuiteN: 2, Policies: []string{"LRU", "GHRP"}, Scale: 0.5}, d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,15 +10,13 @@ import (
 	"time"
 
 	"ghrpsim/internal/faultinject"
-	"ghrpsim/internal/frontend"
 	"ghrpsim/internal/resultcache"
 )
 
 // Defaults carries the server-side knobs a submission is normalized
-// against.
+// against. None of them changes a run's results: every daemon applies a
+// request's config overrides to the paper's default configuration.
 type Defaults struct {
-	// Config is the base front-end configuration requests override.
-	Config frontend.Config
 	// JobParallelism is the per-job scheduler parallelism when the
 	// request does not set one.
 	JobParallelism int
@@ -82,9 +80,6 @@ func New(cfg Config) *Server {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 15 * time.Second
 	}
-	if cfg.Defaults.Config.ICache == (frontend.ICacheConfig{}) {
-		cfg.Defaults.Config = frontend.DefaultConfig()
-	}
 	if cfg.Defaults.JobParallelism <= 0 {
 		cfg.Defaults.JobParallelism = 1
 	}
@@ -145,15 +140,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, ErrDraining.Error(), "")
 		return
 	}
-	var j job
+	var j Job
 	req, err := decodeRunRequest(r.Body)
 	if err == nil {
-		j, err = normalize(req, s.dflt)
+		j, err = Normalize(req, s.dflt)
 	}
 	if err == nil {
 		// The armed injector reaches into each job's scheduler too, so
 		// tests can fault exact simulation sites through the HTTP path.
-		j.opts.Faults = s.faults
+		j.Options.Faults = s.faults
 	}
 	if err != nil {
 		status := http.StatusInternalServerError

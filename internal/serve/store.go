@@ -158,10 +158,10 @@ func NewStore(maxRuns int) *Store {
 // fresh attempt (its event log stays with the old Run, which the store
 // forgets); a queued, running or completed run is joined — that is the
 // dedup path. created reports whether the caller must schedule the run.
-func (s *Store) GetOrCreate(parent context.Context, j job, now time.Time) (run *Run, created bool) {
+func (s *Store) GetOrCreate(parent context.Context, j Job, now time.Time) (run *Run, created bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	id := string(j.key)
+	id := string(j.Key)
 	if r, ok := s.runs[id]; ok {
 		r.mu.Lock()
 		state := r.state
@@ -176,9 +176,9 @@ func (s *Store) GetOrCreate(parent context.Context, j job, now time.Time) (run *
 	ctx, cancel := context.WithCancelCause(parent)
 	r := &Run{
 		id:      id,
-		key:     j.key,
-		req:     j.req,
-		opts:    j.opts,
+		key:     j.Key,
+		req:     j.Request,
+		opts:    j.Options,
 		hub:     obs.NewHub(),
 		ctx:     ctx,
 		cancel:  cancel,

@@ -71,23 +71,34 @@ func IsRetryable(err error) bool {
 	return errors.As(err, &tr) && tr.Transient()
 }
 
-// retryDelay computes the backoff before retry attempt (1-based):
-// base<<(attempt-1) plus deterministic jitter in [0, delay/2] derived
-// from seed, so repeated runs of the same suite back off identically.
-func retryDelay(base time.Duration, attempt int, seed uint64) time.Duration {
+// MaxRetryBackoff caps the doubling of the scheduler's retry delay; a
+// larger Options.RetryBackoff is used as given.
+const MaxRetryBackoff = 2 * time.Second
+
+// RetryDelay computes the backoff before retry attempt (1-based):
+// base<<(attempt-1) capped at max, plus deterministic jitter in
+// [0, delay/2] derived from seed, so repeated runs of the same suite
+// back off identically. It is the one backoff of the repo: the
+// scheduler's task retries and the dist coordinator's HTTP retries.
+func RetryDelay(base, max time.Duration, attempt int, seed uint64) time.Duration {
 	if base <= 0 {
 		return 0
 	}
-	d := base << (attempt - 1)
-	if half := uint64(d / 2); half > 0 {
-		d += time.Duration(splitmix64(seed^uint64(attempt)) % (half + 1))
+	delay := base
+	for i := 1; i < attempt && delay < max; i++ {
+		delay <<= 1
 	}
-	return d
+	if delay > max {
+		delay = max
+	}
+	half := uint64(delay / 2)
+	return delay + time.Duration(SplitMix64(seed^uint64(attempt))%(half+1))
 }
 
-// splitmix64 is the SplitMix64 mixer, used for deterministic backoff
-// jitter (math/rand would make run timing depend on global state).
-func splitmix64(x uint64) uint64 {
+// SplitMix64 is the SplitMix64 mixer, the source of deterministic
+// backoff jitter (math/rand would make run timing depend on global
+// state) and of the dist coordinator's ring points.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -98,8 +99,8 @@ type Options struct {
 	// defaults to DefaultMaxRetries, negative disables retries.
 	MaxRetries int
 	// RetryBackoff is the base delay before the first retry, doubled
-	// per attempt with deterministic jitter; 0 defaults to
-	// DefaultRetryBackoff, negative disables the delay.
+	// per attempt up to MaxRetryBackoff, with deterministic jitter; 0
+	// defaults to DefaultRetryBackoff, negative disables the delay.
 	RetryBackoff time.Duration
 	// KeepGoing completes the suite when cells fail: failed workloads
 	// are annotated on the Measurements (WorkloadResult.Err,
@@ -163,11 +164,29 @@ func (o Options) prepare() (Options, error) {
 	if o.Source != nil && o.Workloads != nil {
 		return Options{}, errors.New("sim: Options.Source and Options.Workloads are mutually exclusive")
 	}
+	// Checked before defaulting, which would turn -Inf into 1.
+	if err := CheckScale(o.Scale); err != nil {
+		return Options{}, err
+	}
 	o = o.withDefaults()
 	if err := o.validate(); err != nil {
 		return Options{}, err
 	}
 	return o, nil
+}
+
+// CheckScale rejects a Scale whose budgets cannot be counted: a
+// non-finite one, or one that takes the largest suite budget
+// (workload.MaxDefaultInstructions) past the uint64 targetFor converts
+// it to.
+func CheckScale(scale float64) error {
+	if math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return fmt.Errorf("sim: scale %v is not finite", scale)
+	}
+	if float64(workload.MaxDefaultInstructions)*scale >= 0x1p64 {
+		return fmt.Errorf("sim: scale %v takes the %d-instruction budget past 2^64 instructions", scale, workload.MaxDefaultInstructions)
+	}
+	return nil
 }
 
 // targetFor scales one workload's instruction budget.
@@ -653,7 +672,7 @@ func (r *runState) runTaskRetrying(ctx context.Context, t task, sw *simWorker) e
 			Workload: r.out.Specs[t.wi].Name, WorkloadIndex: t.wi,
 			Attempt: retry, Err: err})
 		seed := opts.ExecSeed ^ uint64(t.wi)<<20
-		if delay := retryDelay(opts.RetryBackoff, retry, seed); delay > 0 {
+		if delay := RetryDelay(opts.RetryBackoff, max(opts.RetryBackoff, MaxRetryBackoff), retry, seed); delay > 0 {
 			timer := time.NewTimer(delay)
 			select {
 			case <-ctx.Done():

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -425,5 +426,19 @@ func TestRunnerReusesWorkers(t *testing.T) {
 	wg.Wait()
 	if n := len(rn.idle); n < 2 || n > 6 {
 		t.Errorf("Runner holds %d idle workers after three concurrent 2-worker runs, want 2..6", n)
+	}
+}
+
+// A scale whose budgets a uint64 cannot hold fails validation instead
+// of becoming a 2^63-instruction task; the largest scale that fits is
+// accepted.
+func TestOptionsRejectUncountableScale(t *testing.T) {
+	for _, scale := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), 1e308, 0x1p64 / workload.MaxDefaultInstructions} {
+		if _, err := (Options{Workloads: workload.SuiteN(1), Scale: scale}).prepare(); err == nil {
+			t.Errorf("scale %v accepted, want error", scale)
+		}
+	}
+	if _, err := (Options{Workloads: workload.SuiteN(1), Scale: 0x1p63 / workload.MaxDefaultInstructions}).prepare(); err != nil {
+		t.Errorf("scale 2^63/%d rejected: %v", workload.MaxDefaultInstructions, err)
 	}
 }

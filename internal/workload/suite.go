@@ -21,6 +21,11 @@ const (
 	nLongServer  = 145
 )
 
+// MaxDefaultInstructions is the largest unscaled budget of any suite
+// workload, fixed or generated: the LONG categories' budget, twice the
+// SHORT one.
+const MaxDefaultInstructions = 2_000_000
+
 // Spec identifies one suite workload: its profile plus the default
 // instruction budget (scaled by the harness).
 type Spec struct {
@@ -194,9 +199,9 @@ func drawSpec(r *rng, cat trace.Category, name string, globalIdx int, mult float
 		p.Phases = r.rangeInt(2, 5)
 	}
 
-	instrs := uint64(1_000_000)
+	instrs := uint64(MaxDefaultInstructions / 2)
 	if cat.Long() {
-		instrs = 2_000_000
+		instrs = MaxDefaultInstructions
 	}
 	return Spec{
 		Index:               globalIdx,
