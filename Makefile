@@ -5,7 +5,7 @@ GO ?= go
 # session: make fuzz-smoke FUZZTIME=5m
 FUZZTIME ?= 3s
 
-.PHONY: build vet lint lint-baseline test examples-smoke ghrpsim-smoke race-smoke fault-smoke fuzz-smoke golden-update daemon-smoke dist-smoke dist-scale-smoke ci
+.PHONY: build vet lint lint-baseline test examples-smoke ghrpsim-smoke repro-smoke repro-check race-smoke fault-smoke fuzz-smoke golden-update daemon-smoke dist-smoke dist-scale-smoke ci
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,29 @@ ghrpsim-smoke:
 	./bin/ghrpsim -trace bin/SS-001.trace -analyze | diff -u cmd/ghrpsim/testdata/analyze-trace.txt -
 	./bin/ghrpsim -workload LS-001 -instrs 1000000 | diff -u cmd/ghrpsim/testdata/ls001-ghrp.txt -
 	./bin/ghrpsim -workload LS-001 -instrs 1000000 -policy SDBP | diff -u cmd/ghrpsim/testdata/ls001-sdbp.txt -
+
+# repro-smoke pins the simulated numbers of every experiments section —
+# the main figures, Fig. 2, Fig. 7, headroom, extended and every
+# ablation — on a small suite: `experiments -run all -n 40 -scale 0.1`
+# must print docs/experiments-smoke-output.txt exactly, apart from the
+# "done in" timing line. The renderer goldens use fabricated inputs, so
+# this is what catches a change to the numbers themselves in ci.
+repro-smoke:
+	@mkdir -p bin
+	$(GO) build -o bin/experiments ./cmd/experiments
+	grep -v '^done in ' docs/experiments-smoke-output.txt > bin/repro-smoke-want.txt
+	./bin/experiments -run all -n 40 -scale 0.1 | grep -v '^done in ' | diff -u bin/repro-smoke-want.txt -
+
+# repro-check is repro-smoke at paper scale: the full 662-workload
+# `experiments -run all` at scale 1 against
+# docs/experiments-full-output.txt, the record EXPERIMENTS.md cites. It
+# takes minutes, so it stays out of ci; run it after any change to sim,
+# frontend, workload, core, btb, cache or policies.
+repro-check:
+	@mkdir -p bin
+	$(GO) build -o bin/experiments ./cmd/experiments
+	grep -v '^done in ' docs/experiments-full-output.txt > bin/repro-check-want.txt
+	./bin/experiments -run all | grep -v '^done in ' | diff -u bin/repro-check-want.txt -
 
 # race-smoke runs the packages with concurrency-sensitive code — the
 # suite scheduler, the observers, the result cache, the fault-injection
@@ -140,4 +163,4 @@ dist-scale-smoke:
 	$(GO) build -o bin/ghrpd ./cmd/ghrpd
 	$(GO) run ./cmd/ghrpdist -scale-smoke -worker-cmd ./bin/ghrpd
 
-ci: build vet lint test examples-smoke ghrpsim-smoke race-smoke fuzz-smoke daemon-smoke dist-smoke dist-scale-smoke
+ci: build vet lint test examples-smoke ghrpsim-smoke repro-smoke race-smoke fuzz-smoke daemon-smoke dist-smoke dist-scale-smoke

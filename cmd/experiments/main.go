@@ -10,13 +10,18 @@
 //	            [-timeout d] [-task-timeout d] [-stall-timeout d] [-retries n] [-keep-going]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 //
+// Every selected section that simulates the suite adds its
+// configurations to one experiment grid (sim.RunGrid): a cell that
+// several sections share runs once, and each workload's program is
+// generated once and streamed once per front (wrong-path fetch off and
+// on). Only the Fig. 1 and Fig. 5 heat maps simulate on their own.
+//
 // Interrupting a run (SIGINT/SIGTERM) cancels in-flight simulations
 // promptly; -progress streams live throughput to stderr and prints a
-// per-policy wall-time summary after the main suite run. -cache-dir
-// attaches an on-disk result cache: every (workload, policy, config)
-// cell is stored after simulation and reloaded on later runs, so the
-// fig7 sweep and the ablations skip the baseline cells the main run
-// already computed, and a repeated invocation replays nothing.
+// per-policy wall-time summary after the grid run. -cache-dir attaches
+// an on-disk result cache: every (workload, policy, config) cell is
+// stored after simulation and reloaded on later runs, so a repeated
+// invocation replays nothing.
 //
 // Failure semantics: -timeout bounds the whole invocation (a run cut
 // short exits nonzero after printing what completed); -task-timeout and
@@ -51,9 +56,8 @@ import (
 	"ghrpsim/internal/workload"
 )
 
-// experimentIDs are the -run values main dispatches on besides "all".
-// "all" covers the paper artifacts; headroom and extended are explicit
-// extras (run with -run headroom / -run extended).
+// experimentIDs are the -run values main dispatches on besides "all",
+// which runs every one of them.
 var experimentIDs = []string{
 	"table1", "fig1", "fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
 	"headline", "headroom", "extended", "ablations",
@@ -125,38 +129,71 @@ func main() {
 		fmt.Println(sim.RenderTable1(frontend.DefaultICache(), core.Config{}))
 	}
 
-	// Most figures share one default-configuration suite run.
-	var m *sim.Measurements
-	needMain := false
-	for _, id := range []string{"fig3", "fig6", "fig8", "fig9", "fig10", "fig11", "headline", "fig1", "fig5"} {
-		if want(id) {
-			needMain = true
+	// Each wanted section adds its variants to the one grid and keeps
+	// the window of the grid's measurements that holds them.
+	base := frontend.DefaultConfig()
+	var variants []sim.Variant
+	add := func(vs ...sim.Variant) func([]*sim.Measurements) []*sim.Measurements {
+		lo := len(variants)
+		variants = append(variants, vs...)
+		hi := len(variants)
+		return func(ms []*sim.Measurements) []*sim.Measurements { return ms[lo:hi] }
+	}
+	// Most figures share one default-configuration variant.
+	var mainM, fig2M, fig7M, headroomM, extendedM func([]*sim.Measurements) []*sim.Measurements
+	if slices.ContainsFunc([]string{"fig3", "fig6", "fig8", "fig9", "fig10", "fig11", "headline", "fig1", "fig5"}, want) {
+		mainM = add(sim.Variant{})
+	}
+	if want("fig2") {
+		fig2M = add(sim.SamplingVariants(base, []int{2, 8, 32, 0})...)
+	}
+	if want("fig7") {
+		fig7M = add(sim.SweepVariants(base, sim.Fig7Configs())...)
+	}
+	if want("headroom") {
+		headroomM = add(sim.HeadroomVariant(sim.Variant{}))
+	}
+	if want("extended") {
+		extendedM = add(sim.Variant{Policies: frontend.ExtendedPolicies()})
+	}
+	var ablations []sim.Ablation
+	var ablationMs []func([]*sim.Measurements) []*sim.Measurements
+	if want("ablations") {
+		ablations = sim.Ablations(base)
+		for _, a := range ablations {
+			ablationMs = append(ablationMs, add(a.Variants...))
 		}
 	}
-	if needMain {
+
+	var ms []*sim.Measurements
+	if len(variants) > 0 {
 		var err error
-		m, err = sim.RunContext(ctx, opts)
-		if err != nil && m != nil {
+		ms, err = sim.RunGrid(ctx, opts, variants)
+		if err != nil && ms != nil {
 			// Keep-going run cut short by cancellation or -timeout: show
 			// what completed, then exit nonzero.
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			fmt.Fprint(os.Stderr, m.Stats.Render())
+			fmt.Fprint(os.Stderr, ms[0].Stats.Render())
 			fmt.Fprintln(os.Stderr, "experiments: run incomplete; partial results above")
 			exit(1)
 		}
 		fail(err)
+		stats := ms[0].Stats
 		if *progress {
-			fmt.Fprint(os.Stderr, m.Stats.Render())
+			fmt.Fprint(os.Stderr, stats.Render())
 		}
-		if failed := m.Stats.Failed(); len(failed) > 0 {
+		if failed := stats.Failed(); len(failed) > 0 {
 			for _, w := range failed {
 				fmt.Fprintf(os.Stderr, "experiments: workload %s failed: %v\n", w.Name, w.Err)
 			}
 			fmt.Fprintf(os.Stderr, "experiments: continuing with %d of %d workloads\n",
-				len(m.Specs)-len(failed), len(m.Specs))
+				len(ms[0].Specs)-len(failed), len(ms[0].Specs))
 			hadFailures = true
 		}
-		m = m.Completed()
+	}
+	var m *sim.Measurements
+	if mainM != nil {
+		m = mainM(ms)[0].Completed()
 	}
 
 	if want("headline") {
@@ -216,56 +253,32 @@ func main() {
 
 	if want("fig2") {
 		fmt.Println("## Fig. 2 — set-sampling does not generalize (SDBP sampler restriction)")
-		rows, err := sim.ComputeSampling(ctx, opts, []int{2, 8, 32, 0})
-		fail(err)
-		fmt.Println(sim.RenderSampling(rows, frontend.DefaultICache().Sets()))
+		fmt.Println(sim.RenderSampling(sim.SamplingRows(fig2M(ms)), frontend.DefaultICache().Sets()))
 	}
 
 	if want("fig7") {
 		fmt.Println("## Fig. 7 — average I-cache MPKI across configurations")
-		rows, err := sim.RunSweep(ctx, opts, sim.Fig7Configs())
-		fail(err)
-		fmt.Println(sim.RenderSweep(rows, frontend.PaperPolicies()))
+		fmt.Println(sim.RenderSweep(sim.SweepRows(fig7M(ms)), frontend.PaperPolicies()))
 	}
 
 	if want("headroom") {
 		fmt.Println("## Headroom vs Belady's OPT (extension beyond the paper)")
-		rep, err := sim.ComputeHeadroom(ctx, opts)
+		rep, err := sim.Headroom(headroomM(ms)[0])
 		fail(err)
-		if rep.Failed > 0 {
-			hadFailures = true
-		}
 		fmt.Println(rep.Render())
 	}
 
 	if want("extended") {
 		fmt.Println("## Extended policies (FIFO, DIP, SHiP beyond the paper's five)")
-		ext := opts
-		ext.Policies = frontend.ExtendedPolicies()
-		me, err := sim.RunContext(ctx, ext)
-		fail(err)
-		me = me.Completed()
+		me := extendedM(ms)[0].Completed()
 		fmt.Println(sim.ComputeHeadline(me, sim.ICache).Render())
 		fmt.Println(sim.ComputeHeadline(me, sim.BTB).Render())
 	}
 
 	if want("ablations") {
 		fmt.Println("## Ablations (design choices from Section III)")
-		type abl struct {
-			title string
-			fn    func(context.Context, sim.Options) ([]sim.AblationRow, error)
-		}
-		for _, a := range []abl{
-			{"majority vote vs summation (Section III-C)", sim.AblationVote},
-			{"path history depth (Section III-A)", sim.AblationHistoryDepth},
-			{"bypass on/off", sim.AblationBypass},
-			{"wrong-path speculation handling (Section III-F)", sim.AblationSpeculation},
-			{"prediction table count", sim.AblationTableCount},
-			{"next-line prefetching x replacement (Section II-E)", sim.AblationPrefetch},
-		} {
-			rows, err := a.fn(ctx, opts)
-			fail(err)
-			fmt.Println(sim.RenderAblation(a.title, rows))
+		for i, a := range ablations {
+			fmt.Println(sim.RenderAblation(a.Title, a.Rows(ablationMs[i](ms))))
 		}
 	}
 

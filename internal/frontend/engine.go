@@ -273,19 +273,6 @@ func laneHotWords(cfg Config) int {
 		btb.HotWords(cfg.BTB.Sets(), cfg.BTB.Ways)
 }
 
-// newLanes builds one lane per kind, all carving hot state from a
-// single shared arena.
-func newLanes(cfg Config, kinds []PolicyKind) ([]lane, error) {
-	ar := cache.NewArena(len(kinds) * laneHotWords(cfg))
-	lanes := make([]lane, len(kinds))
-	for i, kind := range kinds {
-		if err := lanes[i].init(cfg, kind, ar); err != nil {
-			return nil, err
-		}
-	}
-	return lanes, nil
-}
-
 // init builds the lane for kind. Its one switch on the kind builds the
 // kind's I-cache and BTB policies and hands them, wrapped, to initLane,
 // so the lane replays through the body specialized to them.

@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"fmt"
+	"reflect"
 
 	"ghrpsim/internal/btb"
 	"ghrpsim/internal/cache"
@@ -39,30 +40,75 @@ type FanOut struct {
 }
 
 // NewFanOut builds a simulator driving one lane per element of kinds
-// (duplicates allowed — each gets an independent lane). warmupLimit is
-// the number of leading instructions excluded from every lane's
-// statistics. WarmupFromStream has StreamProgram apply the paper's rule
-// (WarmupFor) to the stream's total; an explicit limit also serves
-// Process. Lanes track no efficiency matrices unless TrackEfficiency
-// turns them on.
+// (duplicates allowed — each gets an independent lane), all under cfg.
+// warmupLimit is the number of leading instructions excluded from every
+// lane's statistics. WarmupFromStream has StreamProgram apply the
+// paper's rule (WarmupFor) to the stream's total; an explicit limit also
+// serves Process. Lanes track no efficiency matrices unless
+// TrackEfficiency turns them on. It is NewCellFanOut with every cell
+// under one configuration.
 func NewFanOut(cfg Config, kinds []PolicyKind, warmupLimit uint64) (*FanOut, error) {
-	if len(kinds) == 0 {
+	cells := make([]Cell, len(kinds))
+	for i, k := range kinds {
+		cells[i] = Cell{Kind: k, Config: cfg}
+	}
+	return NewCellFanOut(cells, warmupLimit)
+}
+
+// Cell is one lane of a fan-out: a policy kind under its own
+// configuration.
+type Cell struct {
+	Kind   PolicyKind
+	Config Config
+}
+
+// NewCellFanOut builds a simulator driving one lane per cell, in order.
+// The cells share one front, so they must agree on every field it reads
+// (SameFront); each lane reads the rest of its own cell's configuration
+// — cache and BTB geometry, GHRP, SDBP, prefetching, wrong-path depth
+// and recovery, and the Random seed. Every lane's Result is therefore
+// bit-identical to a one-lane fan-out of its cell alone.
+func NewCellFanOut(cells []Cell, warmupLimit uint64) (*FanOut, error) {
+	if len(cells) == 0 {
 		return nil, fmt.Errorf("frontend: fan-out needs at least one policy")
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	words := 0
+	for i := range cells {
+		cfg := &cells[i].Config
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		if !SameFront(cells[0].Config, *cfg) {
+			return nil, fmt.Errorf("frontend: lane %d (%v) needs a different front than lane 0 (%v): cells must agree on instruction size, block size, branch predictor, whether wrong paths are fetched and the warm-up rule",
+				i, cells[i].Kind, cells[0].Kind)
+		}
+		words += laneHotWords(*cfg)
 	}
-	f, err := newFront(cfg)
+	f, err := newFront(cells[0].Config)
 	if err != nil {
 		return nil, err
 	}
-	lanes, err := newLanes(cfg, kinds)
-	if err != nil {
-		return nil, err
+	ar := cache.NewArena(words)
+	lanes := make([]lane, len(cells))
+	for i := range cells {
+		if err := lanes[i].init(cells[i].Config, cells[i].Kind, ar); err != nil {
+			return nil, err
+		}
 	}
 	fo := &FanOut{front: f, lanes: lanes, chunk: newDecChunk()}
 	fo.Reset(warmupLimit)
 	return fo, nil
+}
+
+// SameFront reports whether configurations a and b drive identical
+// fronts: the same instruction size, I-cache block size, branch
+// predictor and warm-up rule, and both or neither fetching wrong paths.
+// The front reads no other field, so lanes whose configurations agree
+// on these can share one (NewCellFanOut).
+func SameFront(a, b Config) bool {
+	return a.InstrBytes == b.InstrBytes && a.ICache.BlockBytes == b.ICache.BlockBytes &&
+		reflect.DeepEqual(a.Branch, b.Branch) && (a.WrongPath == WrongPathOff) == (b.WrongPath == WrongPathOff) &&
+		a.WarmupFraction == b.WarmupFraction && a.WarmupCap == b.WarmupCap
 }
 
 // Reset puts the fan-out back into exactly the state NewFanOut builds

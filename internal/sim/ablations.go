@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -10,185 +9,110 @@ import (
 	"ghrpsim/internal/stats"
 )
 
-// AblationRow is one GHRP variant's mean MPKI for both structures.
+// AblationRow is one variant's mean MPKI for both structures.
 type AblationRow struct {
 	Variant    string
 	ICacheMPKI float64
 	BTBMPKI    float64
 }
 
-// ghrpVariant runs the suite with only the GHRP policy under a modified
-// configuration and returns the mean MPKIs. The base options (including
-// any attached result cache) flow through unchanged, so ablation
-// variants whose mutation reproduces the paper-default configuration —
-// e.g. "3 tables (paper)" or "bypass-on (paper)" — reuse cells an
-// earlier run already simulated instead of replaying them.
-func ghrpVariant(ctx context.Context, base Options, name string, mutate func(*frontend.Config)) (AblationRow, error) {
-	opts := base
-	if opts.Config.ICache == (frontend.ICacheConfig{}) {
-		opts.Config = frontend.DefaultConfig()
-	}
-	mutate(&opts.Config)
-	opts.Policies = []frontend.PolicyKind{frontend.PolicyGHRP}
-	m, err := RunContext(ctx, opts)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	// On keep-going runs the means cover only fully-completed workloads;
-	// error-free runs pass through unchanged.
-	m = m.Completed()
-	return AblationRow{
-		Variant:    name,
-		ICacheMPKI: stats.Mean(m.ICacheMPKI[frontend.PolicyGHRP]),
-		BTBMPKI:    stats.Mean(m.BTBMPKI[frontend.PolicyGHRP]),
-	}, nil
+// Ablation is one design-choice study: named variants of a base
+// configuration, each run under one policy.
+type Ablation struct {
+	Title    string
+	Variants []Variant
 }
 
-// runVariants evaluates a list of named configuration mutations.
-func runVariants(ctx context.Context, base Options, variants []struct {
-	name   string
-	mutate func(*frontend.Config)
-}) ([]AblationRow, error) {
-	rows := make([]AblationRow, 0, len(variants))
-	for _, v := range variants {
-		row, err := ghrpVariant(ctx, base, v.name, v.mutate)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
+// Ablations lists the studies of the design choices of Section III, and
+// of next-line prefetching composed with replacement (§II-E), on base. A
+// variant whose change reproduces the paper's configuration — e.g.
+// "bypass-on (paper)" — shares its cells with every other variant of the
+// grid that runs it, and with result-cache entries of earlier runs.
+func Ablations(base frontend.Config) []Ablation {
+	base = orDefault(base)
+	variant := func(name string, kind frontend.PolicyKind, mutate func(*frontend.Config)) Variant {
+		v := Variant{Name: name, Config: base, Policies: []frontend.PolicyKind{kind}}
+		mutate(&v.Config)
+		return v
 	}
-	return rows, nil
-}
-
-// AblationVote compares majority vote against SDBP-style summation
-// (§III-C's design argument).
-func AblationVote(ctx context.Context, base Options) ([]AblationRow, error) {
-	return runVariants(ctx, base, []struct {
-		name   string
-		mutate func(*frontend.Config)
+	ghrp := func(name string, mutate func(*frontend.Config)) Variant {
+		return variant(name, frontend.PolicyGHRP, mutate)
+	}
+	// History depth: how many previous accesses the path history records
+	// (0 = PC-only signatures, the PC-based-predictor degenerate case).
+	var depths []Variant
+	for _, d := range []struct {
+		name      string
+		bits, pcB int
 	}{
-		{"majority-vote", func(c *frontend.Config) { c.GHRP.Aggregation = core.MajorityVote }},
-		{"summation", func(c *frontend.Config) { c.GHRP.Aggregation = core.Summation }},
-	})
-}
-
-// AblationHistoryDepth varies how many previous accesses the path
-// history records (0 = PC-only signatures, the PC-based-predictor
-// degenerate case).
-func AblationHistoryDepth(ctx context.Context, base Options) ([]AblationRow, error) {
-	type depth struct {
-		name string
-		bits int
-		pcB  int
-	}
-	depths := []depth{
 		{"depth-0 (PC only)", 16, 0},
 		{"depth-1", 4, 3},
 		{"depth-2", 8, 3},
 		{"depth-3", 12, 3},
 		{"depth-4 (paper)", 16, 3},
-	}
-	var variants []struct {
-		name   string
-		mutate func(*frontend.Config)
-	}
-	for _, d := range depths {
-		d := d
-		variants = append(variants, struct {
-			name   string
-			mutate func(*frontend.Config)
-		}{d.name, func(c *frontend.Config) {
+	} {
+		depths = append(depths, ghrp(d.name, func(c *frontend.Config) {
 			c.GHRP.HistoryBits = d.bits
 			if d.pcB == 0 {
 				c.GHRP.PCBitsPerAccess = -1 // PC-only signatures
 			}
-		}})
+		}))
 	}
-	return runVariants(ctx, base, variants)
-}
-
-// AblationBypass compares GHRP with and without the bypass optimization.
-func AblationBypass(ctx context.Context, base Options) ([]AblationRow, error) {
-	return runVariants(ctx, base, []struct {
-		name   string
-		mutate func(*frontend.Config)
-	}{
-		{"bypass-on (paper)", func(c *frontend.Config) { c.GHRP.DisableBypass = false }},
-		{"bypass-off", func(c *frontend.Config) { c.GHRP.DisableBypass = true }},
-	})
-}
-
-// AblationSpeculation compares wrong-path handling: no wrong path
-// modeled, pollution with history recovery (§III-F), and pollution
-// without recovery.
-func AblationSpeculation(ctx context.Context, base Options) ([]AblationRow, error) {
-	return runVariants(ctx, base, []struct {
-		name   string
-		mutate func(*frontend.Config)
-	}{
-		{"no-wrong-path", func(c *frontend.Config) { c.WrongPath = frontend.WrongPathOff }},
-		{"pollute+recover (paper)", func(c *frontend.Config) {
-			c.WrongPath = frontend.WrongPathInject
+	// Wrong-path handling: both polluting variants fetch wrong paths, so
+	// they share one front.
+	pollute := func(mode frontend.WrongPathMode) func(*frontend.Config) {
+		return func(c *frontend.Config) {
+			c.WrongPath = mode
 			if c.WrongPathDepth == 0 {
 				c.WrongPathDepth = 2
 			}
-		}},
-		{"pollute, no recovery", func(c *frontend.Config) {
-			c.WrongPath = frontend.WrongPathNoRecover
-			if c.WrongPathDepth == 0 {
-				c.WrongPathDepth = 2
-			}
-		}},
-	})
-}
-
-// AblationTableCount compares a single prediction table against the
-// paper's three skewed tables.
-func AblationTableCount(ctx context.Context, base Options) ([]AblationRow, error) {
-	return runVariants(ctx, base, []struct {
-		name   string
-		mutate func(*frontend.Config)
-	}{
-		{"1 table", func(c *frontend.Config) { c.GHRP.NumTables = 1 }},
-		{"2 tables", func(c *frontend.Config) { c.GHRP.NumTables = 2 }},
-		{"3 tables (paper)", func(c *frontend.Config) { c.GHRP.NumTables = 3 }},
-		{"5 tables", func(c *frontend.Config) { c.GHRP.NumTables = 5 }},
-	})
-}
-
-// AblationPrefetch measures next-line prefetching composed with LRU and
-// GHRP replacement — the prior-work direction the paper contrasts with
-// (§II-E).
-func AblationPrefetch(ctx context.Context, base Options) ([]AblationRow, error) {
-	rows := make([]AblationRow, 0, 4)
-	for _, v := range []struct {
-		name     string
-		kind     frontend.PolicyKind
-		prefetch bool
-	}{
-		{"LRU", frontend.PolicyLRU, false},
-		{"LRU + next-line", frontend.PolicyLRU, true},
-		{"GHRP", frontend.PolicyGHRP, false},
-		{"GHRP + next-line", frontend.PolicyGHRP, true},
-	} {
-		opts := base
-		if opts.Config.ICache == (frontend.ICacheConfig{}) {
-			opts.Config = frontend.DefaultConfig()
 		}
-		opts.Config.NextLinePrefetch = v.prefetch
-		opts.Policies = []frontend.PolicyKind{v.kind}
-		m, err := RunContext(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
-		m = m.Completed()
-		rows = append(rows, AblationRow{
-			Variant:    v.name,
-			ICacheMPKI: stats.Mean(m.ICacheMPKI[v.kind]),
-			BTBMPKI:    stats.Mean(m.BTBMPKI[v.kind]),
-		})
 	}
-	return rows, nil
+	var tables []Variant
+	for _, t := range []struct {
+		name string
+		n    int
+	}{{"1 table", 1}, {"2 tables", 2}, {"3 tables (paper)", 3}, {"5 tables", 5}} {
+		tables = append(tables, ghrp(t.name, func(c *frontend.Config) { c.GHRP.NumTables = t.n }))
+	}
+	prefetch := func(on bool) func(*frontend.Config) {
+		return func(c *frontend.Config) { c.NextLinePrefetch = on }
+	}
+	return []Ablation{
+		{"majority vote vs summation (Section III-C)", []Variant{
+			ghrp("majority-vote", func(c *frontend.Config) { c.GHRP.Aggregation = core.MajorityVote }),
+			ghrp("summation", func(c *frontend.Config) { c.GHRP.Aggregation = core.Summation }),
+		}},
+		{"path history depth (Section III-A)", depths},
+		{"bypass on/off", []Variant{
+			ghrp("bypass-on (paper)", func(c *frontend.Config) { c.GHRP.DisableBypass = false }),
+			ghrp("bypass-off", func(c *frontend.Config) { c.GHRP.DisableBypass = true }),
+		}},
+		{"wrong-path speculation handling (Section III-F)", []Variant{
+			ghrp("no-wrong-path", func(c *frontend.Config) { c.WrongPath = frontend.WrongPathOff }),
+			ghrp("pollute+recover (paper)", pollute(frontend.WrongPathInject)),
+			ghrp("pollute, no recovery", pollute(frontend.WrongPathNoRecover)),
+		}},
+		{"prediction table count", tables},
+		{"next-line prefetching x replacement (Section II-E)", []Variant{
+			variant("LRU", frontend.PolicyLRU, prefetch(false)),
+			variant("LRU + next-line", frontend.PolicyLRU, prefetch(true)),
+			variant("GHRP", frontend.PolicyGHRP, prefetch(false)),
+			variant("GHRP + next-line", frontend.PolicyGHRP, prefetch(true)),
+		}},
+	}
+}
+
+// Rows reads each variant's mean MPKIs for its one policy from its
+// measurements, ms, which parallel a.Variants. On keep-going runs the
+// means cover only fully-completed workloads.
+func (a Ablation) Rows(ms []*Measurements) []AblationRow {
+	rows := make([]AblationRow, len(a.Variants))
+	for i, v := range a.Variants {
+		m, k := ms[i].Completed(), v.Policies[0]
+		rows[i] = AblationRow{Variant: v.Name, ICacheMPKI: stats.Mean(m.ICacheMPKI[k]), BTBMPKI: stats.Mean(m.BTBMPKI[k])}
+	}
+	return rows
 }
 
 // RenderAblation prints ablation rows.

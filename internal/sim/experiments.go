@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"ghrpsim/internal/core"
@@ -272,34 +270,33 @@ func Fig7Configs() []frontend.ICacheConfig {
 	return out
 }
 
-// RunSweep measures mean I-cache MPKI for each configuration. Each
-// configuration is a full (cancellable) suite run. When base.Cache is
-// set, configurations already simulated — including the paper-default
-// geometry a preceding main run covered — are served from the result
-// cache instead of replayed.
-func RunSweep(ctx context.Context, base Options, configs []frontend.ICacheConfig) ([]SweepRow, error) {
-	rows := make([]SweepRow, 0, len(configs))
-	for _, ic := range configs {
-		opts := base
-		opts.Config = base.Config
-		if opts.Config.ICache == (frontend.ICacheConfig{}) {
-			opts.Config = frontend.DefaultConfig()
-		}
-		opts.Config.ICache = ic
-		m, err := RunContext(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
-		// On keep-going runs the means cover only fully-completed
-		// workloads; error-free runs pass through unchanged.
+// SweepVariants lists a configuration sweep as grid variants: base with
+// each I-cache geometry, under the run's policies.
+func SweepVariants(base frontend.Config, configs []frontend.ICacheConfig) []Variant {
+	base = orDefault(base)
+	vs := make([]Variant, len(configs))
+	for i, ic := range configs {
+		vs[i].Config = base
+		vs[i].Config.ICache = ic
+	}
+	return vs
+}
+
+// SweepRows reads each geometry's mean I-cache MPKI per policy from the
+// measurements of its SweepVariants variant. On keep-going runs the
+// means cover only fully-completed workloads; error-free runs pass
+// through unchanged.
+func SweepRows(ms []*Measurements) []SweepRow {
+	rows := make([]SweepRow, 0, len(ms))
+	for _, m := range ms {
 		m = m.Completed()
-		row := SweepRow{Config: ic, Mean: map[frontend.PolicyKind]float64{}}
+		row := SweepRow{Config: m.Options.Config.ICache, Mean: map[frontend.PolicyKind]float64{}}
 		for _, k := range m.Policies {
 			row.Mean[k] = stats.Mean(m.ICacheMPKI[k])
 		}
 		rows = append(rows, row)
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderSweep prints the configuration sweep table.
@@ -492,25 +489,27 @@ type SamplingRow struct {
 	SignatureCoverage float64
 }
 
-// ComputeSampling quantifies Fig. 2: SDBP variants whose sampler sees
-// only the first N sets, versus the full-cache sampler. Because a PC
-// maps to exactly one I-cache set, a small sampler observes only the
-// signatures of its own sets and cannot generalize to the rest.
-func ComputeSampling(ctx context.Context, base Options, samplerSets []int) ([]SamplingRow, error) {
-	var rows []SamplingRow
-	for _, n := range samplerSets {
-		opts := base
-		if opts.Config.ICache == (frontend.ICacheConfig{}) {
-			opts.Config = frontend.DefaultConfig()
-		}
-		opts.Config.SDBP = policies.SDBPConfig{SamplerSets: n}
-		opts.Policies = []frontend.PolicyKind{frontend.PolicySDBP}
-		m, err := RunContext(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
+// SamplingVariants lists Fig. 2 as grid variants: SDBP alone on base,
+// with a sampler over only the first N sets for each N (0 = all sets).
+// Because a PC maps to exactly one I-cache set, a small sampler observes
+// only the signatures of its own sets and cannot generalize to the rest.
+func SamplingVariants(base frontend.Config, samplerSets []int) []Variant {
+	base = orDefault(base)
+	vs := make([]Variant, len(samplerSets))
+	for i, n := range samplerSets {
+		vs[i] = Variant{Config: base, Policies: []frontend.PolicyKind{frontend.PolicySDBP}}
+		vs[i].Config.SDBP = policies.SDBPConfig{SamplerSets: n}
+	}
+	return vs
+}
+
+// SamplingRows reads each sampler's row from the measurements of its
+// SamplingVariants variant.
+func SamplingRows(ms []*Measurements) []SamplingRow {
+	rows := make([]SamplingRow, 0, len(ms))
+	for _, m := range ms {
 		m = m.Completed()
-		sets := opts.Config.ICache.Sets()
+		n, sets := m.Options.Config.SDBP.SamplerSets, m.Options.Config.ICache.Sets()
 		cov := 1.0
 		if n > 0 && n < sets {
 			cov = float64(n) / float64(sets)
@@ -521,7 +520,7 @@ func ComputeSampling(ctx context.Context, base Options, samplerSets []int) ([]Sa
 			SignatureCoverage: cov,
 		})
 	}
-	return rows, nil
+	return rows
 }
 
 // RenderSampling prints the Fig. 2 analysis.
@@ -553,11 +552,4 @@ func TopPressureSpec(m *Measurements) workload.Spec {
 		}
 	}
 	return m.Specs[best]
-}
-
-// SortedCopy returns xs sorted ascending (for rendering distributions).
-func SortedCopy(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	sort.Float64s(out)
-	return out
 }

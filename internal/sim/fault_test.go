@@ -349,11 +349,11 @@ func TestFaultKeepGoingHeadroom(t *testing.T) {
 	good := workload.SuiteN(1)
 	opts := faultOptions(1)
 	opts.Workloads = []workload.Spec{badSpec("bad-delta"), good[0]}
-	if _, err := ComputeHeadroom(context.Background(), opts); err == nil {
+	if _, err := computeHeadroom(context.Background(), opts); err == nil {
 		t.Fatal("fail-fast headroom reported no error")
 	}
 	opts.KeepGoing = true
-	rep, err := ComputeHeadroom(context.Background(), opts)
+	rep, err := computeHeadroom(context.Background(), opts)
 	if err != nil {
 		t.Fatalf("keep-going headroom aborted: %v", err)
 	}
@@ -373,7 +373,7 @@ func TestFaultKeepGoingHeadroom(t *testing.T) {
 // transient progress fault can fire only in that pass, and its retry
 // must still add no cache entry.
 func TestFaultHeadroomRetriesThroughScheduler(t *testing.T) {
-	clean, err := ComputeHeadroom(context.Background(), faultOptions(3))
+	clean, err := computeHeadroom(context.Background(), faultOptions(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestFaultHeadroomRetriesThroughScheduler(t *testing.T) {
 			}
 			observer, count, _ := countEvents()
 			opts.Observer = observer
-			rep, err := ComputeHeadroom(context.Background(), opts)
+			rep, err := computeHeadroom(context.Background(), opts)
 			if err != nil {
 				t.Fatalf("transient fault not retried: %v", err)
 			}
@@ -665,9 +665,12 @@ func TestFaultTransientAfterGenerationReusesProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	prepared.Faults = midReplayFault(ref, opts, faultinject.Transient)
-	r := newRunState(prepared, func(obs.Event) {})
+	r, err := newRunState(prepared, []Variant{{}}, func(obs.Event) {})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sw simWorker
-	sw.useConfig(prepared.Config)
+	sw.useCells(r.grid.cells)
 	ctx := context.Background()
 	if err := r.runTaskSafe(ctx, task{0}, &sw); err != nil {
 		t.Fatal(err)
@@ -689,77 +692,104 @@ func TestFaultTransientAfterGenerationReusesProgram(t *testing.T) {
 		t.Error("retry regenerated the program instead of replaying the kept one")
 	}
 	for pi := range prepared.Policies {
-		if got := r.out.Raw[1].Results[pi]; got != ref[1][pi] {
+		if got := r.outs[0].Raw[1].Results[pi]; got != ref[1][pi] {
 			t.Errorf("cell %d: retried replay diverged from serial reference", pi)
 		}
 	}
 }
 
 // A worker keeps its fan-out across successful tasks with the same
-// configuration and roster, rebuilds it for a different roster or
-// configuration, and drops it after any failed attempt.
+// roster of cells, rebuilds it for a different roster or different
+// cells, and drops it after any failed attempt.
 func TestSimWorkerFanOutLifecycle(t *testing.T) {
 	opts, err := mixedRosterOptions(2).prepare()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	r, err := newRunState(opts, []Variant{{}}, func(obs.Event) {})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sw simWorker
-	sw.useConfig(opts.Config)
-	r := newRunState(opts, func(obs.Event) {})
+	sw.useCells(r.grid.cells)
 	if err := r.runTaskSafe(ctx, task{0}, &sw); err != nil {
 		t.Fatal(err)
 	}
-	kept := sw.fo
+	kept := sw.fanOut0()
 	if kept == nil {
 		t.Fatal("successful task left the worker without a fan-out")
 	}
 	if err := r.runTaskSafe(ctx, task{1}, &sw); err != nil {
 		t.Fatal(err)
 	}
-	if sw.fo != kept {
+	if sw.fanOut0() != kept {
 		t.Error("same roster rebuilt the fan-out instead of resetting it")
 	}
-	if fo, err := sw.fanOut(opts.Policies[:1]); err != nil || fo == kept {
+	if fo, err := sw.fanOut(0, []int{0}); err != nil || fo == kept {
 		t.Errorf("different roster reused the fan-out (err %v)", err)
 	}
+	all := make([]int, len(opts.Policies))
+	for c := range all {
+		all[c] = c
+	}
 
-	// A run under an equal configuration keeps the fan-out, even when
-	// the equal perceptron history lengths live in another slice; an
-	// in-place edit of the caller's slice afterwards must not make the
-	// kept copy match it.
+	// A run over equal cells keeps the fan-out, even when the equal
+	// perceptron history lengths live in another slice; an in-place edit
+	// of the caller's slice afterwards must not make the kept copy match
+	// it.
 	lengths := []int{0, 4, 8, 16}
 	cfg := opts.Config
 	cfg.Branch.HistoryLengths = lengths
-	if sw.useConfig(cfg); sw.fo != nil {
+	if sw.useCells(cellsOf(cfg, opts.Policies)); sw.fanOut0() != nil {
 		t.Error("new history lengths kept the fan-out")
 	}
-	if _, err := sw.fanOut(opts.Policies); err != nil {
+	if _, err := sw.fanOut(0, all); err != nil {
 		t.Fatal(err)
 	}
-	kept = sw.fo
+	kept = sw.fanOut0()
 	cfg.Branch.HistoryLengths = []int{0, 4, 8, 16}
-	if sw.useConfig(cfg); sw.fo != kept {
-		t.Error("an equal configuration rebuilt the fan-out")
+	if sw.useCells(cellsOf(cfg, opts.Policies)); sw.fanOut0() != kept {
+		t.Error("equal cells rebuilt the fan-out")
 	}
 	lengths[1] = 5
 	cfg.Branch.HistoryLengths = lengths
-	if sw.useConfig(cfg); sw.fo != nil {
+	if sw.useCells(cellsOf(cfg, opts.Policies)); sw.fanOut0() != nil {
 		t.Error("history lengths edited in place kept the fan-out")
 	}
-	sw.useConfig(opts.Config)
+	sw.useCells(r.grid.cells)
 
 	for _, act := range []faultinject.Action{faultinject.Panic, faultinject.Transient} {
 		opts.Faults = faultinject.New(faultinject.Rule{Op: faultinject.OpProgress, Nth: 3, Action: act})
-		r := newRunState(opts, func(obs.Event) {})
-		if _, err := sw.fanOut(opts.Policies); err != nil {
+		r, err := newRunState(opts, []Variant{{}}, func(obs.Event) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sw.fanOut(0, all); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.runTaskSafe(ctx, task{0}, &sw); err == nil {
 			t.Fatalf("%v: injected fault did not fail the attempt", act)
 		}
-		if sw.fo != nil {
+		if sw.fanOut0() != nil {
 			t.Errorf("%v: failed attempt kept its fan-out", act)
 		}
 	}
+}
+
+// cellsOf lists one cell per kind, all under cfg.
+func cellsOf(cfg frontend.Config, kinds []frontend.PolicyKind) []frontend.Cell {
+	cells := make([]frontend.Cell, len(kinds))
+	for i, k := range kinds {
+		cells[i] = frontend.Cell{Kind: k, Config: cfg}
+	}
+	return cells
+}
+
+// fanOut0 returns the worker's fan-out for the first front group, or nil.
+func (sw *simWorker) fanOut0() *frontend.FanOut {
+	if len(sw.fans) == 0 {
+		return nil
+	}
+	return sw.fans[0].fo
 }

@@ -130,11 +130,13 @@ func TestGoldenRenderers(t *testing.T) {
 }
 
 // TestGoldenHeadroom pins the headroom report end to end: a real
-// ComputeHeadroom run over a small suite, rendered, plus every field at
+// computeHeadroom run over a small suite, rendered, plus every field at
 // full precision, so a change to how the policy lanes or the OPT pass
-// are run must reproduce the same numbers bit for bit.
+// are run must reproduce the same numbers bit for bit. The suite has six
+// gapped workloads, so the golden also pins how the gap is aggregated
+// over workloads.
 func TestGoldenHeadroom(t *testing.T) {
-	rep, err := ComputeHeadroom(context.Background(), Options{Workloads: workload.SuiteN(8), Scale: 0.05})
+	rep, err := computeHeadroom(context.Background(), Options{Workloads: workload.SuiteN(16), Scale: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 
 	"ghrpsim/internal/frontend"
@@ -35,34 +33,27 @@ type HeadroomReport struct {
 	Failed int
 }
 
-// ComputeHeadroom runs the suite's I-cache under every policy plus the
-// OPT oracle. This is an extension beyond the paper's evaluation,
-// bounding how much of the achievable improvement GHRP captures. The
-// online policies run through the suite scheduler, so they honor every
-// Options knob a suite run does — Parallelism, the result cache,
-// timeouts, retries, fault injection, keep-going and the Observer — and
-// share cache cells with it. The OPT oracle runs inside the same tasks:
-// each workload's fused pass taps the demand accesses its lanes replay
-// (frontend.AccessLog) and feeds them to Belady's MIN, so OPT sees
-// exactly the stream the policies saw and costs no second execution of
-// the program. A workload whose every cell the cache answered streams
-// one LRU lane only to fill the log (the OPT result is never cached: it
-// is not a frontend.Result). The roster must include LRU, which the gap
-// is measured from.
-//
-// Per-workload failures — including panics, which are contained to a
-// PanicError — abort the computation, or with Options.KeepGoing skip
-// the workload (counted in HeadroomReport.Failed) so one bad workload
-// cannot sink a long bound computation.
-func ComputeHeadroom(ctx context.Context, opts Options) (HeadroomReport, error) {
-	if len(opts.Policies) > 0 && !slices.Contains(opts.Policies, frontend.PolicyLRU) {
-		return HeadroomReport{}, errors.New("sim: headroom needs LRU in Options.Policies: the gap each policy closes is measured from LRU")
-	}
-	var rn Runner
-	var sink optSink
-	m, err := rn.run(ctx, opts, &sink)
-	if err != nil {
-		return HeadroomReport{}, err
+// HeadroomVariant returns v with Belady's OPT added, bounding how much
+// of the achievable improvement each policy captures (an extension
+// beyond the paper). v's policies must include LRU, which the gap is
+// measured from. OPT runs inside the grid's tasks, over the demand
+// accesses that the fused pass of v's front group taps
+// (frontend.AccessLog), so it sees exactly the stream the policies saw
+// and costs no second execution of the program. A workload whose cells
+// of that group the cache all answered streams one LRU lane only to
+// fill the log; OPT results are never cached.
+func HeadroomVariant(v Variant) Variant {
+	v.headroom = true
+	return v
+}
+
+// Headroom reads the headroom report from the measurements of a
+// HeadroomVariant. On a keep-going run it skips the failed workloads
+// (HeadroomReport.Failed), so one bad workload cannot sink a long bound
+// computation.
+func Headroom(m *Measurements) (HeadroomReport, error) {
+	if m.opt == nil {
+		return HeadroomReport{}, errors.New("sim: headroom needs the measurements of a HeadroomVariant")
 	}
 	// Completed keeps the workloads that finished every cell, and so
 	// their OPT pass; optV keeps the same ones.
@@ -70,7 +61,7 @@ func ComputeHeadroom(ctx context.Context, opts Options) (HeadroomReport, error) 
 	var optV []float64
 	for wi, raw := range m.Raw {
 		if raw.Err == nil {
-			optV = append(optV, sink.mpki[wi])
+			optV = append(optV, m.opt.mpki[wi])
 		}
 	}
 	lruV := done.ICacheMPKI[frontend.PolicyLRU]

@@ -57,8 +57,8 @@ type Options struct {
 	Scale float64
 	// Parallelism bounds concurrent simulation tasks. Each workload is
 	// one task: its program is executed once and the record stream drives
-	// every uncached policy lane in lockstep (frontend.FanOut), so adding
-	// policies costs policy work, not extra executor passes. A run
+	// every uncached lane of a front group in lockstep (frontend.FanOut),
+	// so adding policies costs lane work, not extra executor passes. A run
 	// starts min(Parallelism, workloads) workers, each simulating one
 	// task at a time. Results are bit-identical at any setting. Defaults
 	// to GOMAXPROCS.
@@ -79,15 +79,15 @@ type Options struct {
 	// Cache, when non-nil, is consulted before each (workload, policy)
 	// cell and filled after it: cells already simulated under the
 	// identical (profile, seed, budget, config, policy) key are loaded
-	// from disk instead of replayed, which makes sweeps, ablations and
-	// repeat runs skip their redundant baseline cells. Hits are
-	// reported via obs.PolicyCached events and RunStats cache counters.
-	// Only result cells are stored: the warm-up window comes from the
-	// fused replay itself, so a workload writes one entry per policy.
+	// from disk instead of replayed, which makes repeat runs and later
+	// grids skip the cells earlier ones simulated. Hits are reported via
+	// obs.PolicyCached events and RunStats cache counters. Only result
+	// cells are stored: the warm-up window comes from the fused replay
+	// itself, so a workload writes one entry per cell.
 	Cache *resultcache.Cache
 	// TaskTimeout bounds one workload task's wall time — program
 	// generation, the fused replay of all its uncached cells and, under
-	// ComputeHeadroom, its OPT pass; 0 disables. A task over deadline
+	// a HeadroomVariant, its OPT pass; 0 disables. A task over deadline
 	// fails with ErrTaskTimeout.
 	TaskTimeout time.Duration
 	// StallTimeout bounds the time between a task's progress reports;
@@ -120,9 +120,7 @@ func (o Options) withDefaults() Options {
 			o.Source = workload.SliceSource(workload.Suite())
 		}
 	}
-	if o.Config.ICache == (frontend.ICacheConfig{}) {
-		o.Config = frontend.DefaultConfig()
-	}
+	o.Config = orDefault(o.Config)
 	if o.Policies == nil {
 		o.Policies = frontend.PaperPolicies()
 	}
@@ -148,6 +146,15 @@ func (o Options) withDefaults() Options {
 		o.RetryBackoff = DefaultRetryBackoff
 	}
 	return o
+}
+
+// orDefault returns cfg, or the paper's configuration in place of a zero
+// one.
+func orDefault(cfg frontend.Config) frontend.Config {
+	if cfg.ICache == (frontend.ICacheConfig{}) {
+		return frontend.DefaultConfig()
+	}
+	return cfg
 }
 
 // validate rejects unusable option sets after defaulting.
@@ -225,8 +232,11 @@ type Measurements struct {
 	Raw        []WorkloadResult
 	// Stats holds the run's observability data: wall time,
 	// per-workload / per-policy throughput, and result-cache hit and
-	// miss counts.
+	// miss counts. Every variant of a grid shares its run's Stats.
 	Stats *obs.RunStats
+	// opt holds the per-workload OPT MPKI of a headroom variant
+	// (HeadroomVariant); nil for any other.
+	opt *optSink
 }
 
 // PolicyIndex returns the position of kind in the run's policy list.
@@ -288,27 +298,66 @@ func RunContext(ctx context.Context, opts Options) (*Measurements, error) {
 	return rn.RunContext(ctx, opts)
 }
 
+// Variant is one configuration of an experiment grid: the policies a
+// grid runs under one front-end configuration. A zero Config takes the
+// run's Options.Config, and nil Policies take Options.Policies.
+type Variant struct {
+	// Name labels the variant in its experiment's rows.
+	Name     string
+	Config   frontend.Config
+	Policies []frontend.PolicyKind
+	// headroom has every task also run Belady's OPT over the variant's
+	// demand I-cache accesses (HeadroomVariant).
+	headroom bool
+}
+
+// RunGrid simulates every workload under every variant and returns one
+// Measurements per variant, each bit-identical to a RunContext of opts
+// under the variant's Config and Policies; the other Options govern the
+// whole grid. A cell — one policy under one Config — that several
+// variants list runs once. Options.Parallelism workers drain a queue of
+// one task per workload. A task executes its workload's program once and
+// streams it once per front group (cells whose configurations share a
+// front, frontend.SameFront) through one fan-out of the group's cells
+// the result cache could not answer, which also derives the warm-up
+// window. Cache hits stay per-cell and are reported via
+// obs.PolicyCached. Lanes are independent and the stream deterministic,
+// so results are bit-identical to per-policy replays at any parallelism.
+//
+// Workload failures are aggregated with errors.Join. A cancelled context
+// aborts in-flight replays promptly and is reported via ctx.Err(), every
+// unfinished workload still emitting a WorkloadFailed event. A panicking
+// task fails only its workload (PanicError); tasks are bounded by
+// Options.TaskTimeout and Options.StallTimeout; transient failures
+// (IsRetryable) are retried up to Options.MaxRetries times; and
+// Options.KeepGoing turns cell failures into annotations on the returned
+// Measurements instead of a nil result.
+func RunGrid(ctx context.Context, opts Options, variants []Variant) ([]*Measurements, error) {
+	var rn Runner
+	return rn.grid(ctx, opts, variants)
+}
+
 // Runner runs suites on simulation workers it keeps between runs. A
-// worker is a fan-out plus a program generator (simWorker); building
-// one costs a few megabytes of tables, chunks and arenas, so a caller
-// that runs many small suites — a daemon running shard after shard —
-// holds one Runner and pays that once per concurrent worker instead of
-// once per run. The package-level RunContext is a one-shot Runner, so
-// both go through the same code.
+// worker is a fan-out per front group plus a program generator
+// (simWorker); building one costs a few megabytes of tables, chunks and
+// arenas, so a caller that runs many small suites — a daemon running
+// shard after shard — holds one Runner and pays that once per
+// concurrent worker instead of once per run. The package-level
+// RunContext is a one-shot Runner, so both go through the same code.
 //
 // A Runner is safe for concurrent use. It never holds more workers than
 // the most its runs have used at once. Reuse does not change results: a
-// worker rebuilds its fan-out when the run's frontend.Config or policy
-// roster differs from the one it was built for, and a failed attempt
-// discards it. The zero value is ready to use.
+// worker rebuilds its fan-outs when the run's cells — each policy with
+// its frontend.Config — differ from the ones it was built for, and a
+// failed attempt discards them. The zero value is ready to use.
 type Runner struct {
 	mu   sync.Mutex
 	idle []*simWorker
 }
 
-// take hands out an idle worker, or a new one, ready for a run under
-// cfg.
-func (rn *Runner) take(cfg frontend.Config) *simWorker {
+// take hands out an idle worker, or a new one, ready for a run over
+// cells.
+func (rn *Runner) take(cells []frontend.Cell) *simWorker {
 	rn.mu.Lock()
 	var sw *simWorker
 	if n := len(rn.idle); n > 0 {
@@ -318,7 +367,7 @@ func (rn *Runner) take(cfg frontend.Config) *simWorker {
 	if sw == nil {
 		sw = &simWorker{}
 	}
-	sw.useConfig(cfg)
+	sw.useCells(cells)
 	return sw
 }
 
@@ -331,8 +380,8 @@ func (rn *Runner) put(sw *simWorker) {
 }
 
 // task is one unit of scheduler work: one workload, replayed under every
-// policy that the result cache could not answer, in a single fused
-// traversal.
+// cell that the result cache could not answer, in one fused traversal
+// per front group.
 type task struct{ wi int }
 
 // wlState is one workload's scheduler state. A workload is a single
@@ -346,30 +395,66 @@ type wlState struct {
 	prog    *workload.Program
 }
 
-// runState carries one RunContext invocation's shared pieces.
+// grid is a run's cells: every distinct (policy, Config) pair its
+// variants list, with the front group each shares and the variant
+// slots it fills.
+type grid struct {
+	cells  []frontend.Cell
+	group  []int      // per cell: cells of one group share a front
+	slots  [][]slot   // per cell: every (variant, policy position) it fills
+	opt    []*optSink // per cell: a headroom variant's OPT, on its LRU cell
+	groups int
+}
+
+// slot is one policy position pi of variant v.
+type slot struct{ v, pi int }
+
+// cell returns the index of the cell for kind under cfg. It adds one
+// unless one of the first n cells, those of earlier variants, is equal:
+// within one variant every position gets its own cell, as it gets its
+// own lane in RunContext.
+func (g *grid) cell(n int, kind frontend.PolicyKind, cfg frontend.Config) int {
+	for c := range g.cells[:n] {
+		if g.cells[c].Kind == kind && reflect.DeepEqual(g.cells[c].Config, cfg) {
+			return c
+		}
+	}
+	grp := g.groups
+	for c := range g.cells {
+		if frontend.SameFront(g.cells[c].Config, cfg) {
+			grp = g.group[c]
+			break
+		}
+	}
+	if grp == g.groups {
+		g.groups++
+	}
+	g.cells = append(g.cells, frontend.Cell{Kind: kind, Config: cfg})
+	g.group = append(g.group, grp)
+	g.slots = append(g.slots, nil)
+	g.opt = append(g.opt, nil)
+	return len(g.cells) - 1
+}
+
+// runState carries one grid run's shared pieces.
 type runState struct {
 	opts    Options
-	out     *Measurements
+	grid    grid
+	outs    []*Measurements // one per variant
 	states  []wlState
 	errs    []error // one slot per workload, joined after the wait
 	observe obs.Observer
-	// opt, set only by ComputeHeadroom, receives each workload's OPT
-	// MPKI, computed from the access log of the task's fused pass.
-	opt *optSink
 }
 
-// simWorker is one worker goroutine's reusable simulator: the fan-out it
-// built for the configuration and roster of policies it last fused.
+// simWorker is one worker goroutine's reusable simulator: per front
+// group, the fan-out it built for the roster of cells it last fused.
 // Consecutive tasks with the same roster reset it in place instead of
 // reallocating lanes, tables and decision chunks; a different roster (a
-// partial result-cache hit) rebuilds it, and a failed attempt drops it,
-// so no state from an aborted replay can reach the next task. A worker
-// outlives its run when a Runner keeps it, so the next run may bring a
-// different configuration: useConfig drops the fan-out then.
+// partial result-cache hit) rebuilds it, and a failed attempt drops them
+// all, so no state from an aborted replay can reach the next task.
 type simWorker struct {
-	fo    *frontend.FanOut
-	cfg   frontend.Config // what fo was built for; owns its slices
-	kinds []frontend.PolicyKind
+	cells []frontend.Cell // what rosters index; owns its slices
+	fans  []rosterFanOut  // per front group
 	// gen generates every program the worker runs into storage reused
 	// across workloads. A workload's attempts all run on this worker and
 	// finishTask releases its program before the next task starts, so a
@@ -380,92 +465,84 @@ type simWorker struct {
 	log frontend.AccessLog
 }
 
-// useConfig readies the worker for a run under cfg, dropping a fan-out
-// built for any other configuration. The comparison is deep because
-// Config holds slices (the perceptron's HistoryLengths): a false
-// mismatch only costs a rebuild, a false match would replay under the
-// wrong tables. The kept copy owns its slices, so a caller mutating its
+// rosterFanOut is a fan-out and the cells of its lanes, in order.
+type rosterFanOut struct {
+	roster []int
+	fo     *frontend.FanOut
+}
+
+// useCells readies a worker, possibly kept from another run, for a run
+// over cells, dropping its fan-outs unless they were built for equal
+// cells: deeply equal, since Config holds the perceptron's
+// HistoryLengths slice. It runs once per run, so a task compares only
+// roster indices. The kept copy owns its slices, so a caller mutating a
 // Config after the run cannot make a stale fan-out look current.
-func (sw *simWorker) useConfig(cfg frontend.Config) {
-	if sw.fo != nil && reflect.DeepEqual(sw.cfg, cfg) {
+func (sw *simWorker) useCells(cells []frontend.Cell) {
+	if reflect.DeepEqual(sw.cells, cells) {
 		return
 	}
 	sw.drop()
-	cfg.Branch.HistoryLengths = slices.Clone(cfg.Branch.HistoryLengths)
-	sw.cfg = cfg
+	sw.cells = slices.Clone(cells)
+	for i := range sw.cells {
+		b := &sw.cells[i].Config.Branch
+		b.HistoryLengths = slices.Clone(b.HistoryLengths)
+	}
 }
 
-// fanOut returns a fan-out in its freshly built state for kinds, reusing
-// the worker's previous one when the roster matches. The configuration
-// is the run's, fixed by useConfig; the warm-up limit comes from the
-// stream (frontend.WarmupFromStream).
-func (sw *simWorker) fanOut(kinds []frontend.PolicyKind) (*frontend.FanOut, error) {
-	if sw.fo != nil && slices.Equal(sw.kinds, kinds) {
-		sw.fo.Reset(frontend.WarmupFromStream)
-		return sw.fo, nil
+// fanOut returns group grp's fan-out in its freshly built state for the
+// cells of roster, reusing the worker's previous one when the roster
+// matches. The warm-up limit comes from the stream
+// (frontend.WarmupFromStream).
+func (sw *simWorker) fanOut(grp int, roster []int) (*frontend.FanOut, error) {
+	for len(sw.fans) <= grp {
+		sw.fans = append(sw.fans, rosterFanOut{})
 	}
-	sw.drop()
-	fo, err := frontend.NewFanOut(sw.cfg, kinds, frontend.WarmupFromStream)
-	if err != nil {
+	f := &sw.fans[grp]
+	if f.fo != nil && slices.Equal(f.roster, roster) {
+		f.fo.Reset(frontend.WarmupFromStream)
+		return f.fo, nil
+	}
+	cells := make([]frontend.Cell, len(roster))
+	for i, c := range roster {
+		cells[i] = sw.cells[c]
+	}
+	fo, err := frontend.NewCellFanOut(cells, frontend.WarmupFromStream)
+	*f = rosterFanOut{roster: slices.Clone(roster), fo: fo}
+	return fo, err
+}
+
+// drop discards the worker's fan-outs; the next task builds new ones.
+func (sw *simWorker) drop() { sw.fans = nil }
+
+// RunContext simulates every workload under every policy: the
+// one-variant grid (RunGrid), on workers taken from the Runner and
+// returned to it when the run ends.
+func (rn *Runner) RunContext(ctx context.Context, opts Options) (*Measurements, error) {
+	ms, err := rn.grid(ctx, opts, []Variant{{}})
+	if ms == nil {
 		return nil, err
 	}
-	sw.fo, sw.kinds = fo, kinds
-	return fo, nil
+	return ms[0], err
 }
 
-// drop discards the worker's fan-out; the next task builds a new one.
-func (sw *simWorker) drop() { sw.fo, sw.kinds = nil, nil }
-
-// RunContext simulates every workload under every policy. The schedule
-// is a queue of workload tasks drained by Options.Parallelism workers,
-// taken from the Runner and returned to it when the run ends.
-// Each task executes its workload's program exactly once and feeds the
-// record stream to every policy the result cache could not answer in
-// lockstep (frontend.FanOut), which also derives the warm-up window from
-// that stream, so executor interpretation costs 1× per workload instead
-// of once per policy plus a counting pass. Cache hits stay per-cell: a
-// cell served from disk is reported via obs.PolicyCached and excluded
-// from the fused replay. Because fan-out
-// lanes are fully independent and the stream is deterministic, results
-// are bit-identical to per-policy replays at any parallelism. Workload
-// failures are aggregated with errors.Join rather than truncated to
-// the first; a context cancellation aborts in-flight replays promptly
-// and is reported via ctx.Err(), with every unfinished workload still
-// emitting a WorkloadFailed event so RunStats accounts for the whole
-// suite.
-//
-// The scheduler is fault-tolerant: a panicking task is contained to a
-// PanicError failing only its workload while the queue drains; tasks
-// are bounded by Options.TaskTimeout and a progress-based stall
-// watchdog (Options.StallTimeout); transient failures (IsRetryable)
-// are re-attempted up to Options.MaxRetries times with deterministic
-// backoff; and Options.KeepGoing turns cell failures into annotations
-// on the returned Measurements instead of a nil result.
-func (rn *Runner) RunContext(ctx context.Context, opts Options) (*Measurements, error) {
-	return rn.run(ctx, opts, nil)
-}
-
-// run is RunContext that, given an OPT sink, also has every task fill it
-// with its workload's OPT MPKI (ComputeHeadroom).
-func (rn *Runner) run(ctx context.Context, opts Options, sink *optSink) (*Measurements, error) {
+// grid runs variants as one schedule (RunGrid) on this Runner's workers.
+func (rn *Runner) grid(ctx context.Context, opts Options, variants []Variant) ([]*Measurements, error) {
 	opts, err := opts.prepare()
 	if err != nil {
 		return nil, err
 	}
 	collector := obs.NewCollector()
-	r := newRunState(opts, obs.Multi(collector.Observe, opts.Observer))
-	if sink != nil {
-		sink.mpki = make([]float64, len(r.states))
-		sink.have = make([]bool, len(r.states))
-		r.opt = sink
+	r, err := newRunState(opts, variants, obs.Multi(collector.Observe, opts.Observer))
+	if err != nil {
+		return nil, err
 	}
-	out, n, np := r.out, len(r.states), len(opts.Policies)
+	n, nc := len(r.states), len(r.grid.cells)
 	var quarantined0 int64
 	if opts.Cache != nil {
 		quarantined0 = opts.Cache.Quarantined()
 	}
 	runStart := time.Now()
-	r.observe(obs.Event{Kind: obs.RunStart, Workloads: n, Policies: np})
+	r.observe(obs.Event{Kind: obs.RunStart, Workloads: n, Policies: nc})
 
 	// Every task is queued up front, one per workload, in suite order.
 	// Workers that observe a cancelled context drain the queue without
@@ -482,7 +559,7 @@ func (rn *Runner) run(ctx context.Context, opts Options, sink *optSink) (*Measur
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sw := rn.take(opts.Config)
+			sw := rn.take(r.grid.cells)
 			for t := range tasks {
 				err := ctx.Err()
 				if err == nil {
@@ -495,9 +572,12 @@ func (rn *Runner) run(ctx context.Context, opts Options, sink *optSink) (*Measur
 	}
 	wg.Wait()
 	r.observe(obs.Event{Kind: obs.RunDone, Workloads: n, Elapsed: time.Since(runStart)})
-	out.Stats = collector.Stats()
+	stats := collector.Stats()
 	if opts.Cache != nil {
-		out.Stats.CacheQuarantines = int(opts.Cache.Quarantined() - quarantined0)
+		stats.CacheQuarantines = int(opts.Cache.Quarantined() - quarantined0)
+	}
+	for _, m := range r.outs {
+		m.Stats = stats
 	}
 
 	all := make([]error, 0, n+1)
@@ -512,33 +592,81 @@ func (rn *Runner) run(ctx context.Context, opts Options, sink *optSink) (*Measur
 	err = errors.Join(all...)
 	switch {
 	case err == nil:
-		return out, nil
+		return r.outs, nil
 	case !opts.KeepGoing:
 		return nil, err
 	case ctx.Err() != nil:
 		// Keep-going cannot outlast the caller's context: hand back the
 		// partial measurements alongside the cancellation.
-		return out, err
+		return r.outs, err
 	default:
 		// Keep-going run with cell failures: the suite completed, failed
 		// workloads are annotated on the measurements (Raw[].Err,
 		// Stats.Failed) and dropped by Completed().
-		return out, nil
+		return r.outs, nil
 	}
 }
 
-// newRunState lays out one run of prepared opts: the Measurements with
-// every result slot preallocated, and idle per-workload state. observe
-// receives every event the run emits.
-func newRunState(opts Options, observe obs.Observer) *runState {
-	n, np := opts.Source.Len(), len(opts.Policies)
-	out := &Measurements{
-		Options: opts,
-		// One Spec per workload is the runner's only per-suite
-		// materialization: it is the output index of the vectors below.
-		// Programs stay lazy — synthesized inside each task, released
-		// when it retires.
-		Specs:      workload.Materialize(opts.Source),
+// newRunState lays out one run of prepared opts over variants: each
+// variant's Config and Policies, defaulted from opts and validated; the
+// grid of their cells; one Measurements per variant with every result
+// slot preallocated; and idle per-workload state. observe receives
+// every event the run emits.
+func newRunState(opts Options, variants []Variant, observe obs.Observer) (*runState, error) {
+	if len(variants) == 0 {
+		return nil, errors.New("sim: a grid needs at least one variant")
+	}
+	n := opts.Source.Len()
+	// One Spec per workload is the runner's only per-suite
+	// materialization: it is the output index of every variant's vectors.
+	// Programs stay lazy — synthesized inside each task, released when it
+	// retires.
+	specs := workload.Materialize(opts.Source)
+	r := &runState{
+		opts:    opts,
+		outs:    make([]*Measurements, len(variants)),
+		states:  make([]wlState, n),
+		errs:    make([]error, n),
+		observe: observe,
+	}
+	for v, va := range variants {
+		vo := opts
+		if va.Config.ICache != (frontend.ICacheConfig{}) {
+			vo.Config = va.Config
+		}
+		if va.Policies != nil {
+			vo.Policies = va.Policies
+		}
+		if err := vo.validate(); err != nil {
+			return nil, err
+		}
+		out := newMeasurements(vo, specs)
+		first := len(r.grid.cells)
+		for pi, kind := range vo.Policies {
+			c := r.grid.cell(first, kind, vo.Config)
+			r.grid.slots[c] = append(r.grid.slots[c], slot{v, pi})
+			if va.headroom && kind == frontend.PolicyLRU && out.opt == nil {
+				if r.grid.opt[c] == nil {
+					r.grid.opt[c] = &optSink{mpki: make([]float64, n), have: make([]bool, n)}
+				}
+				out.opt = r.grid.opt[c]
+			}
+		}
+		if va.headroom && out.opt == nil {
+			return nil, errors.New("sim: headroom needs LRU in its policies: the gap each policy closes is measured from LRU")
+		}
+		r.outs[v] = out
+	}
+	return r, nil
+}
+
+// newMeasurements preallocates the Measurements of prepared opts over
+// specs, so tasks write disjoint result slots without a lock.
+func newMeasurements(opts Options, specs []workload.Spec) *Measurements {
+	n, np := len(specs), len(opts.Policies)
+	m := &Measurements{
+		Options:    opts,
+		Specs:      specs,
 		Policies:   opts.Policies,
 		ICacheMPKI: map[frontend.PolicyKind][]float64{},
 		BTBMPKI:    map[frontend.PolicyKind][]float64{},
@@ -546,24 +674,13 @@ func newRunState(opts Options, observe obs.Observer) *runState {
 		Raw:        make([]WorkloadResult, n),
 	}
 	for _, k := range opts.Policies {
-		out.ICacheMPKI[k] = make([]float64, n)
-		out.BTBMPKI[k] = make([]float64, n)
+		m.ICacheMPKI[k] = make([]float64, n)
+		m.BTBMPKI[k] = make([]float64, n)
 	}
-
-	r := &runState{
-		opts:    opts,
-		out:     out,
-		states:  make([]wlState, n),
-		errs:    make([]error, n),
-		observe: observe,
+	for wi := range m.Raw {
+		m.Raw[wi] = WorkloadResult{Spec: specs[wi], Results: make([]frontend.Result, np), Completed: make([]bool, np)}
 	}
-	for wi := range r.states {
-		// Result slots are preallocated so tasks write disjoint elements
-		// without a lock.
-		out.Raw[wi] = WorkloadResult{Spec: out.Specs[wi],
-			Results: make([]frontend.Result, np), Completed: make([]bool, np)}
-	}
-	return r
+	return m
 }
 
 // taskWatch scopes one task attempt's context: an absolute deadline
@@ -669,7 +786,7 @@ func (r *runState) runTaskRetrying(ctx context.Context, t task, sw *simWorker) e
 		}
 		retry := attempt + 1
 		r.observe(obs.Event{Kind: obs.TaskRetry,
-			Workload: r.out.Specs[t.wi].Name, WorkloadIndex: t.wi,
+			Workload: r.outs[0].Specs[t.wi].Name, WorkloadIndex: t.wi,
 			Attempt: retry, Err: err})
 		seed := opts.ExecSeed ^ uint64(t.wi)<<20
 		if delay := RetryDelay(opts.RetryBackoff, max(opts.RetryBackoff, MaxRetryBackoff), retry, seed); delay > 0 {
@@ -702,22 +819,22 @@ func (r *runState) runTaskSafe(ctx context.Context, t task, sw *simWorker) (err 
 }
 
 // runTask executes one workload task: per-cell result-cache lookups,
-// program generation, one fused replay of every cell the cache could not
-// answer, the OPT pass when the run owes one, and per-cell cache fills.
-// Cells completed and an OPT pass done by an earlier attempt of this
-// task are skipped. The replay runs on the worker's reusable fan-out.
+// program generation, and per front group one fused replay of every
+// cell the cache could not answer, the OPT passes the run owes, and
+// per-cell cache fills. Cells completed and OPT passes done by an
+// earlier attempt of this task are skipped.
 func (r *runState) runTask(ctx context.Context, t task, sw *simWorker) error {
-	opts := r.opts
+	opts, g := r.opts, &r.grid
 	st := &r.states[t.wi]
-	spec := r.out.Specs[t.wi]
-	n, np := len(r.out.Specs), len(opts.Policies)
+	spec := r.outs[0].Specs[t.wi]
+	n, nc := len(r.states), len(g.cells)
 	target := targetFor(spec, opts.Scale)
 
 	if !st.started {
 		st.start = time.Now()
 		st.started = true
 		r.observe(obs.Event{Kind: obs.WorkloadStart, Workload: spec.Name, WorkloadIndex: t.wi,
-			Workloads: n, Policies: np})
+			Workloads: n, Policies: nc})
 	}
 
 	// The watch scopes this attempt: its deadline and stall watchdog die
@@ -733,148 +850,162 @@ func (r *runState) runTask(ctx context.Context, t task, sw *simWorker) error {
 
 	// Cache hits stay per-cell: each answered cell is recorded and
 	// reported (PolicyCached) individually, and only the remainder joins
-	// the fused replay. A retry lands here with earlier attempts' cells
+	// the fused replays. A retry lands here with earlier attempts' cells
 	// already marked completed and skips them the same way.
-	completed := r.out.Raw[t.wi].Completed
-	keys := make([]resultcache.Key, np)
-	missing := make([]int, 0, np)
-	for pi, kind := range opts.Policies {
-		if completed[pi] {
+	var keys []resultcache.Key
+	if opts.Cache != nil {
+		keys = make([]resultcache.Key, nc)
+	}
+	missing := make([]int, 0, nc)
+	for c, cell := range g.cells {
+		// A cell's slots are recorded together, so its first one tells.
+		if s := g.slots[c][0]; r.outs[s.v].Raw[t.wi].Completed[s.pi] {
 			continue
 		}
 		if opts.Cache != nil {
-			key, err := resultcache.KeyFor(spec, opts.Config, kind, opts.ExecSeed, target)
+			key, err := resultcache.KeyFor(spec, cell.Config, cell.Kind, opts.ExecSeed, target)
 			if err != nil {
 				return err
 			}
-			keys[pi] = key
+			keys[c] = key
 			start := time.Now()
-			if res, ok := opts.Cache.Get(key); ok && res.Policy == kind {
-				r.record(t.wi, pi, res)
+			if res, ok := opts.Cache.Get(key); ok && res.Policy == cell.Kind {
+				r.record(t.wi, c, res)
 				r.observe(obs.Event{Kind: obs.PolicyCached, Workload: spec.Name, WorkloadIndex: t.wi,
-					Policy: kind.String(), PolicyIndex: pi, Policies: np,
+					Policy: cell.Kind.String(), PolicyIndex: c, Policies: nc,
 					Records: res.Records, Instructions: res.TotalInstructions, Elapsed: time.Since(start)})
 				continue
 			}
 		}
-		missing = append(missing, pi)
-	}
-	needOPT := r.opt != nil && !r.opt.have[t.wi]
-	if len(missing) == 0 && !needOPT {
-		return nil
+		missing = append(missing, c)
 	}
 
-	// The program lives in the worker's generator; a retry replays the
-	// kept st.prog and never regenerates over it.
-	if st.prog == nil {
-		prog, err := sw.gen.Generate(spec.Profile)
-		if err != nil {
-			return err
-		}
-		st.prog = prog
-	}
-
-	// One fused traversal drives every missing cell. Progress ticks are
-	// labeled with the fan-out width and attributed to the first missing
-	// cell, whose PolicyDone retires the in-flight slot. An OPT pass
-	// whose cells the cache all answered streams one LRU lane only to
-	// fill the access log; its ticks go to the LRU cell, and it records
-	// nothing.
-	kinds := make([]frontend.PolicyKind, len(missing))
-	for i, pi := range missing {
-		kinds[i] = opts.Policies[pi]
-	}
-	tickIndex := slices.Index(opts.Policies, frontend.PolicyLRU)
-	if len(missing) == 0 {
-		kinds = append(kinds, frontend.PolicyLRU)
-	} else {
-		tickIndex = missing[0]
-	}
-	start := time.Now()
-	label := fmt.Sprintf("fanout(%d)", len(kinds))
-	so := frontend.StreamOptions{
-		ProgressEvery: opts.ProgressEvery,
-		Progress: func(records, instructions uint64) error {
-			w.touch()
-			if opts.Faults != nil {
-				if err := opts.Faults.Fire(w.ctx, faultinject.OpProgress); err != nil {
-					return err
-				}
+	for grp := 0; grp < g.groups; grp++ {
+		// The group's roster is its missing cells. An OPT pass it owes
+		// needs one lane even when the cache answered every cell: its
+		// LRU cell's, streamed only to fill the access log.
+		roster := make([]int, 0, len(missing)+1)
+		for _, c := range missing {
+			if g.group[c] == grp {
+				roster = append(roster, c)
 			}
-			if err := w.ctx.Err(); err != nil {
+		}
+		logOnly, needOPT := len(roster) == 0, false
+		for c, sink := range g.opt {
+			if sink != nil && g.group[c] == grp && !sink.have[t.wi] {
+				if logOnly && !needOPT {
+					roster = append(roster, c)
+				}
+				needOPT = true
+			}
+		}
+		if len(roster) == 0 {
+			continue
+		}
+		// The program lives in the worker's generator; a retry, or the
+		// next group, replays the kept st.prog and never regenerates over
+		// it.
+		if st.prog == nil {
+			prog, err := sw.gen.Generate(spec.Profile)
+			if err != nil {
 				return err
 			}
-			r.observe(obs.Event{Kind: obs.Tick, Workload: spec.Name, WorkloadIndex: t.wi,
-				Policy: label, PolicyIndex: tickIndex, Policies: np,
-				Records: records, Instructions: instructions, Elapsed: time.Since(start)})
-			return nil
-		},
-	}
-	fo, err := sw.fanOut(kinds)
-	if err != nil {
-		return err
-	}
-	var log *frontend.AccessLog
-	if needOPT {
-		log = &sw.log
-	}
-	fo.TapAccesses(log)
-	results, err := fo.StreamProgram(st.prog, opts.ExecSeed, target, so)
-	if err != nil {
-		return w.fault(err)
-	}
-	if needOPT {
-		mpki, err := optMPKI(opts.Config, log, results[0])
+			st.prog = prog
+		}
+		// Progress ticks are labeled with the fan-out width and attributed
+		// to the roster's first cell, whose PolicyDone retires the
+		// in-flight slot.
+		start := time.Now()
+		label := fmt.Sprintf("fanout(%d)", len(roster))
+		so := frontend.StreamOptions{
+			ProgressEvery: opts.ProgressEvery,
+			Progress: func(records, instructions uint64) error {
+				w.touch()
+				if opts.Faults != nil {
+					if err := opts.Faults.Fire(w.ctx, faultinject.OpProgress); err != nil {
+						return err
+					}
+				}
+				if err := w.ctx.Err(); err != nil {
+					return err
+				}
+				r.observe(obs.Event{Kind: obs.Tick, Workload: spec.Name, WorkloadIndex: t.wi,
+					Policy: label, PolicyIndex: roster[0], Policies: nc,
+					Records: records, Instructions: instructions, Elapsed: time.Since(start)})
+				return nil
+			},
+		}
+		fo, err := sw.fanOut(grp, roster)
 		if err != nil {
 			return err
 		}
-		// The task's deadline covers the OPT pass too.
-		if err := w.ctx.Err(); err != nil {
+		var log *frontend.AccessLog
+		if needOPT {
+			log = &sw.log
+		}
+		fo.TapAccesses(log)
+		results, err := fo.StreamProgram(st.prog, opts.ExecSeed, target, so)
+		if err != nil {
 			return w.fault(err)
 		}
-		// OPT is stored before any cell is recorded, so a retry after a
-		// failed cache fill below does not repeat it.
-		r.opt.mpki[t.wi], r.opt.have[t.wi] = mpki, true
-	}
-	if len(missing) == 0 {
-		return nil
-	}
-	// Per-cell completion: fill the cache, then record, then report. A
-	// cache fill happens before its cell is recorded, so a failed write
-	// surfaces as a retryable error while that cell is still side-effect
-	// free — the retry re-simulates exactly the unrecorded remainder
-	// (lanes are independent, so the re-fused subset stays
-	// bit-identical). The fused wall time is attributed evenly so
-	// per-policy totals remain meaningful.
-	elapsed := time.Since(start)
-	share := elapsed / time.Duration(len(missing))
-	for i, pi := range missing {
-		res := results[i]
-		kind := opts.Policies[pi]
-		if opts.Cache != nil {
-			if err := opts.Cache.Put(keys[pi], res); err != nil {
-				return &RetryableError{fmt.Errorf("result cache put: %w", err)}
+		for c, sink := range g.opt {
+			if !needOPT || sink == nil || g.group[c] != grp || sink.have[t.wi] {
+				continue
 			}
+			mpki, err := optMPKI(g.cells[c].Config, log, results[0])
+			if err != nil {
+				return err
+			}
+			// The task's deadline covers the OPT pass too.
+			if err := w.ctx.Err(); err != nil {
+				return w.fault(err)
+			}
+			// OPT is stored before any cell is recorded, so a retry after
+			// a failed cache fill below does not repeat it.
+			sink.mpki[t.wi], sink.have[t.wi] = mpki, true
 		}
-		r.record(t.wi, pi, res)
-		r.observe(obs.Event{Kind: obs.PolicyDone, Workload: spec.Name, WorkloadIndex: t.wi,
-			Policy: kind.String(), PolicyIndex: pi, Policies: np,
-			Records: res.Records, Instructions: res.TotalInstructions, Elapsed: share,
-			CacheMiss: opts.Cache != nil})
+		if logOnly {
+			continue
+		}
+		// Per-cell completion: fill the cache, then record, then report.
+		// A cache fill happens before its cell is recorded, so a failed
+		// write surfaces as a retryable error while that cell is still
+		// side-effect free — the retry re-simulates exactly the unrecorded
+		// remainder (lanes are independent, so the re-fused subset stays
+		// bit-identical). The fused wall time is attributed evenly so
+		// per-policy totals remain meaningful.
+		share := time.Since(start) / time.Duration(len(roster))
+		for i, c := range roster {
+			res := results[i]
+			if opts.Cache != nil {
+				if err := opts.Cache.Put(keys[c], res); err != nil {
+					return &RetryableError{fmt.Errorf("result cache put: %w", err)}
+				}
+			}
+			r.record(t.wi, c, res)
+			r.observe(obs.Event{Kind: obs.PolicyDone, Workload: spec.Name, WorkloadIndex: t.wi,
+				Policy: g.cells[c].Kind.String(), PolicyIndex: c, Policies: nc,
+				Records: res.Records, Instructions: res.TotalInstructions, Elapsed: share,
+				CacheMiss: opts.Cache != nil})
+		}
 	}
 	return nil
 }
 
-// record stores one cell's result. Every workload owns distinct slice
-// elements and runs on one worker, so no lock is needed.
-func (r *runState) record(wi, pi int, res frontend.Result) {
-	kind := r.opts.Policies[pi]
-	r.out.Raw[wi].Results[pi] = res
-	r.out.Raw[wi].Completed[pi] = true
-	r.out.ICacheMPKI[kind][wi] = res.ICacheMPKI()
-	r.out.BTBMPKI[kind][wi] = res.BTBMPKI()
-	if pi == 0 {
-		r.out.BranchMPKI[wi] = res.BranchMPKI()
+// record stores one cell's result in every variant slot it fills. Every
+// workload owns distinct slice elements and runs on one worker, so no
+// lock is needed.
+func (r *runState) record(wi, c int, res frontend.Result) {
+	for _, s := range r.grid.slots[c] {
+		out := r.outs[s.v]
+		kind := out.Policies[s.pi]
+		out.Raw[wi].Results[s.pi] = res
+		out.Raw[wi].Completed[s.pi] = true
+		out.ICacheMPKI[kind][wi] = res.ICacheMPKI()
+		out.BTBMPKI[kind][wi] = res.BTBMPKI()
+		if s.pi == 0 {
+			out.BranchMPKI[wi] = res.BranchMPKI()
+		}
 	}
 }
 
@@ -886,8 +1017,8 @@ func (r *runState) record(wi, pi int, res frontend.Result) {
 func (r *runState) finishTask(ctx context.Context, wi int, err error) {
 	st := &r.states[wi]
 	st.prog = nil // release for GC; this workload is done
-	spec := r.out.Specs[wi]
-	n := len(r.out.Specs)
+	spec := r.outs[0].Specs[wi]
+	n := len(r.states)
 	var elapsed time.Duration
 	if st.started {
 		elapsed = time.Since(st.start)
@@ -897,7 +1028,9 @@ func (r *runState) finishTask(ctx context.Context, wi int, err error) {
 			Workloads: n, Elapsed: elapsed})
 		return
 	}
-	r.out.Raw[wi].Err = err
+	for _, out := range r.outs {
+		out.Raw[wi].Err = err
+	}
 	r.observe(obs.Event{Kind: obs.WorkloadFailed, Workload: spec.Name, WorkloadIndex: wi,
 		Workloads: n, Elapsed: elapsed, Err: err})
 	if ctx.Err() == nil || !errors.Is(err, ctx.Err()) {

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -96,6 +99,128 @@ func TestSchedulerMatchesSerialReference(t *testing.T) {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
 		requireMatchesReference(t, m, ref)
+	}
+
+	// A grid mixing configurations and both wrong-path fronts must give
+	// every variant exactly the measurements of its own run.
+	vs := mixedGrid()
+	want := make([]*Measurements, len(vs))
+	for v, va := range vs {
+		opts := tinyOptions()
+		opts.Config, opts.Policies = va.Config, va.Policies
+		m, err := Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[v] = m
+	}
+	for _, par := range []int{1, runtime.GOMAXPROCS(0)} {
+		opts := tinyOptions()
+		opts.Parallelism = par
+		ms, err := RunGrid(context.Background(), opts, vs)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
+		}
+		for v := range vs {
+			requireSameMeasurements(t, fmt.Sprintf("parallelism %d, variant %d %q", par, v, vs[v].Name), ms[v], want[v])
+		}
+	}
+}
+
+// A grid spanning both wrong-path fronts streams each workload's
+// program once per front but generates it once: a task replays the
+// program it holds for every group, so the name given to a kept program
+// survives the task (generating into the worker's Generator again would
+// reset it), and the results still equal a plain grid run. A cell that
+// several variants list runs once.
+func TestGridGeneratesEachProgramOnce(t *testing.T) {
+	opts, err := tinyOptions().prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := append([]Variant{{}}, Ablations(frontend.DefaultConfig())[3].Variants...) // wrong-path handling
+	done := 0
+	r, err := newRunState(opts, vs, func(e obs.Event) {
+		if e.Kind == obs.PolicyDone {
+			done++
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "no-wrong-path" is the paper default's GHRP cell.
+	if g := r.grid; g.groups != 2 || len(g.cells) != 7 {
+		t.Fatalf("grid has %d cells in %d front groups, want 7 in 2", len(g.cells), g.groups)
+	}
+	var sw simWorker
+	sw.useCells(r.grid.cells)
+	ctx := context.Background()
+	for wi, spec := range r.outs[0].Specs {
+		prog, err := sw.gen.Generate(spec.Profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog.Name = "kept"
+		r.states[wi].prog = prog
+		if err := r.runTaskSafe(ctx, task{wi}, &sw); err != nil {
+			t.Fatal(err)
+		}
+		if prog.Name != "kept" {
+			t.Errorf("%s: program generated again for the second front", spec.Name)
+		}
+		r.finishTask(ctx, wi, nil)
+	}
+	if want := 7 * len(r.states); done != want {
+		t.Errorf("%d cells simulated, want %d", done, want)
+	}
+	want, err := RunGrid(ctx, tinyOptions(), vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range vs {
+		requireSameMeasurements(t, vs[v].Name, r.outs[v], want[v])
+	}
+}
+
+// mixedGrid lists variants that differ in every field a lane reads —
+// cache geometry, SDBP's sampler, GHRP's table count, prefetching,
+// wrong-path recovery — and in the front's wrong-path mode, with cells
+// that several variants share.
+func mixedGrid() []Variant {
+	base := frontend.DefaultConfig()
+	vs := []Variant{{}, {Policies: frontend.ExtendedPolicies()}}
+	vs = append(vs, SweepVariants(base, []frontend.ICacheConfig{
+		{SizeBytes: 8 * 1024, BlockBytes: 64, Ways: 4},
+		frontend.DefaultICache(),
+	})...)
+	vs = append(vs, SamplingVariants(base, []int{2, 0})...)
+	ablations := Ablations(base)
+	vs = append(vs, ablations[4].Variants[:2]...) // GHRP table count
+	vs = append(vs, ablations[3].Variants...)     // wrong-path handling
+	return append(vs, ablations[5].Variants...)   // prefetching
+}
+
+// requireSameMeasurements asserts that a grid variant's measurements are
+// bit-identical to a RunContext's under the same configuration.
+func requireSameMeasurements(t *testing.T, name string, got, want *Measurements) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Options.Config, want.Options.Config) || !slices.Equal(got.Policies, want.Policies) {
+		t.Fatalf("%s: grid ran %v under %+v, want %v under %+v", name, got.Policies, got.Options.Config, want.Policies, want.Options.Config)
+	}
+	for wi := range want.Raw {
+		for pi, k := range want.Policies {
+			if g, w := got.Raw[wi].Results[pi], want.Raw[wi].Results[pi]; g != w {
+				t.Errorf("%s: %s/%v diverged from its own run\n got %+v\nwant %+v", name, want.Specs[wi].Name, k, g, w)
+			}
+		}
+	}
+	for _, k := range want.Policies {
+		if !slices.Equal(got.ICacheMPKI[k], want.ICacheMPKI[k]) || !slices.Equal(got.BTBMPKI[k], want.BTBMPKI[k]) {
+			t.Errorf("%s: %v MPKI vectors diverged", name, k)
+		}
+	}
+	if !slices.Equal(got.BranchMPKI, want.BranchMPKI) {
+		t.Errorf("%s: branch MPKI diverged", name)
 	}
 }
 
@@ -252,10 +377,15 @@ func TestSweepReusesCachedCells(t *testing.T) {
 		frontend.DefaultICache(), // identical to the main run's geometry
 		{SizeBytes: 8 * 1024, BlockBytes: 64, Ways: 4},
 	}
-	rows1, err := RunSweep(context.Background(), base, configs)
-	if err != nil {
-		t.Fatal(err)
+	sweep := func() []SweepRow {
+		t.Helper()
+		ms, err := RunGrid(context.Background(), base, SweepVariants(frontend.Config{}, configs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return SweepRows(ms)
 	}
+	rows1 := sweep()
 	grew, err := cache.Len()
 	if err != nil {
 		t.Fatal(err)
@@ -263,10 +393,7 @@ func TestSweepReusesCachedCells(t *testing.T) {
 	if want := after + len(base.Workloads)*len(base.Policies); grew != want {
 		t.Errorf("sweep grew cache to %d entries, want %d (default-config cells reused)", grew, want)
 	}
-	rows2, err := RunSweep(context.Background(), base, configs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows2 := sweep()
 	if n, err := cache.Len(); err != nil || n != grew {
 		t.Errorf("repeat sweep grew cache to %d (%v), want %d", n, err, grew)
 	}
@@ -281,7 +408,7 @@ func TestSweepReusesCachedCells(t *testing.T) {
 }
 
 // Headroom shares the runner's cache entries: a main run followed by
-// ComputeHeadroom adds no new cache entries, and the report matches an
+// computeHeadroom adds no new cache entries, and the report matches an
 // uncached one bit for bit.
 func TestHeadroomSharesCache(t *testing.T) {
 	cache, err := resultcache.Open(t.TempDir())
@@ -296,14 +423,14 @@ func TestHeadroomSharesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := ComputeHeadroom(context.Background(), opts)
+	cached, err := computeHeadroom(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n1, err := cache.Len(); err != nil || n1 != n0 {
 		t.Errorf("headroom grew cache from %d to %d (%v); every policy cell should hit", n0, n1, err)
 	}
-	plain, err := ComputeHeadroom(context.Background(), Options{Workloads: workload.SuiteN(3), Scale: 0.05})
+	plain, err := computeHeadroom(context.Background(), Options{Workloads: workload.SuiteN(3), Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +455,7 @@ func TestRunReusesHeadroomCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Workloads: workload.SuiteN(3), Scale: 0.05, Cache: cache}
-	if _, err := ComputeHeadroom(context.Background(), opts); err != nil {
+	if _, err := computeHeadroom(context.Background(), opts); err != nil {
 		t.Fatal(err)
 	}
 	n0, err := cache.Len()

@@ -230,10 +230,11 @@ func TestHeatmapExperiment(t *testing.T) {
 
 func TestSamplingExperiment(t *testing.T) {
 	base := Options{Workloads: workload.SuiteN(4), Scale: 0.02}
-	rows, err := ComputeSampling(context.Background(), base, []int{2, 32, 0})
+	ms, err := RunGrid(context.Background(), base, SamplingVariants(frontend.Config{}, []int{2, 32, 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := SamplingRows(ms)
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -259,10 +260,11 @@ func TestSweepExperiment(t *testing.T) {
 		{SizeBytes: 8 * 1024, BlockBytes: 64, Ways: 4},
 		{SizeBytes: 16 * 1024, BlockBytes: 64, Ways: 8},
 	}
-	rows, err := RunSweep(context.Background(), base, configs)
+	ms, err := RunGrid(context.Background(), base, SweepVariants(frontend.Config{}, configs))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := SweepRows(ms)
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -281,33 +283,28 @@ func TestSweepExperiment(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	base := Options{Workloads: workload.SuiteN(3), Scale: 0.02}
-	type abl struct {
-		name string
-		fn   func(context.Context, Options) ([]AblationRow, error)
-		rows int
+	ablations := Ablations(frontend.Config{})
+	if len(ablations) != 6 {
+		t.Fatalf("%d ablations, want 6", len(ablations))
 	}
-	for _, a := range []abl{
-		{"vote", AblationVote, 2},
-		{"history", AblationHistoryDepth, 5},
-		{"bypass", AblationBypass, 2},
-		{"speculation", AblationSpeculation, 3},
-		{"tables", AblationTableCount, 4},
-	} {
-		rows, err := a.fn(context.Background(), base)
+	for i, want := range []int{2, 5, 2, 3, 4, 4} {
+		a := ablations[i]
+		ms, err := RunGrid(context.Background(), base, a.Variants)
 		if err != nil {
-			t.Fatalf("%s: %v", a.name, err)
+			t.Fatalf("%s: %v", a.Title, err)
 		}
-		if len(rows) != a.rows {
-			t.Fatalf("%s: %d rows, want %d", a.name, len(rows), a.rows)
+		rows := a.Rows(ms)
+		if len(rows) != want {
+			t.Fatalf("%s: %d rows, want %d", a.Title, len(rows), want)
 		}
 		for _, r := range rows {
 			if r.ICacheMPKI < 0 || r.BTBMPKI < 0 {
-				t.Errorf("%s/%s: negative MPKI", a.name, r.Variant)
+				t.Errorf("%s/%s: negative MPKI", a.Title, r.Variant)
 			}
 		}
-		out := RenderAblation(a.name, rows)
+		out := RenderAblation(a.Title, rows)
 		if !strings.Contains(out, rows[0].Variant) {
-			t.Errorf("%s render:\n%s", a.name, out)
+			t.Errorf("%s render:\n%s", a.Title, out)
 		}
 	}
 }
@@ -341,8 +338,17 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// computeHeadroom runs opts as a one-variant headroom grid.
+func computeHeadroom(ctx context.Context, opts Options) (HeadroomReport, error) {
+	ms, err := RunGrid(ctx, opts, []Variant{HeadroomVariant(Variant{})})
+	if err != nil {
+		return HeadroomReport{}, err
+	}
+	return Headroom(ms[0])
+}
+
 func TestHeadroomExperiment(t *testing.T) {
-	rep, err := ComputeHeadroom(context.Background(), Options{Workloads: workload.SuiteN(4), Scale: 0.05})
+	rep, err := computeHeadroom(context.Background(), Options{Workloads: workload.SuiteN(4), Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +380,7 @@ func TestHeadroomOPTUsesCountedWindow(t *testing.T) {
 	opts := Options{Workloads: workload.SuiteN(8), Scale: 0.05, Policies: []frontend.PolicyKind{frontend.PolicyLRU}}
 	opts.Config = frontend.DefaultConfig()
 	opts.Config.ICache = frontend.ICacheConfig{SizeBytes: 16 << 20, BlockBytes: 64, Ways: 16}
-	rep, err := ComputeHeadroom(context.Background(), opts)
+	rep, err := computeHeadroom(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +393,7 @@ func TestHeadroomOPTUsesCountedWindow(t *testing.T) {
 	}
 }
 
-// ComputeHeadroom aggregates the gap over gapped workloads: each row's
+// computeHeadroom aggregates the gap over gapped workloads: each row's
 // GapClosed is (ΣLRU − Σpolicy) / (ΣLRU − ΣOPT) over the workloads whose
 // OPT MPKI is below LRU's. An 8KB I-cache gaps most of the suite, and an
 // independent recomputation must reproduce the report: the policy MPKI
@@ -397,7 +403,7 @@ func TestHeadroomOPTUsesCountedWindow(t *testing.T) {
 func TestHeadroomAggregatesGappedWorkloads(t *testing.T) {
 	opts := Options{Workloads: workload.SuiteN(8), Scale: 0.05, Config: frontend.DefaultConfig()}
 	opts.Config.ICache = frontend.ICacheConfig{SizeBytes: 8 << 10, BlockBytes: 64, Ways: 4}
-	rep, err := ComputeHeadroom(context.Background(), opts)
+	rep, err := computeHeadroom(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +467,7 @@ func TestHeadroomAggregatesGappedWorkloads(t *testing.T) {
 // Headroom measures every gap from LRU, so a roster without it is
 // rejected instead of reported as a table of zeros.
 func TestHeadroomRequiresLRU(t *testing.T) {
-	_, err := ComputeHeadroom(context.Background(), Options{Workloads: workload.SuiteN(2), Scale: 0.05,
+	_, err := computeHeadroom(context.Background(), Options{Workloads: workload.SuiteN(2), Scale: 0.05,
 		Policies: []frontend.PolicyKind{frontend.PolicyGHRP}})
 	if err == nil || !strings.Contains(err.Error(), "LRU") {
 		t.Fatalf("roster without LRU: err %v, want one naming LRU", err)
@@ -473,12 +479,12 @@ func TestHeadroomRequiresLRU(t *testing.T) {
 func TestHeadroomDuplicatePolicy(t *testing.T) {
 	opts := Options{Workloads: workload.SuiteN(4), Scale: 0.05,
 		Policies: []frontend.PolicyKind{frontend.PolicyLRU, frontend.PolicySRRIP}}
-	once, err := ComputeHeadroom(context.Background(), opts)
+	once, err := computeHeadroom(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Policies = []frontend.PolicyKind{frontend.PolicyLRU, frontend.PolicySRRIP, frontend.PolicySRRIP}
-	twice, err := ComputeHeadroom(context.Background(), opts)
+	twice, err := computeHeadroom(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,10 +494,12 @@ func TestHeadroomDuplicatePolicy(t *testing.T) {
 }
 
 func TestAblationPrefetch(t *testing.T) {
-	rows, err := AblationPrefetch(context.Background(), Options{Workloads: workload.SuiteN(3), Scale: 0.05})
+	a := Ablations(frontend.Config{})[5] // next-line prefetching
+	ms, err := RunGrid(context.Background(), Options{Workloads: workload.SuiteN(3), Scale: 0.05}, a.Variants)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := a.Rows(ms)
 	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
 	}
