@@ -157,7 +157,7 @@ dist-smoke:
 # throughout. It fails unless the streamed merge is bit-identical to
 # the in-process reference AND peak coordinator heap stays under a
 # ceiling far below what buffering every shard result would cost — the
-# O(window) coordinator-memory guarantee, enforced in CI.
+# streaming merge's coordinator-memory guarantee, enforced in CI.
 dist-scale-smoke:
 	@mkdir -p bin
 	$(GO) build -o bin/ghrpd ./cmd/ghrpd

@@ -24,7 +24,8 @@
 // invocation replays nothing.
 //
 // Failure semantics: -timeout bounds the whole invocation (a run cut
-// short exits nonzero after printing what completed); -task-timeout and
+// short prints no figure and exits nonzero; with -keep-going it first
+// prints the run stats of the cells that completed); -task-timeout and
 // -stall-timeout bound one workload task's wall time and progress gaps
 // (all its policies and headroom's OPT pass); transient failures are
 // retried up to -retries times; -keep-going finishes the suite past
@@ -71,7 +72,7 @@ func main() {
 		parallel = flag.Int("parallel", 0, "worker goroutines (0 = GOMAXPROCS)")
 		progress = flag.Bool("progress", false, "stream live progress and a throughput summary to stderr")
 		cacheDir = flag.String("cache-dir", "", "on-disk result cache directory (empty = no caching)")
-		timeout  = flag.Duration("timeout", 0, "overall run deadline (0 = none); an expired run exits nonzero with partial results")
+		timeout  = flag.Duration("timeout", 0, "overall run deadline (0 = none); an expired run prints no figure and exits nonzero")
 		taskTO   = flag.Duration("task-timeout", 0, "per-workload task deadline: every policy's replay and headroom's OPT pass (0 = none)")
 		stallTO  = flag.Duration("stall-timeout", 0, "fail a task making no progress for this long (0 = none)")
 		retries  = flag.Int("retries", sim.DefaultMaxRetries, "retries per task for transient failures (0 = none)")
@@ -170,11 +171,12 @@ func main() {
 		var err error
 		ms, err = sim.RunGrid(ctx, opts, variants)
 		if err != nil && ms != nil {
-			// Keep-going run cut short by cancellation or -timeout: show
-			// what completed, then exit nonzero.
+			// Keep-going run cut short by cancellation or -timeout: print
+			// the run stats of the cells that completed, no figure, and
+			// exit nonzero.
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			fmt.Fprint(os.Stderr, ms[0].Stats.Render())
-			fmt.Fprintln(os.Stderr, "experiments: run incomplete; partial results above")
+			fmt.Fprintln(os.Stderr, "experiments: run incomplete; stats above, no figures printed")
 			exit(1)
 		}
 		fail(err)

@@ -11,7 +11,7 @@
 //	ghrpdist [-workers URL,URL,...] [-spawn N] [-worker-cmd ghrpd]
 //	         [-suite-n N | -workloads a,b,c | -gen N] [-policies LRU,...]
 //	         [-gen-seed n] [-gen-mix sm,lm,ss,ls] [-gen-footprint lo,hi]
-//	         [-gen-steps N] [-merge-window N]
+//	         [-gen-steps N]
 //	         [-scale f] [-seed n] [-keep-going] [-parallelism N]
 //	         [-shard-size N] [-hedge-after d] [-probe-every d]
 //	         [-quarantine-after N] [-shard-attempts N] [-no-local]
@@ -22,8 +22,7 @@
 // footprint-sweep x seed grid) instead of the fixed table; shard
 // requests carry only the grid parameters plus an index window, so
 // suites far larger than the 662-entry table cost O(1) bytes to
-// describe. -merge-window bounds how many out-of-order shard results
-// the coordinator may hold parked (0 = auto; must not be negative).
+// describe.
 //
 // -verify additionally runs the identical suite single-process and
 // fails (exit 1) unless the merged result matches byte for byte — the
@@ -75,7 +74,6 @@ func main() {
 		genMix     = flag.String("gen-mix", "", "generated-suite category weights short_mobile,long_mobile,short_server,long_server (empty = fixed-suite proportions)")
 		genFoot    = flag.String("gen-footprint", "", "generated-suite footprint multiplier bounds min,max (empty = defaults)")
 		genSteps   = flag.Int("gen-steps", 0, "generated-suite footprint sweep steps (0 = default)")
-		window     = flag.Int("merge-window", 0, "max out-of-order shard results parked at the coordinator (0 = auto)")
 		policies   = flag.String("policies", "", "comma-separated policies (empty = the paper's five)")
 		scale      = flag.Float64("scale", 1.0, "instruction-budget scale factor")
 		seed       = flag.Uint64("seed", 1, "workload execution seed")
@@ -136,7 +134,6 @@ func main() {
 		Parallelism:     *par,
 		Workers:         roster,
 		ShardSize:       *shardSize,
-		MergeWindow:     *window,
 		HedgeAfter:      *hedge,
 		ProbeEvery:      *probe,
 		QuarantineAfter: *quarantine,
@@ -396,7 +393,7 @@ func runScaleSmoke(logger *log.Logger, workerCmd string) error {
 	const (
 		suiteSize   = 5000
 		shardSize   = 100
-		heapCeiling = 256 << 20 // bytes; generous vs the O(window) target, tiny vs O(suite) buffering
+		heapCeiling = 256 << 20 // bytes; generous vs O(in-flight shards) documents, tiny vs O(suite) buffering
 	)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
@@ -464,8 +461,8 @@ func runScaleSmoke(logger *log.Logger, workerCmd string) error {
 		return err
 	}
 	peakMB := float64(peak.Load()) / (1 << 20)
-	logger.Printf("scale-smoke: merged %d workloads, peak coordinator heap %.1f MB, parked peak %d, affinity %d/%d, worker cache hits %d",
-		len(m.Workloads), peakMB, m.Stats.MergeParkedPeak, m.Stats.AffinityHits, m.Stats.AffinityHits+m.Stats.AffinityMisses, m.Stats.WorkerCacheHits)
+	logger.Printf("scale-smoke: merged %d workloads, peak coordinator heap %.1f MB, affinity %d/%d, worker cache hits %d",
+		len(m.Workloads), peakMB, m.Stats.AffinityHits, m.Stats.AffinityHits+m.Stats.AffinityMisses, m.Stats.WorkerCacheHits)
 	if len(m.Workloads) != suiteSize {
 		return fmt.Errorf("merged %d workloads, want %d", len(m.Workloads), suiteSize)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,12 +88,6 @@ type Options struct {
 	// DisableLocal forbids the in-process fallback: a shard exhausting
 	// its attempts fails the run instead. Requires a non-empty roster.
 	DisableLocal bool
-	// MergeWindow bounds how far past the streaming merger's emission
-	// frontier a shard may be dispatched, which bounds the coordinator's
-	// parked-document memory to O(window × shard size) whatever the
-	// suite size. 0 picks max(8, 4 × len(Workers)); negative is
-	// rejected.
-	MergeWindow int
 
 	// Retry is the per-worker HTTP retry policy; zero fields pick the
 	// package defaults, Seed defaults to ExecSeed.
@@ -126,7 +122,6 @@ type shard struct {
 	state    int
 	attempts int        // dispatches so far (hedges included)
 	live     []*attempt // attempts currently running
-	err      error
 }
 
 // attempt is one dispatch of a shard to a worker.
@@ -159,7 +154,6 @@ type Coordinator struct {
 	names   []string
 	workers []*Worker
 	ring    *ring   // nil with an empty roster
-	window  int     // dispatch gate width past the merge frontier
 	merger  *merger // streaming shard-document fold
 
 	hedgeAfter      time.Duration // 0 = disabled
@@ -224,9 +218,6 @@ func New(opts Options) (*Coordinator, error) {
 	}
 	if opts.DisableLocal && len(opts.Workers) == 0 {
 		return nil, errors.New("dist: DisableLocal with an empty roster leaves no way to run anything")
-	}
-	if opts.MergeWindow < 0 {
-		return nil, fmt.Errorf("dist: merge window %d is negative", opts.MergeWindow)
 	}
 
 	c.hedgeAfter = opts.HedgeAfter
@@ -298,14 +289,6 @@ func New(opts Options) (*Coordinator, error) {
 		c.pending = append(c.pending, s)
 	}
 
-	c.window = opts.MergeWindow
-	if c.window == 0 {
-		c.window = 4 * len(c.workers)
-		if c.window < 8 {
-			c.window = 8
-		}
-	}
-
 	if len(c.workers) > 0 {
 		wnames := make([]string, len(c.workers))
 		for i, w := range c.workers {
@@ -314,7 +297,7 @@ func New(opts Options) (*Coordinator, error) {
 		c.ring = newRing(wnames)
 	}
 
-	c.merger = newMerger(c.names, job.Request.Policies)
+	c.merger = newMerger(c.names, job.Request.Policies, len(c.shards))
 	c.remaining = len(c.shards)
 	c.doneC = make(chan struct{})
 	c.kickC = make(chan struct{})
@@ -443,7 +426,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Merged, error) {
 // By the time it runs, every shard document has already been folded
 // (and released) at completion; no per-shard state is re-read here.
 func (c *Coordinator) finish(start time.Time) (*Merged, error) {
-	m, cacheHits, parkedPeak, err := c.merger.result(len(c.shards))
+	m, cacheHits, err := c.merger.result()
 	if err != nil {
 		return nil, err
 	}
@@ -452,7 +435,6 @@ func (c *Coordinator) finish(start time.Time) (*Merged, error) {
 	c.stats.Workers = len(c.workers)
 	c.stats.Shards = len(c.shards)
 	c.stats.WorkerCacheHits = cacheHits
-	c.stats.MergeParkedPeak = parkedPeak
 	c.stats.WallMS = float64(wall) / float64(time.Millisecond)
 	m.Stats = c.stats
 	c.statMu.Unlock()
@@ -490,7 +472,7 @@ func (c *Coordinator) workerLoop(rctx context.Context, w *Worker) {
 	}
 }
 
-// next blocks until w can take an attempt: an in-window pending shard
+// next blocks until w can take an attempt: a pending shard
 // (preferring the ones the affinity ring assigns to w), or — with
 // nothing claimable — a straggling shard worth hedging. It returns nil
 // when the run is over or rctx ends.
@@ -536,39 +518,39 @@ func (c *Coordinator) next(rctx context.Context, w *Worker) *attempt {
 }
 
 // claimPendingLocked removes and returns the pending shard w should
-// run: the lowest-indexed in-window shard the affinity ring assigns to
-// w, else — so affinity never idles a worker — the lowest-indexed
-// in-window shard outright (a steal). Shards beyond the merge window
-// are invisible until the frontier advances; nil means nothing is
-// claimable. affine reports whether the claim honored ring placement.
+// run: the lowest-indexed shard the affinity ring assigns to w, else —
+// so affinity never idles a worker — the lowest-indexed shard outright
+// (a steal). pending is in shard-index order, so the walk stops at the
+// first ring-owned shard, about len(workers) owner lookups in. nil
+// means nothing is pending. affine reports whether the claim honored
+// ring placement.
 func (c *Coordinator) claimPendingLocked(w *Worker) (s *shard, affine bool) {
 	if len(c.pending) == 0 {
 		return nil, false
 	}
-	limit := c.merger.Frontier() + c.window
-	mine, any := -1, -1
 	for i, p := range c.pending {
-		if p.idx >= limit {
-			continue
-		}
-		if any < 0 || p.idx < c.pending[any].idx {
-			any = i
-		}
-		if c.ring != nil && (mine < 0 || p.idx < c.pending[mine].idx) &&
-			c.ring.owner(p.affinity, c.usableWorker) == w.index {
-			mine = i
+		if c.ring.owner(p.affinity, c.usableWorker) == w.index {
+			return c.takePendingLocked(i), true
 		}
 	}
-	pick := mine
-	if pick < 0 {
-		pick = any
-	}
-	if pick < 0 {
-		return nil, false
-	}
-	s = c.pending[pick]
-	c.pending = append(c.pending[:pick], c.pending[pick+1:]...)
-	return s, pick == mine
+	return c.takePendingLocked(0), false
+}
+
+// takePendingLocked removes pending[i], keeping the rest in order. The
+// claimed shard sits near the front, so the entries before it shift up
+// one slot rather than the tail down.
+func (c *Coordinator) takePendingLocked(i int) *shard {
+	s := c.pending[i]
+	copy(c.pending[1:i+1], c.pending[:i])
+	c.pending = c.pending[1:]
+	return s
+}
+
+// requeueLocked puts a released shard back into pending at its index
+// position.
+func (c *Coordinator) requeueLocked(s *shard) {
+	i := sort.Search(len(c.pending), func(i int) bool { return c.pending[i].idx > s.idx })
+	c.pending = slices.Insert(c.pending, i, s)
 }
 
 // usableWorker adapts the roster to the affinity ring's health lookup.
@@ -716,10 +698,9 @@ func (c *Coordinator) completeShard(s *shard, att *attempt, doc *serve.ResultDoc
 	c.mu.Unlock()
 
 	// Fold the document before announcing completion: once remaining
-	// hits zero, finish() reads the merger, and the fold also advances
-	// the frontier the dispatch gate watches — kick after, not before.
-	// The shardDone flip above makes this the document's only fold; the
-	// document is released here, not retained until the run ends.
+	// hits zero, finish() reads the merger. The shardDone flip above
+	// makes this the document's only fold; the document is released
+	// here, not retained until the run ends.
 	if err := c.merger.complete(s, doc); err != nil {
 		c.mu.Lock()
 		c.failure = errors.Join(c.failure, err)
@@ -794,7 +775,7 @@ func (c *Coordinator) release(att *attempt, cause error, emitFail bool) {
 		// worth waiting on (the prober may reinstate someone), so only
 		// an exhausted attempt budget fails the run.
 		case s.attempts < c.shardAttempts && (c.anyUsableLocked() || c.opts.DisableLocal):
-			c.pending = append(c.pending, s)
+			c.requeueLocked(s)
 		case c.opts.DisableLocal:
 			disposed = "failed"
 		default:
@@ -822,10 +803,9 @@ func (c *Coordinator) anyUsableLocked() bool {
 	return false
 }
 
-// failShard resolves a shard as permanently failed. The merger
-// tombstones it so the emission frontier passes it: the run is failing
-// either way, but a gated frontier stuck on a dead shard would park
-// every lane and the remaining shards could never drain.
+// failShard resolves a shard as permanently failed: the run fails, but
+// the remaining shards still drain so Run returns with every lane
+// joined.
 func (c *Coordinator) failShard(s *shard, err error) {
 	c.mu.Lock()
 	if s.state == shardDone {
@@ -833,7 +813,6 @@ func (c *Coordinator) failShard(s *shard, err error) {
 		return
 	}
 	s.state = shardDone
-	s.err = err
 	c.failure = errors.Join(c.failure, err)
 	c.mu.Unlock()
 
@@ -882,33 +861,17 @@ func (c *Coordinator) nextLocal(rctx context.Context) *shard {
 			c.mu.Unlock()
 			return nil
 		}
+		var s *shard
 		if len(c.localQ) > 0 {
-			// Fallback shards already passed the dispatch gate when they
-			// were first dispatched, so the local lane never re-gates them
-			// (gating here could strand a shard no lane may claim).
-			s := c.localQ[0]
+			s = c.localQ[0]
 			c.localQ = c.localQ[1:]
+		} else if !c.anyUsableLocked() && len(c.pending) > 0 {
+			s = c.takePendingLocked(0)
+		}
+		if s != nil {
 			s.state = shardInflight
 			c.mu.Unlock()
 			return s
-		}
-		if !c.anyUsableLocked() && len(c.pending) > 0 {
-			// The merge window gates this lane too; the frontier shard is
-			// always in window, so a drained roster still makes progress.
-			limit := c.merger.Frontier() + c.window
-			pick := -1
-			for i, p := range c.pending {
-				if p.idx < limit && (pick < 0 || p.idx < c.pending[pick].idx) {
-					pick = i
-				}
-			}
-			if pick >= 0 {
-				s := c.pending[pick]
-				c.pending = append(c.pending[:pick], c.pending[pick+1:]...)
-				s.state = shardInflight
-				c.mu.Unlock()
-				return s
-			}
 		}
 		ch := c.kickC
 		c.mu.Unlock()
@@ -1020,10 +983,10 @@ func (c *Coordinator) Reference(ctx context.Context) (*Merged, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := newMerger(c.names, c.job.Request.Policies)
+	m := newMerger(c.names, c.job.Request.Policies, 1)
 	if err := m.complete(full, doc); err != nil {
 		return nil, err
 	}
-	out, _, _, err := m.result(1)
+	out, _, err := m.result()
 	return out, err
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -369,6 +370,109 @@ func TestCoordinatorHedgeWinsOverStalledDispatch(t *testing.T) {
 	requireNoCoordinatorGoroutines(t)
 }
 
+// A stalled shard holds back no other shard: every other shard is
+// dispatched before the stalled one is hedged. next prefers pending
+// claims over hedges, so the order is deterministic. With twelve shards
+// the run has more than the eight a dispatch gate anchored at the
+// lowest unfinished shard used to let through by default.
+func TestCoordinatorStalledShardDoesNotGateDispatch(t *testing.T) {
+	w0, w1 := newWorkerServer(t), newWorkerServer(t)
+	faults := faultinject.New(
+		faultinject.Rule{Op: faultinject.OpDistSlow, Nth: 1, Action: faultinject.Stall},
+	)
+	rec := &recorder{}
+	opts := testOpts(WorkerSpec{URL: w0.URL}, WorkerSpec{URL: w1.URL})
+	opts.SuiteN = 12
+	opts.Faults = faults
+	opts.Observer = rec.observe
+	opts.HedgeAfter = 300 * time.Millisecond
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runAndVerify(t, c)
+
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	stalled, dispatched := -1, map[int]bool{}
+	for _, e := range rec.events {
+		if e.Kind == obs.ShardHedge {
+			stalled = e.Shard
+			break
+		}
+		if e.Kind == obs.ShardDispatch {
+			dispatched[e.Shard] = true
+		}
+	}
+	if stalled < 0 {
+		t.Fatal("the stalled shard was never hedged")
+	}
+	for i := 0; i < c.Shards(); i++ {
+		if i != stalled && !dispatched[i] {
+			t.Errorf("shard %d was first dispatched after stalled shard %d was hedged", i, stalled)
+		}
+	}
+}
+
+// Claims walk pending in shard-index order: a worker takes the lowest
+// pending shard the ring assigns to it, steals the lowest pending shard
+// once it owns none, and a released shard goes back to its index
+// position.
+func TestCoordinatorClaimOrder(t *testing.T) {
+	c, err := New(Options{
+		SuiteN:    16,
+		Policies:  []string{"LRU"},
+		ShardSize: 1,
+		Workers:   []WorkerSpec{{URL: deadWorkerURL(t)}, {URL: deadWorkerURL(t)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.runCtx = context.Background()
+	w := c.workers[0]
+	var mine, others []int
+	for _, s := range c.shards {
+		if c.ring.owner(s.affinity, allUsable) == w.index {
+			mine = append(mine, s.idx)
+		} else {
+			others = append(others, s.idx)
+		}
+	}
+	if len(mine) == 0 || len(others) == 0 {
+		t.Fatalf("degenerate placement: worker owns %d of %d shards", len(mine), len(c.shards))
+	}
+
+	c.mu.Lock()
+	var claimed []*shard
+	for _, want := range mine {
+		s, affine := c.claimPendingLocked(w)
+		if s.idx != want || !affine {
+			t.Fatalf("claim = shard %d (affine %v), want ring-owned shard %d", s.idx, affine, want)
+		}
+		claimed = append(claimed, s)
+	}
+	if s, affine := c.claimPendingLocked(w); s.idx != others[0] || affine {
+		t.Fatalf("claim = shard %d (affine %v), want a steal of the lowest pending shard %d", s.idx, affine, others[0])
+	}
+	back := claimed[len(claimed)/2]
+	att := c.newAttemptLocked(back, w, false)
+	c.mu.Unlock()
+	c.release(att, errors.New("injected"), false)
+	att.cancel(nil)
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var got []int
+	for _, p := range c.pending {
+		got = append(got, p.idx)
+	}
+	want := append([]int{back.idx}, others[1:]...)
+	sort.Ints(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("pending after releasing shard %d = %v, want %v", back.idx, got, want)
+	}
+}
+
 // TestCoordinatorCancelMidRun cancels the run's context while a
 // dispatch is stalled on an unresponsive worker: Run must give up
 // promptly with the context's error and leave no coordinator goroutine
@@ -522,9 +626,6 @@ func TestCoordinatorRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := New(Options{SuiteN: 2, DisableLocal: true}); err == nil {
 		t.Error("DisableLocal with an empty roster accepted, want error")
-	}
-	if _, err := New(Options{SuiteN: 2, MergeWindow: -1}); err == nil {
-		t.Error("negative merge window accepted, want error")
 	}
 	if _, err := New(Options{SuiteN: 2, Policies: []string{"NOPE"}}); err == nil {
 		t.Error("unknown policy accepted, want error")

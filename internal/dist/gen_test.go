@@ -40,26 +40,6 @@ func TestCoordinatorGenerativeSuiteBitIdentity(t *testing.T) {
 	}
 }
 
-// With a tight merge window the dispatch gate keeps the parked set
-// bounded — the coordinator memory guarantee — and the run still
-// completes bit-identically.
-func TestCoordinatorMergeWindowBoundsParkedSet(t *testing.T) {
-	w0, w1 := newWorkerServer(t), newWorkerServer(t)
-	for _, window := range []int{1, 2} {
-		opts := testOpts(WorkerSpec{URL: w0.URL}, WorkerSpec{URL: w1.URL})
-		opts.SuiteN = 6
-		opts.MergeWindow = window
-		c, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := runAndVerify(t, c)
-		if m.Stats.MergeParkedPeak > window {
-			t.Errorf("window %d: MergeParkedPeak = %d, want <= window", window, m.Stats.MergeParkedPeak)
-		}
-	}
-}
-
 // Affinity accounting: on a clean run every primary dispatch is
 // classified as a hit or a miss, and at least one worker starts on a
 // shard the ring assigned to it.

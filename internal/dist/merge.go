@@ -39,9 +39,9 @@ type Stats struct {
 	// documents: the cells answered from a worker's disk cache instead
 	// of being simulated — the quantity affinity placement maximizes.
 	WorkerCacheHits int `json:"worker_cache_hits,omitempty"`
-	// MergeParkedPeak is the most shard documents the streaming merger
-	// ever held parked at once, waiting for the frontier; bounded by
-	// Options.MergeWindow.
+	// MergeParkedPeak is always 0: the merger folds each document where
+	// it lands and parks none. Kept only because the benchmark ledger
+	// still reports it as dist.merge_parked_peak.
 	MergeParkedPeak int `json:"merge_parked_peak"`
 	// WallMS is the coordinator's wall time for the whole run.
 	WallMS float64 `json:"wall_ms"`
@@ -92,17 +92,14 @@ func (m *Merged) IdentityJSON() ([]byte, error) {
 // merger folds shard documents into the suite-global result as they
 // complete, instead of buffering every document until the run ends.
 // Shards complete in arbitrary order (hedging, retries, the local
-// lane), so the merger keeps an emission frontier — shards [0,
-// frontier) are folded — and parks out-of-order arrivals until the
-// frontier reaches them. Dispatch is gated so no shard more than
-// MergeWindow past the frontier is ever in flight, which bounds the
-// parked set: coordinator memory is O(window × shard size), not
-// O(suite), however large the generated suite grows.
+// lane), and each document folds where it lands: shards are disjoint
+// ranges and slot j of shard s is global index s.lo+j, so the fold
+// order cannot change a single value, and a document is released as
+// soon as it is folded. Coordinator memory is the output vectors plus
+// the documents of the attempts in flight, not O(suite) documents.
 //
-// The in-order fold visits documents in ascending shard order and
-// shards are contiguous ascending ranges, so the fold equals a buffered
-// fold of every document at once: the property tests replay ragged
-// completion orders against such an oracle. Coordinator.Reference
+// The property tests replay ragged completion orders against a
+// buffered fold of every document at once. Coordinator.Reference
 // folds its single full-suite document through the same merger, so
 // every merged result comes from this one implementation.
 type merger struct {
@@ -111,31 +108,23 @@ type merger struct {
 
 	mu  sync.Mutex
 	out *Merged
-	// frontier is the next shard index to fold; everything below it is
-	// folded (or tombstoned by a permanent failure).
-	frontier int
-	parked   map[int]parkedDoc
-	tomb     map[int]bool
+	// resolved marks shards folded or failed; a second completion of a
+	// resolved shard (a hedge loser, a late reply) is ignored.
+	resolved   []bool
+	unresolved int
 	// failedAt aligns out.Failed with global workload indices for the
 	// final ordering pass.
-	failedAt   []int
-	parkedPeak int
-	cacheHits  int
-	err        error
+	failedAt  []int
+	cacheHits int
+	err       error
 }
 
-// parkedDoc is one completed shard waiting for the frontier.
-type parkedDoc struct {
-	s   *shard
-	doc *serve.ResultDoc
-}
-
-func newMerger(names, policies []string) *merger {
+func newMerger(names, policies []string, shards int) *merger {
 	m := &merger{
-		names:    names,
-		policies: policies,
-		parked:   map[int]parkedDoc{},
-		tomb:     map[int]bool{},
+		names:      names,
+		policies:   policies,
+		resolved:   make([]bool, shards),
+		unresolved: shards,
 		out: &Merged{
 			Workloads:  names,
 			Policies:   policies,
@@ -151,69 +140,39 @@ func newMerger(names, policies []string) *merger {
 	return m
 }
 
-// Frontier returns the dispatch gate's lower bound: shards with idx <
-// Frontier()+window may run.
-func (m *merger) Frontier() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.frontier
-}
-
-// complete hands the merger one shard's result document. In-frontier
-// documents fold immediately (draining any parked successors);
-// out-of-order ones park. Idempotent per shard index. A malformed
-// document surfaces as an error (and poisons the merger) but still
-// advances the frontier so dispatch gating never deadlocks on it.
+// complete folds one shard's result document into its positional
+// slots. Idempotent per shard index. A malformed document is returned
+// as an error, and poisons the merger so result fails too.
 func (m *merger) complete(s *shard, doc *serve.ResultDoc) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if s.idx < m.frontier || m.tomb[s.idx] {
+	if !m.resolveLocked(s.idx) {
 		return nil
 	}
-	if _, dup := m.parked[s.idx]; dup {
-		return nil
+	err := m.foldLocked(s, doc)
+	if err != nil && m.err == nil {
+		m.err = err
 	}
-	m.parked[s.idx] = parkedDoc{s: s, doc: doc}
-	if len(m.parked) > m.parkedPeak {
-		m.parkedPeak = len(m.parked)
-	}
-	m.drainLocked()
-	return m.err
+	return err
 }
 
-// fail tombstones a permanently-failed shard so the frontier passes
-// it; without this a failed frontier shard would gate out every shard
-// beyond the window and the run could never drain.
+// fail resolves a permanently-failed shard without a document; the
+// coordinator reports the failure itself.
 func (m *merger) fail(idx int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if idx < m.frontier {
-		return
-	}
-	m.tomb[idx] = true
-	delete(m.parked, idx)
-	m.drainLocked()
+	m.resolveLocked(idx)
 }
 
-// drainLocked advances the frontier over every consecutively-available
-// shard, folding parked documents and skipping tombstones.
-func (m *merger) drainLocked() {
-	for {
-		if m.tomb[m.frontier] {
-			delete(m.tomb, m.frontier)
-			m.frontier++
-			continue
-		}
-		p, ok := m.parked[m.frontier]
-		if !ok {
-			return
-		}
-		delete(m.parked, m.frontier)
-		if err := m.foldLocked(p.s, p.doc); err != nil && m.err == nil {
-			m.err = err
-		}
-		m.frontier++
+// resolveLocked marks shard idx resolved and reports whether it was
+// still open.
+func (m *merger) resolveLocked(idx int) bool {
+	if m.resolved[idx] {
+		return false
 	}
+	m.resolved[idx] = true
+	m.unresolved--
+	return true
 }
 
 // foldLocked accumulates one document into the suite-global vectors.
@@ -272,21 +231,18 @@ func (m *merger) foldLocked(s *shard, doc *serve.ResultDoc) error {
 	return nil
 }
 
-// result finalizes the stream: every shard folded, Failed normalized
-// to global workload order. The returned cacheHits and parkedPeak feed
-// Stats.
-func (m *merger) result(shards int) (out *Merged, cacheHits, parkedPeak int, err error) {
+// result finalizes the stream: every shard resolved, Failed sorted
+// to global workload order (documents fold in completion order). The
+// returned cacheHits feeds Stats.
+func (m *merger) result() (out *Merged, cacheHits int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil {
-		return nil, 0, 0, m.err
+		return nil, 0, m.err
 	}
-	if m.frontier != shards {
-		return nil, 0, 0, fmt.Errorf("dist: merge: stream stopped at shard %d of %d", m.frontier, shards)
+	if m.unresolved != 0 {
+		return nil, 0, fmt.Errorf("dist: merge: %d of %d shards unresolved", m.unresolved, len(m.resolved))
 	}
-	// Documents fold in ascending shard order and shards are ascending
-	// contiguous ranges, so failedAt is already sorted; the stable sort
-	// is a defensive identity pass.
 	ord := make([]int, len(m.out.Failed))
 	for i := range ord {
 		ord[i] = i
@@ -300,5 +256,5 @@ func (m *merger) result(shards int) (out *Merged, cacheHits, parkedPeak int, err
 		sorted = nil
 	}
 	m.out.Failed = sorted
-	return m.out, m.cacheHits, m.parkedPeak, nil
+	return m.out, m.cacheHits, nil
 }

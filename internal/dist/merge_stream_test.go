@@ -101,14 +101,14 @@ func TestStreamingMergeMatchesBufferedOracle(t *testing.T) {
 		wantBytes := identity(t, want)
 
 		for trial := 0; trial < 10; trial++ {
-			m := newMerger(c.names, c.job.Request.Policies)
+			m := newMerger(c.names, c.job.Request.Policies, len(c.shards))
 			order := rng.Perm(len(c.shards))
 			for _, i := range order {
 				if err := m.complete(c.shards[i], docs[i]); err != nil {
 					t.Fatalf("n=%d size=%d trial %d: complete(%d): %v", tc.n, tc.shardSize, trial, i, err)
 				}
 			}
-			got, cacheHits, parkedPeak, err := m.result(len(c.shards))
+			got, cacheHits, err := m.result()
 			if err != nil {
 				t.Fatalf("result: %v", err)
 			}
@@ -117,9 +117,6 @@ func TestStreamingMergeMatchesBufferedOracle(t *testing.T) {
 			}
 			if cacheHits != len(c.shards) {
 				t.Errorf("cacheHits = %d, want %d (one per document)", cacheHits, len(c.shards))
-			}
-			if parkedPeak > len(c.shards) {
-				t.Errorf("parkedPeak = %d exceeds shard count %d", parkedPeak, len(c.shards))
 			}
 		}
 	}
@@ -139,9 +136,9 @@ func TestStreamingMergeDuplicateCompletions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := newMerger(c.names, c.job.Request.Policies)
-	// Reverse order (everything parks), duplicating every complete —
-	// once while parked, once after folding.
+	m := newMerger(c.names, c.job.Request.Policies, len(c.shards))
+	// Reverse order, duplicating every complete at once, then every
+	// shard once more after all have folded.
 	for i := len(c.shards) - 1; i >= 0; i-- {
 		if err := m.complete(c.shards[i], docs[i]); err != nil {
 			t.Fatal(err)
@@ -155,7 +152,7 @@ func TestStreamingMergeDuplicateCompletions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, _, _, err := m.result(len(c.shards))
+	got, _, err := m.result()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,32 +161,41 @@ func TestStreamingMergeDuplicateCompletions(t *testing.T) {
 	}
 }
 
-// A permanently-failed shard tombstones: the frontier passes it so the
-// dispatch gate never wedges on a dead frontier shard, and later
-// completions keep folding.
-func TestStreamingMergeTombstoneAdvancesFrontier(t *testing.T) {
+// A permanently-failed shard counts as resolved: a late completion for
+// it is ignored, result waits only for the other shards, and then
+// succeeds.
+func TestStreamingMergeFailedShardResolves(t *testing.T) {
 	c := synthCoordinator(t, 12, 2) // 6 shards
-	m := newMerger(c.names, c.job.Request.Policies)
+	m := newMerger(c.names, c.job.Request.Policies, len(c.shards))
 
-	// Shards 1 and 2 park behind the (eventually failing) shard 0.
 	for _, i := range []int{1, 2} {
 		if err := m.complete(c.shards[i], synthDoc(c, c.shards[i], 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := m.Frontier(); got != 0 {
-		t.Fatalf("frontier = %d before the blocking shard resolved, want 0", got)
-	}
 	m.fail(0)
-	if got := m.Frontier(); got != 3 {
-		t.Fatalf("frontier = %d after tombstoning shard 0, want 3 (parked shards drained)", got)
-	}
-	// A late completion for the tombstoned shard is ignored.
-	if err := m.complete(c.shards[0], synthDoc(c, c.shards[0], 0)); err != nil {
+	late := synthDoc(c, c.shards[0], 0)
+	late.BranchMPKI[0] = 99
+	if err := m.complete(c.shards[0], late); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Frontier(); got != 3 {
-		t.Fatalf("frontier moved to %d after a late tombstoned completion", got)
+	if _, _, err := m.result(); err == nil {
+		t.Fatal("result succeeded with shards 3-5 unresolved")
+	}
+	for _, i := range []int{5, 3, 4} {
+		if err := m.complete(c.shards[i], synthDoc(c, c.shards[i], 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, cacheHits, err := m.result()
+	if err != nil {
+		t.Fatalf("result with every shard resolved: %v", err)
+	}
+	if got.BranchMPKI[0] != 0 {
+		t.Errorf("BranchMPKI[0] = %v: the late completion of the failed shard was folded", got.BranchMPKI[0])
+	}
+	if cacheHits != 5 {
+		t.Errorf("cacheHits = %d, want 5 (one per folded document)", cacheHits)
 	}
 }
 
@@ -206,7 +212,7 @@ func TestStreamingMergeRejectsMalformedDocs(t *testing.T) {
 		"unknown failure": func(d *serve.ResultDoc) { d.Failed = []serve.RunErrorDoc{{Workload: "bogus", Error: "x"}} },
 	}
 	for name, mutate := range cases {
-		m := newMerger(c.names, c.job.Request.Policies)
+		m := newMerger(c.names, c.job.Request.Policies, len(c.shards))
 		s := c.shards[0]
 		var doc *serve.ResultDoc
 		if mutate != nil {

@@ -27,18 +27,6 @@ func (e *RetryableError) Error() string { return "transient: " + e.Err.Error() }
 // Unwrap exposes the wrapped error to errors.Is/As.
 func (e *RetryableError) Unwrap() error { return e.Err }
 
-// permanentError suppresses retry classification for an error that
-// would otherwise look transient — e.g. a sibling task's transient
-// failure short-circuiting the rest of its workload: retrying the
-// sibling's error from another task would re-run work whose result is
-// already doomed.
-type permanentError struct {
-	err error
-}
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
 // PanicError is a recovered task panic, carrying the panic value and
 // the goroutine stack captured at recovery. Panics are never retried:
 // a panicking replay left no evidence it would behave on a second
@@ -56,13 +44,9 @@ func (e *PanicError) Error() string {
 // IsRetryable classifies an error for the scheduler's retry loop:
 // explicit RetryableError wrappers and anything exposing a
 // Transient() bool method (the fault injector's errors, without this
-// package importing it) are retryable; permanentError wrappers,
-// panics, deadlines and everything else are not.
+// package importing it) are retryable; panics, deadlines and
+// everything else are not.
 func IsRetryable(err error) bool {
-	var perm *permanentError
-	if errors.As(err, &perm) {
-		return false
-	}
 	var re *RetryableError
 	if errors.As(err, &re) {
 		return true
