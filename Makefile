@@ -110,10 +110,11 @@ fault-smoke:
 # generated-suite grids — the branch predictor against its reference
 # model over fuzzed geometries, GHRP (I-cache policy and BTB adapter) and
 # SDBP against reference copies of their earlier, slower code over
-# fuzzed configurations, and the one-pass warm-up window against
-# counting the stream first. The checked-in corpora under
-# each package's testdata/fuzz also replay as ordinary test cases in
-# `make test`.
+# fuzzed configurations, the BTB against a copy of its former PC-tagged
+# code over fuzzed policies and geometries, and the one-pass warm-up
+# window against counting the stream first. The checked-in corpora
+# under each package's testdata/fuzz also replay as ordinary test cases
+# in `make test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/trace/
@@ -121,6 +122,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSuiteGenValidate$$' -fuzztime $(FUZZTIME) ./internal/workload/
 	$(GO) test -run '^$$' -fuzz '^FuzzPerceptronMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/perceptron/
 	$(GO) test -run '^$$' -fuzz '^FuzzGHRPMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/btb/
+	$(GO) test -run '^$$' -fuzz '^FuzzBTBMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/btb/
 	$(GO) test -run '^$$' -fuzz '^FuzzSDBPMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/policies/
 	$(GO) test -run '^$$' -fuzz '^FuzzOnePassMatchesTwoPass$$' -fuzztime $(FUZZTIME) ./internal/frontend/
 

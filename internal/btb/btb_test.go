@@ -74,9 +74,15 @@ func TestTargetMismatchCounted(t *testing.T) {
 func TestModuloIndexingSeparatesBlockBranches(t *testing.T) {
 	// Two branches 4 bytes apart (same 64B I-cache block) must land in
 	// different BTB sets (§III-E reason 3).
-	b := newBTB(t, 8, 2, policies.NewLRU())
-	if b.setIndex(0x1000) == b.setIndex(0x1004) {
+	// With one way per set, a shared set would evict the first branch.
+	b := newBTB(t, 8, 1, policies.NewLRU())
+	b.Access(0x1000, 0x2000)
+	b.Access(0x1004, 0x3000)
+	if _, hit := b.Lookup(0x1000); !hit {
 		t.Error("adjacent branches map to the same set")
+	}
+	if st := b.Stats(); st.Evictions != 0 {
+		t.Errorf("evictions = %d, want 0", st.Evictions)
 	}
 }
 

@@ -19,8 +19,7 @@ type GHRPPolicy struct {
 	blockShift uint
 	ways       int
 	pred       []bool
-	last       []uint64
-	now        uint64
+	rec        cache.Recency
 	// stats
 	deadEvictions uint64
 	lruEvictions  uint64
@@ -54,24 +53,7 @@ func (p *GHRPPolicy) Name() string { return "GHRP" }
 func (p *GHRPPolicy) Attach(sets, ways int) {
 	p.ways = ways
 	p.pred = make([]bool, sets*ways)
-	p.last = make([]uint64, sets*ways)
-	p.now = 0
-}
-
-func (p *GHRPPolicy) touch(set, way int) {
-	p.now++
-	p.last[set*p.ways+way] = p.now
-}
-
-func (p *GHRPPolicy) lru(set int) int {
-	base := set * p.ways
-	best, bestAt := 0, p.last[base]
-	for w := 1; w < p.ways; w++ {
-		if at := p.last[base+w]; at < bestAt {
-			best, bestAt = w, at
-		}
-	}
-	return best
+	p.rec.Attach(sets, ways)
 }
 
 // blockOf maps a branch PC (as delivered in Access.PC) to its containing
@@ -90,7 +72,7 @@ func (p *GHRPPolicy) predictDead(a cache.Access, threshold int) bool {
 // OnHit implements cache.Policy: refresh recency and the entry's
 // prediction bit from the I-cache GHRP state.
 func (p *GHRPPolicy) OnHit(a cache.Access, way int) {
-	p.touch(a.Set, way)
+	p.rec.Touch(a.Set, way)
 	p.pred[a.Set*p.ways+way] = p.predictDead(a, p.cfg.BTBDeadThreshold)
 }
 
@@ -103,9 +85,9 @@ func (p *GHRPPolicy) Victim(a cache.Access) (int, bool) {
 	}
 	base := a.Set * p.ways
 	deadWay, deadAt := -1, ^uint64(0)
-	for w := 0; w < p.ways; w++ {
-		if p.pred[base+w] && p.last[base+w] < deadAt {
-			deadWay, deadAt = w, p.last[base+w]
+	for w, at := range p.rec.In(a.Set) {
+		if p.pred[base+w] && at < deadAt {
+			deadWay, deadAt = w, at
 		}
 	}
 	if deadWay >= 0 {
@@ -113,7 +95,7 @@ func (p *GHRPPolicy) Victim(a cache.Access) (int, bool) {
 		return deadWay, false
 	}
 	p.lruEvictions++
-	return p.lru(a.Set), false
+	return p.rec.LRU(a.Set), false
 }
 
 // MayBypass implements cache.Policy: an incoming entry whose block votes
@@ -130,7 +112,7 @@ func (p *GHRPPolicy) OnBypass(a cache.Access) {}
 
 // OnInsert implements cache.Policy.
 func (p *GHRPPolicy) OnInsert(a cache.Access, way int) {
-	p.touch(a.Set, way)
+	p.rec.Touch(a.Set, way)
 	p.pred[a.Set*p.ways+way] = p.predictDead(a, p.cfg.BTBDeadThreshold)
 }
 
@@ -144,8 +126,7 @@ func (p *GHRPPolicy) OnEvict(a cache.Access, way int, evicted uint64) {}
 //ghrp:hotpath
 func (p *GHRPPolicy) Reset() {
 	clear(p.pred)
-	clear(p.last)
-	p.now = 0
+	p.rec.Reset()
 	p.deadEvictions = 0
 	p.lruEvictions = 0
 }

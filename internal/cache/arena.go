@@ -1,7 +1,7 @@
 package cache
 
 // Arena carves contiguous []uint64 slabs for the hot state of many
-// caches (and BTBs, which share the word granularity). A fan-out that
+// caches (a BTB is a cache plus a target slab). A fan-out that
 // builds its N policy lanes from one arena keeps every lane's tag and
 // validity state in a single allocation, so the per-record sweep over
 // the lanes walks one slab instead of N scattered heap objects.
@@ -23,8 +23,9 @@ func NewArena(words int) *Arena {
 }
 
 // ArenaWords carves n zeroed words from a (which may be nil), for
-// sibling packages — e.g. btb — that lay their own arena-backed
-// structures out of the same slab.
+// per-frame payload that sibling packages keep beside a Cache's tags in
+// the same slab: the BTB's target slab, indexed like the frames
+// AccessWith reports.
 func ArenaWords(a *Arena, n int) []uint64 { return a.take(n) }
 
 // take carves n zeroed words. A nil arena, or one with too little left,

@@ -201,15 +201,21 @@ func (c *Cache) SetIndex(block uint64) int { return int(block & uint64(c.sets-1)
 // Lookup reports whether block is resident, without touching any state.
 //
 //ghrp:hotpath
-func (c *Cache) Lookup(block uint64) bool {
+func (c *Cache) Lookup(block uint64) bool { return c.Find(block) >= 0 }
+
+// Find returns the frame set*ways+way holding block, or -1 when block is
+// not resident, without touching any state.
+//
+//ghrp:hotpath
+func (c *Cache) Find(block uint64) int {
 	set := c.SetIndex(block)
 	base := set * c.ways
 	for m := c.valid[set]; m != 0; m &= m - 1 {
-		if c.tags[base+bits.TrailingZeros64(m)] == block {
-			return true
+		if f := base + bits.TrailingZeros64(m); c.tags[f] == block {
+			return f
 		}
 	}
-	return false
+	return -1
 }
 
 // Access performs one cache access with the given context and returns
@@ -225,22 +231,26 @@ func (c *Cache) Access(a Access) (hit bool) {
 //
 //ghrp:hotpath
 func (c *Cache) AccessEx(a Access) (hit, bypassed bool) {
-	return AccessWith(c, c.policy, a)
+	hit, slot := AccessWith(c, c.policy, a)
+	return hit, slot < 0
 }
 
-// AccessWith is AccessEx with the replacement policy supplied as a type
-// parameter. Instantiated with a concrete (non-interface) policy type,
-// the compiler emits a per-policy copy of the access path whose policy
+// AccessWith is Access with the replacement policy supplied as a type
+// parameter. It also reports slot, the frame set*ways+way that holds the
+// block after the access, or -1 when a missing block was bypassed, so a
+// caller can keep per-frame payload (the BTB's targets) alongside the
+// tags. Instantiated with a concrete (non-interface) policy type, the
+// compiler emits a per-policy copy of the access path whose policy
 // callbacks are bound statically and inlined — the devirtualization an
 // interface-typed policy field cannot express. The fan-out's per-lane
-// specialized step functions are built on these instantiations;
-// AccessEx funnels through the interface-typed instantiation, so the
+// specialized step functions are built on these instantiations; Access
+// and AccessEx funnel through the interface-typed instantiation, so the
 // two paths cannot diverge. Scanning ways in ascending bit order and
 // choosing the lowest free way keeps the protocol bit-identical to the
 // historical frame walk.
 //
 //ghrp:hotpath
-func AccessWith[P Policy](c *Cache, p P, a Access) (hit, bypassed bool) {
+func AccessWith[P Policy](c *Cache, p P, a Access) (hit bool, slot int) {
 	a.Set = c.SetIndex(a.Block)
 	c.now++
 	if !c.born {
@@ -264,7 +274,7 @@ func AccessWith[P Policy](c *Cache, p P, a Access) (hit, bypassed bool) {
 				c.eff[base+w].lastUseAt = c.now
 			}
 			p.OnHit(a, w)
-			return true, false
+			return true, base + w
 		}
 	}
 
@@ -278,10 +288,9 @@ func AccessWith[P Policy](c *Cache, p P, a Access) (hit, bypassed bool) {
 				c.stats.Bypasses++
 			}
 			p.OnBypass(a)
-			return false, true
+			return false, -1
 		}
-		installWith(c, p, a, free)
-		return false, false
+		return false, installWith(c, p, a, free)
 	}
 	way, bypass := p.Victim(a)
 	if bypass {
@@ -289,7 +298,7 @@ func AccessWith[P Policy](c *Cache, p P, a Access) (hit, bypassed bool) {
 			c.stats.Bypasses++
 		}
 		p.OnBypass(a)
-		return false, true
+		return false, -1
 	}
 	if way < 0 || way >= c.ways {
 		//ghrplint:ignore hotalloc cold invariant-violation path; fires only on a buggy policy, never in a clean replay
@@ -305,12 +314,13 @@ func AccessWith[P Policy](c *Cache, p P, a Access) (hit, bypassed bool) {
 		e.liveTime += e.lastUseAt - e.insertAt
 	}
 	p.OnEvict(a, way, c.tags[base+way])
-	installWith(c, p, a, way)
-	return false, false
+	return false, installWith(c, p, a, way)
 }
 
+// installWith places a.Block at (a.Set, way) and returns its frame.
+//
 //ghrp:hotpath
-func installWith[P Policy](c *Cache, p P, a Access, way int) {
+func installWith[P Policy](c *Cache, p P, a Access, way int) int {
 	i := a.Set*c.ways + way
 	c.tags[i] = a.Block
 	c.valid[a.Set] |= 1 << uint(way)
@@ -319,6 +329,7 @@ func installWith[P Policy](c *Cache, p P, a Access, way int) {
 		c.eff[i].lastUseAt = c.now
 	}
 	p.OnInsert(a, way)
+	return i
 }
 
 // Efficiency returns the per-frame cache efficiency matrix: for each

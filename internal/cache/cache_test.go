@@ -243,3 +243,71 @@ func TestLookupDoesNotTouch(t *testing.T) {
 		t.Error("Lookup counted as access")
 	}
 }
+
+func TestAccessWithSlot(t *testing.T) {
+	p := &scriptPolicy{}
+	c, err := New(4, 2, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Block 5 lands in set 1; a miss fills the lowest free way, a hit
+	// reports the frame it found, and Find agrees with both.
+	for i, want := range []struct {
+		block uint64
+		hit   bool
+		slot  int
+	}{{5, false, 2}, {9, false, 3}, {5, true, 2}, {13, false, 2}, {9, true, 3}} {
+		hit, slot := AccessWith(c, Policy(p), Access{Block: want.block})
+		if hit != want.hit || slot != want.slot {
+			t.Fatalf("access %d (block %d): hit %v slot %d, want %v %d", i, want.block, hit, slot, want.hit, want.slot)
+		}
+		if f := c.Find(want.block); f != slot {
+			t.Fatalf("access %d: Find(%d) = %d, want %d", i, want.block, f, slot)
+		}
+	}
+	if c.Find(5) != -1 {
+		t.Error("evicted block still found")
+	}
+	p.bypassNext = true
+	if hit, slot := AccessWith(c, Policy(p), Access{Block: 17}); hit || slot != -1 {
+		t.Errorf("bypass: hit %v slot %d, want false -1", hit, slot)
+	}
+}
+
+func TestRecencyOrder(t *testing.T) {
+	var r Recency
+	r.Attach(2, 4)
+	for w := 0; w < 4; w++ {
+		r.Touch(1, w)
+	}
+	if got := r.LRU(1); got != 0 {
+		t.Errorf("LRU = %d, want 0", got)
+	}
+	r.Touch(1, 0)
+	if got := r.LRU(1); got != 1 {
+		t.Errorf("LRU after touching way 0 = %d, want 1", got)
+	}
+	if r.Now() != 5 {
+		t.Errorf("Now = %d, want 5", r.Now())
+	}
+	// Demote places way 3 below the set's oldest without a tick.
+	r.Demote(1, 3)
+	if got := r.LRU(1); got != 3 || r.Now() != 5 {
+		t.Errorf("after Demote: LRU %d now %d, want 3 and 5", got, r.Now())
+	}
+	if ts := r.In(1); ts[3] >= ts[1] {
+		t.Errorf("demoted timestamp %d not below way 1's %d", ts[3], ts[1])
+	}
+	// Set 0 was never touched: every way ties at 0, and the lowest wins.
+	if got := r.LRU(0); got != 0 {
+		t.Errorf("untouched set LRU = %d, want 0", got)
+	}
+	r.Demote(0, 2)
+	if ts := r.In(0); ts[2] != 0 {
+		t.Errorf("Demote in an untouched set = %d, want 0", ts[2])
+	}
+	r.Reset()
+	if r.Now() != 0 || r.In(1)[0] != 0 {
+		t.Error("Reset left timestamps")
+	}
+}

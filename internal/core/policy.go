@@ -31,8 +31,7 @@ type ICachePolicy struct {
 	// eviction's dead training and the BTB's predictions read them
 	// instead of hashing the signature again.
 	slots []uint32
-	last  []uint64 // per-frame recency timestamps (3-bit LRU equivalent)
-	now   uint64
+	rec   cache.Recency // LRU order (3-bit LRU equivalent)
 	// lastFrame is the frame of the latest hit or insertion: the block a
 	// BTB probe most likely asks about, since a taken branch almost
 	// always ends the block fetched just before it (BlockPrediction).
@@ -46,10 +45,10 @@ type ICachePolicy struct {
 	bypassTick uint64 // counts predicted bypasses for the escape
 	// Memoized recencyCutoff result. Victim and the default OnEvict
 	// training gate both need the set's median recency for the same
-	// eviction, with no touch() possible in between; caching the
+	// eviction, with no Touch possible in between; caching the
 	// Victim-time sort halves the per-eviction sorting work. The cache is
-	// valid only while (set, now) both match — any access in between
-	// bumps now and invalidates it.
+	// valid only while (set, rec.Now()) both match — any access in
+	// between advances the clock and invalidates it.
 	cutSet int
 	cutNow uint64
 	cutVal uint64
@@ -85,8 +84,7 @@ func (p *ICachePolicy) Attach(sets, ways int) {
 	p.sets, p.ways = sets, ways
 	p.meta = make([]blockMeta, sets*ways)
 	p.slots = make([]uint32, sets*ways*p.cfg.NumTables)
-	p.last = make([]uint64, sets*ways)
-	p.now = 0
+	p.rec.Attach(sets, ways)
 	p.lastFrame = 0
 }
 
@@ -94,22 +92,6 @@ func (p *ICachePolicy) Attach(sets, ways int) {
 func (p *ICachePolicy) frameSlots(f int) []uint32 {
 	n := p.cfg.NumTables
 	return p.slots[f*n : f*n+n]
-}
-
-func (p *ICachePolicy) touch(set, way int) {
-	p.now++
-	p.last[set*p.ways+way] = p.now
-}
-
-func (p *ICachePolicy) lru(set int) int {
-	base := set * p.ways
-	best, bestAt := 0, p.last[base]
-	for w := 1; w < p.ways; w++ {
-		if at := p.last[base+w]; at < bestAt {
-			best, bestAt = w, at
-		}
-	}
-	return best
 }
 
 // OnHit implements cache.Policy (Algorithm 1, hit path): the old
@@ -128,7 +110,7 @@ func (p *ICachePolicy) OnHit(a cache.Access, way int) {
 	m.block = a.Block
 	m.valid = true
 	m.reused = true
-	p.touch(a.Set, way)
+	p.rec.Touch(a.Set, way)
 	p.lastFrame = f
 	p.hist.Update(a.PC)
 }
@@ -150,10 +132,9 @@ func (p *ICachePolicy) Victim(a cache.Access) (int, bool) {
 	// LRU half almost immediately anyway.
 	cut := p.recencyCutoff(a.Set)
 	deadWay, deadAt := -1, ^uint64(0)
-	for w := 0; w < p.ways; w++ {
-		if p.meta[base+w].valid && p.meta[base+w].dead &&
-			p.last[base+w] <= cut && p.last[base+w] < deadAt {
-			deadWay, deadAt = w, p.last[base+w]
+	for w, at := range p.rec.In(a.Set) {
+		if p.meta[base+w].valid && p.meta[base+w].dead && at <= cut && at < deadAt {
+			deadWay, deadAt = w, at
 		}
 	}
 	if deadWay >= 0 {
@@ -161,7 +142,7 @@ func (p *ICachePolicy) Victim(a cache.Access) (int, bool) {
 		return deadWay, false
 	}
 	p.lruEvictions++
-	return p.lru(a.Set), false
+	return p.rec.LRU(a.Set), false
 }
 
 // recencyCutoff returns the timestamp of the median-recency block in the
@@ -169,23 +150,19 @@ func (p *ICachePolicy) Victim(a cache.Access) (int, bool) {
 // result is memoized per (set, now) so the Victim choice and the
 // OnEvict training gate of one eviction share a single sort.
 func (p *ICachePolicy) recencyCutoff(set int) uint64 {
-	if p.cutNow == p.now && p.cutSet == set && p.now != 0 {
+	now := p.rec.Now()
+	if p.cutNow == now && p.cutSet == set && now != 0 {
 		return p.cutVal
 	}
-	base := set * p.ways
 	var ts [16]uint64
-	n := p.ways
-	if n > len(ts) {
-		n = len(ts)
-	}
-	copy(ts[:n], p.last[base:base+n])
+	n := copy(ts[:], p.rec.In(set))
 	// Insertion sort; associativity is small.
 	for i := 1; i < n; i++ {
 		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
 			ts[j], ts[j-1] = ts[j-1], ts[j]
 		}
 	}
-	p.cutSet, p.cutNow, p.cutVal = set, p.now, ts[(n-1)/2]
+	p.cutSet, p.cutNow, p.cutVal = set, now, ts[(n-1)/2]
 	return p.cutVal
 }
 
@@ -241,11 +218,11 @@ func (p *ICachePolicy) OnEvict(a cache.Access, way int, evicted uint64) {
 	case TrainAllEvictions:
 		train = true
 	case TrainLRUOnly:
-		train = way == p.lru(a.Set)
+		train = way == p.rec.LRU(a.Set)
 	case TrainZeroReuseLRU:
-		train = !m.reused && way == p.lru(a.Set)
+		train = !m.reused && way == p.rec.LRU(a.Set)
 	default: // TrainLRUHalf
-		train = p.last[f] <= p.recencyCutoff(a.Set)
+		train = p.rec.In(a.Set)[way] <= p.recencyCutoff(a.Set)
 	}
 	if train {
 		p.pred.trainAt(p.frameSlots(f), true)
@@ -269,7 +246,7 @@ func (p *ICachePolicy) OnInsert(a cache.Access, way int) {
 	m.dead = p.pred.predictAt(off, p.cfg.DeadThreshold)
 	m.valid = true
 	m.reused = false
-	p.touch(a.Set, way)
+	p.rec.Touch(a.Set, way)
 	p.lastFrame = f
 	p.hist.Update(a.PC)
 }
@@ -282,8 +259,7 @@ func (p *ICachePolicy) OnInsert(a cache.Access, way int) {
 func (p *ICachePolicy) Reset() {
 	clear(p.meta)
 	clear(p.slots)
-	clear(p.last)
-	p.now = 0
+	p.rec.Reset()
 	p.lastFrame = 0
 	p.pred.Reset()
 	p.hist.Reset()

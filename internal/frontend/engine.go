@@ -389,9 +389,9 @@ func laneAccess[P cache.Policy](l *lane, p P, block, pc uint64) {
 		next := block + 1
 		if !l.icache.Lookup(next) {
 			l.icache.SetWarmup(true)
-			_, bypassed := cache.AccessWith(&l.icache, p, cache.Access{Block: next, PC: next << l.blockShift})
+			_, slot := cache.AccessWith(&l.icache, p, cache.Access{Block: next, PC: next << l.blockShift})
 			l.icache.SetWarmup(false)
-			if !bypassed {
+			if slot >= 0 {
 				l.prefStats.Issued++
 				l.pref.add(next)
 			}

@@ -1,6 +1,8 @@
 package frontend
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ghrpsim/internal/trace"
@@ -313,6 +315,20 @@ func TestCountInstructions(t *testing.T) {
 	}
 	if _, err := CountInstructions(recs, 0, 64); err == nil {
 		t.Error("zero instr size accepted")
+	}
+}
+
+func TestCountInstructionsRejectsUnalignedPC(t *testing.T) {
+	recs := append(testRecords(t, 2_000), trace.Record{PC: 0x1002, Target: 0x2000, Type: trace.UncondDirect, Taken: true})
+	_, err := CountInstructions(recs, 4, 64)
+	if err == nil {
+		t.Fatal("unaligned PC accepted")
+	}
+	if want := fmt.Sprintf("record %d:", len(recs)-1); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the record (%q)", err, want)
+	}
+	if _, err := CountInstructions(recs[:len(recs)-1], 4, 64); err != nil {
+		t.Errorf("aligned records rejected: %v", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package frontend
 
 import (
+	"fmt"
+
 	"ghrpsim/internal/trace"
 	"ghrpsim/internal/workload"
 )
@@ -31,14 +33,20 @@ func (o StreamOptions) every() uint64 {
 }
 
 // CountInstructions walks a record slice with a fetch reconstructor and
-// returns the total instruction count it implies.
+// returns the total instruction count it implies. It rejects a record
+// whose PC is not a multiple of instrBytes: the BTB tags a branch by its
+// instruction index, pc/instrBytes, which names it exactly only for
+// aligned PCs.
 func CountInstructions(recs []trace.Record, instrBytes, blockBytes uint64) (uint64, error) {
 	f, err := trace.NewFetcher(instrBytes, blockBytes)
 	if err != nil {
 		return 0, err
 	}
 	var total uint64
-	for _, r := range recs {
+	for i, r := range recs {
+		if r.PC%instrBytes != 0 {
+			return 0, fmt.Errorf("frontend: record %d: PC %#x is not a multiple of the %d-byte instruction size", i, r.PC, instrBytes)
+		}
 		total += f.Advance(r).Instrs
 	}
 	return total, nil

@@ -39,8 +39,7 @@ type DIP struct {
 	noBypass
 	cfg     DIPConfig
 	sets    int
-	ways    int
-	rec     recency
+	rec     cache.Recency
 	psel    int
 	pselMax int
 	tick    uint64
@@ -60,8 +59,8 @@ func (p *DIP) Name() string { return "DIP" }
 
 // Attach implements cache.Policy.
 func (p *DIP) Attach(sets, ways int) {
-	p.sets, p.ways = sets, ways
-	p.rec.attach(sets, ways)
+	p.sets = sets
+	p.rec.Attach(sets, ways)
 	p.psel = p.pselMax / 2
 	p.tick = 0
 }
@@ -98,7 +97,7 @@ func (p *DIP) useBIP(set int) bool {
 }
 
 // OnHit implements cache.Policy.
-func (p *DIP) OnHit(a cache.Access, way int) { p.rec.touch(a.Set, way) }
+func (p *DIP) OnHit(a cache.Access, way int) { p.rec.Touch(a.Set, way) }
 
 // Victim implements cache.Policy: always the LRU block; the dueling
 // affects insertion position, not victim choice. Leader-set misses train
@@ -114,7 +113,7 @@ func (p *DIP) Victim(a cache.Access) (int, bool) {
 			p.psel--
 		}
 	}
-	return p.rec.lru(a.Set), false
+	return p.rec.LRU(a.Set), false
 }
 
 // OnInsert implements cache.Policy: LRU insertion places the block at
@@ -122,30 +121,10 @@ func (p *DIP) Victim(a cache.Access) (int, bool) {
 func (p *DIP) OnInsert(a cache.Access, way int) {
 	p.tick++
 	if p.useBIP(a.Set) && p.tick%uint64(p.cfg.Epsilon) != 0 {
-		// Leave at (approximately) LRU: assign a timestamp older than
-		// every current resident by not touching — but the frame must
-		// not keep its previous generation's timestamp either. Use the
-		// set's minimum minus nothing: simply record a zero-aged touch.
-		p.rec.last[a.Set*p.rec.ways+way] = p.oldestIn(a.Set)
+		p.rec.Demote(a.Set, way)
 		return
 	}
-	p.rec.touch(a.Set, way)
-}
-
-// oldestIn returns a timestamp at or below every resident's timestamp in
-// the set, so a BIP insertion lands in the LRU position.
-func (p *DIP) oldestIn(set int) uint64 {
-	base := set * p.rec.ways
-	min := p.rec.last[base]
-	for w := 1; w < p.rec.ways; w++ {
-		if at := p.rec.last[base+w]; at < min {
-			min = at
-		}
-	}
-	if min == 0 {
-		return 0
-	}
-	return min - 1
+	p.rec.Touch(a.Set, way)
 }
 
 // OnEvict implements cache.Policy.
@@ -155,7 +134,7 @@ func (p *DIP) OnEvict(a cache.Access, way int, evicted uint64) {}
 //
 //ghrp:hotpath
 func (p *DIP) Reset() {
-	p.rec.reset()
+	p.rec.Reset()
 	p.psel = p.pselMax / 2
 	p.tick = 0
 }

@@ -6,7 +6,7 @@ import "ghrpsim/internal/cache"
 // the paper's comparisons.
 type LRU struct {
 	noBypass
-	rec recency
+	rec cache.Recency
 }
 
 // NewLRU returns an LRU policy.
@@ -16,16 +16,16 @@ func NewLRU() *LRU { return &LRU{} }
 func (p *LRU) Name() string { return "LRU" }
 
 // Attach implements cache.Policy.
-func (p *LRU) Attach(sets, ways int) { p.rec.attach(sets, ways) }
+func (p *LRU) Attach(sets, ways int) { p.rec.Attach(sets, ways) }
 
 // OnHit implements cache.Policy.
-func (p *LRU) OnHit(a cache.Access, way int) { p.rec.touch(a.Set, way) }
+func (p *LRU) OnHit(a cache.Access, way int) { p.rec.Touch(a.Set, way) }
 
 // Victim implements cache.Policy.
-func (p *LRU) Victim(a cache.Access) (int, bool) { return p.rec.lru(a.Set), false }
+func (p *LRU) Victim(a cache.Access) (int, bool) { return p.rec.LRU(a.Set), false }
 
 // OnInsert implements cache.Policy.
-func (p *LRU) OnInsert(a cache.Access, way int) { p.rec.touch(a.Set, way) }
+func (p *LRU) OnInsert(a cache.Access, way int) { p.rec.Touch(a.Set, way) }
 
 // OnEvict implements cache.Policy.
 func (p *LRU) OnEvict(a cache.Access, way int, evicted uint64) {}
@@ -33,15 +33,14 @@ func (p *LRU) OnEvict(a cache.Access, way int, evicted uint64) {}
 // Reset implements cache.Policy.
 //
 //ghrp:hotpath
-func (p *LRU) Reset() { p.rec.reset() }
+func (p *LRU) Reset() { p.rec.Reset() }
 
 // FIFO is first-in, first-out replacement, one of the early policies
-// evaluated for instruction caches by Smith and Goodman.
+// evaluated for instruction caches by Smith and Goodman: a recency order
+// that only insertions touch.
 type FIFO struct {
 	noBypass
-	ways     int
-	inserted []uint64
-	now      uint64
+	rec cache.Recency
 }
 
 // NewFIFO returns a FIFO policy.
@@ -51,32 +50,16 @@ func NewFIFO() *FIFO { return &FIFO{} }
 func (p *FIFO) Name() string { return "FIFO" }
 
 // Attach implements cache.Policy.
-func (p *FIFO) Attach(sets, ways int) {
-	p.ways = ways
-	p.inserted = make([]uint64, sets*ways)
-	p.now = 0
-}
+func (p *FIFO) Attach(sets, ways int) { p.rec.Attach(sets, ways) }
 
 // OnHit implements cache.Policy. Hits do not affect FIFO order.
 func (p *FIFO) OnHit(a cache.Access, way int) {}
 
-// Victim implements cache.Policy.
-func (p *FIFO) Victim(a cache.Access) (int, bool) {
-	base := a.Set * p.ways
-	best, bestAt := 0, p.inserted[base]
-	for w := 1; w < p.ways; w++ {
-		if at := p.inserted[base+w]; at < bestAt {
-			best, bestAt = w, at
-		}
-	}
-	return best, false
-}
+// Victim implements cache.Policy: the earliest inserted block.
+func (p *FIFO) Victim(a cache.Access) (int, bool) { return p.rec.LRU(a.Set), false }
 
 // OnInsert implements cache.Policy.
-func (p *FIFO) OnInsert(a cache.Access, way int) {
-	p.now++
-	p.inserted[a.Set*p.ways+way] = p.now
-}
+func (p *FIFO) OnInsert(a cache.Access, way int) { p.rec.Touch(a.Set, way) }
 
 // OnEvict implements cache.Policy.
 func (p *FIFO) OnEvict(a cache.Access, way int, evicted uint64) {}
@@ -84,10 +67,7 @@ func (p *FIFO) OnEvict(a cache.Access, way int, evicted uint64) {}
 // Reset implements cache.Policy.
 //
 //ghrp:hotpath
-func (p *FIFO) Reset() {
-	clear(p.inserted)
-	p.now = 0
-}
+func (p *FIFO) Reset() { p.rec.Reset() }
 
 // Random picks victims uniformly at random with a deterministic seed.
 type Random struct {

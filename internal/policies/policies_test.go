@@ -211,7 +211,7 @@ func TestSDBPVictimPrefersPredictedDead(t *testing.T) {
 	p.OnInsert(cache.Access{Block: 1, PC: 0x4000, Set: 0}, 0)
 	p.OnInsert(cache.Access{Block: 2, PC: 0xF000, Set: 0}, 1)
 	// Make way 0 the MRU so plain LRU would pick way 1.
-	p.rec.touch(0, 0)
+	p.rec.Touch(0, 0)
 	w, bypass := p.Victim(cache.Access{Block: 3, PC: 0xF100, Set: 0})
 	if bypass || w != 0 {
 		t.Errorf("Victim = (%d, %v), want predicted-dead way 0", w, bypass)
@@ -278,23 +278,6 @@ func TestSDBPConfigValidate(t *testing.T) {
 		if err := c.cfg.Validate(); (err == nil) != c.ok {
 			t.Errorf("%s: Validate(%+v) = %v, want ok %v", c.name, c.cfg, err, c.ok)
 		}
-	}
-}
-
-func TestRecencyStackPos(t *testing.T) {
-	var r recency
-	r.attach(1, 4)
-	for w := 0; w < 4; w++ {
-		r.touch(0, w)
-	}
-	// way 3 is MRU (pos 0), way 0 is LRU (pos 3).
-	for w := 0; w < 4; w++ {
-		if got := r.stackPos(0, w); got != 3-w {
-			t.Errorf("stackPos(way %d) = %d, want %d", w, got, 3-w)
-		}
-	}
-	if got := r.lru(0); got != 0 {
-		t.Errorf("lru = %d, want 0", got)
 	}
 }
 

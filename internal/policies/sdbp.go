@@ -91,11 +91,11 @@ type SDBP struct {
 	cfg     SDBPConfig
 	sets    int
 	ways    int
-	rec     recency // main-cache LRU fallback ordering
-	pred    []bool  // per-frame dead prediction bit
+	rec     cache.Recency // main-cache LRU fallback ordering
+	pred    []bool        // per-frame dead prediction bit
 	smp     []smpEntry
 	smpSets []smpSet
-	smpRec  recency
+	smpRec  cache.Recency
 	// tables holds the three counter tables in one byte slab,
 	// table-major: table t's entry i lives at t<<TableBits | i.
 	// Validate keeps CounterMax within a byte.
@@ -136,11 +136,11 @@ func (p *SDBP) Name() string { return "SDBP" }
 // Attach implements cache.Policy.
 func (p *SDBP) Attach(sets, ways int) {
 	p.sets, p.ways = sets, ways
-	p.rec.attach(sets, ways)
+	p.rec.Attach(sets, ways)
 	p.pred = make([]bool, sets*ways)
 	p.smp = make([]smpEntry, sets*ways)
 	p.smpSets = make([]smpSet, sets)
-	p.smpRec.attach(sets, ways)
+	p.smpRec.Attach(sets, ways)
 }
 
 // signature derives the 12-bit partial-PC trace signature.
@@ -202,7 +202,7 @@ func (p *SDBP) observe(a cache.Access, sig uint16) int {
 		if w = p.lookup(base, int(set.fill), tag); w < 0 {
 			return p.smpMiss(a, set, sig, base, tag)
 		}
-		p.smpRec.touch(a.Set, w)
+		p.smpRec.Touch(a.Set, w)
 		set.mru = uint8(w)
 	}
 	// Sampler hit: the previous trace led to reuse.
@@ -236,11 +236,11 @@ func (p *SDBP) smpMiss(a cache.Access, set *smpSet, sig uint16, base int, tag ui
 	if victim < p.ways {
 		set.fill++
 	} else {
-		victim = p.smpRec.lru(a.Set)
+		victim = p.smpRec.LRU(a.Set)
 		p.train(p.smp[base+victim].sig, true)
 	}
 	p.smp[base+victim] = smpEntry{tag: tag, sig: sig}
-	p.smpRec.touch(a.Set, victim)
+	p.smpRec.Touch(a.Set, victim)
 	set.mru = uint8(victim)
 	return p.sum(sig)
 }
@@ -259,7 +259,7 @@ func (p *SDBP) reuse(sig uint16) int {
 // OnHit implements cache.Policy: refresh LRU, feed the sampler, and
 // re-predict the block's deadness with the current access signature.
 func (p *SDBP) OnHit(a cache.Access, way int) {
-	p.rec.touch(a.Set, way)
+	p.rec.Touch(a.Set, way)
 	p.pred[a.Set*p.ways+way] = p.observe(a, p.signature(a.PC)) >= p.cfg.DeadSum
 }
 
@@ -273,11 +273,12 @@ func (p *SDBP) Victim(a cache.Access) (int, bool) {
 	// Among predicted-dead blocks evict the least recently used, so the
 	// policy degenerates to LRU when everything is predicted dead.
 	base := a.Set * p.ways
+	last := p.rec.In(a.Set)
 	deadWay := -1
 	var deadAt uint64
 	for w := 0; w < p.ways; w++ {
 		if p.pred[base+w] {
-			at := p.rec.last[base+w]
+			at := last[w]
 			if deadWay < 0 || at < deadAt {
 				deadWay, deadAt = w, at
 			}
@@ -286,7 +287,7 @@ func (p *SDBP) Victim(a cache.Access) (int, bool) {
 	if deadWay >= 0 {
 		return deadWay, false
 	}
-	return p.rec.lru(a.Set), false
+	return p.rec.LRU(a.Set), false
 }
 
 // MayBypass implements cache.Policy.
@@ -300,7 +301,7 @@ func (p *SDBP) OnBypass(a cache.Access) { p.observe(a, p.signature(a.PC)) }
 
 // OnInsert implements cache.Policy.
 func (p *SDBP) OnInsert(a cache.Access, way int) {
-	p.rec.touch(a.Set, way)
+	p.rec.Touch(a.Set, way)
 	p.pred[a.Set*p.ways+way] = p.observe(a, p.signature(a.PC)) >= p.cfg.DeadSum
 }
 
@@ -312,8 +313,8 @@ func (p *SDBP) OnEvict(a cache.Access, way int, evicted uint64) {}
 //
 //ghrp:hotpath
 func (p *SDBP) Reset() {
-	p.rec.reset()
-	p.smpRec.reset()
+	p.rec.Reset()
+	p.smpRec.Reset()
 	clear(p.pred)
 	clear(p.smp)
 	clear(p.smpSets)

@@ -472,3 +472,33 @@ func TestLogUniformInt(t *testing.T) {
 		t.Error("degenerate log-uniform range")
 	}
 }
+
+// TestEmittedAddressesInstructionAligned checks the premise the BTB is
+// built on: it tags entries with the instruction index pc/InstrBytes,
+// which names a branch exactly only when every branch PC is a multiple
+// of the instruction size. Taken targets start the next fetch, so they
+// must be aligned too. Both the fixed table and a generated grid are
+// sampled.
+func TestEmittedAddressesInstructionAligned(t *testing.T) {
+	specs := append(SuiteN(24), Materialize(SuiteGen{N: 24})...)
+	for _, s := range specs {
+		p, err := s.Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		_, err = Emit(p, uint64(s.Index)+1, 50_000, func(r trace.Record) error {
+			if r.PC%InstrBytes != 0 || (r.Taken && r.Target%InstrBytes != 0) {
+				t.Fatalf("%s record %d: PC %#x target %#x taken %v not %d-byte aligned", s.Name, n, r.PC, r.Target, r.Taken, InstrBytes)
+			}
+			n++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			t.Fatalf("%s emitted no records", s.Name)
+		}
+	}
+}
