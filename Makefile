@@ -111,8 +111,10 @@ fault-smoke:
 # model over fuzzed geometries, GHRP (I-cache policy and BTB adapter) and
 # SDBP against reference copies of their earlier, slower code over
 # fuzzed configurations, the BTB against a copy of its former PC-tagged
-# code over fuzzed policies and geometries, and the one-pass warm-up
-# window against counting the stream first. The checked-in corpora
+# code over fuzzed policies and geometries, the one-pass warm-up window
+# against counting the stream first, and the coordinator's SSE reader
+# against decoding every frame (GHRP_DIST_SKIP_SPAWN spares each fuzz
+# worker the daemon build the spawn tests need). The checked-in corpora
 # under each package's testdata/fuzz also replay as ordinary test cases
 # in `make test`.
 fuzz-smoke:
@@ -125,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBTBMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/btb/
 	$(GO) test -run '^$$' -fuzz '^FuzzSDBPMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/policies/
 	$(GO) test -run '^$$' -fuzz '^FuzzOnePassMatchesTwoPass$$' -fuzztime $(FUZZTIME) ./internal/frontend/
+	GHRP_DIST_SKIP_SPAWN=1 $(GO) test -run '^$$' -fuzz '^FuzzTailFrames$$' -fuzztime $(FUZZTIME) ./internal/dist/
 
 # golden-update rewrites the golden files: the renderer goldens under
 # internal/sim/testdata and the daemon's run-status API document under

@@ -86,9 +86,6 @@ func (b *BTB) Sets() int { return b.c.Sets() }
 // Ways returns the associativity.
 func (b *BTB) Ways() int { return b.c.Ways() }
 
-// Entries returns the total entry count.
-func (b *BTB) Entries() int { return b.c.Sets() * b.c.Ways() }
-
 // Policy returns the attached replacement policy.
 func (b *BTB) Policy() cache.Policy { return b.c.Policy() }
 

@@ -34,7 +34,7 @@ func TestNewValidation(t *testing.T) {
 		t.Error("accepted nil policy")
 	}
 	b := newBTB(t, 8, 4, policies.NewLRU())
-	if b.Sets() != 8 || b.Ways() != 4 || b.Entries() != 32 {
+	if b.Sets() != 8 || b.Ways() != 4 {
 		t.Errorf("geometry wrong: %d x %d", b.Sets(), b.Ways())
 	}
 }

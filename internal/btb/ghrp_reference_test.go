@@ -519,9 +519,9 @@ func matchGHRPReference(t *testing.T, cfg core.Config, seed int64, steps int) {
 			}
 			pc := block<<rigBlockShift | uint64(rng.Intn(16))*4
 			both(func(r *ghrpRig) string {
-				hit, byp := r.ic.AccessEx(cache.Access{Block: block, PC: pc})
+				hit, slot := cache.AccessWith(r.ic, r.ic.Policy(), cache.Access{Block: block, PC: pc})
 				r.commit(pc)
-				return fmt.Sprintf("step %d fetch %#x: hit %v bypass %v", step, pc, hit, byp)
+				return fmt.Sprintf("step %d fetch %#x: hit %v bypass %v", step, pc, hit, slot < 0)
 			})
 		case op < 900: // BTB probe, usually a branch in the block just fetched
 			b := block
@@ -542,8 +542,8 @@ func matchGHRPReference(t *testing.T, cfg core.Config, seed int64, steps int) {
 				s := fmt.Sprintf("step %d wrong path %#x:", step, wrong)
 				for i := 0; i < depth; i++ {
 					b := wrong + uint64(i)
-					hit, byp := r.ic.AccessEx(cache.Access{Block: b, PC: b << rigBlockShift})
-					s += fmt.Sprintf(" %v/%v", hit, byp)
+					hit, slot := cache.AccessWith(r.ic, r.ic.Policy(), cache.Access{Block: b, PC: b << rigBlockShift})
+					s += fmt.Sprintf(" %v/%v", hit, slot < 0)
 				}
 				r.ic.SetWarmup(false)
 				if recover {

@@ -222,17 +222,8 @@ func (c *Cache) Find(block uint64) int {
 // whether it hit. On a miss the block is inserted unless the policy
 // bypasses it.
 func (c *Cache) Access(a Access) (hit bool) {
-	hit, _ = c.AccessEx(a)
+	hit, _ = AccessWith(c, c.policy, a)
 	return hit
-}
-
-// AccessEx is Access but additionally reports whether a missing block was
-// bypassed.
-//
-//ghrp:hotpath
-func (c *Cache) AccessEx(a Access) (hit, bypassed bool) {
-	hit, slot := AccessWith(c, c.policy, a)
-	return hit, slot < 0
 }
 
 // AccessWith is Access with the replacement policy supplied as a type
@@ -244,8 +235,8 @@ func (c *Cache) AccessEx(a Access) (hit, bypassed bool) {
 // callbacks are bound statically and inlined — the devirtualization an
 // interface-typed policy field cannot express. The fan-out's per-lane
 // specialized step functions are built on these instantiations; Access
-// and AccessEx funnel through the interface-typed instantiation, so the
-// two paths cannot diverge. Scanning ways in ascending bit order and
+// funnels through the interface-typed instantiation, so the two paths
+// cannot diverge. Scanning ways in ascending bit order and
 // choosing the lowest free way keeps the protocol bit-identical to the
 // historical frame walk.
 //

@@ -99,9 +99,9 @@ func TestBypass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit, bypassed := c.AccessEx(Access{Block: 0})
-	if hit || !bypassed {
-		t.Errorf("hit=%v bypassed=%v, want miss+bypass", hit, bypassed)
+	hit, slot := AccessWith(c, c.Policy(), Access{Block: 0})
+	if hit || slot >= 0 {
+		t.Errorf("hit=%v slot=%d, want miss+bypass", hit, slot)
 	}
 	if c.Lookup(0) {
 		t.Error("bypassed block was inserted")
@@ -113,8 +113,7 @@ func TestBypass(t *testing.T) {
 	p.bypassNext = false
 	c.Access(Access{Block: 0})
 	p.bypassNext = true
-	_, bypassed = c.AccessEx(Access{Block: 2})
-	if !bypassed {
+	if _, slot = AccessWith(c, c.Policy(), Access{Block: 2}); slot >= 0 {
 		t.Error("Victim bypass not honored")
 	}
 	if !c.Lookup(0) {

@@ -52,6 +52,7 @@ type ICachePolicy struct {
 	cutSet int
 	cutNow uint64
 	cutVal uint64
+	cutBuf []uint64 // one set's timestamps, sorted by recencyCutoff
 	// stats
 	deadEvictions uint64 // victims chosen by dead prediction
 	lruEvictions  uint64 // victims chosen by LRU fallback
@@ -85,6 +86,7 @@ func (p *ICachePolicy) Attach(sets, ways int) {
 	p.meta = make([]blockMeta, sets*ways)
 	p.slots = make([]uint32, sets*ways*p.cfg.NumTables)
 	p.rec.Attach(sets, ways)
+	p.cutBuf = make([]uint64, ways)
 	p.lastFrame = 0
 }
 
@@ -154,9 +156,9 @@ func (p *ICachePolicy) recencyCutoff(set int) uint64 {
 	if p.cutNow == now && p.cutSet == set && now != 0 {
 		return p.cutVal
 	}
-	var ts [16]uint64
-	n := copy(ts[:], p.rec.In(set))
-	// Insertion sort; associativity is small.
+	ts := p.cutBuf
+	n := copy(ts, p.rec.In(set))
+	// Insertion sort over every way; associativity is small.
 	for i := 1; i < n; i++ {
 		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
 			ts[j], ts[j-1] = ts[j-1], ts[j]

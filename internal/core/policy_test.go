@@ -149,6 +149,20 @@ func TestGHRPDeadTrainingLRUHalfGate(t *testing.T) {
 	}
 }
 
+// TestGHRPRecencyCutoffWideSet pins the LRU-half cutoff above 16 ways:
+// with ways 16-31 touched before ways 0-15, the median of all 32
+// timestamps is 16, while a median of ways 0-15 alone would read 24.
+func TestGHRPRecencyCutoffWideSet(t *testing.T) {
+	_, p := newGHRPCache(t, 1, 32, Config{DisableBypass: true})
+	for i := 0; i < 32; i++ {
+		w := (i + 16) % 32
+		p.OnInsert(cache.Access{Block: uint64(w + 1), PC: uint64(w+1) << 6, Set: 0}, w)
+	}
+	if got := p.recencyCutoff(0); got != 16 {
+		t.Errorf("recencyCutoff = %d, want 16", got)
+	}
+}
+
 func TestGHRPHistoryAdvancesOncePerAccess(t *testing.T) {
 	_, p := newGHRPCache(t, 1, 2, Config{})
 	h0 := p.History().Current()

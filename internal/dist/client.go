@@ -279,11 +279,15 @@ func (c *Client) try(ctx context.Context, method, path string, body []byte, out 
 }
 
 // Tail follows the run's SSE event stream to its terminal status frame,
-// invoking onEvent for every event in log order exactly once. A
-// truncated or dropped stream reconnects with Last-Event-ID so the
-// worker replays only the unseen suffix; after StreamResets consecutive
-// stream failures it degrades to polling GET /runs/{id} until the run
-// is terminal (liveness over event granularity).
+// invoking onEvent for every event in log order exactly once. Only tick
+// frames, the one kind the coordinator forwards, are decoded in full;
+// every other frame reaches onEvent with only Seq and Kind set, read
+// from the {"seq":N,"kind":"K" prefix EventDoc's field order produces
+// (a frame without that prefix is decoded in full). A truncated or
+// dropped stream reconnects with Last-Event-ID so the worker replays
+// only the unseen suffix; after StreamResets consecutive stream
+// failures it degrades to polling GET /runs/{id} until the run is
+// terminal (liveness over event granularity).
 func (c *Client) Tail(ctx context.Context, id string, onEvent func(serve.EventDoc)) (serve.StatusDoc, error) {
 	next := 0 // next unseen log position
 	for resets := 0; resets <= c.retry.StreamResets; resets++ {
@@ -321,9 +325,7 @@ func (c *Client) Tail(ctx context.Context, id string, onEvent func(serve.EventDo
 
 var errStreamReset = errors.New("dist: SSE stream ended before the terminal status frame")
 
-// tailOnce reads one SSE connection from *next onward, advancing *next
-// past every delivered event. It returns the terminal status, or an
-// error if the stream ends (or is truncated) first.
+// tailOnce reads one SSE connection from *next onward; see readEvents.
 func (c *Client) tailOnce(ctx context.Context, id string, next *int, onEvent func(serve.EventDoc)) (serve.StatusDoc, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/runs/"+id+"/events", nil)
 	if err != nil {
@@ -342,45 +344,101 @@ func (c *Client) tailOnce(ctx context.Context, id string, next *int, onEvent fun
 		return serve.StatusDoc{}, &HTTPError{Status: resp.StatusCode, Msg: strings.TrimSpace(string(data))}
 	}
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	return c.readEvents(resp.Body, next, onEvent)
+}
+
+// readEvents reads one SSE body from *next onward, advancing *next past
+// every delivered event. It returns the terminal status, or an error if
+// the body ends (or is truncated) first.
+func (c *Client) readEvents(body io.Reader, next *int, onEvent func(serve.EventDoc)) (serve.StatusDoc, error) {
+	sc := bufio.NewScanner(body)
+	// Frames are a few hundred bytes; the buffer starts small and grows
+	// only for a longer line.
+	sc.Buffer(nil, 1<<20)
 	event := ""
 	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			switch event {
-			case "event":
-				if c.faults != nil && c.faults.Hit(faultinject.OpDistSSE) {
-					// A firing rule truncates the stream mid-frame; the
-					// frame is not delivered and the caller reconnects
-					// from the last acknowledged position.
-					return serve.StatusDoc{}, errStreamReset
-				}
-				var e serve.EventDoc
-				if err := json.Unmarshal([]byte(data), &e); err != nil {
-					return serve.StatusDoc{}, fmt.Errorf("dist: decoding SSE event: %w", err)
-				}
-				if e.Seq >= *next {
-					onEvent(e)
-					*next = e.Seq + 1
-				}
-			case "status":
-				var st serve.StatusDoc
-				if err := json.Unmarshal([]byte(data), &st); err != nil {
-					return serve.StatusDoc{}, fmt.Errorf("dist: decoding SSE status: %w", err)
-				}
-				return st, nil
+		line := sc.Bytes()
+		if name, ok := bytes.CutPrefix(line, []byte("event: ")); ok {
+			event = string(name)
+			continue
+		}
+		data, ok := bytes.CutPrefix(line, []byte("data: "))
+		if !ok {
+			continue
+		}
+		switch event {
+		case "event":
+			if c.faults != nil && c.faults.Hit(faultinject.OpDistSSE) {
+				// A firing rule truncates the stream mid-frame; the
+				// frame is not delivered and the caller reconnects
+				// from the last acknowledged position.
+				return serve.StatusDoc{}, errStreamReset
 			}
+			e, err := decodeEvent(data)
+			if err != nil {
+				return serve.StatusDoc{}, err
+			}
+			if e.Seq >= *next {
+				onEvent(e)
+				*next = e.Seq + 1
+			}
+		case "status":
+			var st serve.StatusDoc
+			if err := json.Unmarshal(data, &st); err != nil {
+				return serve.StatusDoc{}, fmt.Errorf("dist: decoding SSE status: %w", err)
+			}
+			return st, nil
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return serve.StatusDoc{}, err
 	}
 	return serve.StatusDoc{}, errStreamReset
+}
+
+// decodeEvent reads one event frame's data. A tick is decoded in full;
+// any other frame that begins with the EventDoc prefix comes back with
+// only Seq and Kind set, which is all the coordinator reads of it.
+func decodeEvent(data []byte) (serve.EventDoc, error) {
+	if seq, kind, ok := eventPrefix(data); ok && kind != "tick" {
+		return serve.EventDoc{Seq: seq, Kind: kind}, nil
+	}
+	var e serve.EventDoc
+	if err := json.Unmarshal(data, &e); err != nil {
+		return e, fmt.Errorf("dist: decoding SSE event: %w", err)
+	}
+	return e, nil
+}
+
+// eventPrefix parses the {"seq":N,"kind":"K" prefix that json.Marshal
+// gives every EventDoc, followed by ',' or '}'. It accepts only what
+// json.Unmarshal would read identically: N a canonical integer of at
+// most 18 digits, K lower-case letters and hyphens (every event kind's
+// spelling). Anything else reports ok=false.
+func eventPrefix(data []byte) (seq int, kind string, ok bool) {
+	rest, ok := bytes.CutPrefix(data, []byte(`{"seq":`))
+	if !ok {
+		return 0, "", false
+	}
+	n := 0
+	for n < len(rest) && n <= 18 && '0' <= rest[n] && rest[n] <= '9' {
+		seq = seq*10 + int(rest[n]-'0')
+		n++
+	}
+	if n == 0 || n > 18 || (n > 1 && rest[0] == '0') {
+		return 0, "", false
+	}
+	if rest, ok = bytes.CutPrefix(rest[n:], []byte(`,"kind":"`)); !ok {
+		return 0, "", false
+	}
+	end := 0
+	for end < len(rest) && ('a' <= rest[end] && rest[end] <= 'z' || rest[end] == '-') {
+		end++
+	}
+	if end+1 >= len(rest) || rest[end] != '"' || (rest[end+1] != ',' && rest[end+1] != '}') {
+		return 0, "", false
+	}
+	return seq, string(rest[:end]), true
 }
 
 // observeRetry reports one transient transport failure about to be

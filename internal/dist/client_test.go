@@ -1,11 +1,16 @@
 package dist
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -169,4 +174,185 @@ func TestClientTailPollsAfterResetBudget(t *testing.T) {
 	if st.State != "done" || polls.Load() < 3 {
 		t.Errorf("state=%q polls=%d, want done after >= 3 polls", st.State, polls.Load())
 	}
+}
+
+// decodeEveryFrame is the reference reader Tail's prefix path must
+// agree with: it decodes every event frame in full, and hands onEvent
+// the frame's data alongside. honest reports whether each event frame
+// whose data eventPrefix accepts as a non-tick decodes to that same seq
+// and kind; on such input the two readers must deliver the same events,
+// cursors and errors.
+func decodeEveryFrame(body string, next *int, onEvent func(e serve.EventDoc, data string)) (st serve.StatusDoc, honest bool, err error) {
+	honest = true
+	sc := bufio.NewScanner(strings.NewReader(body))
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	event := ""
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			event = strings.TrimPrefix(line, "event: ")
+		case strings.HasPrefix(line, "data: "):
+			data := strings.TrimPrefix(line, "data: ")
+			switch event {
+			case "event":
+				var e serve.EventDoc
+				err := json.Unmarshal([]byte(data), &e)
+				if seq, kind, ok := eventPrefix([]byte(data)); ok && kind != "tick" && (err != nil || e.Seq != seq || e.Kind != kind) {
+					honest = false
+				}
+				if err != nil {
+					return st, honest, err
+				}
+				if e.Seq >= *next {
+					onEvent(e, data)
+					*next = e.Seq + 1
+				}
+			case "status":
+				err := json.Unmarshal([]byte(data), &st)
+				return st, honest, err
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return st, honest, err
+	}
+	return st, honest, errStreamReset
+}
+
+// tailFrames is a shard stream as a worker sends it, with three frames
+// no worker sends: one with its fields reordered (no prefix, so it is
+// decoded in full), a stale repeat of an earlier frame, and — when
+// malformed is set — a tick whose records field is a string.
+func tailFrames(malformed bool) string {
+	frames := []string{
+		`{"seq":0,"kind":"run-start","workload_index":0,"workloads":2,"policy_index":0,"policies":2}`,
+		`{"seq":1,"kind":"workload-start","workload":"<a&b>","workload_index":0,"workloads":2,"policy_index":0}`,
+		`{"seq":2,"kind":"tick","workload":"<a&b>","workload_index":0,"policy":"LRU","policy_index":0,"records":4096,"instructions":9000,"elapsed_ms":1.25}`,
+		`{"seq":3,"kind":"policy-done","workload":"<a&b>","workload_index":0,"policy":"LRU","policy_index":0,"records":5000,"elapsed_ms":2.5,"cache_miss":true}`,
+		`{"kind":"workload-done","workload":"<a&b>","seq":4,"workload_index":0,"elapsed_ms":3}`,
+		`{"seq":2,"kind":"tick","workload":"<a&b>","workload_index":0,"policy":"LRU","policy_index":0,"records":4096}`,
+		`{"seq":5,"kind":"tick","workload":"w1","workload_index":1,"policy":"GHRP","policy_index":1,"records":128}`,
+		`{"seq":6,"kind":"workload-failed","workload":"w1","workload_index":1,"policy_index":0,"error":"boom \"x\""}`,
+	}
+	if malformed {
+		frames = append(frames, `{"seq":7,"kind":"tick","workload_index":1,"policy_index":0,"records":"many"}`)
+	}
+	frames = append(frames, `{"seq":8,"kind":"run-done","workload_index":0,"policy_index":0,"elapsed_ms":9}`)
+	var b strings.Builder
+	for _, f := range frames {
+		var e serve.EventDoc
+		json.Unmarshal([]byte(f), &e) // the malformed tick still yields its seq
+		fmt.Fprintf(&b, "id: %d\nevent: event\ndata: %s\n\n", e.Seq, f)
+	}
+	b.WriteString("event: status\ndata: {\"id\":\"x\",\"state\":\"done\",\"events\":9}\n\n")
+	return b.String()
+}
+
+// TestClientTailMatchesDecodeEveryFrame runs Tail over a worker that
+// serves tailFrames and compares it with decodeEveryFrame: the same
+// ticks in full, the same onEvent calls (lifecycle frames reduced to
+// Seq and Kind), the same resume cursor, and the malformed tick still
+// failing every stream until Tail falls back to polling.
+func TestClientTailMatchesDecodeEveryFrame(t *testing.T) {
+	for _, malformed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("malformed=%v", malformed), func(t *testing.T) {
+			body := tailFrames(malformed)
+			var ref []serve.EventDoc
+			refNext := 0
+			refSt, honest, refErr := decodeEveryFrame(body, &refNext, func(e serve.EventDoc, _ string) { ref = append(ref, e) })
+			if !honest || (refErr != nil) != malformed {
+				t.Fatalf("reference: honest %v err %v", honest, refErr)
+			}
+			var want []serve.EventDoc
+			for _, e := range ref {
+				if e.Kind != "tick" && e.Kind != "workload-done" { // workload-done is the reordered frame
+					e = serve.EventDoc{Seq: e.Seq, Kind: e.Kind}
+				}
+				want = append(want, e)
+			}
+
+			var mu sync.Mutex
+			var resumes []string
+			mux := http.NewServeMux()
+			mux.HandleFunc("GET /runs/x/events", func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				resumes = append(resumes, r.Header.Get("Last-Event-ID"))
+				mu.Unlock()
+				w.Header().Set("Content-Type", "text/event-stream")
+				from := 0
+				if id := r.Header.Get("Last-Event-ID"); id != "" {
+					n, _ := strconv.Atoi(id)
+					from = n + 1
+				}
+				// Replay the frames from the resume point on, as the hub does.
+				frames := strings.SplitAfter(body, "\n\n")
+				for _, f := range frames {
+					var id int
+					if _, err := fmt.Sscanf(f, "id: %d\n", &id); err == nil && id < from {
+						continue
+					}
+					fmt.Fprint(w, f)
+				}
+			})
+			mux.HandleFunc("GET /runs/x", func(w http.ResponseWriter, r *http.Request) {
+				fmt.Fprint(w, `{"id":"x","state":"done","events":9}`)
+			})
+			var got []serve.EventDoc
+			st, err := testClient(t, mux, nil).Tail(context.Background(), "x", func(e serve.EventDoc) { got = append(got, e) })
+			if err != nil {
+				t.Fatalf("Tail: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("onEvent calls\n got %+v\nwant %+v", got, want)
+			}
+			if st.State != "done" || (!malformed && !reflect.DeepEqual(st, refSt)) {
+				t.Errorf("terminal status %+v, reference %+v", st, refSt)
+			}
+			wantResumes := []string{""}
+			if malformed {
+				for i := 0; i < DefaultStreamResets; i++ {
+					wantResumes = append(wantResumes, strconv.Itoa(refNext-1))
+				}
+			}
+			if !reflect.DeepEqual(resumes, wantResumes) {
+				t.Errorf("Last-Event-ID per connection = %q, want %q", resumes, wantResumes)
+			}
+		})
+	}
+}
+
+// FuzzTailFrames feeds arbitrary SSE bodies through the prefix path and
+// through decodeEveryFrame. The prefix path must never panic, must fail
+// only where the reference fails, and wherever every lifecycle prefix
+// tells the truth about its frame it must match the reference exactly:
+// the same onEvent calls (lifecycle frames reduced to Seq and Kind),
+// cursor, status and error.
+func FuzzTailFrames(f *testing.F) {
+	f.Add(tailFrames(false))
+	f.Add(tailFrames(true))
+	f.Add("event: event\ndata: {\"seq\":3,\"kind\":\"tick\",\"seq\":1}\n\nevent: event\ndata: {\"seq\":1,\"kind\":\"run-done\",\"seq\":9}\n\n")
+	f.Add("event: event\ndata: {\"seq\":01,\"kind\":\"run-done\"}\n\nevent: status\ndata: {}\n\n")
+	f.Add("event: event\ndata: {\"seq\":12,\"kind\":\"policy-done\" garbage\n\n")
+	f.Fuzz(func(t *testing.T, body string) {
+		var want, got []serve.EventDoc
+		refNext, next := 0, 0
+		refSt, honest, refErr := decodeEveryFrame(body, &refNext, func(e serve.EventDoc, data string) {
+			if _, kind, ok := eventPrefix([]byte(data)); ok && kind != "tick" {
+				e = serve.EventDoc{Seq: e.Seq, Kind: e.Kind}
+			}
+			want = append(want, e)
+		})
+		st, err := (&Client{}).readEvents(strings.NewReader(body), &next, func(e serve.EventDoc) { got = append(got, e) })
+		if err != nil && refErr == nil {
+			t.Fatalf("prefix path failed (%v) where the reference did not", err)
+		}
+		if !honest {
+			return
+		}
+		if (err == nil) != (refErr == nil) || next != refNext || (err == nil && !reflect.DeepEqual(st, refSt)) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("prefix path: next %d status %+v err %v events %+v\nreference:   next %d status %+v err %v events %+v",
+				next, st, err, got, refNext, refSt, refErr, want)
+		}
+	})
 }

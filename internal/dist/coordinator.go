@@ -517,18 +517,25 @@ func (c *Coordinator) next(rctx context.Context, w *Worker) *attempt {
 	}
 }
 
+// claimWalkPerWorker bounds claimPendingLocked's walk to this many owner
+// lookups per roster worker. A balanced ring finds w's next shard in
+// about len(workers) lookups and misses the bound on about e^-8 of
+// claims; a worker whose usable peer is not claiming (stalled, or a
+// pile left behind by a failure) stops rescanning the whole backlog.
+const claimWalkPerWorker = 8
+
 // claimPendingLocked removes and returns the pending shard w should
-// run: the lowest-indexed shard the affinity ring assigns to w, else —
-// so affinity never idles a worker — the lowest-indexed shard outright
-// (a steal). pending is in shard-index order, so the walk stops at the
-// first ring-owned shard, about len(workers) owner lookups in. nil
-// means nothing is pending. affine reports whether the claim honored
-// ring placement.
+// run: the lowest-indexed shard the affinity ring assigns to w among
+// the first claimWalkPerWorker*len(workers) pending, else — so affinity
+// never idles a worker — the lowest-indexed shard outright (a steal).
+// nil means nothing is pending. affine reports whether the claim
+// honored ring placement.
 func (c *Coordinator) claimPendingLocked(w *Worker) (s *shard, affine bool) {
 	if len(c.pending) == 0 {
 		return nil, false
 	}
-	for i, p := range c.pending {
+	walk := c.pending[:min(len(c.pending), claimWalkPerWorker*len(c.workers))]
+	for i, p := range walk {
 		if c.ring.owner(p.affinity, c.usableWorker) == w.index {
 			return c.takePendingLocked(i), true
 		}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -470,6 +471,52 @@ func TestCoordinatorClaimOrder(t *testing.T) {
 	sort.Ints(want)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("pending after releasing shard %d = %v, want %v", back.idx, got, want)
+	}
+}
+
+// TestCoordinatorClaimWalkBound pins claimPendingLocked's walk bound:
+// with 2 workers a claim looks at most 16 pending shards for a
+// ring-owned one, so 15 peer-owned shards ahead of w's next shard still
+// leave an affine claim, while 16 or more turn it into a steal of
+// pending[0].
+func TestCoordinatorClaimWalkBound(t *testing.T) {
+	c, err := New(Options{
+		SuiteN:    96,
+		Policies:  []string{"LRU"},
+		ShardSize: 1,
+		Workers:   []WorkerSpec{{URL: deadWorkerURL(t)}, {URL: deadWorkerURL(t)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := c.workers[0]
+	var mine, others []*shard
+	for _, s := range c.shards {
+		if c.ring.owner(s.affinity, allUsable) == w.index {
+			mine = append(mine, s)
+		} else {
+			others = append(others, s)
+		}
+	}
+	for _, peers := range []int{15, 16, 17, 40} {
+		if len(others) < peers {
+			t.Fatalf("placement gives the peer only %d of %d shards", len(others), len(c.shards))
+		}
+		i := slices.IndexFunc(mine, func(s *shard) bool { return s.idx > others[peers-1].idx })
+		if i < 0 {
+			t.Fatalf("no ring-owned shard after peer shard %d", others[peers-1].idx)
+		}
+		c.mu.Lock()
+		c.pending = append(slices.Clone(others[:peers]), mine[i])
+		s, affine := c.claimPendingLocked(w)
+		c.mu.Unlock()
+		if peers < 2*claimWalkPerWorker {
+			if s != mine[i] || !affine {
+				t.Errorf("%d peer shards ahead: claim = shard %d (affine %v), want ring-owned shard %d", peers, s.idx, affine, mine[i].idx)
+			}
+		} else if s != others[0] || affine {
+			t.Errorf("%d peer shards ahead: claim = shard %d (affine %v), want a steal of pending[0] = shard %d", peers, s.idx, affine, others[0].idx)
+		}
 	}
 }
 

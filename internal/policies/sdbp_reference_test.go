@@ -264,8 +264,8 @@ func matchSDBPReference(t *testing.T, cfg SDBPConfig, ways int, seed int64, step
 			}
 			pc = block<<blockShift | uint64(rng.Intn(16))*4
 			both(func(r *sdbpRig) string {
-				hit, byp := r.ic.AccessEx(cache.Access{Block: block, PC: pc})
-				return fmt.Sprintf("step %d fetch %#x: hit %v bypass %v", step, pc, hit, byp)
+				hit, slot := cache.AccessWith(r.ic, r.ic.Policy(), cache.Access{Block: block, PC: pc})
+				return fmt.Sprintf("step %d fetch %#x: hit %v bypass %v", step, pc, hit, slot < 0)
 			})
 		case op < 900: // BTB probe
 			b := block
@@ -286,8 +286,8 @@ func matchSDBPReference(t *testing.T, cfg SDBPConfig, ways int, seed int64, step
 				s := fmt.Sprintf("step %d wrong path %#x:", step, wrong)
 				for i := 0; i < depth; i++ {
 					b := wrong + uint64(i)
-					hit, byp := r.ic.AccessEx(cache.Access{Block: b, PC: b << blockShift})
-					s += fmt.Sprintf(" %v/%v", hit, byp)
+					hit, slot := cache.AccessWith(r.ic, r.ic.Policy(), cache.Access{Block: b, PC: b << blockShift})
+					s += fmt.Sprintf(" %v/%v", hit, slot < 0)
 				}
 				r.ic.SetWarmup(false)
 				return s

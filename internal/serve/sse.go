@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -48,21 +50,28 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	beat := time.NewTicker(s.beat) //ghrplint:ignore detwallclock SSE keep-alive pacing is a transport concern; no simulation result depends on it
 	defer beat.Stop()
 
+	// Frames are encoded into one reused buffer and handed to the
+	// response writer as they are drained; the stream is flushed once
+	// per drained batch, so replaying a finished run's log costs one
+	// write, not one per event.
+	fw := newFrameWriter(w)
 	for {
 		seq := sub.Cursor()
 		e, ok, more := sub.Next()
 		if ok {
-			if err := writeSSE(w, seq, "event", eventDoc(seq, e)); err != nil {
+			if err := fw.frame(seq, "event", eventDoc(seq, e)); err != nil {
 				return
 			}
-			rc.Flush()
 			continue
 		}
 		if !more {
 			// Stream complete: the hub closes only after the run's
 			// terminal state is readable, so this snapshot is final.
-			writeSSE(w, -1, "status", run.status())
+			fw.frame(-1, "status", run.status())
 			rc.Flush()
+			return
+		}
+		if err := rc.Flush(); err != nil {
 			return
 		}
 		select {
@@ -76,17 +85,38 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeSSE writes one SSE frame: an optional `id:` line (id >= 0), the
-// `event: <name>` line and a JSON data line.
-func writeSSE(w http.ResponseWriter, id int, event string, v any) error {
-	blob, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
+// frameWriter writes SSE frames through one reused buffer: an optional
+// `id:` line (id >= 0), the `event: <name>` line and a JSON data line.
+// json.Encoder emits json.Marshal's bytes plus the newline that ends
+// the data line, so the frames on the wire are the ones a per-frame
+// json.Marshal would produce.
+type frameWriter struct {
+	w   io.Writer
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+func newFrameWriter(w io.Writer) *frameWriter {
+	fw := &frameWriter{w: w}
+	fw.enc = json.NewEncoder(&fw.buf)
+	return fw
+}
+
+// frame writes one frame to the underlying writer without flushing it.
+func (fw *frameWriter) frame(id int, event string, v any) error {
+	fw.buf.Reset()
 	if id >= 0 {
-		_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", id, event, blob)
+		fw.buf.WriteString("id: ")
+		fw.buf.Write(strconv.AppendInt(fw.buf.AvailableBuffer(), int64(id), 10))
+		fw.buf.WriteByte('\n')
+	}
+	fw.buf.WriteString("event: ")
+	fw.buf.WriteString(event)
+	fw.buf.WriteString("\ndata: ")
+	if err := fw.enc.Encode(v); err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, blob)
+	fw.buf.WriteByte('\n')
+	_, err := fw.w.Write(fw.buf.Bytes())
 	return err
 }
