@@ -5,7 +5,7 @@ GO ?= go
 # session: make fuzz-smoke FUZZTIME=5m
 FUZZTIME ?= 3s
 
-.PHONY: build vet lint lint-baseline test examples-smoke ghrpsim-smoke repro-smoke repro-check race-smoke fault-smoke fuzz-smoke golden-update daemon-smoke dist-smoke dist-scale-smoke ci
+.PHONY: build vet lint lint-baseline test examples-smoke ghrpsim-smoke repro-smoke repro-check race-smoke fault-smoke fuzz-smoke golden-update dist-smoke ci
 
 build:
 	$(GO) build ./...
@@ -137,35 +137,17 @@ golden-update:
 	$(GO) test ./internal/sim/ -run TestGolden -update
 	$(GO) test ./internal/serve/ -run TestGolden -update
 
-# daemon-smoke builds and starts ghrpd on an ephemeral port, submits one
-# tiny run over real HTTP, follows its SSE stream to completion, fetches
-# the result and figures, and drains cleanly — the build-start-serve-
-# shutdown path in one self-checking command (docs/API.md).
-daemon-smoke:
-	$(GO) run ./cmd/ghrpd -addr 127.0.0.1:0 -smoke
-
-# dist-smoke is the distributed runner's crash drill: build the real
-# ghrpd binary, spawn two workers through the coordinator, SIGKILL one
-# of them at its first dispatched shard, and require the merged result
-# to be bit-identical to a single-process run of the same suite
-# (DESIGN.md §9). A second run sends explicitly named workloads, out of
-# suite order, to one spawned worker and verifies it the same way.
-# Exit is nonzero on any mismatch.
+# dist-smoke runs ghrpdist itself, from flags to dist.Options: it sends
+# explicitly named workloads, out of suite order, to one spawned ghrpd
+# worker and verifies the merged result bit-identical to a
+# single-process run (exit nonzero on any mismatch). The coordinator's
+# crash drill (a worker SIGKILLed at its first dispatch) and scaling
+# drill (5000 generated workloads under a coordinator heap ceiling)
+# are Go tests in internal/dist that spawn the real daemon, so they run
+# in `make test` and, under the race detector, in `make race-smoke`.
 dist-smoke:
 	@mkdir -p bin
 	$(GO) build -o bin/ghrpd ./cmd/ghrpd
-	$(GO) run ./cmd/ghrpdist -smoke -worker-cmd ./bin/ghrpd
 	$(GO) run ./cmd/ghrpdist -workloads SM-001,LS-145,SS-070 -policies LRU,GHRP -scale 0.01 -spawn 1 -worker-cmd ./bin/ghrpd -verify -out bin/dist-named.json
 
-# dist-scale-smoke is the scaling drill: a generated 5000-workload
-# suite over two spawned workers with the coordinator's heap sampled
-# throughout. It fails unless the streamed merge is bit-identical to
-# the in-process reference AND peak coordinator heap stays under a
-# ceiling far below what buffering every shard result would cost — the
-# streaming merge's coordinator-memory guarantee, enforced in CI.
-dist-scale-smoke:
-	@mkdir -p bin
-	$(GO) build -o bin/ghrpd ./cmd/ghrpd
-	$(GO) run ./cmd/ghrpdist -scale-smoke -worker-cmd ./bin/ghrpd
-
-ci: build vet lint test examples-smoke ghrpsim-smoke repro-smoke race-smoke fuzz-smoke daemon-smoke dist-smoke dist-scale-smoke
+ci: build vet lint test examples-smoke ghrpsim-smoke repro-smoke race-smoke fuzz-smoke dist-smoke

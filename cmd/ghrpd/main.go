@@ -11,7 +11,7 @@
 //
 //	ghrpd [-addr 127.0.0.1:8317] [-cache-dir DIR] [-slots N] [-queue N]
 //	      [-job-parallelism N] [-max-cells N] [-max-runs N]
-//	      [-task-timeout d] [-stall-timeout d] [-drain 10s] [-smoke]
+//	      [-task-timeout d] [-stall-timeout d] [-drain 10s] [-announce]
 //
 // Admission control: -slots bounds concurrent job executions, -queue
 // the jobs accepted beyond that; an overflowing submission is answered
@@ -22,26 +22,23 @@
 // failures of any kind (panics, deadlines, stalls) surface as a failed
 // run status, never as daemon death.
 //
-// -smoke runs the daemon's end-to-end self-test instead of serving:
-// bind an ephemeral port, submit one tiny run over real HTTP, stream
-// its events, fetch the result and figures, drain, and exit nonzero on
-// any mismatch. make daemon-smoke wires it into CI.
+// -announce prints the base URL on stdout once the daemon listens, the
+// handshake a spawning coordinator reads (internal/dist). The daemon's
+// end-to-end behaviour is tested through Go tests: internal/serve drives
+// the handler over real HTTP, and internal/dist spawns this binary,
+// SIGKILLs it and drains it with SIGTERM.
 package main
 
 import (
-	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -61,7 +58,6 @@ func main() {
 		taskTO   = flag.Duration("task-timeout", 0, "per-workload-task deadline inside each job (0 = none)")
 		stallTO  = flag.Duration("stall-timeout", 0, "per-task progress stall watchdog (0 = none)")
 		drain    = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget for queued and running jobs")
-		smoke    = flag.Bool("smoke", false, "run the end-to-end self-test and exit")
 		announce = flag.Bool("announce", false, "print the base URL to stdout once listening (for spawning coordinators)")
 	)
 	flag.Parse()
@@ -117,16 +113,6 @@ func main() {
 		fmt.Printf("http://%s\n", ln.Addr())
 	}
 
-	if *smoke {
-		stop() // the self-check keeps the default signal actions
-		err := runSmoke(logger, "http://"+ln.Addr().String(), srv, httpSrv, *drain)
-		if err != nil {
-			logger.Fatalf("smoke: %v", err)
-		}
-		logger.Print("smoke: ok")
-		return
-	}
-
 	select {
 	case err := <-serveErr:
 		logger.Fatal(err)
@@ -166,99 +152,4 @@ func shutdown(srv *serve.Server, httpSrv *http.Server, budget time.Duration) {
 	httpCtx, cancel2 := context.WithTimeout(context.Background(), budget)
 	defer cancel2()
 	httpSrv.Shutdown(httpCtx)
-}
-
-// runSmoke drives one tiny run end-to-end over real HTTP against the
-// just-started daemon: submit, follow the SSE stream to completion,
-// fetch result and figures, then drain cleanly. It is the build-start-
-// run-shutdown check `make daemon-smoke` runs in CI.
-func runSmoke(logger *log.Logger, base string, srv *serve.Server, httpSrv *http.Server, drain time.Duration) error {
-	defer shutdown(srv, httpSrv, drain)
-	client := &http.Client{Timeout: 2 * time.Minute}
-
-	body := `{"suite_n": 2, "policies": ["LRU", "GHRP"], "scale": 0.01, "progress_every": 4096}`
-	resp, err := client.Post(base+"/runs", "application/json", strings.NewReader(body))
-	if err != nil {
-		return err
-	}
-	blob, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("POST /runs: %s: %s", resp.Status, blob)
-	}
-	id, err := jsonField(blob, `"id":`)
-	if err != nil {
-		return err
-	}
-	logger.Printf("smoke: submitted run %s…", id[:12])
-
-	// Follow the event stream to the terminal status frame.
-	resp, err = client.Get(base + "/runs/" + id + "/events")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	events, sawStatus := 0, false
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "event: event":
-			events++
-		case line == "event: status":
-			sawStatus = true
-		case sawStatus && strings.HasPrefix(line, "data: "):
-			if !strings.Contains(line, `"state": "done"`) && !strings.Contains(line, `"state":"done"`) {
-				return fmt.Errorf("terminal status not done: %s", line)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("reading SSE stream: %w", err)
-	}
-	if events == 0 || !sawStatus {
-		return fmt.Errorf("SSE stream ended with %d events, status frame seen: %v", events, sawStatus)
-	}
-	logger.Printf("smoke: streamed %d events to completion", events)
-
-	for _, path := range []string{"/runs/" + id + "/result", "/runs/" + id + "/figures", "/healthz"} {
-		resp, err := client.Get(base + path)
-		if err != nil {
-			return err
-		}
-		blob, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("GET %s: %s: %s", path, resp.Status, blob)
-		}
-		if len(blob) == 0 {
-			return fmt.Errorf("GET %s: empty body", path)
-		}
-	}
-	logger.Print("smoke: result, figures and health all served")
-	return nil
-}
-
-// jsonField extracts the first string value following marker in blob —
-// just enough JSON poking for the smoke path, which deliberately avoids
-// importing the serve package's types (it tests the wire, not the Go
-// API).
-func jsonField(blob []byte, marker string) (string, error) {
-	s := string(blob)
-	i := strings.Index(s, marker)
-	if i < 0 {
-		return "", errors.New("smoke: no " + marker + " in response")
-	}
-	s = s[i+len(marker):]
-	i = strings.IndexByte(s, '"')
-	if i < 0 {
-		return "", errors.New("smoke: malformed " + marker)
-	}
-	s = s[i+1:]
-	i = strings.IndexByte(s, '"')
-	if i < 0 {
-		return "", errors.New("smoke: malformed " + marker)
-	}
-	return s[:i], nil
 }

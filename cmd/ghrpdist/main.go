@@ -15,8 +15,7 @@
 //	         [-scale f] [-seed n] [-keep-going] [-parallelism N]
 //	         [-shard-size N] [-hedge-after d] [-probe-every d]
 //	         [-quarantine-after N] [-shard-attempts N] [-no-local]
-//	         [-out results.json] [-verify] [-progress] [-smoke]
-//	         [-scale-smoke]
+//	         [-out results.json] [-verify] [-progress] [-timeout d]
 //
 // -gen N runs an N-workload generated suite (category-mix x
 // footprint-sweep x seed grid) instead of the fixed table; shard
@@ -28,17 +27,9 @@
 // fails (exit 1) unless the merged result matches byte for byte — the
 // determinism premise, checked on demand.
 //
-// -smoke is the end-to-end self-test `make dist-smoke` wires into CI:
-// spawn two workers via -worker-cmd, kill one of them the moment its
-// first shard dispatch is announced, and require the merged result to
-// still verify against the single-process reference.
-//
-// -scale-smoke is the scaling self-test `make dist-scale-smoke` wires
-// into CI: spawn two workers, run a generated multi-thousand-workload
-// suite through them while sampling the coordinator's heap, and
-// require (a) bit-identity against the in-process reference and (b) a
-// peak coordinator heap far below what buffering every shard result
-// would cost — the streaming-merge memory guarantee, checked for real.
+// The coordinator's fault drills (a worker SIGKILLed mid-suite, a
+// 5000-workload generated suite under a coordinator heap ceiling) are
+// Go tests in internal/dist that spawn the real ghrpd binary.
 package main
 
 import (
@@ -49,11 +40,9 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -89,26 +78,9 @@ func main() {
 		verify     = flag.Bool("verify", false, "also run single-process and require bit-identical results")
 		progress   = flag.Bool("progress", false, "stream live progress to stderr")
 		timeout    = flag.Duration("timeout", 0, "overall run deadline (0 = none)")
-		smoke      = flag.Bool("smoke", false, "run the kill-a-worker self-test and exit")
-		scaleSmoke = flag.Bool("scale-smoke", false, "run the generated-suite scaling self-test and exit")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "ghrpdist: ", log.LstdFlags)
-
-	if *smoke {
-		if err := runSmoke(logger, *workerCmd); err != nil {
-			logger.Fatalf("smoke: %v", err)
-		}
-		logger.Print("smoke: ok")
-		return
-	}
-	if *scaleSmoke {
-		if err := runScaleSmoke(logger, *workerCmd); err != nil {
-			logger.Fatalf("scale-smoke: %v", err)
-		}
-		logger.Print("scale-smoke: ok")
-		return
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -299,179 +271,5 @@ func verifyAgainstReference(ctx context.Context, c *dist.Coordinator, m *dist.Me
 	if string(got) != string(want) {
 		return fmt.Errorf("verify: merged result differs from the single-process reference\n--- merged ---\n%s\n--- reference ---\n%s", got, want)
 	}
-	return nil
-}
-
-// runSmoke is the CI self-test: spawn two workers, kill one mid-suite
-// at its first dispatched shard, and require the merged result to be
-// bit-identical to the single-process reference anyway.
-func runSmoke(logger *log.Logger, workerCmd string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-
-	victim, err := dist.Spawn(workerCmd, nil, os.Stderr)
-	if err != nil {
-		return fmt.Errorf("spawning victim: %w", err)
-	}
-	survivor, err := dist.Spawn(workerCmd, nil, os.Stderr)
-	if err != nil {
-		victim.Kill()
-		return fmt.Errorf("spawning survivor: %w", err)
-	}
-	var killOnce sync.Once
-	killedC := make(chan struct{})
-	defer func() {
-		killOnce.Do(func() { victim.Kill(); close(killedC) })
-		sctx, scancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer scancel()
-		survivor.Stop(sctx)
-	}()
-	logger.Printf("smoke: spawned victim %s and survivor %s", victim.URL(), survivor.URL())
-
-	// Kill the victim synchronously inside the observer at its first
-	// announced dispatch — the submission is guaranteed to hit a dead
-	// process, exercising quarantine and redispatch for real.
-	observe := func(e obs.Event) {
-		if e.Kind == obs.ShardDispatch && e.Worker == "victim" {
-			killOnce.Do(func() {
-				logger.Print("smoke: killing victim mid-suite")
-				victim.Kill()
-				close(killedC)
-			})
-		}
-	}
-
-	c, err := dist.New(dist.Options{
-		SuiteN:          4,
-		Policies:        []string{"LRU", "GHRP"},
-		Scale:           0.01,
-		Parallelism:     2,
-		ProgressEvery:   4096,
-		ShardSize:       1,
-		HedgeAfter:      -1,
-		ProbeEvery:      50 * time.Millisecond,
-		QuarantineAfter: 2,
-		Workers: []dist.WorkerSpec{
-			{Name: "victim", URL: victim.URL(), Proc: victim},
-			{Name: "survivor", URL: survivor.URL(), Proc: survivor},
-		},
-		Observer: observe,
-	})
-	if err != nil {
-		return err
-	}
-	m, err := c.Run(ctx)
-	if err != nil {
-		return err
-	}
-	select {
-	case <-killedC:
-	default:
-		return fmt.Errorf("victim was never dispatched to; the crash path went unexercised")
-	}
-	if m.Stats.ShardFailures < 1 {
-		return fmt.Errorf("stats report %d shard failures, want >= 1 after the kill", m.Stats.ShardFailures)
-	}
-	logger.Printf("smoke: survived the kill (%d dispatches, %d shard failures, %d quarantines)",
-		m.Stats.Dispatches, m.Stats.ShardFailures, m.Stats.Quarantines)
-	if err := verifyAgainstReference(ctx, c, m); err != nil {
-		return err
-	}
-	logger.Print("smoke: merged result is bit-identical to the single-process reference")
-	return nil
-}
-
-// runScaleSmoke is the CI scaling self-test: a generated
-// multi-thousand-workload suite over two spawned workers, with the
-// coordinator's heap sampled throughout the distributed run. It fails
-// unless the merged result is bit-identical to the in-process
-// reference AND peak coordinator heap stayed under a ceiling sized
-// well below what buffering every shard result would need — so a
-// regression back to O(suite) coordinator memory trips CI, not a
-// pager.
-func runScaleSmoke(logger *log.Logger, workerCmd string) error {
-	const (
-		suiteSize   = 5000
-		shardSize   = 100
-		heapCeiling = 256 << 20 // bytes; generous vs O(in-flight shards) documents, tiny vs O(suite) buffering
-	)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-
-	var procs []*dist.Proc
-	defer func() {
-		for _, p := range procs {
-			sctx, scancel := context.WithTimeout(context.Background(), 15*time.Second)
-			p.Stop(sctx)
-			scancel()
-		}
-	}()
-	var roster []dist.WorkerSpec
-	for i := 0; i < 2; i++ {
-		p, err := dist.Spawn(workerCmd, nil, os.Stderr)
-		if err != nil {
-			return fmt.Errorf("spawning worker %d: %w", i, err)
-		}
-		procs = append(procs, p)
-		roster = append(roster, dist.WorkerSpec{Name: fmt.Sprintf("w%d", i), URL: p.URL(), Proc: p})
-	}
-	logger.Printf("scale-smoke: %d generated workloads over 2 spawned workers", suiteSize)
-
-	// Sample the coordinator's own heap only while the distributed run
-	// is in flight — the single-process reference afterwards is allowed
-	// to (and does) hold the whole suite.
-	var peak atomic.Uint64
-	stopSampling := make(chan struct{})
-	sampled := make(chan struct{})
-	go func() {
-		defer close(sampled)
-		tick := time.NewTicker(50 * time.Millisecond)
-		defer tick.Stop()
-		var ms runtime.MemStats
-		for {
-			select {
-			case <-stopSampling:
-				return
-			case <-tick.C:
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > peak.Load() {
-					peak.Store(ms.HeapAlloc)
-				}
-			}
-		}
-	}()
-
-	c, err := dist.New(dist.Options{
-		Suite:      &workload.SuiteGen{N: suiteSize, FootprintMin: 0.2, FootprintMax: 1.0},
-		Policies:   []string{"LRU", "GHRP"},
-		Scale:      0.001,
-		ShardSize:  shardSize,
-		HedgeAfter: -1,
-		Workers:    roster,
-		Observer:   obs.NewProgress(os.Stderr, time.Second),
-	})
-	if err != nil {
-		close(stopSampling)
-		return err
-	}
-	m, err := c.Run(ctx)
-	close(stopSampling)
-	<-sampled
-	if err != nil {
-		return err
-	}
-	peakMB := float64(peak.Load()) / (1 << 20)
-	logger.Printf("scale-smoke: merged %d workloads, peak coordinator heap %.1f MB, affinity %d/%d, worker cache hits %d",
-		len(m.Workloads), peakMB, m.Stats.AffinityHits, m.Stats.AffinityHits+m.Stats.AffinityMisses, m.Stats.WorkerCacheHits)
-	if len(m.Workloads) != suiteSize {
-		return fmt.Errorf("merged %d workloads, want %d", len(m.Workloads), suiteSize)
-	}
-	if peak.Load() > heapCeiling {
-		return fmt.Errorf("peak coordinator heap %.1f MB exceeds the %d MB ceiling — streaming merge is buffering", peakMB, heapCeiling>>20)
-	}
-	if err := verifyAgainstReference(ctx, c, m); err != nil {
-		return err
-	}
-	logger.Print("scale-smoke: merged result is bit-identical to the in-process reference")
 	return nil
 }

@@ -27,12 +27,6 @@ type History struct {
 	histMask uint32
 }
 
-// NewHistory returns a History using cfg's history parameters.
-func NewHistory(cfg Config) *History {
-	h := newHistory(cfg)
-	return &h
-}
-
 func newHistory(cfg Config) History {
 	cfg = cfg.WithDefaults()
 	return History{

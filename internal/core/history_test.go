@@ -6,7 +6,7 @@ import (
 )
 
 func TestHistoryUpdateFormula(t *testing.T) {
-	h := NewHistory(Config{})
+	h := newHistory(Config{})
 	// Algorithm 2: h = (h << 4) | (fold(pc) & 7) << 1, truncated to 16
 	// bits, where fold recovers entropy from aligned addresses.
 	pc1, pc2 := uint64(0b101<<2), uint64(0b111<<2)
@@ -39,7 +39,7 @@ func TestPCFoldEntropyOnAlignedAddresses(t *testing.T) {
 }
 
 func TestHistoryRecordsFourAccesses(t *testing.T) {
-	h := NewHistory(Config{})
+	h := newHistory(Config{})
 	pcs := []uint64{1 << 2, 2 << 2, 3 << 2, 4 << 2, 5 << 2}
 	for _, pc := range pcs {
 		h.Update(pc)
@@ -56,7 +56,7 @@ func TestHistoryRecordsFourAccesses(t *testing.T) {
 }
 
 func TestHistorySpeculativeRecovery(t *testing.T) {
-	h := NewHistory(Config{})
+	h := newHistory(Config{})
 	for _, pc := range []uint64{1, 2, 3} {
 		h.Update(pc)
 		h.Commit(pc)
@@ -81,7 +81,7 @@ func TestHistorySpeculativeRecovery(t *testing.T) {
 }
 
 func TestHistoryReset(t *testing.T) {
-	h := NewHistory(Config{})
+	h := newHistory(Config{})
 	h.Update(5)
 	h.Commit(5)
 	h.Reset()
@@ -91,7 +91,7 @@ func TestHistoryReset(t *testing.T) {
 }
 
 func TestSignatureXOR(t *testing.T) {
-	h := NewHistory(Config{})
+	h := newHistory(Config{})
 	h.Update(0x1234)
 	pc := uint64(0xABCD)
 	want := uint16(uint64(h.Current()) ^ pc&0xFFFF)
@@ -100,7 +100,7 @@ func TestSignatureXOR(t *testing.T) {
 	}
 	// Zero history passes the PC through: the zero bits in the history
 	// let PC bits through unmodified (§III-A).
-	h2 := NewHistory(Config{})
+	h2 := newHistory(Config{})
 	if got := h2.Signature(0xBEEF); got != 0xBEEF {
 		t.Errorf("Signature with empty history = %#x, want 0xBEEF", got)
 	}
@@ -112,7 +112,7 @@ func TestSignatureDistinguishesPaths(t *testing.T) {
 	pathA := []uint64{0x100, 0x204, 0x30C}
 	pathB := []uint64{0x140, 0x2C4, 0x34C}
 	mk := func(path []uint64) uint16 {
-		h := NewHistory(Config{})
+		h := newHistory(Config{})
 		for _, pc := range path {
 			h.Update(pc)
 		}
@@ -127,7 +127,7 @@ func TestHistoryWidthProperty(t *testing.T) {
 	// Property: the history always fits in HistoryBits and its low bit is
 	// always zero after any update sequence.
 	f := func(pcs []uint64) bool {
-		h := NewHistory(Config{})
+		h := newHistory(Config{})
 		for _, pc := range pcs {
 			h.Update(pc)
 			if h.Current()&1 != 0 {
@@ -146,7 +146,7 @@ func TestHistoryWidthProperty(t *testing.T) {
 
 func TestHistoryConfigurableDepth(t *testing.T) {
 	// With an 8-bit history and 4-bit shift, only two accesses fit.
-	h := NewHistory(Config{HistoryBits: 8})
+	h := newHistory(Config{HistoryBits: 8})
 	for _, pc := range []uint64{1 << 2, 2 << 2, 3 << 2} {
 		h.Update(pc)
 	}

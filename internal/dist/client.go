@@ -118,9 +118,6 @@ func NewClient(base string, retry RetryPolicy, faults *faultinject.Injector, eve
 	}
 }
 
-// Base returns the worker's base URL.
-func (c *Client) Base() string { return c.base }
-
 // Submit POSTs a run request, returning the worker's submit response
 // (created or deduplicated onto an existing run).
 func (c *Client) Submit(ctx context.Context, req serve.RunRequest) (serve.SubmitResponse, error) {

@@ -304,9 +304,6 @@ func New(opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// Workers exposes the roster (state inspection in tests and CLIs).
-func (c *Coordinator) Workers() []*Worker { return c.workers }
-
 // Shards returns the shard count of the plan.
 func (c *Coordinator) Shards() int { return len(c.shards) }
 

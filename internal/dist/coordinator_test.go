@@ -112,6 +112,16 @@ func runAndVerify(t *testing.T, c *Coordinator) *Merged {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	verifyReference(t, c, m)
+	return m
+}
+
+// verifyReference asserts m is bit-identical to c's single-process
+// reference run.
+func verifyReference(t *testing.T, c *Coordinator, m *Merged) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
 	got, err := m.IdentityJSON()
 	if err != nil {
 		t.Fatalf("IdentityJSON: %v", err)
@@ -127,7 +137,6 @@ func runAndVerify(t *testing.T, c *Coordinator) *Merged {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("merged result differs from single-process reference:\n--- merged ---\n%s\n--- reference ---\n%s", got, want)
 	}
-	return m
 }
 
 func TestCoordinatorCleanRunBitIdentity(t *testing.T) {
@@ -275,7 +284,7 @@ func TestCoordinatorDeadWorkerQuarantineAndRedispatch(t *testing.T) {
 	if m.Stats.ShardFailures < 1 {
 		t.Errorf("ShardFailures = %d, want >= 1 (dispatches to the dead worker)", m.Stats.ShardFailures)
 	}
-	for _, w := range c.Workers() {
+	for _, w := range c.workers {
 		if w.Name == "dead" && w.State() != "quarantined" {
 			t.Errorf("dead worker state = %q, want quarantined", w.State())
 		}
@@ -360,7 +369,7 @@ func TestCoordinatorHedgeWinsOverStalledDispatch(t *testing.T) {
 	// The loser must be cancelled as a lost hedge when the winner
 	// completes, and joined; left stalled until the run ends, its
 	// dispatch would fail and be charged to its worker.
-	for _, w := range c.Workers() {
+	for _, w := range c.workers {
 		w.mu.Lock()
 		fails := w.fails
 		w.mu.Unlock()
@@ -648,7 +657,7 @@ func TestCoordinatorQuarantineThenReinstate(t *testing.T) {
 	if m.Stats.LocalShards != 0 {
 		t.Errorf("LocalShards = %d, want 0 (local fallback was disabled)", m.Stats.LocalShards)
 	}
-	if st := c.Workers()[0].State(); st != "healthy" {
+	if st := c.workers[0].State(); st != "healthy" {
 		t.Errorf("worker state after completed shards = %q, want healthy", st)
 	}
 	if rec.count(obs.WorkerReinstate) < 1 {

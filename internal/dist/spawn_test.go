@@ -6,11 +6,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ghrpsim/internal/obs"
+	"ghrpsim/internal/workload"
 )
 
 // ghrpdBin is the real daemon binary, built once by TestMain. The spawn
@@ -168,4 +171,83 @@ func TestCoordinatorSpawnedCleanRun(t *testing.T) {
 	if m.Stats.LocalShards != 0 {
 		t.Errorf("LocalShards = %d, want 0 (healthy spawned workers should carry the suite)", m.Stats.LocalShards)
 	}
+}
+
+// TestCoordinatorScaleHeapCeiling is the scaling drill: a generated
+// 5000-workload suite over two spawned daemons, with the coordinator's
+// heap sampled while the distributed run is in flight. Results fold
+// into the merge as shards land, so the coordinator holds the output
+// vectors plus O(in-flight shards) documents. The ceiling catches gross
+// growth such as a leak per shard; at this suite size it cannot tell a
+// return to buffering every shard's result, since the whole merged
+// document is about 0.5 MB. The merged result must also be
+// bit-identical to the single-process reference, whose own run
+// afterwards may hold the whole suite and is not sampled.
+func TestCoordinatorScaleHeapCeiling(t *testing.T) {
+	const (
+		suiteSize   = 5000
+		shardSize   = 100
+		heapCeiling = 256 << 20 // bytes
+	)
+	w0, w1 := spawnWorker(t), spawnWorker(t)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		w0.Stop(ctx)
+		w1.Stop(ctx)
+	})
+	c, err := New(Options{
+		Suite:      &workload.SuiteGen{N: suiteSize, FootprintMin: 0.2, FootprintMax: 1.0},
+		Policies:   []string{"LRU", "GHRP"},
+		Scale:      0.001,
+		ShardSize:  shardSize,
+		HedgeAfter: -1,
+		Workers: []WorkerSpec{
+			{Name: "w0", URL: w0.URL(), Proc: w0},
+			{Name: "w1", URL: w1.URL(), Proc: w1},
+		},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+
+	// Start from a collected heap so earlier tests' garbage does not
+	// count against the run.
+	runtime.GC()
+	var peak atomic.Uint64
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		tick := time.NewTicker(50 * time.Millisecond)
+		defer tick.Stop()
+		var ms runtime.MemStats
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				runtime.ReadMemStats(&ms)
+				if ms.HeapAlloc > peak.Load() {
+					peak.Store(ms.HeapAlloc)
+				}
+			}
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	m, err := c.Run(ctx)
+	close(stop)
+	<-sampled
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	verifyReference(t, c, m)
+	if len(m.Workloads) != suiteSize {
+		t.Errorf("merged %d workloads, want %d", len(m.Workloads), suiteSize)
+	}
+	peakMB := float64(peak.Load()) / (1 << 20)
+	if peak.Load() > heapCeiling {
+		t.Errorf("peak coordinator heap %.1f MB exceeds the %d MB ceiling", peakMB, heapCeiling>>20)
+	}
+	t.Logf("peak coordinator heap %.1f MB over %d shards", peakMB, c.Shards())
 }

@@ -259,14 +259,6 @@ type PrefetchStats struct {
 	Useful uint64 // prefetched blocks later hit by a demand access
 }
 
-// Coverage returns the fraction of issued prefetches that were used.
-func (s PrefetchStats) Coverage() float64 {
-	if s.Issued == 0 {
-		return 0
-	}
-	return float64(s.Useful) / float64(s.Issued)
-}
-
 // laneHotWords is how many arena words one lane's cache and BTB carve.
 func laneHotWords(cfg Config) int {
 	return cache.HotWords(cfg.ICache.Sets(), cfg.ICache.Ways) +

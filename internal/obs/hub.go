@@ -67,13 +67,6 @@ func (h *Hub) Len() int {
 	return len(h.events)
 }
 
-// Closed reports whether the stream is complete.
-func (h *Hub) Closed() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.closed
-}
-
 // Subscribers returns how many subscriptions are currently attached.
 func (h *Hub) Subscribers() int {
 	h.mu.Lock()
@@ -90,19 +83,13 @@ func (h *Hub) Snapshot() []Event {
 	return out
 }
 
-// Subscribe attaches a new subscriber whose cursor starts at the
-// beginning of the log (late subscribers replay history first). Cancel
-// the subscription when done so the hub's subscriber count stays
-// accurate.
-func (h *Hub) Subscribe() *Subscription {
-	return h.SubscribeAt(0)
-}
-
 // SubscribeAt attaches a subscriber whose cursor starts at log position
-// pos — the resume point of a consumer that already replayed the prefix
-// (an SSE reconnect carrying Last-Event-ID). pos is clamped to the
-// current log bounds, so a stale or overshooting resume point degrades
-// to a valid cursor instead of skipping unseen events.
+// pos: 0 replays the whole history first, a later pos is the resume
+// point of a consumer that already replayed the prefix (an SSE
+// reconnect carrying Last-Event-ID). pos is clamped to the current log
+// bounds, so a stale or overshooting resume point degrades to a valid
+// cursor instead of skipping unseen events. Cancel the subscription
+// when done so the hub's subscriber count stays accurate.
 func (h *Hub) SubscribeAt(pos int) *Subscription {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -20,7 +20,7 @@ func TestHubSubscriberNoLeak(t *testing.T) {
 	const events = 16
 	done := make(chan int, readers)
 	for i := 0; i < readers; i++ {
-		sub := h.Subscribe()
+		sub := h.SubscribeAt(0)
 		go func() {
 			n := 0
 			for {

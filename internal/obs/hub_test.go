@@ -11,7 +11,7 @@ func TestHubReplayThenTail(t *testing.T) {
 	h.Observe(Event{Kind: WorkloadStart, Workload: "SM-001"})
 
 	// A late subscriber replays the stored log first.
-	sub := h.Subscribe()
+	sub := h.SubscribeAt(0)
 	defer sub.Cancel()
 	e, ok, _ := sub.Next()
 	if !ok || e.Kind != RunStart {
@@ -45,7 +45,7 @@ func TestHubReplayThenTail(t *testing.T) {
 
 func TestHubWaitPreClosedWhenPending(t *testing.T) {
 	h := NewHub()
-	sub := h.Subscribe()
+	sub := h.SubscribeAt(0)
 	defer sub.Cancel()
 	h.Observe(Event{Kind: RunStart})
 	select {
@@ -54,7 +54,7 @@ func TestHubWaitPreClosedWhenPending(t *testing.T) {
 		t.Fatal("Wait() not pre-closed with a pending event")
 	}
 	h2 := NewHub()
-	sub2 := h2.Subscribe()
+	sub2 := h2.SubscribeAt(0)
 	defer sub2.Cancel()
 	h2.Close()
 	select {
@@ -71,14 +71,16 @@ func TestHubObserveAfterCloseDropped(t *testing.T) {
 	if h.Len() != 0 {
 		t.Fatalf("Len = %d after post-close Observe, want 0", h.Len())
 	}
-	if !h.Closed() {
-		t.Fatal("Closed() = false after Close")
+	sub := h.SubscribeAt(0)
+	defer sub.Cancel()
+	if _, ok, more := sub.Next(); ok || more {
+		t.Fatalf("Next on a closed empty hub: ok=%v more=%v, want false false", ok, more)
 	}
 }
 
 func TestHubSubscriberCount(t *testing.T) {
 	h := NewHub()
-	a, b := h.Subscribe(), h.Subscribe()
+	a, b := h.SubscribeAt(0), h.SubscribeAt(0)
 	if n := h.Subscribers(); n != 2 {
 		t.Fatalf("Subscribers = %d, want 2", n)
 	}
@@ -130,7 +132,7 @@ func TestHubSubscribeAt(t *testing.T) {
 func TestHubCancelBetweenWaitAndNext(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		h := NewHub()
-		sub := h.Subscribe()
+		sub := h.SubscribeAt(0)
 		ch := sub.Wait()
 
 		done := make(chan struct{})
@@ -177,7 +179,7 @@ func TestHubConcurrent(t *testing.T) {
 	h := NewHub()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
-		sub := h.Subscribe()
+		sub := h.SubscribeAt(0)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

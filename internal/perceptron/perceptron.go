@@ -154,12 +154,6 @@ func New(cfg Config) (*Predictor, error) {
 	return p, nil
 }
 
-// Tables returns how many weight tables the predictor has.
-func (p *Predictor) Tables() int { return len(p.hashes) }
-
-// TableEntries returns the entry count of each weight table.
-func (p *Predictor) TableEntries() int { return 1 << p.cfg.TableBits }
-
 // Outcome carries one prediction's working state from prediction to
 // training. The indices live in a fixed-size array (bounded by
 // MaxTables) so the round trip is allocation-free; each entry is an

@@ -219,7 +219,7 @@ func TestSDBPVictimPrefersPredictedDead(t *testing.T) {
 }
 
 func TestSDBPReset(t *testing.T) {
-	p := NewSDBP()
+	p := NewSDBPConfig(SDBPConfig{})
 	p.Attach(2, 2)
 	p.OnInsert(cache.Access{Block: 1, PC: 0x40, Set: 0}, 0)
 	for i := 0; i < 50; i++ {
@@ -290,11 +290,11 @@ func TestXorshiftZeroSeed(t *testing.T) {
 
 func TestPolicyNames(t *testing.T) {
 	names := map[cache.Policy]string{
-		NewLRU():     "LRU",
-		NewFIFO():    "FIFO",
-		NewRandom(1): "Random",
-		NewSRRIP():   "SRRIP",
-		NewSDBP():    "SDBP",
+		NewLRU():                    "LRU",
+		NewFIFO():                   "FIFO",
+		NewRandom(1):                "Random",
+		NewSRRIP():                  "SRRIP",
+		NewSDBPConfig(SDBPConfig{}): "SDBP",
 	}
 	for p, want := range names {
 		if got := p.Name(); got != want {

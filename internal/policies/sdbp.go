@@ -114,9 +114,6 @@ type smpEntry struct{ tag, sig uint16 }
 // valid (ways [0, fill)) and its most recently used way.
 type smpSet struct{ fill, mru uint8 }
 
-// NewSDBP returns the modified SDBP policy with default parameters.
-func NewSDBP() *SDBP { return NewSDBPConfig(SDBPConfig{}) }
-
 // NewSDBPConfig returns a modified SDBP policy with explicit parameters.
 // It panics on a configuration Validate rejects, so validate first when
 // the configuration is user-supplied.

@@ -310,8 +310,6 @@ func Normalize(req RunRequest, d Defaults) (Job, error) {
 		Cache:         d.Cache,
 		TaskTimeout:   d.TaskTimeout,
 		StallTimeout:  d.StallTimeout,
-		MaxRetries:    d.MaxRetries,
-		RetryBackoff:  d.RetryBackoff,
 	}
 	var err error
 	j.Key, err = j.key()

@@ -225,7 +225,6 @@ func (x *Executor) finish(r *Run, m *sim.Measurements, err error) {
 	if r.started.IsZero() {
 		r.started = r.finished
 	}
-	r.m = m
 	r.result = result
 	r.figures = figures
 	r.mu.Unlock()

@@ -120,7 +120,7 @@ func TestFaultKeepGoing(t *testing.T) {
 func TestFaultTransientRetry(t *testing.T) {
 	faults := faultinject.New(faultinject.Rule{Op: faultinject.OpTask, Action: faultinject.Transient})
 	_, ts := newTestServer(t, Config{Slots: 1, QueueDepth: 2, Faults: faults,
-		Defaults: Defaults{JobParallelism: 1, MaxRetries: 2}})
+		Defaults: Defaults{JobParallelism: 1}})
 
 	sub, code := submit(t, ts, oneCell)
 	if code != http.StatusCreated {

@@ -31,10 +31,6 @@ type Defaults struct {
 	// sim.Options.
 	TaskTimeout  time.Duration
 	StallTimeout time.Duration
-	// MaxRetries / RetryBackoff configure each job's transient-failure
-	// retry policy; see sim.Options.
-	MaxRetries   int
-	RetryBackoff time.Duration
 }
 
 // Config configures a Server.

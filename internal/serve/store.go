@@ -53,7 +53,6 @@ type Run struct {
 	// downloads bit-identical bytes.
 	result  []byte
 	figures string
-	m       *sim.Measurements
 
 	// Progress counters folded from the event stream by the run's own
 	// observer (concurrent with readers, hence atomics).

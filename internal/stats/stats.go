@@ -6,7 +6,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -124,29 +123,6 @@ func Permute(xs []float64, idx []int) []float64 {
 	return out
 }
 
-// Percentile returns the p-th percentile (0..100) by linear
-// interpolation on a sorted copy.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
 // FilterAtLeast returns the values of xs at indices where base[i] >= min
 // — the paper's ">= 1 MPKI under LRU" subset selection.
 func FilterAtLeast(xs, base []float64, min float64) []float64 {
@@ -171,6 +147,3 @@ func Improvement(x, base float64) float64 {
 	}
 	return (base - x) / base * 100
 }
-
-// FormatPct renders a percentage with one decimal.
-func FormatPct(v float64) string { return fmt.Sprintf("%.1f%%", v) }

@@ -136,31 +136,6 @@ func TestSCurveOrderIsPermutationProperty(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("P0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 5 {
-		t.Errorf("P100 = %v", got)
-	}
-	if got := Percentile(xs, 50); got != 3 {
-		t.Errorf("P50 = %v", got)
-	}
-	if got := Percentile(xs, 25); got != 2 {
-		t.Errorf("P25 = %v", got)
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile != 0")
-	}
-	// Input must not be mutated.
-	ys := []float64{3, 1, 2}
-	Percentile(ys, 50)
-	if ys[0] != 3 || ys[1] != 1 || ys[2] != 2 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
 func TestFilterAtLeast(t *testing.T) {
 	xs := []float64{10, 20, 30}
 	base := []float64{0.5, 1.0, 2.0}
@@ -176,9 +151,6 @@ func TestImprovement(t *testing.T) {
 	}
 	if Improvement(1, 0) != 0 {
 		t.Error("zero base must not divide")
-	}
-	if s := FormatPct(18.095238); s != "18.1%" {
-		t.Errorf("FormatPct = %q", s)
 	}
 }
 

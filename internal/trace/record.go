@@ -116,11 +116,6 @@ const (
 	numCategories
 )
 
-// Categories lists all workload categories in canonical order.
-func Categories() []Category {
-	return []Category{ShortMobile, LongMobile, ShortServer, LongServer}
-}
-
 // String returns the CBP5-style category name.
 func (c Category) String() string {
 	switch c {
