@@ -5,7 +5,7 @@ GO ?= go
 # session: make fuzz-smoke FUZZTIME=5m
 FUZZTIME ?= 3s
 
-.PHONY: build vet lint lint-baseline test examples-smoke ghrpsim-smoke repro-smoke repro-check race-smoke fault-smoke fuzz-smoke golden-update dist-smoke ci
+.PHONY: build vet lint lint-baseline test examples-smoke ghrpsim-smoke repro-smoke repro-check race-smoke fault-smoke fuzz-smoke golden-update dist-smoke soak ci
 
 build:
 	$(GO) build ./...
@@ -149,5 +149,29 @@ dist-smoke:
 	@mkdir -p bin
 	$(GO) build -o bin/ghrpd ./cmd/ghrpd
 	$(GO) run ./cmd/ghrpdist -workloads SM-001,LS-145,SS-070 -policies LRU,GHRP -scale 0.01 -spawn 1 -worker-cmd ./bin/ghrpd -verify -out bin/dist-named.json
+
+# soak is the tier-1 census on a loaded host: `go test -count=1 ./...`
+# 20 times and race-smoke 5 times, one race-smoke after every fourth
+# test run. It prints one pass/fail line per run, keeps each run's
+# output under bin/soak for reading a failure's cause, and exits nonzero
+# if any run failed. It takes tens of minutes, so it stays out of ci.
+soak:
+	@mkdir -p bin/soak; fail=0; \
+	for i in $$(seq 1 20); do \
+		if $(GO) test -count=1 ./... > bin/soak/test-$$i.log 2>&1; then \
+			echo "soak test $$i/20: pass"; \
+		else \
+			echo "soak test $$i/20: FAIL (bin/soak/test-$$i.log)"; fail=1; \
+		fi; \
+		if [ $$((i % 4)) -eq 0 ]; then \
+			j=$$((i / 4)); \
+			if $(MAKE) --no-print-directory race-smoke > bin/soak/race-$$j.log 2>&1; then \
+				echo "soak race-smoke $$j/5: pass"; \
+			else \
+				echo "soak race-smoke $$j/5: FAIL (bin/soak/race-$$j.log)"; fail=1; \
+			fi; \
+		fi; \
+	done; \
+	exit $$fail
 
 ci: build vet lint test examples-smoke ghrpsim-smoke repro-smoke race-smoke fuzz-smoke dist-smoke

@@ -13,8 +13,8 @@
 // Every selected section that simulates the suite adds its
 // configurations to one experiment grid (sim.RunGrid): a cell that
 // several sections share runs once, and each workload's program is
-// generated once and streamed once per front (wrong-path fetch off and
-// on). Only the Fig. 1 and Fig. 5 heat maps simulate on their own.
+// generated once and streamed once, through one fan-out of every cell.
+// Only the Fig. 1 and Fig. 5 heat maps simulate on their own.
 //
 // Interrupting a run (SIGINT/SIGTERM) cancels in-flight simulations
 // promptly; -progress streams live throughput to stderr and prints a

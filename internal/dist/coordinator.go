@@ -616,15 +616,15 @@ func (c *Coordinator) dispatch(att *attempt) (*serve.ResultDoc, error) {
 		}
 	}
 
-	final := sub.Status
-	if !terminalState(final.State) {
-		final, err = w.Client.Tail(ctx, id, func(e serve.EventDoc) {
-			att.touch()
-			c.forward(s, w, e)
-		})
-		if err != nil {
-			return nil, err
-		}
+	// Tail even when the submission already reports a terminal state:
+	// the daemon replays a finished run's whole log, so a shard that
+	// finished before its submission returned still forwards its ticks.
+	final, err := w.Client.Tail(ctx, id, func(e serve.EventDoc) {
+		att.touch()
+		c.forward(s, w, e)
+	})
+	if err != nil {
+		return nil, err
 	}
 	switch final.State {
 	case "done":
@@ -637,8 +637,6 @@ func (c *Coordinator) dispatch(att *attempt) (*serve.ResultDoc, error) {
 		return nil, fmt.Errorf("dist: worker %s finished shard %d as %q: %s", w.Name, s.idx, final.State, final.Error)
 	}
 }
-
-func terminalState(s string) bool { return s == "done" || s == "failed" || s == "cancelled" }
 
 // forward re-emits one worker event with suite-global indices. Only
 // ticks flow through: workload lifecycle is emitted exactly once at

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
@@ -170,6 +171,91 @@ func TestCoordinatorCleanRunBitIdentity(t *testing.T) {
 	}
 	if rec.count(obs.Tick) == 0 {
 		t.Error("no forwarded Tick events; progress tailing is not flowing")
+	}
+}
+
+// finishedSubmitWorker proxies to a real worker but answers each
+// submission only once its run has finished, with the terminal status:
+// the race in which a shard completes before the daemon snapshots the
+// submission's status, every time.
+type finishedSubmitWorker struct {
+	backend  http.Handler
+	terminal atomic.Int32 // submissions answered with a terminal status
+}
+
+func (f *finishedSubmitWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost || r.URL.Path != "/runs" {
+		f.backend.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	f.backend.ServeHTTP(rec, r)
+	var sub serve.SubmitResponse
+	if rec.Code < 300 && json.Unmarshal(rec.Body.Bytes(), &sub) == nil {
+		for sub.Status.State != "done" && sub.Status.State != "failed" && sub.Status.State != "cancelled" && r.Context().Err() == nil {
+			time.Sleep(time.Millisecond)
+			st := httptest.NewRecorder()
+			f.backend.ServeHTTP(st, httptest.NewRequest(http.MethodGet, "/runs/"+sub.Status.ID, nil))
+			if err := json.Unmarshal(st.Body.Bytes(), &sub.Status); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+		}
+		f.terminal.Add(1)
+		body, _ := json.Marshal(sub) // a SubmitResponse always marshals
+		rec.Body = bytes.NewBuffer(body)
+	}
+	for k, v := range rec.Header() {
+		w.Header()[k] = v
+	}
+	w.Header().Del("Content-Length")
+	w.WriteHeader(rec.Code)
+	w.Write(rec.Body.Bytes())
+}
+
+// A submission that already reports a finished run is still tailed: the
+// daemon replays the finished run's log, so every tick a worker answering
+// at once would stream is forwarded, and the merged result is unchanged.
+func TestCoordinatorTailsFinishedSubmission(t *testing.T) {
+	backend := serve.New(serve.Config{Slots: 2, QueueDepth: 8, Defaults: serve.Defaults{JobParallelism: 2}})
+	fw := &finishedSubmitWorker{backend: backend}
+	ts := httptest.NewServer(fw)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		backend.Drain(ctx)
+		ts.Close()
+	})
+	ticks := func(url string) map[int]int {
+		rec := &recorder{}
+		opts := testOpts(WorkerSpec{URL: url})
+		opts.Observer = rec.observe
+		opts.ProgressEvery = 1 // every shard ticks
+		c, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := runAndVerify(t, c); m.Stats.LocalShards != 0 {
+			t.Fatalf("LocalShards = %d, want 0 (healthy worker)", m.Stats.LocalShards)
+		}
+		per := map[int]int{}
+		for _, e := range rec.events {
+			if e.Kind == obs.Tick {
+				per[e.Shard]++
+			}
+		}
+		return per
+	}
+	got := ticks(ts.URL)
+	if n := fw.terminal.Load(); n != 4 {
+		t.Fatalf("%d submissions answered finished, want all 4 shards'", n)
+	}
+	want := ticks(newWorkerServer(t).URL)
+	if len(want) != 4 {
+		t.Fatalf("a worker answering at once streamed ticks for shards %v, want all 4", want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("forwarded ticks per shard %v, want %v as from a worker answering at once", got, want)
 	}
 }
 

@@ -27,7 +27,7 @@ const chunkRecords = 8192
 
 // chunk record flags.
 const (
-	chunkInject = 1 << iota // wrong-path injection follows the accesses
+	chunkInject = 1 << iota // mispredicted: wrong-path lanes inject after the accesses
 	chunkBTB                // BTB probe for a taken branch
 	chunkMark               // the record may end warm-up: save counters after it (warmup.go)
 )
@@ -79,17 +79,22 @@ func (ch *decChunk) reset() {
 
 // replayChunk advances one lane through every record of a chunk,
 // applying each record's decisions in a fixed order: I-cache accesses,
-// wrong-path injection, BTB probe, warm-up mark.
+// wrong-path injection (unless the lane fetches no wrong paths), BTB
+// probe, warm-up mark.
 //
 //ghrp:hotpath
 func replayChunk[IP, BP cache.Policy](l *lane, ip IP, bp BP, ch *decChunk) {
+	var inject uint8
+	if l.wrongPath {
+		inject = chunkInject
+	}
 	for i := range ch.recs {
 		r := &ch.recs[i]
 		acc := ch.accesses[r.accOff : r.accOff+r.accLen]
 		for j := range acc {
 			laneAccess(l, ip, acc[j].block, acc[j].pc)
 		}
-		if r.flags&chunkInject != 0 {
+		if r.flags&inject != 0 {
 			laneInject(l, ip, r.wrongPC)
 		}
 		if r.flags&chunkBTB != 0 {

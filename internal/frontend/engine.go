@@ -182,10 +182,11 @@ func (f *front) decide(r trace.Record, ch *decChunk) {
 		f.bpred.PredictInto(&f.branch, r.PC)
 		mispredicted := f.branch.Taken != r.Taken
 		f.bpred.UpdateFrom(&f.branch, r.PC, r.Taken)
-		if mispredicted && f.cfg.WrongPath != WrongPathOff {
+		if mispredicted {
 			// Wrong-path fetch after a misprediction (§III-F): a few
 			// sequential blocks from the not-executed path. The lanes
-			// derive the block list from the wrong-path PC.
+			// that model it derive the block list from the wrong-path
+			// PC; the others skip it.
 			d.flags |= chunkInject
 			if r.Taken {
 				d.wrongPC = r.FallThrough(f.cfg.InstrBytes)
@@ -242,6 +243,7 @@ type lane struct {
 	pref        prefetchSet        // nil unless NextLinePrefetch
 	prefStats   PrefetchStats
 	blockShift  uint
+	wrongPath   bool // fetch wrong paths (WrongPath is not WrongPathOff)
 	wrongDepth  int
 	recoverHist bool     // WrongPathInject: restore speculative history
 	marks       []Result // counters at the zero mark and each marked record (warmup.go)
@@ -271,6 +273,7 @@ func laneHotWords(cfg Config) int {
 func (l *lane) init(cfg Config, kind PolicyKind, ar *cache.Arena) error {
 	l.kind = kind
 	l.blockShift = shiftOf(uint64(cfg.ICache.BlockBytes))
+	l.wrongPath = cfg.WrongPath != WrongPathOff
 	l.wrongDepth = cfg.WrongPathDepth
 	l.recoverHist = cfg.WrongPath == WrongPathInject
 	if cfg.NextLinePrefetch {

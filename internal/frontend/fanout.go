@@ -65,9 +65,10 @@ type Cell struct {
 // NewCellFanOut builds a simulator driving one lane per cell, in order.
 // The cells share one front, so they must agree on every field it reads
 // (SameFront); each lane reads the rest of its own cell's configuration
-// — cache and BTB geometry, GHRP, SDBP, prefetching, wrong-path depth
-// and recovery, and the Random seed. Every lane's Result is therefore
-// bit-identical to a one-lane fan-out of its cell alone.
+// — cache and BTB geometry, GHRP, SDBP, prefetching, whether it fetches
+// wrong paths, their depth and recovery, and the Random seed. Every
+// lane's Result is therefore bit-identical to a one-lane fan-out of its
+// cell alone.
 func NewCellFanOut(cells []Cell, warmupLimit uint64) (*FanOut, error) {
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("frontend: fan-out needs at least one policy")
@@ -79,7 +80,7 @@ func NewCellFanOut(cells []Cell, warmupLimit uint64) (*FanOut, error) {
 			return nil, err
 		}
 		if !SameFront(cells[0].Config, *cfg) {
-			return nil, fmt.Errorf("frontend: lane %d (%v) needs a different front than lane 0 (%v): cells must agree on instruction size, block size, branch predictor, whether wrong paths are fetched and the warm-up rule",
+			return nil, fmt.Errorf("frontend: lane %d (%v) needs a different front than lane 0 (%v): cells must agree on instruction size, block size, branch predictor and warm-up rule",
 				i, cells[i].Kind, cells[0].Kind)
 		}
 		words += laneHotWords(*cfg)
@@ -102,12 +103,11 @@ func NewCellFanOut(cells []Cell, warmupLimit uint64) (*FanOut, error) {
 
 // SameFront reports whether configurations a and b drive identical
 // fronts: the same instruction size, I-cache block size, branch
-// predictor and warm-up rule, and both or neither fetching wrong paths.
-// The front reads no other field, so lanes whose configurations agree
-// on these can share one (NewCellFanOut).
+// predictor and warm-up rule. The front reads no other field, so lanes
+// whose configurations agree on these can share one (NewCellFanOut).
 func SameFront(a, b Config) bool {
 	return a.InstrBytes == b.InstrBytes && a.ICache.BlockBytes == b.ICache.BlockBytes &&
-		reflect.DeepEqual(a.Branch, b.Branch) && (a.WrongPath == WrongPathOff) == (b.WrongPath == WrongPathOff) &&
+		reflect.DeepEqual(a.Branch, b.Branch) &&
 		a.WarmupFraction == b.WarmupFraction && a.WarmupCap == b.WarmupCap
 }
 

@@ -279,17 +279,16 @@ func TestFanOutEfficiencyMatchesSolo(t *testing.T) {
 
 // mixedCells returns lanes that share a front but differ in every field
 // a lane reads: cache and BTB geometry, SDBP's sampler, GHRP's tables and
-// bypass, prefetching, the Random seed, and — when the front fetches
-// wrong paths — the wrong-path depth and recovery.
-func mixedCells(wrongPath WrongPathMode) []Cell {
+// bypass, prefetching, the Random seed, and wrong-path fetch — off, with
+// and without recovery, and at another depth.
+func mixedCells() []Cell {
 	base := smallConfig()
-	base.WrongPath = wrongPath
 	with := func(kind PolicyKind, mutate func(*Config)) Cell {
 		c := Cell{Kind: kind, Config: base}
 		mutate(&c.Config)
 		return c
 	}
-	cells := []Cell{
+	return []Cell{
 		{Kind: PolicyLRU, Config: base},
 		{Kind: PolicyGHRP, Config: base},
 		with(PolicyLRU, func(c *Config) { c.ICache = ICacheConfig{SizeBytes: 16 * 1024, BlockBytes: 64, Ways: 8} }),
@@ -299,48 +298,45 @@ func mixedCells(wrongPath WrongPathMode) []Cell {
 		with(PolicyGHRP, func(c *Config) { c.GHRP.NumTables = 1; c.GHRP.DisableBypass = true }),
 		with(PolicyGHRP, func(c *Config) { c.NextLinePrefetch = true }),
 		with(PolicyRandom, func(c *Config) { c.RandomSeed = 7 }),
+		with(PolicyGHRP, func(c *Config) { c.WrongPath = WrongPathInject }),
+		with(PolicyGHRP, func(c *Config) { c.WrongPath = WrongPathNoRecover }),
+		with(PolicyLRU, func(c *Config) { c.WrongPath, c.WrongPathDepth = WrongPathInject, 4 }),
 	}
-	if wrongPath != WrongPathOff {
-		cells = append(cells,
-			with(PolicyGHRP, func(c *Config) { c.WrongPath = WrongPathNoRecover }),
-			with(PolicyLRU, func(c *Config) { c.WrongPathDepth = 4 }))
-	}
-	return cells
 }
 
 // TestCellFanOutMatchesOneConfig is the mixed-configuration fan-out's
-// bit-identity contract: each lane of a fan-out over cells of different
-// configurations must produce exactly the Result of a one-config,
-// one-lane fan-out of its cell, with and without wrong-path fetch.
+// bit-identity contract: each lane of one fan-out over cells of
+// different configurations, wrong-path fetch off beside it on, must
+// produce exactly the Result of a one-config, one-lane fan-out of its
+// cell.
 func TestCellFanOutMatchesOneConfig(t *testing.T) {
 	prog := fanOutProgram(t)
 	const target = 120_000
-	for _, wp := range []WrongPathMode{WrongPathOff, WrongPathInject} {
-		cells := mixedCells(wp)
-		fo, err := NewCellFanOut(cells, WarmupFromStream)
+	cells := mixedCells()
+	fo, err := NewCellFanOut(cells, WarmupFromStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused, err := fo.StreamProgram(prog, 1, target, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		solo, err := SimulateFanOut(c.Config, []PolicyKind{c.Kind}, prog, 1, target, WarmupFromStream, StreamOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fused, err := fo.StreamProgram(prog, 1, target, StreamOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range cells {
-			solo, err := SimulateFanOut(c.Config, []PolicyKind{c.Kind}, prog, 1, target, WarmupFromStream, StreamOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fused[i] != solo[0] {
-				t.Errorf("wrong path %d, lane %d (%v): mixed fan-out diverges from its one-config fan-out:\n fused: %+v\n  solo: %+v",
-					wp, i, c.Kind, fused[i], solo[0])
-			}
+		if fused[i] != solo[0] {
+			t.Errorf("lane %d (%v, wrong path %d): mixed fan-out diverges from its one-config fan-out:\n fused: %+v\n  solo: %+v",
+				i, c.Kind, c.Config.WrongPath, fused[i], solo[0])
 		}
 	}
 }
 
 // TestCellFanOutRejectsFrontMismatch pins that a fan-out refuses lanes
 // that would need different fronts: a mismatch in any field the front
-// reads is an error, while the lane-only fields of mixedCells are not.
+// reads is an error, while the lane-only fields of mixedCells, wrong-path
+// fetch among them, are not.
 func TestCellFanOutRejectsFrontMismatch(t *testing.T) {
 	for _, f := range []struct {
 		name   string
@@ -352,7 +348,6 @@ func TestCellFanOutRejectsFrontMismatch(t *testing.T) {
 		{"Branch.HistoryLengths", func(c *Config) { c.Branch.HistoryLengths = []int{0, 4, 8} }},
 		{"Branch.WeightMax", func(c *Config) { c.Branch.WeightMax = 63 }},
 		{"Branch.ThetaOverride", func(c *Config) { c.Branch.ThetaOverride = 40 }},
-		{"WrongPath", func(c *Config) { c.WrongPath = WrongPathInject }},
 		{"WarmupFraction", func(c *Config) { c.WarmupFraction = 0.25 }},
 		{"WarmupCap", func(c *Config) { c.WarmupCap = 1000 }},
 	} {
@@ -365,9 +360,7 @@ func TestCellFanOutRejectsFrontMismatch(t *testing.T) {
 			t.Errorf("%s: lanes that need different fronts accepted", f.name)
 		}
 	}
-	for _, wp := range []WrongPathMode{WrongPathOff, WrongPathInject} {
-		if _, err := NewCellFanOut(mixedCells(wp), WarmupFromStream); err != nil {
-			t.Errorf("wrong path %d: lanes sharing a front rejected: %v", wp, err)
-		}
+	if _, err := NewCellFanOut(mixedCells(), WarmupFromStream); err != nil {
+		t.Errorf("lanes sharing a front rejected: %v", err)
 	}
 }

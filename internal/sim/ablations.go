@@ -58,8 +58,8 @@ func Ablations(base frontend.Config) []Ablation {
 			}
 		}))
 	}
-	// Wrong-path handling: both polluting variants fetch wrong paths, so
-	// they share one front.
+	// Wrong-path handling: each polluting variant fetches WrongPathDepth
+	// blocks down every wrong path, two when the base sets no depth.
 	pollute := func(mode frontend.WrongPathMode) func(*frontend.Config) {
 		return func(c *frontend.Config) {
 			c.WrongPath = mode

@@ -716,17 +716,17 @@ func TestSimWorkerFanOutLifecycle(t *testing.T) {
 	if err := r.runTaskSafe(ctx, task{0}, &sw); err != nil {
 		t.Fatal(err)
 	}
-	kept := sw.fanOut0()
+	kept := sw.fan.fo
 	if kept == nil {
 		t.Fatal("successful task left the worker without a fan-out")
 	}
 	if err := r.runTaskSafe(ctx, task{1}, &sw); err != nil {
 		t.Fatal(err)
 	}
-	if sw.fanOut0() != kept {
+	if sw.fan.fo != kept {
 		t.Error("same roster rebuilt the fan-out instead of resetting it")
 	}
-	if fo, err := sw.fanOut(0, []int{0}); err != nil || fo == kept {
+	if fo, err := sw.fanOut([]int{0}); err != nil || fo == kept {
 		t.Errorf("different roster reused the fan-out (err %v)", err)
 	}
 	all := make([]int, len(opts.Policies))
@@ -741,20 +741,20 @@ func TestSimWorkerFanOutLifecycle(t *testing.T) {
 	lengths := []int{0, 4, 8, 16}
 	cfg := opts.Config
 	cfg.Branch.HistoryLengths = lengths
-	if sw.useCells(cellsOf(cfg, opts.Policies)); sw.fanOut0() != nil {
+	if sw.useCells(cellsOf(cfg, opts.Policies)); sw.fan.fo != nil {
 		t.Error("new history lengths kept the fan-out")
 	}
-	if _, err := sw.fanOut(0, all); err != nil {
+	if _, err := sw.fanOut(all); err != nil {
 		t.Fatal(err)
 	}
-	kept = sw.fanOut0()
+	kept = sw.fan.fo
 	cfg.Branch.HistoryLengths = []int{0, 4, 8, 16}
-	if sw.useCells(cellsOf(cfg, opts.Policies)); sw.fanOut0() != kept {
+	if sw.useCells(cellsOf(cfg, opts.Policies)); sw.fan.fo != kept {
 		t.Error("equal cells rebuilt the fan-out")
 	}
 	lengths[1] = 5
 	cfg.Branch.HistoryLengths = lengths
-	if sw.useCells(cellsOf(cfg, opts.Policies)); sw.fanOut0() != nil {
+	if sw.useCells(cellsOf(cfg, opts.Policies)); sw.fan.fo != nil {
 		t.Error("history lengths edited in place kept the fan-out")
 	}
 	sw.useCells(r.grid.cells)
@@ -765,13 +765,13 @@ func TestSimWorkerFanOutLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sw.fanOut(0, all); err != nil {
+		if _, err := sw.fanOut(all); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.runTaskSafe(ctx, task{0}, &sw); err == nil {
 			t.Fatalf("%v: injected fault did not fail the attempt", act)
 		}
-		if sw.fanOut0() != nil {
+		if sw.fan.fo != nil {
 			t.Errorf("%v: failed attempt kept its fan-out", act)
 		}
 	}
@@ -784,12 +784,4 @@ func cellsOf(cfg frontend.Config, kinds []frontend.PolicyKind) []frontend.Cell {
 		cells[i] = frontend.Cell{Kind: k, Config: cfg}
 	}
 	return cells
-}
-
-// fanOut0 returns the worker's fan-out for the first front group, or nil.
-func (sw *simWorker) fanOut0() *frontend.FanOut {
-	if len(sw.fans) == 0 {
-		return nil
-	}
-	return sw.fans[0].fo
 }

@@ -37,11 +37,11 @@ type HeadroomReport struct {
 // of the achievable improvement each policy captures (an extension
 // beyond the paper). v's policies must include LRU, which the gap is
 // measured from. OPT runs inside the grid's tasks, over the demand
-// accesses that the fused pass of v's front group taps
-// (frontend.AccessLog), so it sees exactly the stream the policies saw
-// and costs no second execution of the program. A workload whose cells
-// of that group the cache all answered streams one LRU lane only to
-// fill the log; OPT results are never cached.
+// accesses that each task's fused pass taps (frontend.AccessLog), so it
+// sees exactly the stream the policies saw and costs no second
+// execution of the program. A workload whose cells the cache all
+// answered streams one LRU lane only to fill the log; OPT results are
+// never cached.
 func HeadroomVariant(v Variant) Variant {
 	v.headroom = true
 	return v

@@ -57,10 +57,10 @@ type Options struct {
 	Scale float64
 	// Parallelism bounds concurrent simulation tasks. Each workload is
 	// one task: its program is executed once and the record stream drives
-	// every uncached lane of a front group in lockstep (frontend.FanOut),
-	// so adding policies costs lane work, not extra executor passes. A run
-	// starts min(Parallelism, workloads) workers, each simulating one
-	// task at a time. Results are bit-identical at any setting. Defaults
+	// every uncached lane in lockstep (frontend.FanOut), so adding
+	// policies costs lane work, not extra executor passes. A run starts
+	// min(Parallelism, workloads) workers, each simulating one task at a
+	// time. Results are bit-identical at any setting. Defaults
 	// to GOMAXPROCS.
 	Parallelism int
 	// ExecSeed seeds workload execution (fixed across policies so every
@@ -314,15 +314,16 @@ type Variant struct {
 // RunGrid simulates every workload under every variant and returns one
 // Measurements per variant, each bit-identical to a RunContext of opts
 // under the variant's Config and Policies; the other Options govern the
-// whole grid. A cell — one policy under one Config — that several
+// whole grid. The variants' configurations must share one front
+// (frontend.SameFront): a variant that needs another is rejected before
+// any task runs. A cell — one policy under one Config — that several
 // variants list runs once. Options.Parallelism workers drain a queue of
 // one task per workload. A task executes its workload's program once and
-// streams it once per front group (cells whose configurations share a
-// front, frontend.SameFront) through one fan-out of the group's cells
-// the result cache could not answer, which also derives the warm-up
-// window. Cache hits stay per-cell and are reported via
-// obs.PolicyCached. Lanes are independent and the stream deterministic,
-// so results are bit-identical to per-policy replays at any parallelism.
+// streams it once through one fan-out of the cells the result cache
+// could not answer, which also derives the warm-up window. Cache hits
+// stay per-cell and are reported via obs.PolicyCached. Lanes are
+// independent and the stream deterministic, so results are
+// bit-identical to per-policy replays at any parallelism.
 //
 // Workload failures are aggregated with errors.Join. A cancelled context
 // aborts in-flight replays promptly and is reported via ctx.Err(), every
@@ -338,18 +339,18 @@ func RunGrid(ctx context.Context, opts Options, variants []Variant) ([]*Measurem
 }
 
 // Runner runs suites on simulation workers it keeps between runs. A
-// worker is a fan-out per front group plus a program generator
-// (simWorker); building one costs a few megabytes of tables, chunks and
-// arenas, so a caller that runs many small suites — a daemon running
-// shard after shard — holds one Runner and pays that once per
-// concurrent worker instead of once per run. The package-level
+// worker is a fan-out plus a program generator (simWorker); building
+// one costs a few megabytes of tables, chunks and arenas, so a caller
+// that runs many small suites — a daemon running shard after shard —
+// holds one Runner and pays that once per concurrent worker instead of
+// once per run. The package-level
 // RunContext is a one-shot Runner, so both go through the same code.
 //
 // A Runner is safe for concurrent use. It never holds more workers than
 // the most its runs have used at once. Reuse does not change results: a
-// worker rebuilds its fan-outs when the run's cells — each policy with
+// worker rebuilds its fan-out when the run's cells — each policy with
 // its frontend.Config — differ from the ones it was built for, and a
-// failed attempt discards them. The zero value is ready to use.
+// failed attempt discards it. The zero value is ready to use.
 type Runner struct {
 	mu   sync.Mutex
 	idle []*simWorker
@@ -380,8 +381,7 @@ func (rn *Runner) put(sw *simWorker) {
 }
 
 // task is one unit of scheduler work: one workload, replayed under every
-// cell that the result cache could not answer, in one fused traversal
-// per front group.
+// cell that the result cache could not answer, in one fused traversal.
 type task struct{ wi int }
 
 // wlState is one workload's scheduler state. A workload is a single
@@ -396,14 +396,11 @@ type wlState struct {
 }
 
 // grid is a run's cells: every distinct (policy, Config) pair its
-// variants list, with the front group each shares and the variant
-// slots it fills.
+// variants list, all on one front, with the variant slots each fills.
 type grid struct {
-	cells  []frontend.Cell
-	group  []int      // per cell: cells of one group share a front
-	slots  [][]slot   // per cell: every (variant, policy position) it fills
-	opt    []*optSink // per cell: a headroom variant's OPT, on its LRU cell
-	groups int
+	cells []frontend.Cell
+	slots [][]slot   // per cell: every (variant, policy position) it fills
+	opt   []*optSink // per cell: a headroom variant's OPT, on its LRU cell
 }
 
 // slot is one policy position pi of variant v.
@@ -419,18 +416,7 @@ func (g *grid) cell(n int, kind frontend.PolicyKind, cfg frontend.Config) int {
 			return c
 		}
 	}
-	grp := g.groups
-	for c := range g.cells {
-		if frontend.SameFront(g.cells[c].Config, cfg) {
-			grp = g.group[c]
-			break
-		}
-	}
-	if grp == g.groups {
-		g.groups++
-	}
 	g.cells = append(g.cells, frontend.Cell{Kind: kind, Config: cfg})
-	g.group = append(g.group, grp)
 	g.slots = append(g.slots, nil)
 	g.opt = append(g.opt, nil)
 	return len(g.cells) - 1
@@ -446,15 +432,15 @@ type runState struct {
 	observe obs.Observer
 }
 
-// simWorker is one worker goroutine's reusable simulator: per front
-// group, the fan-out it built for the roster of cells it last fused.
-// Consecutive tasks with the same roster reset it in place instead of
-// reallocating lanes, tables and decision chunks; a different roster (a
-// partial result-cache hit) rebuilds it, and a failed attempt drops them
-// all, so no state from an aborted replay can reach the next task.
+// simWorker is one worker goroutine's reusable simulator: the fan-out it
+// built for the roster of cells it last fused. Consecutive tasks with
+// the same roster reset it in place instead of reallocating lanes,
+// tables and decision chunks; a different roster (a partial result-cache
+// hit) rebuilds it, and a failed attempt drops it, so no state from an
+// aborted replay can reach the next task.
 type simWorker struct {
 	cells []frontend.Cell // what rosters index; owns its slices
-	fans  []rosterFanOut  // per front group
+	fan   rosterFanOut
 	// gen generates every program the worker runs into storage reused
 	// across workloads. A workload's attempts all run on this worker and
 	// finishTask releases its program before the next task starts, so a
@@ -472,7 +458,7 @@ type rosterFanOut struct {
 }
 
 // useCells readies a worker, possibly kept from another run, for a run
-// over cells, dropping its fan-outs unless they were built for equal
+// over cells, dropping its fan-out unless it was built for equal
 // cells: deeply equal, since Config holds the perceptron's
 // HistoryLengths slice. It runs once per run, so a task compares only
 // roster indices. The kept copy owns its slices, so a caller mutating a
@@ -489,15 +475,11 @@ func (sw *simWorker) useCells(cells []frontend.Cell) {
 	}
 }
 
-// fanOut returns group grp's fan-out in its freshly built state for the
-// cells of roster, reusing the worker's previous one when the roster
-// matches. The warm-up limit comes from the stream
-// (frontend.WarmupFromStream).
-func (sw *simWorker) fanOut(grp int, roster []int) (*frontend.FanOut, error) {
-	for len(sw.fans) <= grp {
-		sw.fans = append(sw.fans, rosterFanOut{})
-	}
-	f := &sw.fans[grp]
+// fanOut returns a fan-out in its freshly built state for the cells of
+// roster, reusing the worker's previous one when the roster matches. The
+// warm-up limit comes from the stream (frontend.WarmupFromStream).
+func (sw *simWorker) fanOut(roster []int) (*frontend.FanOut, error) {
+	f := &sw.fan
 	if f.fo != nil && slices.Equal(f.roster, roster) {
 		f.fo.Reset(frontend.WarmupFromStream)
 		return f.fo, nil
@@ -511,8 +493,8 @@ func (sw *simWorker) fanOut(grp int, roster []int) (*frontend.FanOut, error) {
 	return fo, err
 }
 
-// drop discards the worker's fan-outs; the next task builds new ones.
-func (sw *simWorker) drop() { sw.fans = nil }
+// drop discards the worker's fan-out; the next task builds a new one.
+func (sw *simWorker) drop() { sw.fan = rosterFanOut{} }
 
 // RunContext simulates every workload under every policy: the
 // one-variant grid (RunGrid), on workers taken from the Runner and
@@ -609,9 +591,9 @@ func (rn *Runner) grid(ctx context.Context, opts Options, variants []Variant) ([
 
 // newRunState lays out one run of prepared opts over variants: each
 // variant's Config and Policies, defaulted from opts and validated; the
-// grid of their cells; one Measurements per variant with every result
-// slot preallocated; and idle per-workload state. observe receives
-// every event the run emits.
+// grid of their cells, which must share the first variant's front; one
+// Measurements per variant with every result slot preallocated; and
+// idle per-workload state. observe receives every event the run emits.
 func newRunState(opts Options, variants []Variant, observe obs.Observer) (*runState, error) {
 	if len(variants) == 0 {
 		return nil, errors.New("sim: a grid needs at least one variant")
@@ -639,6 +621,9 @@ func newRunState(opts Options, variants []Variant, observe obs.Observer) (*runSt
 		}
 		if err := vo.validate(); err != nil {
 			return nil, err
+		}
+		if v > 0 && !frontend.SameFront(r.outs[0].Options.Config, vo.Config) {
+			return nil, fmt.Errorf("sim: variant %d (%q) needs a different front than variant 0: a grid's variants must agree on instruction size, block size, branch predictor and warm-up rule", v, va.Name)
 		}
 		out := newMeasurements(vo, specs)
 		first := len(r.grid.cells)
@@ -819,10 +804,10 @@ func (r *runState) runTaskSafe(ctx context.Context, t task, sw *simWorker) (err 
 }
 
 // runTask executes one workload task: per-cell result-cache lookups,
-// program generation, and per front group one fused replay of every
-// cell the cache could not answer, the OPT passes the run owes, and
-// per-cell cache fills. Cells completed and OPT passes done by an
-// earlier attempt of this task are skipped.
+// program generation, one fused replay of every cell the cache could
+// not answer, the OPT passes the run owes, and per-cell cache fills.
+// Cells completed and OPT passes done by an earlier attempt of this
+// task are skipped.
 func (r *runState) runTask(ctx context.Context, t task, sw *simWorker) error {
 	opts, g := r.opts, &r.grid
 	st := &r.states[t.wi]
@@ -850,13 +835,14 @@ func (r *runState) runTask(ctx context.Context, t task, sw *simWorker) error {
 
 	// Cache hits stay per-cell: each answered cell is recorded and
 	// reported (PolicyCached) individually, and only the remainder joins
-	// the fused replays. A retry lands here with earlier attempts' cells
+	// the fused replay. A retry lands here with earlier attempts' cells
 	// already marked completed and skips them the same way.
 	var keys []resultcache.Key
 	if opts.Cache != nil {
 		keys = make([]resultcache.Key, nc)
 	}
-	missing := make([]int, 0, nc)
+	// The roster is the cells the cache could not answer.
+	roster := make([]int, 0, nc)
 	for c, cell := range g.cells {
 		// A cell's slots are recorded together, so its first one tells.
 		if s := g.slots[c][0]; r.outs[s.v].Raw[t.wi].Completed[s.pi] {
@@ -877,117 +863,108 @@ func (r *runState) runTask(ctx context.Context, t task, sw *simWorker) error {
 				continue
 			}
 		}
-		missing = append(missing, c)
+		roster = append(roster, c)
 	}
 
-	for grp := 0; grp < g.groups; grp++ {
-		// The group's roster is its missing cells. An OPT pass it owes
-		// needs one lane even when the cache answered every cell: its
-		// LRU cell's, streamed only to fill the access log.
-		roster := make([]int, 0, len(missing)+1)
-		for _, c := range missing {
-			if g.group[c] == grp {
+	// An OPT pass the run owes needs one lane even when the cache
+	// answered every cell: its LRU cell's, streamed only to fill the
+	// access log.
+	logOnly, needOPT := len(roster) == 0, false
+	for c, sink := range g.opt {
+		if sink != nil && !sink.have[t.wi] {
+			if logOnly && !needOPT {
 				roster = append(roster, c)
 			}
+			needOPT = true
 		}
-		logOnly, needOPT := len(roster) == 0, false
-		for c, sink := range g.opt {
-			if sink != nil && g.group[c] == grp && !sink.have[t.wi] {
-				if logOnly && !needOPT {
-					roster = append(roster, c)
-				}
-				needOPT = true
-			}
-		}
-		if len(roster) == 0 {
-			continue
-		}
-		// The program lives in the worker's generator; a retry, or the
-		// next group, replays the kept st.prog and never regenerates over
-		// it.
-		if st.prog == nil {
-			prog, err := sw.gen.Generate(spec.Profile)
-			if err != nil {
-				return err
-			}
-			st.prog = prog
-		}
-		// Progress ticks are labeled with the fan-out width and attributed
-		// to the roster's first cell, whose PolicyDone retires the
-		// in-flight slot.
-		start := time.Now()
-		label := fmt.Sprintf("fanout(%d)", len(roster))
-		so := frontend.StreamOptions{
-			ProgressEvery: opts.ProgressEvery,
-			Progress: func(records, instructions uint64) error {
-				w.touch()
-				if opts.Faults != nil {
-					if err := opts.Faults.Fire(w.ctx, faultinject.OpProgress); err != nil {
-						return err
-					}
-				}
-				if err := w.ctx.Err(); err != nil {
-					return err
-				}
-				r.observe(obs.Event{Kind: obs.Tick, Workload: spec.Name, WorkloadIndex: t.wi,
-					Policy: label, PolicyIndex: roster[0], Policies: nc,
-					Records: records, Instructions: instructions, Elapsed: time.Since(start)})
-				return nil
-			},
-		}
-		fo, err := sw.fanOut(grp, roster)
+	}
+	if len(roster) == 0 {
+		return nil
+	}
+	// The program lives in the worker's generator; a retry replays the
+	// kept st.prog and never regenerates over it.
+	if st.prog == nil {
+		prog, err := sw.gen.Generate(spec.Profile)
 		if err != nil {
 			return err
 		}
-		var log *frontend.AccessLog
-		if needOPT {
-			log = &sw.log
-		}
-		fo.TapAccesses(log)
-		results, err := fo.StreamProgram(st.prog, opts.ExecSeed, target, so)
-		if err != nil {
-			return w.fault(err)
-		}
-		for c, sink := range g.opt {
-			if !needOPT || sink == nil || g.group[c] != grp || sink.have[t.wi] {
-				continue
-			}
-			mpki, err := optMPKI(g.cells[c].Config, log, results[0])
-			if err != nil {
-				return err
-			}
-			// The task's deadline covers the OPT pass too.
-			if err := w.ctx.Err(); err != nil {
-				return w.fault(err)
-			}
-			// OPT is stored before any cell is recorded, so a retry after
-			// a failed cache fill below does not repeat it.
-			sink.mpki[t.wi], sink.have[t.wi] = mpki, true
-		}
-		if logOnly {
-			continue
-		}
-		// Per-cell completion: fill the cache, then record, then report.
-		// A cache fill happens before its cell is recorded, so a failed
-		// write surfaces as a retryable error while that cell is still
-		// side-effect free — the retry re-simulates exactly the unrecorded
-		// remainder (lanes are independent, so the re-fused subset stays
-		// bit-identical). The fused wall time is attributed evenly so
-		// per-policy totals remain meaningful.
-		share := time.Since(start) / time.Duration(len(roster))
-		for i, c := range roster {
-			res := results[i]
-			if opts.Cache != nil {
-				if err := opts.Cache.Put(keys[c], res); err != nil {
-					return &RetryableError{fmt.Errorf("result cache put: %w", err)}
+		st.prog = prog
+	}
+	// Progress ticks are labeled with the fan-out width and attributed
+	// to the roster's first cell, whose PolicyDone retires the in-flight
+	// slot.
+	start := time.Now()
+	label := fmt.Sprintf("fanout(%d)", len(roster))
+	so := frontend.StreamOptions{
+		ProgressEvery: opts.ProgressEvery,
+		Progress: func(records, instructions uint64) error {
+			w.touch()
+			if opts.Faults != nil {
+				if err := opts.Faults.Fire(w.ctx, faultinject.OpProgress); err != nil {
+					return err
 				}
 			}
-			r.record(t.wi, c, res)
-			r.observe(obs.Event{Kind: obs.PolicyDone, Workload: spec.Name, WorkloadIndex: t.wi,
-				Policy: g.cells[c].Kind.String(), PolicyIndex: c, Policies: nc,
-				Records: res.Records, Instructions: res.TotalInstructions, Elapsed: share,
-				CacheMiss: opts.Cache != nil})
+			if err := w.ctx.Err(); err != nil {
+				return err
+			}
+			r.observe(obs.Event{Kind: obs.Tick, Workload: spec.Name, WorkloadIndex: t.wi,
+				Policy: label, PolicyIndex: roster[0], Policies: nc,
+				Records: records, Instructions: instructions, Elapsed: time.Since(start)})
+			return nil
+		},
+	}
+	fo, err := sw.fanOut(roster)
+	if err != nil {
+		return err
+	}
+	var log *frontend.AccessLog
+	if needOPT {
+		log = &sw.log
+	}
+	fo.TapAccesses(log)
+	results, err := fo.StreamProgram(st.prog, opts.ExecSeed, target, so)
+	if err != nil {
+		return w.fault(err)
+	}
+	for c, sink := range g.opt {
+		if !needOPT || sink == nil || sink.have[t.wi] {
+			continue
 		}
+		mpki, err := optMPKI(g.cells[c].Config, log, results[0])
+		if err != nil {
+			return err
+		}
+		// The task's deadline covers the OPT pass too.
+		if err := w.ctx.Err(); err != nil {
+			return w.fault(err)
+		}
+		// OPT is stored before any cell is recorded, so a retry after a
+		// failed cache fill below does not repeat it.
+		sink.mpki[t.wi], sink.have[t.wi] = mpki, true
+	}
+	if logOnly {
+		return nil
+	}
+	// Per-cell completion: fill the cache, then record, then report. A
+	// cache fill happens before its cell is recorded, so a failed write
+	// surfaces as a retryable error while that cell is still side-effect
+	// free — the retry re-simulates exactly the unrecorded remainder
+	// (lanes are independent, so the re-fused subset stays
+	// bit-identical). The fused wall time is attributed evenly so
+	// per-policy totals remain meaningful.
+	share := time.Since(start) / time.Duration(len(roster))
+	for i, c := range roster {
+		res := results[i]
+		if opts.Cache != nil {
+			if err := opts.Cache.Put(keys[c], res); err != nil {
+				return &RetryableError{fmt.Errorf("result cache put: %w", err)}
+			}
+		}
+		r.record(t.wi, c, res)
+		r.observe(obs.Event{Kind: obs.PolicyDone, Workload: spec.Name, WorkloadIndex: t.wi,
+			Policy: g.cells[c].Kind.String(), PolicyIndex: c, Policies: nc,
+			Records: res.Records, Instructions: res.TotalInstructions, Elapsed: share,
+			CacheMiss: opts.Cache != nil})
 	}
 	return nil
 }

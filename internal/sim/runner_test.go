@@ -293,7 +293,7 @@ func requireIdle(t *testing.T, step string, rn *Runner, wantFanOut bool) {
 	if len(rn.idle) != 1 {
 		t.Fatalf("%s: Runner holds %d idle workers, want 1", step, len(rn.idle))
 	}
-	if has := rn.idle[0].fanOut0() != nil; has != wantFanOut {
+	if has := rn.idle[0].fan.fo != nil; has != wantFanOut {
 		t.Errorf("%s: idle worker holds a fan-out: %v, want %v", step, has, wantFanOut)
 	}
 }

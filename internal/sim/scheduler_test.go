@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,8 +103,9 @@ func TestSchedulerMatchesSerialReference(t *testing.T) {
 		requireMatchesReference(t, m, ref)
 	}
 
-	// A grid mixing configurations and both wrong-path fronts must give
-	// every variant exactly the measurements of its own run.
+	// A grid mixing configurations, wrong-path fetch off and on among
+	// them, must give every variant exactly the measurements of its own
+	// run.
 	vs := mixedGrid()
 	want := make([]*Measurements, len(vs))
 	for v, va := range vs {
@@ -127,30 +130,39 @@ func TestSchedulerMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// A grid spanning both wrong-path fronts streams each workload's
-// program once per front but generates it once: a task replays the
-// program it holds for every group, so the name given to a kept program
-// survives the task (generating into the worker's Generator again would
-// reset it), and the results still equal a plain grid run. A cell that
-// several variants list runs once.
+// A grid mixing wrong-path fetch off and on generates each workload's
+// program once and streams it once, through one fan-out of every cell:
+// a task replays the program it holds, so the name given to a kept
+// program survives the task (generating into the worker's Generator
+// again would reset it), and the results still equal a plain grid run.
+// A cell that several variants list runs once.
 func TestGridGeneratesEachProgramOnce(t *testing.T) {
 	opts, err := tinyOptions().prepare()
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every record ticks, so each stream of a program ticks once with
+	// Records 1.
+	opts.ProgressEvery = 1
 	vs := append([]Variant{{}}, Ablations(frontend.DefaultConfig())[3].Variants...) // wrong-path handling
-	done := 0
+	done, streams := 0, make([]int, len(opts.Workloads))
 	r, err := newRunState(opts, vs, func(e obs.Event) {
-		if e.Kind == obs.PolicyDone {
+		switch {
+		case e.Kind == obs.PolicyDone:
 			done++
+		case e.Kind == obs.Tick && e.Records == 1:
+			streams[e.WorkloadIndex]++
+			if e.Policy != "fanout(7)" {
+				t.Errorf("%s: streamed through %s, want one fan-out of all 7 cells", e.Workload, e.Policy)
+			}
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// "no-wrong-path" is the paper default's GHRP cell.
-	if g := r.grid; g.groups != 2 || len(g.cells) != 7 {
-		t.Fatalf("grid has %d cells in %d front groups, want 7 in 2", len(g.cells), g.groups)
+	if n := len(r.grid.cells); n != 7 {
+		t.Fatalf("grid has %d cells, want 7", n)
 	}
 	var sw simWorker
 	sw.useCells(r.grid.cells)
@@ -166,7 +178,10 @@ func TestGridGeneratesEachProgramOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		if prog.Name != "kept" {
-			t.Errorf("%s: program generated again for the second front", spec.Name)
+			t.Errorf("%s: program generated again", spec.Name)
+		}
+		if streams[wi] != 1 {
+			t.Errorf("%s: program streamed %d times, want once", spec.Name, streams[wi])
 		}
 		r.finishTask(ctx, wi, nil)
 	}
@@ -184,8 +199,8 @@ func TestGridGeneratesEachProgramOnce(t *testing.T) {
 
 // mixedGrid lists variants that differ in every field a lane reads —
 // cache geometry, SDBP's sampler, GHRP's table count, prefetching,
-// wrong-path recovery — and in the front's wrong-path mode, with cells
-// that several variants share.
+// wrong-path fetch and its recovery — with cells that several variants
+// share.
 func mixedGrid() []Variant {
 	base := frontend.DefaultConfig()
 	vs := []Variant{{}, {Policies: frontend.ExtendedPolicies()}}
@@ -198,6 +213,39 @@ func mixedGrid() []Variant {
 	vs = append(vs, ablations[4].Variants[:2]...) // GHRP table count
 	vs = append(vs, ablations[3].Variants...)     // wrong-path handling
 	return append(vs, ablations[5].Variants...)   // prefetching
+}
+
+// A grid whose variants need two fronts is rejected, naming the
+// variant, before any task runs.
+func TestGridRejectsSecondFront(t *testing.T) {
+	for _, f := range []struct {
+		name   string
+		mutate func(*frontend.Config)
+	}{
+		{"Branch", func(c *frontend.Config) { c.Branch.TableBits = 10 }},
+		{"InstrBytes", func(c *frontend.Config) { c.InstrBytes = 8 }},
+	} {
+		cfg := frontend.DefaultConfig()
+		f.mutate(&cfg)
+		vs := []Variant{{}, {Name: "other front", Config: cfg}}
+		var started atomic.Int32
+		opts := tinyOptions()
+		opts.Observer = func(e obs.Event) {
+			if e.Kind == obs.WorkloadStart {
+				started.Add(1)
+			}
+		}
+		ms, err := RunGrid(context.Background(), opts, vs)
+		if err == nil || ms != nil {
+			t.Fatalf("%s: grid needing two fronts ran", f.name)
+		}
+		if !strings.Contains(err.Error(), `variant 1 ("other front")`) {
+			t.Errorf("%s: error %q does not name the variant", f.name, err)
+		}
+		if n := started.Load(); n != 0 {
+			t.Errorf("%s: %d workloads started before the rejection", f.name, n)
+		}
+	}
 }
 
 // requireSameMeasurements asserts that a grid variant's measurements are
